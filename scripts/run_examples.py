@@ -6,28 +6,14 @@ Usage: python3 scripts/run_examples.py [--porcelain]
 
 import sys
 
-from poisdirac.cli import bundled_scenario_names, main
-
-ANALYSES = {
-    "ex_fz.json": "classify",
-    "ex_x2z.json": "classify",
-    "ex_graph4.json": "classify",
-    "ex_r6.json": "classify",
-    "ex_r4_pi1.json": "jacobi",
-    "ex_r4_pi2.json": "jacobi",
-    "broken.json": "jacobi",
-    "ex_r4_push.json": "pushforward",
-    "ex_r4_dirac.json": "embed",
-    "ex_r4_splittings.json": "embed",
-    "bracket_sympl4.json": "bracket",
-}
+from poisdirac.cli import BUNDLED_ANALYSES, bundled_scenario_names, main
 
 
 def run() -> int:
     extra = [a for a in sys.argv[1:] if a == "--porcelain"]
     worst = 0
     for name in bundled_scenario_names():
-        analysis = ANALYSES.get(name)
+        analysis = BUNDLED_ANALYSES.get(name)
         if analysis is None:
             print(f"--- {name}: no analysis registered, skipping")
             continue

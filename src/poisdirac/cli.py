@@ -112,6 +112,24 @@ def _resolve_scenario(path_text: str) -> str:
     raise SchemaError(f"scenario {path_text!r} is neither a file nor a bundled scenario name")
 
 
+# The analysis each bundled scenario is written for; every file under
+# scenarios/ needs an entry (the test suite runs each one through it).
+BUNDLED_ANALYSES = {
+    "bracket_sympl4.json": "bracket",
+    "broken.json": "jacobi",
+    "ex_fz.json": "classify",
+    "ex_graph4.json": "classify",
+    "ex_r10_dirac.json": "embed",
+    "ex_r4_dirac.json": "embed",
+    "ex_r4_pi1.json": "jacobi",
+    "ex_r4_pi2.json": "jacobi",
+    "ex_r4_push.json": "pushforward",
+    "ex_r4_splittings.json": "embed",
+    "ex_r6.json": "classify",
+    "ex_x2z.json": "classify",
+}
+
+
 def bundled_scenario_names() -> list[str]:
     base = resources.files("poisdirac").joinpath("scenarios")
     return sorted(p.name for p in base.iterdir() if p.name.endswith(".json"))

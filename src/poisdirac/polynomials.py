@@ -254,7 +254,10 @@ def _parse_term(tokens: list[str], pos: int, variables: tuple[str, ...]) -> tupl
             exps[idx] += power
             pos += 1
         else:
-            coeff *= Fraction(tok)
+            try:
+                coeff *= Fraction(tok)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {tok!r}") from None
             pos += 1
         saw_factor = True
     if not saw_factor:
@@ -335,43 +338,85 @@ def fiber_variables(k: int) -> tuple[str, ...]:
     return tuple(f"p{i + 1}" for i in range(k))
 
 
-def poly_matrix_det(entries: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix by cofactor expansion."""
+# Determinants of minors, keyed by (row indices, column indices).
+_MinorTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]
+
+
+def _square_size(entries: Sequence[Sequence[Poly]]) -> int:
     size = len(entries)
     if size == 0:
         raise ValueError("empty matrix has no determinant")
+    lengths = sorted({len(row) for row in entries})
+    if lengths != [size]:
+        raise SpaceMismatchError(f"matrix has {size} rows but row lengths {lengths}; it must be square")
+    return size
+
+
+def _minor_det(
+    entries: Sequence[Sequence[Poly]],
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    table: _MinorTable,
+) -> Poly:
+    """Determinant of the minor of `entries` on the given rows and columns.
+
+    Laplace expansion along the minor's first row, skipping zero entries.
+    Each distinct minor is expanded once per table: a determinant and all its cofactors
+    touch at most n * 2^n minors instead of O(n!) expansions.
+    """
+    key = (rows, cols)
+    det = table.get(key)
+    if det is not None:
+        return det
     variables = entries[0][0].variables
-    if size == 1:
-        return entries[0][0]
-    total = Poly.zero(variables)
-    for j in range(size):
-        minor = [row[:j] + row[j + 1:] for row in [list(r) for r in entries[1:]]]
-        cofactor = poly_matrix_det(minor)
-        piece = entries[0][j] * cofactor
-        total = total + (piece if j % 2 == 0 else -piece)
-    return total
+    if not rows:
+        det = Poly.constant(variables, 1)
+    elif len(rows) == 1:
+        det = entries[rows[0]][cols[0]]
+    else:
+        first, rest = entries[rows[0]], rows[1:]
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for k, j in enumerate(cols):
+            if first[j].is_zero():
+                continue
+            sub = _minor_det(entries, rest, cols[:k] + cols[k + 1:], table)
+            sign = -1 if k % 2 else 1
+            for e, c in (first[j] * sub).terms:
+                acc[e] = acc.get(e, 0) + sign * c
+        det = Poly.make(variables, acc)
+    table[key] = det
+    return det
+
+
+def poly_matrix_det(entries: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square polynomial matrix.
+
+    Memoized Laplace expansion: each distinct minor is computed once per
+    call, which keeps sparse matrices cheap (zero entries are skipped).
+    """
+    size = _square_size(entries)
+    full = tuple(range(size))
+    return _minor_det(entries, full, full, {})
 
 
 def poly_matrix_inverse(entries: Sequence[Sequence[Poly]]) -> tuple[tuple[Poly, ...], ...]:
     """Inverse of a polynomial matrix whose determinant is a nonzero constant.
 
-    Rejects non-constant determinants: those inverses leave the
-    polynomial ring, and this package never approximates.
+    The determinant and the n^2 cofactors of the adjugate come from one
+    memoized Laplace expansion, sharing their minors.  Rejects
+    non-constant determinants: those inverses leave the polynomial ring,
+    and this package never approximates.
     """
-    size = len(entries)
-    det = poly_matrix_det(entries)
+    size = _square_size(entries)
+    full = tuple(range(size))
+    table: _MinorTable = {}
+    det = _minor_det(entries, full, full, table)
     if not det.is_constant() or det.constant_value() == 0:
         raise ValueError(f"matrix determinant {det} is not a nonzero constant; inverse is not polynomial")
     inv_det = 1 / det.constant_value()
-    rows = [list(r) for r in entries]
-    adj = [[Poly.zero(rows[0][0].variables) for _ in range(size)] for _ in range(size)]
+    adj = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
-            if size == 1:
-                cof = Poly.constant(rows[0][0].variables, 1)
-            else:
-                cof = poly_matrix_det(minor)
-            signed = cof if (i + j) % 2 == 0 else -cof
-            adj[j][i] = signed.scale(inv_det)
+            cof = _minor_det(entries, full[:i] + full[i + 1:], full[:j] + full[j + 1:], table)
+            adj[j][i] = cof.scale(inv_det if (i + j) % 2 == 0 else -inv_det)
     return tuple(tuple(r) for r in adj)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from poisdirac.cli import bundled_scenario_names, main
+import poisdirac
+from poisdirac.cli import BUNDLED_ANALYSES, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
 from poisdirac.scenario import load_scenario_text
 
@@ -13,15 +18,8 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-BUNDLED = {
-    "bracket_sympl4.json", "broken.json", "ex_fz.json", "ex_graph4.json",
-    "ex_r4_dirac.json", "ex_r4_pi1.json", "ex_r4_pi2.json", "ex_r4_push.json",
-    "ex_r4_splittings.json", "ex_r6.json", "ex_x2z.json",
-}
-
-
 def test_bundled_scenarios_present():
-    assert set(bundled_scenario_names()) == BUNDLED
+    assert set(bundled_scenario_names()) == set(BUNDLED_ANALYSES)
 
 
 class TestSchema:
@@ -56,6 +54,18 @@ class TestExitCodes:
         bad.write_text('{"nope": 1}')
         code, _, err = run(capsys, "jacobi", "--scenario", str(bad))
         assert code == 1 and "unknown fields" in err
+
+    def test_zero_denominator_is_schema_error(self, tmp_path):
+        doc = {"ambient": {"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "1/0*x1"}]}}
+        path = tmp_path / "zero_den.json"
+        path.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(Path(poisdirac.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "poisdirac.cli", "jacobi", "--scenario", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "zero denominator" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_missing_scenario_file_is_one(self, capsys):
         code, _, err = run(capsys, "jacobi", "--scenario", "no_such_scenario.json")
@@ -205,7 +215,7 @@ class TestReports:
     def test_scenarios_listing(self, capsys):
         code, out, _ = run(capsys, "scenarios", "--porcelain")
         assert code == 0
-        assert set(json.loads(out)["bundled"]) == BUNDLED
+        assert set(json.loads(out)["bundled"]) == set(BUNDLED_ANALYSES)
 
     def test_phi_success(self, capsys, tmp_path):
         doc = {
@@ -242,15 +252,10 @@ class TestReports:
     def test_every_bundled_scenario_runs_quickly(self, capsys):
         import time
 
-        analyses = {
-            "ex_fz.json": "classify", "ex_x2z.json": "classify",
-            "ex_graph4.json": "classify", "ex_r6.json": "classify",
-            "ex_r4_pi1.json": "jacobi", "ex_r4_pi2.json": "jacobi",
-            "broken.json": "jacobi", "ex_r4_push.json": "pushforward",
-            "ex_r4_dirac.json": "embed", "ex_r4_splittings.json": "embed",
-            "bracket_sympl4.json": "bracket",
-        }
-        for name, analysis in analyses.items():
+        names = bundled_scenario_names()
+        assert [name for name in names if name not in BUNDLED_ANALYSES] == []
+        for name in names:
+            analysis = BUNDLED_ANALYSES[name]
             start = time.perf_counter()
             code, _, _ = run(capsys, analysis, "--scenario", name, "--porcelain")
             elapsed = time.perf_counter() - start

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisdirac.polynomials import Poly, PolyMap, compose, compose_map
+from poisdirac.errors import SpaceMismatchError
+from poisdirac.polynomials import Poly, PolyMap, compose, compose_map, poly_matrix_det, poly_matrix_inverse
 
 X3 = ("x1", "x2", "x3")
 
@@ -87,6 +90,11 @@ def test_parse_rejects_missing_star():
         Poly.parse("2x1", X3)
 
 
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        Poly.parse("1/0*x1", X3)
+
+
 @settings(max_examples=150)
 @given(poly_st())
 def test_print_parse_round_trip(p):
@@ -121,3 +129,149 @@ def test_chain_rule_at_points(data):
     left = composed.jacobian_at(point)
     right = outer.jacobian_at(inner.evaluate(point)) @ inner.jacobian_at(point)
     assert left == right
+
+
+# Determinant and adjugate.  The plain cofactor expansion below is the
+# reference the memoized expansion in poly_matrix_det/poly_matrix_inverse
+# must agree with exactly.
+
+X2 = ("x1", "x2")
+
+
+def cofactor_det(entries):
+    size = len(entries)
+    if size == 1:
+        return entries[0][0]
+    total = Poly.zero(entries[0][0].variables)
+    for j in range(size):
+        minor = [list(row[:j]) + list(row[j + 1:]) for row in entries[1:]]
+        piece = entries[0][j] * cofactor_det(minor)
+        total = total + (piece if j % 2 == 0 else -piece)
+    return total
+
+
+def cofactor_adjugate(entries):
+    size = len(entries)
+    if size == 1:
+        return [[Poly.constant(entries[0][0].variables, 1)]]
+    adj = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            minor = [list(row[:j]) + list(row[j + 1:]) for k, row in enumerate(entries) if k != i]
+            cof = cofactor_det(minor)
+            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return adj
+
+
+def poly_matmul(a, b):
+    zero = Poly.zero(a[0][0].variables)
+    return [[reduce(Poly.__add__, (a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def rand_entry(rng, density, terms=2):
+    if rng.random() >= density:
+        return Poly.zero(X2)
+    coeffs = {}
+    for _ in range(terms):
+        e = tuple(rng.randint(0, 1) for _ in X2)
+        coeffs[e] = coeffs.get(e, 0) + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return Poly.make(X2, coeffs)
+
+
+def rand_poly_matrix(rng, size, kind):
+    """kind: dense/sparse (non-constant det), singular (zero det),
+    unimodular/unimodular_sparse (nonzero constant det)."""
+    if kind.startswith("unimodular"):
+        density = 0.3 if kind.endswith("sparse") else 1.0
+        one, zero = Poly.constant(X2, 1), Poly.zero(X2)
+        lower = [[one if i == j else rand_entry(rng, density, 1) if i > j else zero for j in range(size)]
+                 for i in range(size)]
+        upper = [[one if i == j else rand_entry(rng, density, 1) if i < j else zero for j in range(size)]
+                 for i in range(size)]
+        m = poly_matmul(lower, upper)
+        m[0] = [p.scale(Fraction(-3, 2)) for p in m[0]]
+        return m
+    density = 0.35 if kind == "sparse" else 1.0
+    m = [[rand_entry(rng, density) for _ in range(size)] for _ in range(size)]
+    if kind == "sparse":
+        for i in range(size):
+            m[i][i] = Poly.parse(f"x{i % 2 + 1} + {i + 1}", X2)
+    if kind == "singular":
+        factor = rand_entry(rng, 1.0)
+        m[-1] = [p * factor for p in m[0]] if size > 1 else [Poly.zero(X2)]
+    return m
+
+
+MATRIX_KINDS = ("dense", "sparse", "singular", "unimodular", "unimodular_sparse")
+
+
+def det_cases(sizes, seeds=range(2)):
+    return [(size, kind, seed) for size in sizes for kind in MATRIX_KINDS for seed in seeds]
+
+
+@pytest.mark.parametrize("size,kind,seed", det_cases(range(1, 7)))
+def test_det_and_adjugate_match_cofactor_expansion(size, kind, seed):
+    m = rand_poly_matrix(random.Random(f"{size}-{kind}-{seed}"), size, kind)
+    det = poly_matrix_det(m)
+    assert det == cofactor_det(m)
+    if kind == "singular":
+        assert det.is_zero()
+    elif kind.startswith("unimodular"):
+        assert det == Poly.constant(X2, Fraction(-3, 2))
+        expected = [[p.scale(1 / det.constant_value()) for p in row] for row in cofactor_adjugate(m)]
+        assert [list(row) for row in poly_matrix_inverse(m)] == expected
+    else:
+        assert not det.is_constant()
+        with pytest.raises(ValueError, match="not a nonzero constant"):
+            poly_matrix_inverse(m)
+
+
+@pytest.mark.parametrize("size,kind,seed", det_cases(range(1, 5), seeds=[0]))
+def test_det_and_adjugate_match_sympy(size, kind, seed):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(X2)
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s ** k for s, k in zip(symbols, e)))
+                    for e, c in p.terms), sympy.Integer(0))
+
+    def from_sympy(expr):
+        terms = sympy.Poly(sympy.expand(expr), *symbols).terms()
+        return Poly.make(X2, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+
+    m = rand_poly_matrix(random.Random(f"sympy-{size}-{kind}-{seed}"), size, kind)
+    sm = sympy.Matrix([[to_sympy(p) for p in row] for row in m])
+    det = poly_matrix_det(m)
+    assert det == from_sympy(sm.det(method="berkowitz"))
+    if det.is_constant() and not det.is_zero():
+        adjugate = sm.adjugate(method="berkowitz")
+        inverse = poly_matrix_inverse(m)
+        assert all(inverse[i][j].scale(det.constant_value()) == from_sympy(adjugate[i, j])
+                   for i in range(size) for j in range(size))
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 6, 7])
+def test_inverse_of_unimodular_matrix(size):
+    m = rand_poly_matrix(random.Random(f"inverse-{size}"), size, "unimodular_sparse")
+    inverse = [list(row) for row in poly_matrix_inverse(m)]
+    identity = [[Poly.constant(X2, 1 if i == j else 0) for j in range(size)] for i in range(size)]
+    assert poly_matmul(m, inverse) == identity
+    assert poly_matmul(inverse, m) == identity
+
+
+@pytest.mark.parametrize("function", [poly_matrix_det, poly_matrix_inverse])
+@pytest.mark.parametrize("rows", [
+    [["x1", "1", "1"], ["1", "x1", "1"]],
+    [["x1", "1"], ["1"]],
+])
+def test_det_and_inverse_reject_non_square(function, rows):
+    m = [[Poly.parse(text, X2) for text in row] for row in rows]
+    with pytest.raises(SpaceMismatchError, match="must be square"):
+        function(m)
+
+
+@pytest.mark.parametrize("function", [poly_matrix_det, poly_matrix_inverse])
+def test_det_and_inverse_reject_empty_matrix(function):
+    with pytest.raises(ValueError, match="empty matrix"):
+        function([])
