@@ -10,30 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from .errors import PreconditionError, SpaceMismatchError
 from .poisson_linear import PoissonVS
 from .polynomials import Poly, PolyMap, compose, compose_map
 from .rational_linalg import MatrixQ
 
-
-def _antisymmetric_grid(variables: tuple[str, ...], upper: Mapping[tuple[int, int], Poly]) -> tuple[tuple[Poly, ...], ...]:
-    n = len(variables)
-    zero = Poly.zero(variables)
-    grid = [[zero] * n for _ in range(n)]
-    for (i, j), poly in upper.items():
-        if not 0 <= i < j < n:
-            raise ValueError(f"upper-triangular index out of range: {(i, j)}")
-        if poly.variables != variables:
-            raise SpaceMismatchError("entry polynomial has the wrong variable context")
-        grid[i][j] = poly
-        grid[j][i] = -poly
-    return tuple(tuple(r) for r in grid)
+_Field = TypeVar("_Field", bound="AntisymmetricField")
 
 
 @dataclass(frozen=True)
-class BivectorField:
+class AntisymmetricField:
     """Antisymmetric n x n matrix of polynomials in the patch coordinates."""
 
     variables: tuple[str, ...]
@@ -48,14 +36,22 @@ class BivectorField:
                 if self.entries[i][j] != -self.entries[j][i]:
                     raise PreconditionError(f"entries ({i},{j}) and ({j},{i}) are not antisymmetric")
 
-    @staticmethod
-    def from_upper(variables: Sequence[str], upper: Mapping[tuple[int, int], Poly | str]) -> BivectorField:
-        """Build from entries above the diagonal (0-based indices i < j)."""
+    @classmethod
+    def from_upper(cls: type[_Field], variables: Sequence[str], upper: Mapping[tuple[int, int], Poly | str]) -> _Field:
+        """Build from entries above the diagonal (0-based indices i < j); strings are parsed."""
         variables = tuple(variables)
-        parsed = {
-            ij: (Poly.parse(p, variables) if isinstance(p, str) else p) for ij, p in upper.items()
-        }
-        return BivectorField(variables, _antisymmetric_grid(variables, parsed))
+        n = len(variables)
+        grid = [[Poly.zero(variables)] * n for _ in range(n)]
+        for (i, j), poly in upper.items():
+            if not 0 <= i < j < n:
+                raise ValueError(f"upper-triangular index out of range: {(i, j)}")
+            if isinstance(poly, str):
+                poly = Poly.parse(poly, variables)
+            elif poly.variables != variables:
+                raise SpaceMismatchError("entry polynomial has the wrong variable context")
+            grid[i][j] = poly
+            grid[j][i] = -poly
+        return cls(variables, tuple(tuple(r) for r in grid))
 
     @property
     def dim(self) -> int:
@@ -65,13 +61,22 @@ class BivectorField:
         n = self.dim
         return {(i, j): self.entries[i][j] for i in range(n) for j in range(i + 1, n) if not self.entries[i][j].is_zero()}
 
-    def at(self, point: Sequence[Fraction]) -> PoissonVS:
+    def matrix_at(self, point: Sequence[Fraction]) -> MatrixQ:
         n = self.dim
-        values = tuple(tuple(self.entries[i][j].evaluate(point) for j in range(n)) for i in range(n))
-        return PoissonVS(n, MatrixQ(n, n, values))
+        return MatrixQ(n, n, tuple(tuple(e.evaluate(point) for e in row) for row in self.entries))
 
     def is_constant(self) -> bool:
         return all(e.is_constant() for row in self.entries for e in row)
+
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for row in self.entries for e in row)
+
+
+class BivectorField(AntisymmetricField):
+    """Polynomial bivector field Pi = sum_{i<j} Pi^ij d/dx_i ^ d/dx_j."""
+
+    def at(self, point: Sequence[Fraction]) -> PoissonVS:
+        return PoissonVS(self.dim, self.matrix_at(point))
 
     def permuted(self, order: Sequence[int], new_variables: Sequence[str] | None = None) -> BivectorField:
         """Relabel coordinates: new coordinate a is the old coordinate order[a]."""
@@ -89,52 +94,18 @@ class BivectorField:
         return BivectorField(new_vars, grid)
 
 
-@dataclass(frozen=True)
-class TwoFormField:
-    """Antisymmetric matrix of polynomials: sum_{i<j} B_ij dx_i ^ dx_j."""
-
-    variables: tuple[str, ...]
-    entries: tuple[tuple[Poly, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.variables)
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise SpaceMismatchError("entry grid shape does not match the variable count")
-        for i in range(n):
-            for j in range(i, n):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    raise PreconditionError(f"entries ({i},{j}) and ({j},{i}) are not antisymmetric")
-
-    @staticmethod
-    def from_upper(variables: Sequence[str], upper: Mapping[tuple[int, int], Poly | str]) -> TwoFormField:
-        variables = tuple(variables)
-        parsed = {
-            ij: (Poly.parse(p, variables) if isinstance(p, str) else p) for ij, p in upper.items()
-        }
-        return TwoFormField(variables, _antisymmetric_grid(variables, parsed))
-
-    @property
-    def dim(self) -> int:
-        return len(self.variables)
-
-    def upper_entries(self) -> dict[tuple[int, int], Poly]:
-        n = self.dim
-        return {(i, j): self.entries[i][j] for i in range(n) for j in range(i + 1, n) if not self.entries[i][j].is_zero()}
+class TwoFormField(AntisymmetricField):
+    """Polynomial two-form B = sum_{i<j} B_ij dx_i ^ dx_j."""
 
     def at(self, point: Sequence[Fraction]) -> MatrixQ:
-        n = self.dim
-        return MatrixQ(n, n, tuple(tuple(self.entries[i][j].evaluate(point) for j in range(n)) for i in range(n)))
+        return self.matrix_at(point)
 
     def __sub__(self, other: TwoFormField) -> TwoFormField:
         if self.variables != other.variables:
             raise SpaceMismatchError("two-forms live on different patches")
-        n = self.dim
         return TwoFormField(self.variables, tuple(
-            tuple(self.entries[i][j] - other.entries[i][j] for j in range(n)) for i in range(n)
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)
         ))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
 
 
 def jacobiator(pi: BivectorField) -> dict[tuple[int, int, int], Poly]:
@@ -181,7 +152,7 @@ def pushforward(pi: BivectorField, phi: PolyMap, phi_inv: PolyMap) -> BivectorFi
     if not compose_map(phi, phi_inv).is_identity() or not compose_map(phi_inv, phi).is_identity():
         raise PreconditionError("supplied maps are not mutually inverse")
     jac = phi.jacobian()
-    transported = [[Poly.zero(pi.variables) for _ in range(n)] for _ in range(n)]
+    upper = {}
     for a in range(n):
         for b in range(a + 1, n):
             acc = Poly.zero(pi.variables)
@@ -191,15 +162,9 @@ def pushforward(pi: BivectorField, phi: PolyMap, phi_inv: PolyMap) -> BivectorFi
                     if entry.is_zero():
                         continue
                     acc = acc + jac[a][i] * jac[b][j] * entry
-            transported[a][b] = acc
-            transported[b][a] = -acc
-    target_vars = phi_inv.source_vars
-    composed = tuple(
-        tuple(compose(transported[a][b], phi_inv) if not transported[a][b].is_zero() else Poly.zero(target_vars)
-              for b in range(n))
-        for a in range(n)
-    )
-    return BivectorField(target_vars, composed)
+            if not acc.is_zero():
+                upper[(a, b)] = compose(acc, phi_inv)
+    return BivectorField.from_upper(phi_inv.source_vars, upper)
 
 
 def exterior_derivative(b: TwoFormField) -> dict[tuple[int, int, int], Poly]:

@@ -14,6 +14,7 @@ failed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .poisson_linear import (
     embedding_conditions,
     induced_bivector,
 )
-from .rational_linalg import MatrixQ, Subspace
+from .rational_linalg import MatrixQ, Subspace, rat
 from .scenario import Scenario, load_scenario_text
 from .submanifolds import (
     Parametrized,
@@ -135,22 +136,25 @@ def bundled_scenario_names() -> list[str]:
     return sorted(p.name for p in base.iterdir() if p.name.endswith(".json"))
 
 
-def _parse_points_flag(text: str) -> tuple[tuple[Fraction, ...], ...]:
+def _parse_points_flag(text: str, dim: int) -> tuple[tuple[Fraction, ...], ...]:
     points = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         try:
-            points.append(tuple(Fraction(c.strip()) for c in chunk.split(",")))
-        except (ValueError, ZeroDivisionError) as exc:
+            point = tuple(rat(c.strip()) for c in chunk.split(","))
+        except ValueError as exc:
             raise SchemaError(f"--points: {exc}")
+        if len(point) != dim:
+            raise SchemaError(f"--points: point {len(points)} has {len(point)} coordinates, expected {dim}")
+        points.append(point)
     return tuple(points)
 
 
 def _gather_points(scenario: Scenario, args: argparse.Namespace, dim: int) -> tuple[tuple[Fraction, ...], ...]:
     if args.points is not None:
-        return _parse_points_flag(args.points)
+        return _parse_points_flag(args.points, dim)
     if args.grid is not None:
         return grid_points(dim, args.grid, args.seed, args.count)
     if scenario.points is not None:
@@ -195,13 +199,7 @@ def _run_classify(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, l
             **_record_doc(row.record),
             "characteristic_basis": _matrix_doc(row.characteristic_basis),
         })
-    constant_doc = {
-        "dim_tangent": profile.constant.dim_tangent,
-        "dim_sharp_conormal": profile.constant.dim_sharp_conormal,
-        "dim_sum": profile.constant.dim_sum,
-        "dim_characteristic": profile.constant.dim_characteristic,
-        "rho_rank": profile.constant.rho_rank,
-    }
+    constant_doc = dataclasses.asdict(profile.constant)
     text.append("constant on samples: " + ", ".join(f"{k}={v}" for k, v in sorted(constant_doc.items())))
     doc = {
         "analysis": "classify",

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import PoissonVS
-from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, intersect, solve
+from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, intersect, inverse, solve, standard_basis
 
 
 def pairing(u: Sequence[Fraction], v: Sequence[Fraction], n: int) -> Fraction:
@@ -51,12 +51,7 @@ class DiracVS:
 
 def from_bivector(p: PoissonVS) -> DiracVS:
     """Graph of sharp: {(Pi xi, xi) : xi in the dual}."""
-    n = p.dim
-    rows = []
-    for i in range(n):
-        xi = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        rows.append(p.sharp(xi) + xi)
-    return DiracVS.from_rows(n, rows)
+    return DiracVS.from_rows(p.dim, [p.sharp(xi) + xi for xi in standard_basis(p.dim)])
 
 
 def from_subspace_form(o: Subspace, omega: MatrixQ) -> DiracVS:
@@ -100,7 +95,7 @@ def pullback(l: DiracVS, w: Subspace) -> DiracVS:
     w_doubled = Subspace.span(
         2 * n,
         tuple(r + (Fraction(0),) * n for r in w.basis.entries)
-        + tuple((Fraction(0),) * n + e for e in _standard_rows(n)),
+        + tuple((Fraction(0),) * n + e for e in standard_basis(n)),
     )
     constrained = intersect(l.span, w_doubled)
     rows = []
@@ -112,10 +107,6 @@ def pullback(l: DiracVS, w: Subspace) -> DiracVS:
         restricted = tuple(sum(xi[j] * w.basis.entries[i][j] for j in range(n)) for i in range(d))
         rows.append(coords + restricted)
     return DiracVS.from_rows(d, rows)
-
-
-def _standard_rows(n: int) -> tuple[Vector, ...]:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
@@ -141,8 +132,6 @@ def change_basis(l: DiracVS, c: MatrixQ) -> DiracVS:
     c[i][k] new_k.  Vectors transform by c transposed, covectors by the
     inverse of c.
     """
-    from .rational_linalg import inverse
-
     n = l.ambient_dim
     if c.rows != n or c.cols != n:
         raise SpaceMismatchError("change-of-basis matrix must be n x n")
@@ -158,7 +147,7 @@ def characteristic(l: DiracVS) -> Subspace:
     """L intersected with Q^n + 0: vectors paired with the zero covector."""
     n = l.ambient_dim
     primal = Subspace.span(
-        2 * n, tuple(e + (Fraction(0),) * n for e in _standard_rows(n))
+        2 * n, tuple(e + (Fraction(0),) * n for e in standard_basis(n))
     )
     both = intersect(l.span, primal)
     return Subspace.span(n, tuple(r[:n] for r in both.basis.entries))
@@ -203,8 +192,7 @@ def as_bivector(l: DiracVS) -> PoissonVS | None:
         tuple(l.span.basis.entries[k][n + i] for k in range(l.span.dim)) for i in range(n)
     ))
     columns = []
-    for i in range(n):
-        target = tuple(Fraction(1 if j == i else 0) for j in range(n))
+    for target in standard_basis(n):
         coeffs = solve(cov, target)
         if coeffs is None:
             raise PropertyViolationError("graph extraction system inconsistent despite trivial characteristic")

@@ -28,7 +28,7 @@ from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import classify_subspace
 from .polynomials import Poly, fiber_variables, poly_matrix_det, poly_matrix_inverse
-from .rational_linalg import MatrixQ, Subspace, Vector, rank
+from .rational_linalg import MatrixQ, Subspace, Vector, rank, standard_basis
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
 CANONICAL_FORM_SIGN = -1
@@ -166,14 +166,10 @@ def pullback_canonical_form(d: DiracManifoldData) -> TwoFormField:
     theta = pullback_canonical_one_form(d)
     total_vars = total_space_variables(d)
     n = len(total_vars)
-    grid = [[Poly.zero(total_vars)] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            duv = theta[v].partial(total_vars[u]) - theta[u].partial(total_vars[v])
-            entry = duv.scale(CANONICAL_FORM_SIGN)
-            grid[u][v] = entry
-            grid[v][u] = -entry
-    b = TwoFormField(tuple(total_vars), tuple(tuple(r) for r in grid))
+    b = TwoFormField.from_upper(total_vars, {
+        (u, v): (theta[v].partial(total_vars[u]) - theta[u].partial(total_vars[v])).scale(CANONICAL_FORM_SIGN)
+        for u in range(n) for v in range(u + 1, n)
+    })
     if not is_closed(b):
         raise PropertyViolationError("derived gauge form is not closed; d^2 = 0 was violated")
     return b
@@ -275,7 +271,7 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     b = pullback_canonical_form(d)
     bivector = _extract_symbolic_bivector(d, b)
     checks = []
-    zero_tangent = Subspace.span(n, [[Fraction(1 if j == i else 0) for j in range(n)] for i in range(m)])
+    zero_tangent = Subspace.span(n, standard_basis(n)[:m])
     for point in samples:
         point = tuple(point)
         structure = _structure_at(d, b, point)

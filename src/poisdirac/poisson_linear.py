@@ -35,6 +35,7 @@ from .rational_linalg import (
     inverse,
     preimage,
     solve,
+    standard_basis,
 )
 
 
@@ -144,8 +145,7 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
     constraint_rows = basis.entries + sharp_ann.basis.entries
     constraints = MatrixQ.from_rows(constraint_rows, cols=p.dim)
     columns: list[Vector] = []
-    for i in range(d):
-        target = tuple(Fraction(1 if r == i else 0) for r in range(len(constraint_rows)))
+    for target in standard_basis(len(constraint_rows))[:d]:
         xi = solve(constraints, target)
         if xi is None:
             raise PropertyViolationError("covector extension system is inconsistent")
@@ -201,7 +201,7 @@ def subspace_in_basis(s: Subspace, w: Subspace) -> Subspace:
     return Subspace.span(w.dim, rows)
 
 
-def greedy_complement(base: Subspace, candidates: Sequence[Vector], label: str = "complement") -> tuple[Vector, ...]:
+def greedy_complement(base: Subspace, candidates: Sequence[Vector]) -> tuple[Vector, ...]:
     """Extend base by candidate vectors in order; returns the added vectors.
 
     Deterministic: candidates are scanned in the given order and one is
@@ -214,10 +214,6 @@ def greedy_complement(base: Subspace, candidates: Sequence[Vector], label: str =
             added.append(tuple(v))
             current = add(current, Subspace.span(base.ambient_dim, [v], base.dual))
     return tuple(added)
-
-
-def standard_basis(n: int) -> tuple[Vector, ...]:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
@@ -395,6 +391,7 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     e2 = sharp_image(p2, annihilator(m))
     if e1 != e2:
         raise PreconditionError("sharp images of the annihilator differ; structures do not match along m")
+    # imported here: dirac_linear imports PoissonVS from this module
     from .dirac_linear import from_bivector, pullback
 
     if pullback(from_bivector(p1), m) != pullback(from_bivector(p2), m):

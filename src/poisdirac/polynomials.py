@@ -79,9 +79,6 @@ class Poly:
             raise ValueError("polynomial is not constant")
         return self.terms[0][1] if self.terms else Fraction(0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def _check_context(self, other: Poly) -> None:
         if self.variables != other.variables:
             raise SpaceMismatchError(f"variable contexts differ: {self.variables} vs {other.variables}")

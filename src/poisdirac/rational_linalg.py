@@ -13,15 +13,17 @@ space and mixing the two ambients raises, which catches the classic
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import SpaceMismatchError
 
-Rational = Fraction
-
 Vector = tuple[Fraction, ...]
+
+# p or p/q with q nonzero: no decimals, exponents, underscores or whitespace
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -31,12 +33,19 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL_RE.fullmatch(value):
+            raise ValueError(f"not a rational 'p/q' string with a nonzero denominator: {value!r}")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational (floats are not accepted)")
 
 
 def vec(values: Iterable[int | str | Fraction]) -> Vector:
     return tuple(rat(v) for v in values)
+
+
+def standard_basis(n: int) -> tuple[Vector, ...]:
+    """The unit vectors e_1, ..., e_n of Q^n (the rows of the identity)."""
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,7 @@ class MatrixQ:
 
     @staticmethod
     def identity(n: int) -> MatrixQ:
-        return MatrixQ(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return MatrixQ(n, n, standard_basis(n))
 
     def _check_shape(self, other: MatrixQ) -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -78,9 +87,6 @@ class MatrixQ:
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
         i, j = idx
         return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
@@ -191,9 +197,7 @@ def solve(m: MatrixQ, b: Sequence[Fraction]) -> Vector | None:
 def inverse(m: MatrixQ) -> MatrixQ:
     if m.rows != m.cols:
         raise SpaceMismatchError("only square matrices can be inverted")
-    aug = MatrixQ(m.rows, 2 * m.cols, tuple(
-        r + tuple(Fraction(1 if i == j else 0) for j in range(m.cols)) for i, r in enumerate(m.entries)
-    ))
+    aug = MatrixQ(m.rows, 2 * m.cols, tuple(r + e for r, e in zip(m.entries, standard_basis(m.cols))))
     reduced, rk = rref(aug)
     if rk < m.rows or pivot_columns(reduced, rk) != tuple(range(m.rows)):
         raise ValueError("matrix is singular")
@@ -235,9 +239,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def basis_rows(self) -> tuple[Vector, ...]:
-        return self.basis.entries
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:

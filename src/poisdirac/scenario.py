@@ -18,7 +18,7 @@ from .bivector_fields import BivectorField
 from .embedding import DiracManifoldData, Section
 from .errors import SchemaError
 from .polynomials import Poly, PolyMap, ambient_variables, parameter_variables
-from .rational_linalg import Subspace
+from .rational_linalg import Subspace, rat
 from .submanifolds import LevelSet, Parametrized, SubmanifoldPatch
 
 
@@ -57,11 +57,10 @@ def _expect_list(value: Any, path: str) -> list:
 
 
 def _parse_rational(value: Any, path: str) -> Fraction:
-    text = _expect_str(value, path)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _fail(path, f"not a rational 'p/q' string: {text!r} ({exc})")
+        return rat(_expect_str(value, path))
+    except ValueError as exc:
+        raise _fail(path, str(exc))
 
 
 def _parse_point(value: Any, path: str, length: int | None = None) -> tuple[Fraction, ...]:
@@ -343,10 +342,21 @@ def parse_scenario(document: Any) -> Scenario:
 
 def load_scenario_text(text: str) -> Scenario:
     try:
-        document = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        document = json.loads(
+            text, parse_float=_reject_float, parse_constant=_reject_float, object_pairs_hook=_reject_duplicate_keys
+        )
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}")
     return parse_scenario(document)
+
+
+def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
 
 
 def _reject_float(text: str) -> None:

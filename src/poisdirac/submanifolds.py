@@ -35,7 +35,7 @@ from .poisson_linear import (
     subspace_in_basis,
 )
 from .polynomials import Poly, PolyMap
-from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, column_space, rank, solve
+from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, column_space, kernel, rank, solve, standard_basis
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,6 @@ def tangent_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
     )
     if rank(diffs) != len(c.constraints):
         raise RegularityError(f"constraint differentials are dependent at {point}")
-    from .rational_linalg import kernel
-
     return kernel(diffs)
 
 
@@ -261,8 +259,6 @@ def basic_bracket(f: Poly, g: Poly, pi: BivectorField, c: SubmanifoldPatch, q: S
         raise PreconditionError(f"no tangent solution for df at {tuple(q)}; function is not admissible there")
     y = tuple(sum(l * row[i] for l, row in zip(lam, basis)) for i in range(d))
     # degeneracy directions: combinations with zero covector part; dg must kill them
-    from .rational_linalg import kernel
-
     for null in kernel(cov).basis.entries:
         y0 = tuple(sum(l * row[i] for l, row in zip(null, basis)) for i in range(d))
         if sum(a * b for a, b in zip(dg, y0)) != 0:
@@ -298,7 +294,7 @@ def bracket_consistency_check(
     w = cosymplectic_extension(p, tangent)
     pw = induced_bivector(p, w)
     tangent_in_w = subspace_in_basis(tangent, w)
-    complement_rows = greedy_complement(tangent_in_w, _standard_rows(w.dim))
+    complement_rows = greedy_complement(tangent_in_w, standard_basis(w.dim))
     df = _differential_on_tangent(f, c, q, tangent)
     dg = _differential_on_tangent(g, c, q, tangent)
     constraint = MatrixQ.from_rows(tangent_in_w.basis.entries + complement_rows, cols=w.dim)
@@ -315,7 +311,3 @@ def bracket_consistency_check(
             f"bracket routes disagree at {tuple(q)}: intrinsic {intrinsic}, extension {via_extension}"
         )
     return result
-
-
-def _standard_rows(n: int) -> tuple[Vector, ...]:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))

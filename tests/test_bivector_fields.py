@@ -133,6 +133,22 @@ class TestPushforward:
             assert pushed.at(phi.evaluate(point)).pi == expected
 
 
+class TestAntisymmetricFields:
+    def test_from_upper_builds_the_subclass(self):
+        b = TwoFormField.from_upper(X3, {(0, 2): "x2"})
+        assert type(b) is TwoFormField and type(PI1) is BivectorField
+        assert b.entries[2][0] == -Poly.parse("x2", X3)
+        assert b.at((Fraction(1), Fraction(5), Fraction(0))).entries[0][2] == 5
+
+    def test_two_forms_share_the_antisymmetry_check(self):
+        one = Poly.constant(X3, 1)
+        zero = Poly.zero(X3)
+        grid = ((zero, one, zero), (one, zero, zero), (zero, zero, zero))
+        for cls in (BivectorField, TwoFormField):
+            with pytest.raises(PreconditionError, match="not antisymmetric"):
+                cls(X3, grid)
+
+
 class TestExteriorDerivative:
     def test_constant_form_closed(self):
         b = TwoFormField.from_upper(X4, {(2, 3): "1"})

@@ -47,6 +47,10 @@ class TestSchema:
         with pytest.raises(SchemaError, match="missing required"):
             load_scenario_text('{"ambient": {"dim": 2}}')
 
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(SchemaError, match="duplicate key 'dim'"):
+            load_scenario_text('{"ambient": {"dim": 2, "dim": 3, "bivector": []}}')
+
 
 class TestExitCodes:
     def test_parse_error_is_one(self, capsys, tmp_path):
@@ -66,6 +70,39 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert "zero denominator" in proc.stderr and "Traceback" not in proc.stderr
+
+    # a point on the level set {x2 = 0} in a symplectic plane
+    LINE = {
+        "ambient": {"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "1"}]},
+        "submanifold": {"type": "level_set", "constraints": ["x2"]},
+    }
+
+    @pytest.mark.parametrize("text", ["0.5", "1e3", "1/0"])
+    def test_rational_outside_grammar_in_scenario_is_one(self, capsys, tmp_path, text):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({**self.LINE, "points": [[text, "0"]]}))
+        code, _, err = run(capsys, "classify", "--scenario", str(path))
+        assert code == 1 and "$.points[0][0]" in err and repr(text) in err
+
+    @pytest.mark.parametrize("text", ["0.5", "1e3", "1/0"])
+    def test_rational_outside_grammar_in_points_flag_is_one(self, capsys, tmp_path, text):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(self.LINE))
+        assert run(capsys, "classify", "--scenario", str(path), "--points", "1/2,0")[0] == 0
+        code, _, err = run(capsys, "classify", "--scenario", str(path), "--points", f"{text},0")
+        assert code == 1 and "--points" in err and repr(text) in err
+
+    def test_duplicate_key_is_one(self, capsys, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"name": "a", "name": "b", "ambient": {"dim": 2, "bivector": []}}')
+        code, _, err = run(capsys, "jacobi", "--scenario", str(path))
+        assert code == 1 and "duplicate key 'name'" in err
+
+    @pytest.mark.parametrize("analysis, name", [("classify", "ex_r6.json"), ("bracket", "bracket_sympl4.json")])
+    def test_points_flag_of_wrong_length_is_one(self, capsys, analysis, name):
+        code, out, err = run(capsys, analysis, "--scenario", name, "--points", "1,2")
+        assert code == 1 and out == ""
+        assert "point 0 has 2 coordinates" in err
 
     def test_missing_scenario_file_is_one(self, capsys):
         code, _, err = run(capsys, "jacobi", "--scenario", "no_such_scenario.json")

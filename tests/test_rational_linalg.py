@@ -15,8 +15,10 @@ from poisdirac.rational_linalg import (
     intersect,
     kernel,
     preimage,
+    rat,
     rref,
     solve,
+    standard_basis,
 )
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -34,6 +36,23 @@ def subspace_st(n: int):
             lambda rows: Subspace.span(n, rows)
         )
     )
+
+
+@pytest.mark.parametrize("text, value", [("3", Fraction(3)), ("-1/2", Fraction(-1, 2)), ("+4/6", Fraction(2, 3)), ("0/7", Fraction(0))])
+def test_rat_accepts_p_over_q(text, value):
+    assert rat(text) == value
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1/0", "2/00", " 1", "1_000", "1/-2", "inf", ""])
+def test_rat_rejects_other_strings(text):
+    with pytest.raises(ValueError, match="not a rational"):
+        rat(text)
+
+
+def test_standard_basis_is_identity_rows():
+    assert standard_basis(0) == ()
+    assert MatrixQ.identity(3).entries == standard_basis(3)
+    assert standard_basis(2) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def test_rref_identity():
