@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence, TypeVar
 
 from .errors import PreconditionError, SpaceMismatchError
@@ -113,13 +114,7 @@ def jacobiator(pi: BivectorField) -> dict[tuple[int, int, int], Poly]:
 
     J^{ijk} = sum_l (Pi^{il} d_l Pi^{jk} + Pi^{jl} d_l Pi^{ki} + Pi^{kl} d_l Pi^{ij}).
     """
-    n = pi.dim
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                out[(i, j, k)] = jacobiator_component(pi, i, j, k)
-    return out
+    return {(i, j, k): jacobiator_component(pi, i, j, k) for i, j, k in combinations(range(pi.dim), 3)}
 
 
 def jacobiator_component(pi: BivectorField, i: int, j: int, k: int) -> Poly:
@@ -169,18 +164,11 @@ def pushforward(pi: BivectorField, phi: PolyMap, phi_inv: PolyMap) -> BivectorFi
 
 def exterior_derivative(b: TwoFormField) -> dict[tuple[int, int, int], Poly]:
     """(dB)_{ijk} = d_i B_{jk} - d_j B_{ik} + d_k B_{ij}, indexed i < j < k."""
-    n = b.dim
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = b.variables
-                out[(i, j, k)] = (
-                    b.entries[j][k].partial(v[i])
-                    - b.entries[i][k].partial(v[j])
-                    + b.entries[i][j].partial(v[k])
-                )
-    return out
+    v, e = b.variables, b.entries
+    return {
+        (i, j, k): e[j][k].partial(v[i]) - e[i][k].partial(v[j]) + e[i][j].partial(v[k])
+        for i, j, k in combinations(range(b.dim), 3)
+    }
 
 
 def is_closed(b: TwoFormField) -> bool:
@@ -197,21 +185,10 @@ def verify_split_form(pi: BivectorField, k: int) -> bool:
     n = pi.dim
     if 2 * k > n:
         raise PreconditionError(f"2k = {2 * k} exceeds the dimension {n}")
-    one = Poly.constant(pi.variables, 1)
-    for i in range(k):
-        for j in range(k):
-            expected = one if i == j else Poly.zero(pi.variables)
-            if pi.entries[i][k + j] != expected:
-                return False
-            if not pi.entries[i][j].is_zero() or not pi.entries[k + i][k + j].is_zero():
-                return False
+    one, zero = Poly.constant(pi.variables, 1), Poly.zero(pi.variables)
+    # rows q and p above the diagonal (antisymmetry fixes the rest): only Pi^{q_i p_i} = 1
     for i in range(2 * k):
-        for j in range(2 * k, n):
-            if not pi.entries[i][j].is_zero():
-                return False
-    for i in range(2 * k, n):
-        for j in range(2 * k, n):
-            for e, _ in pi.entries[i][j].terms:
-                if any(e[t] != 0 for t in range(2 * k)):
-                    return False
-    return True
+        if any(pi.entries[i][j] != (one if i < k and j == i + k else zero) for j in range(i + 1, n)):
+            return False
+    y_block = (pi.entries[i][j] for i in range(2 * k, n) for j in range(2 * k, n))
+    return all(e[t] == 0 for entry in y_block for e, _ in entry.terms for t in range(2 * k))

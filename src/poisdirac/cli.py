@@ -33,15 +33,9 @@ from .poisson_linear import (
     embedding_conditions,
     induced_bivector,
 )
-from .rational_linalg import MatrixQ, Subspace, rat
+from .rational_linalg import MatrixQ, Subspace, fmt_point, rat
 from .scenario import Scenario, load_scenario_text
-from .submanifolds import (
-    Parametrized,
-    bracket_consistency_check,
-    grid_points,
-    is_basic_at,
-    rank_profile,
-)
+from .submanifolds import LevelSet, Parametrized, PointData, grid_points, level_set_grid_points, rank_profile
 
 BANNER = f"# poisdirac {__version__}"
 
@@ -54,14 +48,6 @@ class ReportFailure(Exception):
         self.exit_code = exit_code
         self.document = document
         self.text = text
-
-
-def _fmt_rat(x: Fraction) -> str:
-    return str(x)
-
-
-def _fmt_point(point: Sequence[Fraction]) -> str:
-    return "(" + ", ".join(_fmt_rat(x) for x in point) + ")"
 
 
 def _point_doc(point: Sequence[Fraction]) -> list[str]:
@@ -84,22 +70,11 @@ def _bivector_doc(field) -> list[dict]:
 
 
 def _record_doc(record) -> dict:
+    fields = dataclasses.asdict(record)
     return {
-        "dims": {
-            "subspace": record.dim_subspace,
-            "annihilator": record.dim_annihilator,
-            "sharp_annihilator": record.dim_sharp_annihilator,
-            "sum": record.dim_sum,
-            "characteristic": record.dim_characteristic,
-            "leaf": record.dim_leaf,
-        },
+        "dims": {name[len("dim_"):]: v for name, v in fields.items() if name.startswith("dim_")},
         "rho_rank": record.rho_rank,
-        "flags": {
-            "coisotropic": record.coisotropic,
-            "cosymplectic": record.cosymplectic,
-            "pointwise_poisson_dirac": record.pointwise_poisson_dirac,
-            "lagrangian_in_leaf": record.lagrangian_in_leaf,
-        },
+        "flags": {name: v for name, v in fields.items() if isinstance(v, bool)},
     }
 
 
@@ -127,6 +102,8 @@ BUNDLED_ANALYSES = {
     "ex_r4_push.json": "pushforward",
     "ex_r4_splittings.json": "embed",
     "ex_r6.json": "classify",
+    "ex_r6_extend.json": "extend",
+    "ex_r6_phi.json": "phi",
     "ex_x2z.json": "classify",
 }
 
@@ -152,10 +129,14 @@ def _parse_points_flag(text: str, dim: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(points)
 
 
-def _gather_points(scenario: Scenario, args: argparse.Namespace, dim: int) -> tuple[tuple[Fraction, ...], ...]:
+def _gather_points(scenario: Scenario, args: argparse.Namespace) -> tuple[tuple[Fraction, ...], ...]:
+    sub = scenario.submanifold
+    dim = sub.param_dim if isinstance(sub, Parametrized) else sub.ambient_dim
     if args.points is not None:
         return _parse_points_flag(args.points, dim)
     if args.grid is not None:
+        if isinstance(sub, LevelSet):
+            return level_set_grid_points(sub, args.grid, args.seed, args.count)
         return grid_points(dim, args.grid, args.seed, args.count)
     if scenario.points is not None:
         return scenario.points
@@ -175,8 +156,7 @@ def _require(value, what: str):
 def _run_classify(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[str]]:
     pi = _require(scenario.bivector, "ambient bivector")
     sub = _require(scenario.submanifold, "submanifold")
-    dim = sub.param_dim if isinstance(sub, Parametrized) else sub.ambient_dim
-    points = _gather_points(scenario, args, dim)
+    points = _gather_points(scenario, args)
     profile = rank_profile(pi, sub, points)
     rows_doc = []
     text = ["point | ambient | dim TC | dim #N*C | dim sum | dim char | rho rank | flags"]
@@ -190,7 +170,7 @@ def _run_classify(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, l
             ) if on
         ) or "-"
         text.append(
-            f"{_fmt_point(row.sample)} | {_fmt_point(row.ambient)} | {r.dim_subspace} | "
+            f"{fmt_point(row.sample)} | {fmt_point(row.ambient)} | {r.dim_subspace} | "
             f"{r.dim_sharp_annihilator} | {r.dim_sum} | {r.dim_characteristic} | {r.rho_rank} | {flags}"
         )
         rows_doc.append({
@@ -270,8 +250,8 @@ def _run_extend(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, lis
         "induced_bivector": _matrix_doc(induced.pi),
     }
     text = [
-        f"extension at {_fmt_point(point)}: dim c = {c.dim} -> dim w = {w.dim}",
-        "w basis rows: " + "; ".join(_fmt_point(r) for r in w.basis.entries),
+        f"extension at {fmt_point(point)}: dim c = {c.dim} -> dim w = {w.dim}",
+        "w basis rows: " + "; ".join(fmt_point(r) for r in w.basis.entries),
         f"conditions: leaf-cover={conditions.cond_leaf} intersection-exact={conditions.cond_int}",
         f"w cosymplectic: {record.cosymplectic}",
     ]
@@ -301,7 +281,7 @@ def _run_phi(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[s
     }
     text = [
         "phi (v-coordinates -> w-coordinates):",
-        *(f"  {_fmt_point(row)}" for row in phi.entries),
+        *(f"  {fmt_point(row)}" for row in phi.entries),
         f"poisson isomorphism: {poisson_iso}; identity on c: {identity_on_c}",
     ]
     if not poisson_iso or not identity_on_c:
@@ -352,21 +332,17 @@ def _run_embed(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list
     text.append(f"samples checked: {len(result.sample_checks)}, all passing: {ok}")
     if scenario.compare_v0 is not None and scenario.compare_v1 is not None:
         comparison = compare_splittings(data, scenario.compare_v0, scenario.compare_v1, samples)
+        flags = (
+            comparison.closed, comparison.one_form_difference_vanishes_on_base, comparison.intertwines_at_all_samples
+        )
         doc["comparison"] = {
             "gauge_difference": _bivector_doc(comparison.gauge_difference),
             "closed": comparison.closed,
             "one_form_difference_vanishes_on_base": comparison.one_form_difference_vanishes_on_base,
             "intertwines_at_all_samples": comparison.intertwines_at_all_samples,
         }
-        text.append(
-            "splitting comparison: closed=%s, primitive vanishes on base=%s, intertwines=%s"
-            % (
-                comparison.closed,
-                comparison.one_form_difference_vanishes_on_base,
-                comparison.intertwines_at_all_samples,
-            )
-        )
-        if not (comparison.closed and comparison.one_form_difference_vanishes_on_base and comparison.intertwines_at_all_samples):
+        text.append("splitting comparison: closed=%s, primitive vanishes on base=%s, intertwines=%s" % flags)
+        if not all(flags):
             raise ReportFailure(3, doc, text)
     if not ok:
         raise ReportFailure(3, doc, text)
@@ -378,8 +354,7 @@ def _run_bracket(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, li
     sub = _require(scenario.submanifold, "submanifold")
     f = _require(scenario.f, "function f")
     g = _require(scenario.g, "function g")
-    dim = sub.param_dim if isinstance(sub, Parametrized) else sub.ambient_dim
-    points = _gather_points(scenario, args, dim)
+    points = _gather_points(scenario, args)
     if scenario.point is not None:
         points = points + (scenario.point,)
     if not points:
@@ -387,21 +362,21 @@ def _run_bracket(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, li
     per_point = []
     text = []
     for q in points:
-        f_basic = is_basic_at(f, pi, sub, q)
-        g_basic = is_basic_at(g, pi, sub, q)
+        at = PointData(pi, sub, q)
+        f_basic, g_basic = at.is_basic(f), at.is_basic(g)
         entry: dict[str, Any] = {
             "point": _point_doc(q),
             "f_basic": f_basic,
             "g_basic": g_basic,
         }
         if f_basic and g_basic:
-            check = bracket_consistency_check(pi, sub, q, f, g)
+            check = at.consistency(f, g)
             entry["bracket"] = str(check.intrinsic)
             entry["via_extension"] = str(check.via_extension)
             entry["consistent"] = check.agree
-            text.append(f"{_fmt_point(q)}: {{f,g}} = {check.intrinsic} (extension route agrees: {check.agree})")
+            text.append(f"{fmt_point(q)}: {{f,g}} = {check.intrinsic} (extension route agrees: {check.agree})")
         else:
-            text.append(f"{_fmt_point(q)}: not basic (f: {f_basic}, g: {g_basic})")
+            text.append(f"{fmt_point(q)}: not basic (f: {f_basic}, g: {g_basic})")
         per_point.append(entry)
     doc = {"analysis": "bracket", "f": str(f), "g": str(g), "per_point": per_point}
     return doc, text

@@ -28,7 +28,7 @@ from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import classify_subspace
 from .polynomials import Poly, fiber_variables, poly_matrix_det, poly_matrix_inverse
-from .rational_linalg import MatrixQ, Subspace, Vector, rank, standard_basis
+from .rational_linalg import MatrixQ, Subspace, Vector, fmt_point, rank, standard_basis
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
 CANONICAL_FORM_SIGN = -1
@@ -99,11 +99,18 @@ class ValidationReport:
 
 def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> ValidationReport:
     """Check every pointwise invariant of the data at each sample."""
+    return _validate(d, samples, {})
+
+
+def _validate(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]], bases: dict[Vector, DiracVS]) -> ValidationReport:
+    """validate_dirac_data, keeping the input structure at each sample in
+    `bases`; it depends only on the sections, so data that differ only in
+    their frames can share `bases`."""
     issues: list[ValidationIssue] = []
     m, k = d.base_dim, d.fiber_dim
-    for idx, x in enumerate(samples):
+    for idx, x in enumerate(map(tuple, samples)):
         try:
-            structure = d.dirac_at(x)
+            structure = bases[x] = bases.get(x) or d.dirac_at(x)
         except (PreconditionError, SpaceMismatchError) as exc:
             issues.append(ValidationIssue(idx, f"sections: {exc}"))
             continue
@@ -233,16 +240,16 @@ class EmbeddingResult:
     sample_checks: tuple[SampleCheck, ...]
 
     def dirac_at(self, point: Sequence[Fraction]) -> DiracVS:
-        return _structure_at(self.data, self.gauge_form, point)
+        return _structure_at(self.data, self.gauge_form, point, {})
 
 
-def _structure_at(d: DiracManifoldData, b: TwoFormField, point: Sequence[Fraction]) -> DiracVS:
+def _structure_at(d: DiracManifoldData, b: TwoFormField, point: Sequence[Fraction], bases: dict[Vector, DiracVS]) -> DiracVS:
     m, k = d.base_dim, d.fiber_dim
     n = m + k
     if len(point) != n:
         raise SpaceMismatchError(f"total space has dimension {n}, point has length {len(point)}")
     x = tuple(point[:m])
-    base = d.dirac_at(x)
+    base = bases.get(x) or d.dirac_at(x)
     rows = []
     for r in base.span.basis.entries:
         rows.append(tuple(r[:m]) + (Fraction(0),) * k + tuple(r[m:]) + (Fraction(0),) * k)
@@ -262,7 +269,8 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     coisotropic and the pullback to it must reproduce the input
     structure.  Failures raise, naming the offending point.
     """
-    report = validate_dirac_data(d, [tuple(s[: d.base_dim]) for s in samples])
+    bases: dict[Vector, DiracVS] = {}
+    report = _validate(d, [tuple(s[: d.base_dim]) for s in samples], bases)
     if not report.ok:
         first = report.issues[0]
         raise PreconditionError(f"input data invalid at sample {first.sample_index}: {first.message}")
@@ -274,18 +282,18 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     zero_tangent = Subspace.span(n, standard_basis(n)[:m])
     for point in samples:
         point = tuple(point)
-        structure = _structure_at(d, b, point)
+        structure = _structure_at(d, b, point, bases)
         pointwise = as_bivector(structure)
         if pointwise is None:
-            raise PropertyViolationError(f"structure is not a bivector graph at {point}")
+            raise PropertyViolationError(f"structure is not a bivector graph at {fmt_point(point)}")
         base_point = point[:m] + (Fraction(0),) * k
-        at_zero = _structure_at(d, b, base_point)
+        at_zero = _structure_at(d, b, base_point, bases)
         zero_bivector = as_bivector(at_zero)
         if zero_bivector is None:
-            raise PropertyViolationError(f"structure is not a bivector graph at the zero-section point {base_point}")
+            raise PropertyViolationError(f"structure is not a bivector graph at the zero-section point {fmt_point(base_point)}")
         coisotropic = classify_subspace(zero_bivector, zero_tangent).coisotropic
         restored = pullback(at_zero, zero_tangent)
-        matches = restored == d.dirac_at(point[:m])
+        matches = restored == bases[point[:m]]
         checks.append(SampleCheck(point, True, coisotropic, matches))
     return EmbeddingResult(
         data=d,
@@ -349,8 +357,9 @@ def compare_splittings(
     d0 = replace(d, v_frame=tuple(tuple(f) for f in v0_frame))
     d1 = replace(d, v_frame=tuple(tuple(f) for f in v1_frame))
     base_samples = [tuple(s[: d.base_dim]) for s in samples]
+    bases: dict[Vector, DiracVS] = {}  # d0 and d1 share their sections
     for name, dd in (("v0", d0), ("v1", d1)):
-        report = validate_dirac_data(dd, base_samples)
+        report = _validate(dd, base_samples, bases)
         if not report.ok:
             issue = report.issues[0]
             raise PreconditionError(f"{name} frame invalid at sample {issue.sample_index}: {issue.message}")
@@ -366,8 +375,8 @@ def compare_splittings(
     intertwines = True
     for point in samples:
         point = tuple(point)
-        s0 = _structure_at(d0, b0, point)
-        s1 = _structure_at(d1, b1, point)
+        s0 = _structure_at(d0, b0, point, bases)
+        s1 = _structure_at(d1, b1, point, bases)
         if gauge(s0, diff.at(point)) != s1:
             intertwines = False
             break

@@ -57,7 +57,18 @@ class PoissonVS:
 
     def leaf(self) -> Subspace:
         """O = image(sharp), the tangent space of the symplectic leaf."""
-        return Subspace.span(self.dim, self.pi.transpose().entries)
+        return self._derived("leaf", lambda: Subspace.span(self.dim, self.pi.transpose().entries))
+
+    def sharp_annihilator(self, c: Subspace) -> Subspace:
+        """sharp(ann c) for a primal subspace c."""
+        return self._derived(("sharp_ann", c), lambda: sharp_image(self, annihilator(c)))
+
+    def _derived(self, key, build):
+        # once per frozen object, cached outside the fields that equality and hashing read
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
 
 def sharp_image(p: PoissonVS, s: Subspace) -> Subspace:
@@ -99,15 +110,15 @@ def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
     if c.dual or c.ambient_dim != p.dim:
         raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
     ann = annihilator(c)
-    sharp_ann = sharp_image(p, ann)
+    sharp_ann = p.sharp_annihilator(c)
     total = add(c, sharp_ann)
-    characteristic = intersect(c, sharp_ann)
+    characteristic = characteristic_subspace(p, c)
     leaf = p.leaf()
     rho_rank = total.dim - c.dim
     kernel_rho = intersect(ann, sharp_preimage(p, c))
     if rho_rank != ann.dim - kernel_rho.dim:
         raise PropertyViolationError("rank(rho) identities disagree; bivector data is inconsistent")
-    record = ClassificationRecord(
+    return ClassificationRecord(
         dim_subspace=c.dim,
         dim_annihilator=ann.dim,
         dim_sharp_annihilator=sharp_ann.dim,
@@ -120,12 +131,11 @@ def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
         pointwise_poisson_dirac=characteristic.dim == 0,
         lagrangian_in_leaf=sharp_ann == intersect(c, leaf),
     )
-    return record
 
 
 def characteristic_subspace(p: PoissonVS, c: Subspace) -> Subspace:
     """C intersected with sharp(ann C): the kernel of the leaf form pulled back to C."""
-    return intersect(c, sharp_image(p, annihilator(c)))
+    return p._derived(("characteristic", c), lambda: intersect(c, p.sharp_annihilator(c)))
 
 
 def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
@@ -137,12 +147,10 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
     """
     if w.dual or w.ambient_dim != p.dim:
         raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
-    sharp_ann = sharp_image(p, annihilator(w))
-    if intersect(w, sharp_ann).dim != 0:
+    if characteristic_subspace(p, w).dim != 0:
         raise PreconditionError("subspace is not pointwise Poisson-Dirac: extension of covectors is not well defined")
     d = w.dim
-    basis = w.basis
-    constraint_rows = basis.entries + sharp_ann.basis.entries
+    constraint_rows = w.basis.entries + p.sharp_annihilator(w).basis.entries
     constraints = MatrixQ.from_rows(constraint_rows, cols=p.dim)
     columns: list[Vector] = []
     for target in standard_basis(len(constraint_rows))[:d]:
@@ -154,8 +162,7 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
         if coords is None:
             raise PropertyViolationError("sharp of the extension left the subspace")
         columns.append(coords)
-    entries = tuple(tuple(columns[j][i] for j in range(d)) for i in range(d))
-    return PoissonVS(d, MatrixQ(d, d, entries))
+    return PoissonVS(d, MatrixQ(d, d, tuple(columns)).transpose())
 
 
 @dataclass(frozen=True)
@@ -172,22 +179,27 @@ class EmbeddingConditions:
 
 
 def embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> EmbeddingConditions:
+    return _embedding_conditions(p, c, w)[0]
+
+
+def _embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> tuple[EmbeddingConditions, PoissonVS | None]:
+    """The conditions, plus the induced bivector on w when both hold."""
     if not contains(w, c):
         raise PreconditionError("c must be contained in w")
-    sharp_ann_c = sharp_image(p, annihilator(c))
+    sharp_ann_c = p.sharp_annihilator(c)
     cond_leaf = contains(add(w, sharp_ann_c), p.leaf())
     cond_int = intersect(w, add(c, sharp_ann_c)) == c
     result = EmbeddingConditions(cond_leaf, cond_int)
-    if result.both():
-        # both conditions holding forces these two facts; a failure here
-        # means the input data is inconsistent
-        if not classify_subspace(p, w).pointwise_poisson_dirac:
-            raise PropertyViolationError("conditions hold but w is not pointwise Poisson-Dirac")
-        pw = induced_bivector(p, w)
-        c_in_w = subspace_in_basis(c, w)
-        if not classify_subspace(pw, c_in_w).coisotropic:
-            raise PropertyViolationError("conditions hold but c is not coisotropic in the induced bivector")
-    return result
+    if not result.both():
+        return result, None
+    # both conditions holding forces these two facts; a failure here
+    # means the input data is inconsistent
+    if characteristic_subspace(p, w).dim != 0:
+        raise PropertyViolationError("conditions hold but w is not pointwise Poisson-Dirac")
+    pw = induced_bivector(p, w)
+    if not classify_subspace(pw, subspace_in_basis(c, w)).coisotropic:
+        raise PropertyViolationError("conditions hold but c is not coisotropic in the induced bivector")
+    return result, pw
 
 
 def subspace_in_basis(s: Subspace, w: Subspace) -> Subspace:
@@ -224,7 +236,7 @@ def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
     """
     if c.dual or c.ambient_dim != p.dim:
         raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
-    reach = add(c, sharp_image(p, annihilator(c)))
+    reach = add(c, p.sharp_annihilator(c))
     r_vectors = greedy_complement(reach, standard_basis(p.dim))
     w = add(c, Subspace.span(p.dim, r_vectors))
     record = classify_subspace(p, w)
@@ -233,15 +245,26 @@ def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
     return w
 
 
+def leaf_form_gram(p: PoissonVS, xs: Sequence[Sequence[Fraction]], ys: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
+    """Omega(x, y) for x in xs (rows) and y in ys (columns), all in the leaf O, via
+    Omega(sharp xi, .) = -xi|_O: sharp xi = v is solved once per distinct vector v,
+    and a vector with no solution is off the leaf."""
+    preimages: dict[Vector, Vector] = {}
+    for v in (*xs, *ys):
+        if len(v) != p.dim:
+            raise SpaceMismatchError("vector length does not match ambient dimension")
+        v = tuple(v)
+        if v not in preimages:
+            xi = solve(p.pi, v)
+            if xi is None:
+                raise PreconditionError("leaf form is only defined on the image of sharp")
+            preimages[v] = xi
+    return tuple(tuple(-sum(a * b for a, b in zip(preimages[tuple(x)], y)) for y in ys) for x in xs)
+
+
 def leaf_form_value(p: PoissonVS, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    """Omega(x, y) for x, y in the leaf O, via Omega(sharp xi, .) = -xi|_O."""
-    leaf = p.leaf()
-    if not leaf.contains_vector(x) or not leaf.contains_vector(y):
-        raise PreconditionError("leaf form is only defined on the image of sharp")
-    xi = solve(p.pi, tuple(x))
-    if xi is None:
-        raise PropertyViolationError("vector claimed to be in the leaf has no sharp preimage")
-    return -sum(a * b for a, b in zip(xi, y))
+    """Omega(x, y) for x, y in the leaf O: the 1 x 1 case of leaf_form_gram."""
+    return leaf_form_gram(p, (x,), (y,))[0][0]
 
 
 def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> MatrixQ:
@@ -253,39 +276,36 @@ def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> Matrix
     returned as a matrix from canonical v-coordinates to canonical
     w-coordinates.
     """
-    for name, sub in (("v", v), ("w", w)):
+    named = (("v", v),) if v == w else (("v", v), ("w", w))
+    for name, sub in named:
         if not classify_subspace(p, sub).cosymplectic:
             raise PreconditionError(f"{name} is not cosymplectic")
-    for name, sub in (("v", v), ("w", w)):
-        if not embedding_conditions(p, c, sub).both():
+    induced = {}
+    for name, sub in named:
+        conditions, induced[name] = _embedding_conditions(p, c, sub)
+        if not conditions.both():
             raise PreconditionError(f"c does not sit coisotropically inside {name}")
-    sharp_ann_v = sharp_image(p, annihilator(v))
+    sharp_ann_v = p.sharp_annihilator(v)
     # decompose each v-basis vector along w + sharp(ann v); A is minus the second part
     dec_matrix = MatrixQ.from_rows(w.basis.entries + sharp_ann_v.basis.entries, cols=p.dim).transpose()
-    a_vectors: list[Vector] = []
+    tails = []
     for row in v.basis.entries:
         coeffs = solve(dec_matrix, row)
         if coeffs is None:
             raise PropertyViolationError("sharp(ann v) is not a complement of w")
-        tail = coeffs[w.dim:]
-        a_vec = tuple(-sum(t * sharp_ann_v.basis.entries[k][j] for k, t in enumerate(tail)) for j in range(p.dim))
-        a_vectors.append(a_vec)
-    pv = induced_bivector(p, v)
+        tails.append(coeffs[w.dim:])
     d = v.dim
-    omega_a = [[leaf_form_value(p, a_vectors[i], a_vectors[j]) for j in range(d)] for i in range(d)]
+    a = -(MatrixQ(d, sharp_ann_v.dim, tuple(tails)) @ sharp_ann_v.basis)
+    # rows of B: 1/2 sharp_V(Omega(A v_i, A .)) in ambient coordinates
+    omega_a = MatrixQ(d, d, leaf_form_gram(p, a.entries, a.entries))
+    b = (omega_a @ induced["v"].pi.transpose() @ v.basis).scale(Fraction(1, 2))
     phi_cols: list[Vector] = []
-    for i in range(d):
-        eta = tuple(omega_a[i][j] for j in range(d))
-        b_coords = pv.sharp(eta)
-        b_vec = tuple(
-            Fraction(1, 2) * sum(b_coords[k] * v.basis.entries[k][j] for k in range(d)) for j in range(p.dim)
-        )
-        phi_vec = tuple(v.basis.entries[i][j] + a_vectors[i][j] + b_vec[j] for j in range(p.dim))
+    for phi_vec in (v.basis + a + b).entries:
         coords = w.coordinates_of(phi_vec)
         if coords is None:
             raise PropertyViolationError("canonical isomorphism image left w")
         phi_cols.append(coords)
-    return MatrixQ(w.dim, d, tuple(tuple(phi_cols[j][i] for j in range(d)) for i in range(w.dim)))
+    return MatrixQ(d, w.dim, tuple(phi_cols)).transpose()
 
 
 @dataclass(frozen=True)
@@ -309,8 +329,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     record = classify_subspace(p, m)
     if not record.coisotropic:
         raise PreconditionError("subspace is not coisotropic")
-    ann_m = annihilator(m)
-    e = sharp_image(p, ann_m)
+    e = p.sharp_annihilator(m)
     if e.dim != p.dim - m.dim:
         raise PreconditionError("sharp is not injective on the annihilator (codimension mismatch)")
     if v is None:
@@ -320,31 +339,22 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
         if not contains(m, v) or intersect(v, e).dim != 0 or v.dim + e.dim != m.dim:
             raise PreconditionError("supplied v is not a complement of e inside m")
     k = e.dim
-    sharp_ann_v = sharp_image(p, annihilator(v))
-    w0_rows = greedy_complement(e, sharp_ann_v.basis.entries)
+    w0_rows = greedy_complement(e, p.sharp_annihilator(v).basis.entries)
     if len(w0_rows) != k:
         raise PropertyViolationError("could not complete e to sharp(ann v)")
     # normalize the pairing Omega(f_J, e_I) = delta_IJ, then flatten to a Lagrangian
     e_rows = e.basis.entries
-    pairing = MatrixQ(k, k, tuple(
-        tuple(leaf_form_value(p, w0_rows[j], e_rows[i]) for i in range(k)) for j in range(k)
-    ))
-    dual_coeff = inverse(pairing)
-    w_rows = tuple(
-        tuple(sum(dual_coeff.entries[j][s] * w0_rows[s][col] for s in range(k)) for col in range(p.dim))
-        for j in range(k)
-    )
-    omega_w = [[leaf_form_value(p, w_rows[i], w_rows[j]) for j in range(k)] for i in range(k)]
-    f_rows = tuple(
-        tuple(w_rows[j][col] + Fraction(1, 2) * sum(omega_w[j][i] * e_rows[i][col] for i in range(k)) for col in range(p.dim))
-        for j in range(k)
-    )
+    pairing = MatrixQ(k, k, leaf_form_gram(p, w0_rows, e_rows))
+    w = inverse(pairing) @ MatrixQ.from_rows(w0_rows, cols=p.dim)
+    omega_w = MatrixQ(k, k, leaf_form_gram(p, w.entries, w.entries))
+    f_rows = (w + (omega_w @ e.basis).scale(Fraction(1, 2))).entries
+    # Omega(f_i, f_j) must vanish and Omega(f_i, e_j) must be delta_ij
+    checks = leaf_form_gram(p, f_rows, f_rows + e_rows)
     for i in range(k):
         for j in range(k):
-            if leaf_form_value(p, f_rows[i], f_rows[j]) != 0:
+            if checks[i][j] != 0:
                 raise PropertyViolationError("Lagrangian correction failed")
-            expected = Fraction(1 if i == j else 0)
-            if leaf_form_value(p, f_rows[i], e_rows[j]) != expected:
+            if checks[i][k + j] != (1 if i == j else 0):
                 raise PropertyViolationError("pairing normalization failed")
     model_cols = v.basis.entries + e_rows + f_rows
     t = MatrixQ.from_rows(model_cols, cols=p.dim).transpose()
@@ -387,8 +397,8 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     """
     if p1.dim != p2.dim:
         raise PreconditionError("ambient dimensions differ")
-    e1 = sharp_image(p1, annihilator(m))
-    e2 = sharp_image(p2, annihilator(m))
+    e1 = p1.sharp_annihilator(m)
+    e2 = p2.sharp_annihilator(m)
     if e1 != e2:
         raise PreconditionError("sharp images of the annihilator differ; structures do not match along m")
     # imported here: dirac_linear imports PoissonVS from this module

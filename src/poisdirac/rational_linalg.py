@@ -43,6 +43,11 @@ def vec(values: Iterable[int | str | Fraction]) -> Vector:
     return tuple(rat(v) for v in values)
 
 
+def fmt_point(point: Sequence[Fraction]) -> str:
+    """A point as '(p/q, ...)': the one format for points in reports and diagnostics."""
+    return "(" + ", ".join(str(x) for x in point) + ")"
+
+
 def standard_basis(n: int) -> tuple[Vector, ...]:
     """The unit vectors e_1, ..., e_n of Q^n (the rows of the identity)."""
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))

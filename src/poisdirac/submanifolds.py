@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .dirac_linear import from_bivector, pullback
 from .errors import PreconditionError, PropertyViolationError, RegularityError, SpaceMismatchError
 from .poisson_linear import (
     ClassificationRecord,
+    PoissonVS,
     characteristic_subspace,
     classify_subspace,
     cosymplectic_extension,
@@ -35,7 +37,10 @@ from .poisson_linear import (
     subspace_in_basis,
 )
 from .polynomials import Poly, PolyMap
-from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, column_space, kernel, rank, solve, standard_basis
+from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, column_space, fmt_point, kernel, solve, standard_basis
+
+# Draws made by level_set_grid_points before it gives up on filling `count`.
+LEVEL_SET_ATTEMPTS = 10000
 
 
 @dataclass(frozen=True)
@@ -80,24 +85,25 @@ def ambient_point(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Vector:
     point = tuple(q)
     for g in c.constraints:
         if g.evaluate(point) != 0:
-            raise RegularityError(f"point {point} does not satisfy constraint {g}")
+            raise RegularityError(f"point {fmt_point(point)} does not satisfy constraint {g}")
     return point
 
 
 def tangent_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
     """Tangent space at a regular point, as a subspace of the ambient Q^n."""
     if isinstance(c, Parametrized):
-        jac = c.map.jacobian_at(q)
-        if rank(jac) != c.param_dim:
-            raise RegularityError(f"parametrization is not an immersion at {tuple(q)}")
-        return column_space(jac)
+        tangent = column_space(c.map.jacobian_at(q))
+        if tangent.dim != c.param_dim:
+            raise RegularityError(f"parametrization is not an immersion at {fmt_point(q)}")
+        return tangent
     point = ambient_point(c, q)
     diffs = MatrixQ.from_rows(
         [[g.partial(v).evaluate(point) for v in g.variables] for g in c.constraints]
     )
-    if rank(diffs) != len(c.constraints):
-        raise RegularityError(f"constraint differentials are dependent at {point}")
-    return kernel(diffs)
+    tangent = kernel(diffs)
+    if tangent.dim != c.ambient_dim - len(c.constraints):
+        raise RegularityError(f"constraint differentials are dependent at {fmt_point(point)}")
+    return tangent
 
 
 def conormal_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
@@ -105,8 +111,8 @@ def conormal_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
 
 
 def classify_at(pi: BivectorField, c: SubmanifoldPatch, q: Sequence[Fraction]) -> ClassificationRecord:
-    point = ambient_point(c, q)
-    return classify_subspace(pi.at(point), tangent_at(c, q))
+    at = PointData(pi, c, q)
+    return classify_subspace(at.poisson, at.tangent)
 
 
 @dataclass(frozen=True)
@@ -147,12 +153,10 @@ def rank_profile(pi: BivectorField, c: SubmanifoldPatch, samples: Sequence[Seque
     errors: list[tuple[int, str]] = []
     for idx, q in enumerate(samples):
         try:
-            point = ambient_point(c, q)
-            tangent = tangent_at(c, q)
-            p = pi.at(point)
-            record = classify_subspace(p, tangent)
-            char = characteristic_subspace(p, tangent)
-            rows.append(RankProfileRow(tuple(q), point, record, char.basis))
+            at = PointData(pi, c, q)
+            record = classify_subspace(at.poisson, at.tangent)
+            char = characteristic_subspace(at.poisson, at.tangent)
+            rows.append(RankProfileRow(at.sample, at.ambient, record, char.basis))
         except (RegularityError, SpaceMismatchError) as exc:
             errors.append((idx, str(exc)))
     def constant(values: list) -> bool:
@@ -170,63 +174,127 @@ def rank_profile(pi: BivectorField, c: SubmanifoldPatch, samples: Sequence[Seque
 def grid_points(dim: int, height: int, seed: int, count: int) -> tuple[Vector, ...]:
     """Deterministic sample points with numerators and denominators of
     magnitude at most `height`."""
+    return _draw_points(dim, height, seed, count, count, lambda q: True)
+
+
+def level_set_grid_points(c: LevelSet, height: int, seed: int, count: int) -> tuple[Vector, ...]:
+    """Grid points filtered onto the locus; suits coordinate-aligned constraints.
+
+    Stops after LEVEL_SET_ATTEMPTS draws, so it can return fewer than `count`.
+    """
+    return _draw_points(
+        c.ambient_dim, height, seed, count, LEVEL_SET_ATTEMPTS,
+        lambda q: all(g.evaluate(q) == 0 for g in c.constraints),
+    )
+
+
+def _draw_points(dim: int, height: int, seed: int, count: int, attempts: int, keep) -> tuple[Vector, ...]:
+    """Up to `count` kept points out of at most `attempts` seeded draws."""
     if height < 1 or count < 0:
         raise PreconditionError("height must be >= 1 and count >= 0")
     rng = random.Random(seed)
-    points = []
-    for _ in range(count):
-        points.append(tuple(Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(dim)))
-    return tuple(points)
-
-
-def level_set_grid_points(c: LevelSet, height: int, seed: int, count: int, attempts: int = 10000) -> tuple[Vector, ...]:
-    """Grid points filtered onto the locus; suits coordinate-aligned constraints."""
-    rng = random.Random(seed)
-    n = c.ambient_dim
     points: list[Vector] = []
     for _ in range(attempts):
         if len(points) == count:
             break
-        q = tuple(Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(n))
-        if all(g.evaluate(q) == 0 for g in c.constraints):
+        q = tuple(Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(dim))
+        if keep(q):
             points.append(q)
     return tuple(points)
 
 
-def _function_context(c: SubmanifoldPatch) -> tuple[str, ...]:
-    return c.map.source_vars if isinstance(c, Parametrized) else c.constraints[0].variables
+class PointData:
+    """One sample of a submanifold with what the pointwise analyses need
+    there, each derived once: the ambient point, the tangent space, the
+    bivector at the point, and on demand the characteristic subspace and
+    the differentials of functions."""
 
+    def __init__(self, pi: BivectorField, c: SubmanifoldPatch, q: Sequence[Fraction]) -> None:
+        self.patch = c
+        self.sample: Vector = tuple(q)
+        self.ambient = ambient_point(c, q)
+        self.tangent = tangent_at(c, q)
+        self.poisson: PoissonVS = pi.at(self.ambient)
+        self._differentials: dict[Poly, Vector] = {}
 
-def _differential_on_tangent(
-    f: Poly, c: SubmanifoldPatch, q: Sequence[Fraction], tangent: Subspace
-) -> Vector:
-    """df_q as a covector in the canonical-basis coordinates of the tangent."""
-    if f.variables != _function_context(c):
-        raise SpaceMismatchError("function does not use the submanifold's coordinates")
-    if isinstance(c, Parametrized):
-        grad = tuple(f.partial(v).evaluate(q) for v in f.variables)
-        jac = c.map.jacobian_at(q)
-        # coords: tangent basis row i = J m_i for unique m_i; df(row_i) = grad . m_i
-        rows = []
-        for row in tangent.basis.entries:
-            m = solve(jac, row)
-            if m is None:
+    @cached_property
+    def characteristic_in_tangent(self) -> Subspace:
+        """The characteristic subspace in the canonical-basis coordinates of the tangent."""
+        return subspace_in_basis(characteristic_subspace(self.poisson, self.tangent), self.tangent)
+
+    def differential(self, f: Poly) -> Vector:
+        """df at the point as a covector in the canonical-basis coordinates of the tangent."""
+        if f in self._differentials:
+            return self._differentials[f]
+        c, rows = self.patch, self.tangent.basis.entries
+        if f.variables != (c.map.source_vars if isinstance(c, Parametrized) else c.constraints[0].variables):
+            raise SpaceMismatchError("function does not use the submanifold's coordinates")
+        if isinstance(c, Parametrized):
+            grad = tuple(f.partial(v).evaluate(self.sample) for v in f.variables)
+            # tangent basis row i = J m_i for a unique m_i, and df(row_i) = grad . m_i
+            jac = c.map.jacobian_at(self.sample)
+            rows = [solve(jac, row) for row in rows]
+            if None in rows:
                 raise PropertyViolationError("tangent basis vector has no parameter preimage")
-            rows.append(sum(g * mm for g, mm in zip(grad, m)))
-        return tuple(rows)
-    point = ambient_point(c, q)
-    grad = tuple(f.partial(v).evaluate(point) for v in f.variables)
-    return tuple(sum(g * t for g, t in zip(grad, row)) for row in tangent.basis.entries)
+        else:
+            grad = tuple(f.partial(v).evaluate(self.ambient) for v in f.variables)
+        df = self._differentials[f] = tuple(sum(g * t for g, t in zip(grad, row)) for row in rows)
+        return df
+
+    def is_basic(self, f: Poly) -> bool:
+        """Whether df annihilates the characteristic subspace at the point."""
+        df = self.differential(f)
+        return all(sum(d * v for d, v in zip(df, row)) == 0 for row in self.characteristic_in_tangent.basis.entries)
+
+    def bracket(self, f: Poly, g: Poly) -> Fraction:
+        """{f, g} at the point; see basic_bracket."""
+        structure = pullback(from_bivector(self.poisson), self.tangent)
+        d = self.tangent.dim
+        df, dg = self.differential(f), self.differential(g)
+        for h in (f, g):
+            if not self.is_basic(h):
+                raise PreconditionError(f"function {h} is not basic at {fmt_point(self.sample)}")
+        # solve for lambda with span-combination covector part equal to df
+        basis = structure.span.basis.entries
+        cov = MatrixQ(d, len(basis), tuple(tuple(row[d + i] for row in basis) for i in range(d)))
+        lam = solve(cov, df)
+        if lam is None:
+            raise PreconditionError(f"no tangent solution for df at {fmt_point(self.sample)}; function is not admissible there")
+        y = tuple(sum(l * row[i] for l, row in zip(lam, basis)) for i in range(d))
+        # degeneracy directions: combinations with zero covector part; dg must kill them
+        for null in kernel(cov).basis.entries:
+            y0 = tuple(sum(l * row[i] for l, row in zip(null, basis)) for i in range(d))
+            if sum(a * b for a, b in zip(dg, y0)) != 0:
+                raise PropertyViolationError("bracket value depends on the solution choice")
+        return sum(a * b for a, b in zip(dg, y))
+
+    def consistency(self, f: Poly, g: Poly) -> BracketConsistency:
+        """The intrinsic bracket against the extension route; see bracket_consistency_check."""
+        intrinsic = self.bracket(f, g)
+        p, tangent = self.poisson, self.tangent
+        w = cosymplectic_extension(p, tangent)
+        pw = induced_bivector(p, w)
+        tangent_in_w = subspace_in_basis(tangent, w)
+        complement_rows = greedy_complement(tangent_in_w, standard_basis(w.dim))
+        constraint = MatrixQ.from_rows(tangent_in_w.basis.entries + complement_rows, cols=w.dim)
+        pad = (Fraction(0),) * len(complement_rows)
+        alpha = solve(constraint, tuple(self.differential(f)) + pad)
+        beta = solve(constraint, tuple(self.differential(g)) + pad)
+        if alpha is None or beta is None:
+            raise PropertyViolationError("covector extension to the cosymplectic subspace failed")
+        # W-bracket with the same orientation as the intrinsic one: beta(sharp_W alpha)
+        via_extension = sum(b * s for b, s in zip(beta, pw.sharp(alpha)))
+        result = BracketConsistency(intrinsic, Fraction(via_extension))
+        if not result.agree:
+            raise PropertyViolationError(
+                f"bracket routes disagree at {fmt_point(self.sample)}: intrinsic {intrinsic}, extension {via_extension}"
+            )
+        return result
 
 
 def is_basic_at(f: Poly, pi: BivectorField, c: SubmanifoldPatch, q: Sequence[Fraction]) -> bool:
     """Whether df annihilates the characteristic subspace at the point."""
-    point = ambient_point(c, q)
-    tangent = tangent_at(c, q)
-    p = pi.at(point)
-    char = subspace_in_basis(characteristic_subspace(p, tangent), tangent)
-    df = _differential_on_tangent(f, c, q, tangent)
-    return all(sum(d * v for d, v in zip(df, row)) == 0 for row in char.basis.entries)
+    return PointData(pi, c, q).is_basic(f)
 
 
 def is_basic(f: Poly, pi: BivectorField, c: SubmanifoldPatch, samples: Sequence[Sequence[Fraction]]) -> tuple[bool, ...]:
@@ -240,30 +308,7 @@ def basic_bracket(f: Poly, g: Poly, pi: BivectorField, c: SubmanifoldPatch, q: S
     the choice of Y by verifying dg annihilates the solution-space
     degeneracy directions.
     """
-    point = ambient_point(c, q)
-    tangent = tangent_at(c, q)
-    p = pi.at(point)
-    structure = pullback(from_bivector(p), tangent)
-    d = tangent.dim
-    df = _differential_on_tangent(f, c, q, tangent)
-    dg = _differential_on_tangent(g, c, q, tangent)
-    if not is_basic_at(f, pi, c, q):
-        raise PreconditionError(f"function {f} is not basic at {tuple(q)}")
-    if not is_basic_at(g, pi, c, q):
-        raise PreconditionError(f"function {g} is not basic at {tuple(q)}")
-    # solve for lambda with span-combination covector part equal to df
-    basis = structure.span.basis.entries
-    cov = MatrixQ(d, len(basis), tuple(tuple(row[d + i] for row in basis) for i in range(d)))
-    lam = solve(cov, df)
-    if lam is None:
-        raise PreconditionError(f"no tangent solution for df at {tuple(q)}; function is not admissible there")
-    y = tuple(sum(l * row[i] for l, row in zip(lam, basis)) for i in range(d))
-    # degeneracy directions: combinations with zero covector part; dg must kill them
-    for null in kernel(cov).basis.entries:
-        y0 = tuple(sum(l * row[i] for l, row in zip(null, basis)) for i in range(d))
-        if sum(a * b for a, b in zip(dg, y0)) != 0:
-            raise PropertyViolationError("bracket value depends on the solution choice")
-    return sum(a * b for a, b in zip(dg, y))
+    return PointData(pi, c, q).bracket(f, g)
 
 
 @dataclass(frozen=True)
@@ -287,27 +332,4 @@ def bracket_consistency_check(
     and evaluate the W-bracket.  Both routes must produce the same
     rational; disagreement raises, since agreement is guaranteed.
     """
-    intrinsic = basic_bracket(f, g, pi, c, q)
-    point = ambient_point(c, q)
-    tangent = tangent_at(c, q)
-    p = pi.at(point)
-    w = cosymplectic_extension(p, tangent)
-    pw = induced_bivector(p, w)
-    tangent_in_w = subspace_in_basis(tangent, w)
-    complement_rows = greedy_complement(tangent_in_w, standard_basis(w.dim))
-    df = _differential_on_tangent(f, c, q, tangent)
-    dg = _differential_on_tangent(g, c, q, tangent)
-    constraint = MatrixQ.from_rows(tangent_in_w.basis.entries + complement_rows, cols=w.dim)
-    pad = (Fraction(0),) * len(complement_rows)
-    alpha = solve(constraint, tuple(df) + pad)
-    beta = solve(constraint, tuple(dg) + pad)
-    if alpha is None or beta is None:
-        raise PropertyViolationError("covector extension to the cosymplectic subspace failed")
-    # W-bracket with the same orientation as the intrinsic one: beta(sharp_W alpha)
-    via_extension = sum(b * s for b, s in zip(beta, pw.sharp(alpha)))
-    result = BracketConsistency(intrinsic, Fraction(via_extension))
-    if not result.agree:
-        raise PropertyViolationError(
-            f"bracket routes disagree at {tuple(q)}: intrinsic {intrinsic}, extension {via_extension}"
-        )
-    return result
+    return PointData(pi, c, q).consistency(f, g)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import poisdirac
+from poisdirac import submanifolds
 from poisdirac.cli import BUNDLED_ANALYSES, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
 from poisdirac.scenario import load_scenario_text
@@ -278,6 +279,34 @@ class TestReports:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["rows"]) == 7
+
+    @pytest.mark.parametrize("argv, key, count", [
+        (["classify", "--scenario", "ex_r6.json", "--grid", "3", "--seed", "2", "--count", "6"], "rows", 6),
+        (["bracket", "--scenario", "bracket_sympl4.json", "--grid", "4", "--count", "3"], "per_point", 3),
+    ])
+    def test_grid_flag_on_level_set_draws_points_on_the_locus(self, capsys, argv, key, count):
+        code, out, _ = run(capsys, *argv, "--porcelain")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc[key]) == count and doc.get("errors", []) == []
+
+    def test_off_locus_point_is_printed_as_rationals(self, capsys):
+        code, _, err = run(capsys, "bracket", "--scenario", "bracket_sympl4.json", "--points", "1/2,-4/3,1,2/3")
+        assert code == 2
+        assert "(1/2, -4/3, 1, 2/3)" in err and "Fraction(" not in err
+
+    def test_bracket_point_derives_its_tangent_once(self, capsys, monkeypatch):
+        calls = []
+        original = submanifolds.tangent_at
+
+        def counting(c, q):
+            calls.append(tuple(q))
+            return original(c, q)
+
+        monkeypatch.setattr(submanifolds, "tangent_at", counting)
+        code, out, _ = run(capsys, "bracket", "--scenario", "bracket_sympl4.json", "--points", "1,2,3,0", "--porcelain")
+        assert code == 0 and json.loads(out)["per_point"][0]["consistent"]
+        assert calls == [(1, 2, 3, 0)]
 
     def test_params_field_optional_for_parametrized(self, tmp_path):
         doc = load_scenario_text(json.dumps({

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -257,3 +258,33 @@ class TestCompareSplittings:
         v_bad = ((p3("0"), p3("0"), p3("1")), (p3("0"), p3("1"), p3("0")))
         with pytest.raises(PreconditionError):
             compare_splittings(data, data.v_frame, v_bad, SAMPLES)
+
+
+class TestBaseStructuresBuiltOnce:
+    """The input Dirac structure at a base point is built once per call,
+    however many samples share that base point."""
+
+    SAMPLES = list(SAMPLES[:6]) + [s[:3] + (Fraction(5),) for s in SAMPLES[:3]]
+
+    def count_calls(self, monkeypatch) -> Counter:
+        calls = Counter()
+        original = DiracManifoldData.dirac_at
+
+        def counting(data, x):
+            calls[tuple(x)] += 1
+            return original(data, x)
+
+        monkeypatch.setattr(DiracManifoldData, "dirac_at", counting)
+        return calls
+
+    def test_build_embedding(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        assert all(check.ok for check in build_embedding(r4_data(), self.SAMPLES).sample_checks)
+        assert calls == Counter({s[:3]: 1 for s in self.SAMPLES})
+
+    def test_compare_splittings(self, monkeypatch):
+        data = r4_data()
+        v1 = ((p3("1"), p3("0"), p3("1")), (p3("0"), p3("1"), p3("0")))
+        calls = self.count_calls(monkeypatch)
+        assert compare_splittings(data, data.v_frame, v1, self.SAMPLES).intertwines_at_all_samples
+        assert calls == Counter({s[:3]: 1 for s in self.SAMPLES})

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gen import rand_point, rand_poisson, rand_subspace, rand_valid_iso_triple
+from poisdirac import poisson_linear
 from poisdirac.errors import PreconditionError, SpaceMismatchError
 from poisdirac.poisson_linear import (
     PoissonVS,
@@ -13,6 +15,7 @@ from poisdirac.poisson_linear import (
     cosymplectic_extension,
     embedding_conditions,
     induced_bivector,
+    leaf_form_gram,
     leaf_form_value,
     linear_uniqueness_iso,
     sharp_image,
@@ -143,6 +146,34 @@ class TestLeafForm:
         with pytest.raises(PreconditionError):
             leaf_form_value(p, (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
+    def test_gram_is_minus_xi_of_y(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            p = rand_poisson(rng, n)
+            xis = [rand_point(rng, n) for _ in range(rng.randint(1, 3))]
+            ys = [p.sharp(rand_point(rng, n)) for _ in range(rng.randint(1, 3))]
+            gram = leaf_form_gram(p, [p.sharp(xi) for xi in xis], ys)
+            assert gram == tuple(tuple(-sum(a * b for a, b in zip(xi, y)) for y in ys) for xi in xis)
+            for i, xi in enumerate(xis):
+                for j, y in enumerate(ys):
+                    assert leaf_form_value(p, p.sharp(xi), y) == gram[i][j]
+
+    @pytest.mark.parametrize("off_in", ["x", "y"])
+    def test_gram_rejects_a_vector_off_the_leaf_in_either_argument(self, off_in):
+        # the leaf of this bivector is the x1-x2 plane
+        p = PoissonVS(4, MatrixQ.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+        on = (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
+        off = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
+        x, y = (off, on) if off_in == "x" else (on, off)
+        for call in (lambda: leaf_form_gram(p, [on, x], [y, on]), lambda: leaf_form_value(p, x, y)):
+            with pytest.raises(PreconditionError, match="only defined on the image of sharp"):
+                call()
+
+    def test_gram_rejects_wrong_length(self):
+        with pytest.raises(SpaceMismatchError, match="vector length"):
+            leaf_form_gram(P4, [(Fraction(1), Fraction(0))], [])
+
 
 class TestCanonicalIso:
     def test_identity_when_v_equals_w(self):
@@ -166,6 +197,23 @@ class TestCanonicalIso:
             for row in c.basis.entries:
                 assert phi.matvec(v.coordinates_of(row)) == w.coordinates_of(row)
             done += 1
+
+    def test_each_classification_and_induced_bivector_is_computed_once(self, monkeypatch):
+        seen = Counter()
+        for name in ("classify_subspace", "induced_bivector"):
+            original = getattr(poisson_linear, name)
+
+            def counting(p, s, name=name, original=original):
+                seen[(name, p, s)] += 1
+                return original(p, s)
+
+            monkeypatch.setattr(poisson_linear, name, counting)
+        rng = random.Random(29)
+        for _ in range(10):
+            p, c, v, w = rand_valid_iso_triple(rng, max_dim=5)
+            seen.clear()
+            canonical_iso(p, c, v, w)
+            assert seen and max(seen.values()) == 1, [key[0] for key, n in seen.items() if n > 1]
 
     def test_rejects_non_cosymplectic(self):
         with pytest.raises(PreconditionError):

@@ -18,6 +18,7 @@ from poisdirac.submanifolds import (
     grid_points,
     is_basic,
     is_basic_at,
+    LEVEL_SET_ATTEMPTS,
     level_set_grid_points,
     rank_profile,
     tangent_at,
@@ -156,6 +157,16 @@ class TestGridPoints:
         assert points
         for q in points:
             assert q[3] == 0
+
+    def test_level_set_points_are_the_grid_points_on_the_locus(self):
+        on_locus = [q for q in grid_points(6, 3, 2, LEVEL_SET_ATTEMPTS) if q[3:] == (0, 0, 0)]
+        assert level_set_grid_points(C_R6, 3, 2, 6) == tuple(on_locus[:6])
+        # fewer than `count` when the draws run out
+        assert level_set_grid_points(C_R6, 3, 2, 10 ** 6) == tuple(on_locus)
+
+    def test_level_set_grid_rejects_bad_height(self):
+        with pytest.raises(PreconditionError, match="height"):
+            level_set_grid_points(C_R6, 0, 2, 6)
 
 
 class TestBasicFunctions:
