@@ -181,22 +181,18 @@ def range_and_form(l: DiracVS) -> tuple[Subspace, MatrixQ]:
 def as_bivector(l: DiracVS) -> PoissonVS | None:
     """Extract the bivector when L is a graph, else None.
 
-    L is the graph of a bivector exactly when its characteristic
-    subspace vanishes; then each dual basis covector has a unique
-    partner vector and those give the matrix columns.
+    Write the basis of L as rows (X_k | xi_k).  As dim L = n, L is the
+    graph of a bivector exactly when the covectors xi_k are independent;
+    then e_i = sum_k c_ik xi_k has the partner sum_k c_ik X_k, so with
+    C the matrix of covector columns and V that of vector columns,
+    Pi = V C^-1.
     """
     n = l.ambient_dim
-    if characteristic(l).dim != 0:
+    rows = l.span.basis.entries
+    cov = MatrixQ(n, n, tuple(tuple(r[n + i] for r in rows) for i in range(n)))
+    try:
+        cov_inv = inverse(cov)
+    except ValueError:
         return None
-    cov = MatrixQ(n, l.span.dim, tuple(
-        tuple(l.span.basis.entries[k][n + i] for k in range(l.span.dim)) for i in range(n)
-    ))
-    columns = []
-    for target in standard_basis(n):
-        coeffs = solve(cov, target)
-        if coeffs is None:
-            raise PropertyViolationError("graph extraction system inconsistent despite trivial characteristic")
-        x = tuple(sum(c * l.span.basis.entries[k][j] for k, c in enumerate(coeffs)) for j in range(n))
-        columns.append(x)
-    entries = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    return PoissonVS(n, MatrixQ(n, n, entries))
+    vecs = MatrixQ(n, n, tuple(tuple(r[i] for r in rows) for i in range(n)))
+    return PoissonVS(n, vecs @ cov_inv)

@@ -7,7 +7,8 @@ are all exact; printing and parsing use one fixed grammar:
 
     terms joined by '+' and '-', coefficients as integers or 'p/q',
     variables like x1, t2, p1, y3, exponents via '^', products via '*',
-    e.g. "3/2*x1^2*x2 - x3".
+    e.g. "3/2*x1^2*x2 - x3"; a variable's exponent in one term is at
+    most MAX_EXPONENT.
 
 Terms are kept in graded-lexicographic order, so equal polynomials
 print identically.
@@ -25,6 +26,12 @@ from .rational_linalg import MatrixQ, Vector, rat
 
 _VAR_RE = re.compile(r"[a-zA-Z]+[0-9]+")
 _TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|[a-zA-Z]+[0-9]+|[0-9]+(?:/[0-9]+)?)")
+
+# Largest exponent of one variable in one parsed term.  Parsed text comes
+# from outside the program and products and substitutions multiply
+# degrees, so an unbounded '^' would be a resource bomb.  The bundled
+# scenarios, the tests and the benchmark generators use at most 3.
+MAX_EXPONENT = 32
 
 
 def _grlex_key(exponents: tuple[int, ...]) -> tuple:
@@ -249,6 +256,8 @@ def _parse_term(tokens: list[str], pos: int, variables: tuple[str, ...]) -> tupl
                 power = int(tokens[pos + 2])
                 pos += 2
             exps[idx] += power
+            if exps[idx] > MAX_EXPONENT:
+                raise ValueError(f"exponent {exps[idx]} of {tok} exceeds the maximum {MAX_EXPONENT}")
             pos += 1
         else:
             try:

@@ -6,6 +6,9 @@ canonically represented subspaces of Q^n.  Every value is immutable
 and every operation is a pure function, so results can be compared
 bit-for-bit and shared freely.
 
+All elimination goes through rref, which runs on primitive integer
+rows and makes Fractions only for its result.
+
 Subspaces carry a primal/dual tag: annihilators land in the dual
 space and mixing the two ambients raises, which catches the classic
 "applied sharp in the wrong direction" mistake early.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import SpaceMismatchError
@@ -134,26 +138,54 @@ class MatrixQ:
         return all(a == 0 for r in self.entries for a in r)
 
 
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row scaled by the lcm of its denominators, then divided by the
+    gcd of the resulting integers: a primitive integer row on the same line."""
+    ratios = [a.as_integer_ratio() for a in row]
+    scale = lcm(*(d for _, d in ratios))
+    ints = [n * (scale // d) for n, d in ratios]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
 def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
-    """Reduced row echelon form and rank.  Deterministic, exact."""
-    work = [list(r) for r in m.entries]
+    """Reduced row echelon form and rank.  Deterministic, exact.
+
+    Gauss-Jordan elimination on primitive integer rows (fraction-free, in
+    the spirit of Bareiss 1968): row_r <- (p/g) row_r - (f/g) row_p with
+    g = gcd(p, f), then row_r is divided by the gcd of its entries.  Only
+    the final division of each pivot row by its pivot makes Fractions.
+    The reduced form is unique, so the result equals Fraction elimination.
+    """
+    work = [_integer_row(r) for r in m.entries]
     n_rows, n_cols = m.rows, m.cols
-    pivot_row = 0
+    pivots: list[int] = []
     for col in range(n_cols):
-        if pivot_row == n_rows:
+        if len(pivots) == n_rows:
             break
-        sel = next((r for r in range(pivot_row, n_rows) if work[r][col] != 0), None)
+        top = len(pivots)
+        sel = next((r for r in range(top, n_rows) if work[r][col]), None)
         if sel is None:
             continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [a * inv for a in work[pivot_row]]
+        work[top], work[sel] = work[sel], work[top]
+        prow = work[top]
+        p = prow[col]
         for r in range(n_rows):
-            if r != pivot_row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-    return MatrixQ(n_rows, n_cols, tuple(tuple(r) for r in work)), pivot_row
+            row = work[r]
+            f = row[col]
+            if f and r != top:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                row = [pg * a - fg * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                work[r] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+    # zeros and the pivot itself skip Fraction's gcd normalisation
+    zero, one = Fraction(0), Fraction(1)
+    out = [tuple(zero if a == 0 else one if a == row[c] else Fraction(a, row[c]) for a in row)
+           for row, c in zip(work, pivots)]
+    out.extend((zero,) * n_cols for _ in range(n_rows - len(pivots)))
+    return MatrixQ(n_rows, n_cols, tuple(out)), len(pivots)
 
 
 def rank(m: MatrixQ) -> int:

@@ -10,6 +10,7 @@ import poisdirac
 from poisdirac import submanifolds
 from poisdirac.cli import BUNDLED_ANALYSES, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
+from poisdirac.polynomials import MAX_EXPONENT
 from poisdirac.scenario import load_scenario_text
 
 
@@ -60,17 +61,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "jacobi", "--scenario", str(bad))
         assert code == 1 and "unknown fields" in err
 
-    def test_zero_denominator_is_schema_error(self, tmp_path):
-        doc = {"ambient": {"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "1/0*x1"}]}}
-        path = tmp_path / "zero_den.json"
+    @staticmethod
+    def jacobi_in_subprocess(tmp_path, poly: str) -> subprocess.CompletedProcess:
+        doc = {"ambient": {"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": poly}]}}
+        path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         env = {**os.environ, "PYTHONPATH": str(Path(poisdirac.__file__).parents[1])}
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "poisdirac.cli", "jacobi", "--scenario", str(path)],
             capture_output=True, text=True, env=env, timeout=60,
         )
+
+    def test_zero_denominator_is_schema_error(self, tmp_path):
+        proc = self.jacobi_in_subprocess(tmp_path, "1/0*x1")
         assert proc.returncode == 1
         assert "zero denominator" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_exponent_above_maximum_is_schema_error(self, tmp_path):
+        proc = self.jacobi_in_subprocess(tmp_path, f"x1^{MAX_EXPONENT + 1}")
+        assert proc.returncode == 1
+        assert "exceeds the maximum" in proc.stderr and "Traceback" not in proc.stderr
 
     # a point on the level set {x2 = 0} in a symplectic plane
     LINE = {

@@ -34,6 +34,13 @@ def test_graph_round_trip():
     assert as_bivector(from_bivector(p)).pi == p.pi
 
 
+def test_non_graph_has_no_bivector():
+    tangent = DiracVS.from_rows(2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    plane = from_subspace_form(Subspace.span(3, [[1, 0, 0], [0, 1, 0]]), MatrixQ.zeros(2, 2))
+    for l in (tangent, plane):
+        assert characteristic(l).dim > 0 and as_bivector(l) is None
+
+
 def test_nondegenerate_graph_has_trivial_characteristic():
     assert characteristic(from_bivector(P4)).dim == 0
 

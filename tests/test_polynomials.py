@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisdirac.errors import SpaceMismatchError
-from poisdirac.polynomials import Poly, PolyMap, compose, compose_map, poly_matrix_det, poly_matrix_inverse
+from poisdirac.polynomials import MAX_EXPONENT, Poly, PolyMap, compose, compose_map, poly_matrix_det, poly_matrix_inverse
 
 X3 = ("x1", "x2", "x3")
 
@@ -93,6 +93,16 @@ def test_parse_rejects_missing_star():
 def test_parse_rejects_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         Poly.parse("1/0*x1", X3)
+
+
+@pytest.mark.parametrize("text", [f"x1^{MAX_EXPONENT + 1}", f"x2*x1^{MAX_EXPONENT}*x1", "3*x3^100000000000000000000"])
+def test_parse_rejects_exponent_above_maximum(text):
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        Poly.parse(text, X3)
+
+
+def test_parse_accepts_the_maximum_exponent():
+    assert Poly.parse(f"x1^{MAX_EXPONENT}*x2^{MAX_EXPONENT}", X3).terms == (((MAX_EXPONENT, MAX_EXPONENT, 0), Fraction(1)),)
 
 
 @settings(max_examples=150)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,11 @@ from poisdirac.rational_linalg import (
     contains,
     image,
     intersect,
+    inverse,
     kernel,
+    pivot_columns,
     preimage,
+    rank,
     rat,
     rref,
     solve,
@@ -53,6 +58,135 @@ def test_standard_basis_is_identity_rows():
     assert standard_basis(0) == ()
     assert MatrixQ.identity(3).entries == standard_basis(3)
     assert standard_basis(2) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def _reference_rref(m: MatrixQ) -> tuple[MatrixQ, int]:
+    """Gauss-Jordan elimination in Fraction arithmetic: the reference for rref."""
+    work = [list(r) for r in m.entries]
+    n_rows, n_cols = m.rows, m.cols
+    pivot_row = 0
+    for col in range(n_cols):
+        if pivot_row == n_rows:
+            break
+        sel = next((r for r in range(pivot_row, n_rows) if work[r][col] != 0), None)
+        if sel is None:
+            continue
+        work[pivot_row], work[sel] = work[sel], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [a * inv for a in work[pivot_row]]
+        for r in range(n_rows):
+            if r != pivot_row and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+    return MatrixQ(n_rows, n_cols, tuple(tuple(r) for r in work)), pivot_row
+
+
+def _small(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else Fraction(0)
+
+
+def _huge(rng: random.Random) -> Fraction:
+    """A rational whose numerator and denominator have 61 to 89 bits before reduction."""
+    num, den = (rng.getrandbits(rng.randint(60, 89)) | 1 << 60 for _ in range(2))
+    return Fraction(rng.choice((-1, 1)) * num, den)
+
+
+def _rand_matrix(rng: random.Random, kind: str, shape: tuple[int, int] | None = None) -> MatrixQ:
+    """A seeded random matrix of the given kind, up to 7x9 unless a shape is given."""
+    rows, cols = shape or (rng.randint(0, 7), rng.randint(0, 9))
+    if kind == "empty":  # no rows, or rows of width 0
+        return MatrixQ(0, cols, ()) if rng.random() < 0.5 else MatrixQ(rows, 0, ((),) * rows)
+    entry = _huge if kind == "huge" else _small
+    if kind == "deficient":  # random combinations of fewer generators
+        gens = [[entry(rng) for _ in range(cols)] for _ in range(rng.randint(0, max(rows - 1, 0)))]
+        data = [[sum((Fraction(rng.randint(-4, 4)) * g[j] for g in gens), Fraction(0)) for j in range(cols)]
+                for _ in range(rows)]
+    else:
+        data = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+    if kind == "repeats" and rows:  # all-zero and duplicate rows
+        for i in range(rows):
+            if rng.random() < 0.3:
+                data[i] = [Fraction(0)] * cols
+            elif rng.random() < 0.3:
+                data[i] = list(data[rng.randrange(rows)])
+    if kind == "negative":  # every row's leading nonzero entry is negative
+        data = [[-a for a in row] if next((a for a in row if a), 0) > 0 else row for row in data]
+    return MatrixQ(rows, cols, tuple(tuple(row) for row in data))
+
+
+@pytest.mark.parametrize("kind", ["empty", "dense", "repeats", "deficient", "negative", "huge"])
+def test_rref_equals_fraction_elimination(kind):
+    rng = random.Random(f"rref-{kind}")
+    for _ in range(200 if kind == "empty" else 600):
+        m = _rand_matrix(rng, kind)
+        reduced, rk = rref(m)
+        assert (reduced, rk) == _reference_rref(m), m
+        assert all(type(a) is Fraction and a.denominator > 0 and gcd(a.numerator, a.denominator) == 1
+                   for row in reduced.entries for a in row)
+
+
+def _to_sympy(sympy, m: MatrixQ):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(a.numerator, a.denominator) for row in m.entries for a in row])
+
+
+def _from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+@pytest.mark.parametrize("kind", ["dense", "repeats", "deficient", "negative", "huge"])
+def test_rref_rank_and_kernel_match_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"sympy-rref-{kind}")
+    for _ in range(40):
+        m = _rand_matrix(rng, kind)
+        sm = _to_sympy(sympy, m)
+        expected, expected_pivots = sm.rref()
+        reduced, rk = rref(m)
+        assert reduced.entries == tuple(tuple(_from_sympy(expected[i, j]) for j in range(m.cols)) for i in range(m.rows))
+        assert pivot_columns(reduced, rk) == tuple(expected_pivots)
+        assert rank(m) == sm.rank()
+        assert kernel(m) == Subspace.span(m.cols, [[_from_sympy(x) for x in v] for v in sm.nullspace()])
+
+
+@pytest.mark.parametrize("kind", ["dense", "repeats", "deficient"])
+def test_solve_matches_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"sympy-solve-{kind}")
+    outcomes = set()
+    for _ in range(40):
+        m = _rand_matrix(rng, kind, (rng.randint(1, 6), rng.randint(1, 6)))
+        consistent = m.matvec([_small(rng) for _ in range(m.cols)])
+        for b in (consistent, tuple(_small(rng) for _ in range(m.rows))):
+            x = solve(m, b)
+            try:
+                expected, params = _to_sympy(sympy, m).gauss_jordan_solve(sympy.Matrix(b))
+            except ValueError:  # sympy: "Linear system has no solution"
+                assert b != consistent and x is None
+                outcomes.add("inconsistent")
+                continue
+            # sympy's general solution with every free parameter at 0 is the
+            # particular solution solve returns
+            particular = expected.subs({t: 0 for t in params})
+            assert x == tuple(_from_sympy(particular[j]) for j in range(m.cols))
+            outcomes.add("consistent")
+    assert outcomes == {"consistent", "inconsistent"}
+
+
+@pytest.mark.parametrize("kind", ["dense", "deficient", "huge"])
+def test_inverse_matches_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"sympy-inverse-{kind}")
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        m = _rand_matrix(rng, kind, (n, n))
+        sm = _to_sympy(sympy, m)
+        if sm.det() == 0:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(m)
+            continue
+        expected = sm.inv()
+        assert inverse(m).entries == tuple(tuple(_from_sympy(expected[i, j]) for j in range(n)) for i in range(n))
 
 
 def test_rref_identity():
