@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -34,7 +35,7 @@ from .poisson_linear import (
     induced_bivector,
 )
 from .rational_linalg import MatrixQ, Subspace, fmt_point, rat
-from .scenario import Scenario, load_scenario_text
+from .scenario import Scenario, check_sample_bounds, load_scenario_text
 from .submanifolds import LevelSet, Parametrized, PointData, grid_points, level_set_grid_points, rank_profile
 
 BANNER = f"# poisdirac {__version__}"
@@ -143,6 +144,19 @@ def _gather_points(scenario: Scenario, args: argparse.Namespace) -> tuple[tuple[
     return ()
 
 
+@contextmanager
+def _printable_at(point: Sequence[Fraction] | None):
+    """A result with an int too long for Python to print fails naming the point."""
+    try:
+        yield
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        where = f" at {fmt_point(point)}" if point is not None else ""
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"the result{where} has more than {limit} digits to print") from None
+
+
 def _require(value, what: str):
     if value is None:
         raise SchemaError(f"scenario is missing the {what} this analysis needs")
@@ -169,16 +183,17 @@ def _run_classify(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, l
                 ("poisson-dirac", r.pointwise_poisson_dirac),
             ) if on
         ) or "-"
-        text.append(
-            f"{fmt_point(row.sample)} | {fmt_point(row.ambient)} | {r.dim_subspace} | "
-            f"{r.dim_sharp_annihilator} | {r.dim_sum} | {r.dim_characteristic} | {r.rho_rank} | {flags}"
-        )
-        rows_doc.append({
-            "point": _point_doc(row.sample),
-            "ambient": _point_doc(row.ambient),
-            **_record_doc(row.record),
-            "characteristic_basis": _matrix_doc(row.characteristic_basis),
-        })
+        with _printable_at(row.sample):
+            text.append(
+                f"{fmt_point(row.sample)} | {fmt_point(row.ambient)} | {r.dim_subspace} | "
+                f"{r.dim_sharp_annihilator} | {r.dim_sum} | {r.dim_characteristic} | {r.rho_rank} | {flags}"
+            )
+            rows_doc.append({
+                "point": _point_doc(row.sample),
+                "ambient": _point_doc(row.ambient),
+                **_record_doc(row.record),
+                "characteristic_basis": _matrix_doc(row.characteristic_basis),
+            })
     constant_doc = dataclasses.asdict(profile.constant)
     text.append("constant on samples: " + ", ".join(f"{k}={v}" for k, v in sorted(constant_doc.items())))
     doc = {
@@ -371,10 +386,13 @@ def _run_bracket(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, li
         }
         if f_basic and g_basic:
             check = at.consistency(f, g)
-            entry["bracket"] = str(check.intrinsic)
-            entry["via_extension"] = str(check.via_extension)
-            entry["consistent"] = check.agree
-            text.append(f"{fmt_point(q)}: {{f,g}} = {check.intrinsic} (extension route agrees: {check.agree})")
+            with _printable_at(q):
+                entry["bracket"] = str(check.intrinsic)
+                entry["via_extension"] = str(check.via_extension)
+                entry["consistent"] = check.agree
+                text.append(
+                    f"{fmt_point(q)}: {{f,g}} = {check.intrinsic} (extension route agrees: {check.agree})"
+                )
         else:
             text.append(f"{fmt_point(q)}: not basic (f: {f_basic}, g: {g_basic})")
         per_point.append(entry)
@@ -444,8 +462,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(doc, doc["bundled"], args)
         return 0
     try:
+        check_sample_bounds(args.grid, args.count, "--grid/--count")
         scenario = load_scenario_text(_resolve_scenario(args.scenario))
-        doc, text = _COMMANDS[args.command](scenario, args)
+        with _printable_at(scenario.point):
+            doc, text = _COMMANDS[args.command](scenario, args)
     except SchemaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

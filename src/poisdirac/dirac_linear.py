@@ -13,16 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import PoissonVS
-from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, intersect, inverse, solve, standard_basis
+from .rational_linalg import (
+    MatrixQ, Subspace, annihilator, intersect, inverse, pivot_columns, primitive, standard_basis,
+)
 
 
 def pairing(u: Sequence[Fraction], v: Sequence[Fraction], n: int) -> Fraction:
     """<(X, xi), (Y, eta)> = xi(Y) + eta(X)."""
-    return sum(u[n + i] * v[i] for i in range(n)) + sum(v[n + i] * u[i] for i in range(n))
+    return sum(map(mul, u[n:], v[:n])) + sum(map(mul, v[n:], u[:n]))
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,8 @@ class DiracVS:
             raise SpaceMismatchError("span must be a primal subspace of dimension-2n coordinates")
         if self.span.dim != n:
             raise PreconditionError(f"a Dirac structure on Q^{n} must have dimension {n}, got {self.span.dim}")
-        rows = self.span.basis.entries
+        # the integer rows are positive multiples of the basis rows: same zero test
+        rows = self.span.rows
         for i in range(len(rows)):
             for j in range(i, len(rows)):
                 if pairing(rows[i], rows[j], n) != 0:
@@ -68,17 +72,16 @@ def from_subspace_form(o: Subspace, omega: MatrixQ) -> DiracVS:
     if not omega.is_antisymmetric():
         raise PreconditionError("form matrix must be antisymmetric")
     n = o.ambient_dim
-    rows: list[tuple[Fraction, ...]] = []
-    basis = o.basis.entries
-    for i in range(d):
-        # particular covector with xi(o_j) = omega(o_i, o_j)
-        target = tuple(omega.entries[i][j] for j in range(d))
-        xi = solve(o.basis, target)
-        if xi is None:
-            raise PropertyViolationError("could not realize the form as a covector")
-        rows.append(tuple(basis[i]) + tuple(xi))
-    for eta in annihilator(o).basis.entries:
-        rows.append((Fraction(0),) * n + tuple(eta))
+    # o's basis is reduced, so omega's row i at o's pivot columns is a covector xi
+    # with xi(o_j) = omega(o_i, o_j)
+    pivots = pivot_columns(o.basis, d)
+    rows = []
+    for o_i, omega_i in zip(o.basis.entries, omega.entries):
+        xi = [Fraction(0)] * n
+        for c, value in zip(pivots, omega_i):
+            xi[c] = value
+        rows.append(o_i + tuple(xi))
+    rows += [(Fraction(0),) * n + eta for eta in annihilator(o).basis.entries]
     return DiracVS.from_rows(n, rows)
 
 
@@ -90,23 +93,19 @@ def pullback(l: DiracVS, w: Subspace) -> DiracVS:
     if w.dual or w.ambient_dim != l.ambient_dim:
         raise SpaceMismatchError("pullback target must be a primal subspace of the same ambient")
     n = l.ambient_dim
-    d = w.dim
-    # constrain the vector part to w, then map (X, xi) -> (coords_w(X), xi(w_j))
-    w_doubled = Subspace.span(
+    # constrain the vector part to w, then map (X, xi) -> (coords_w(X), xi(w_j));
+    # the rows (w_i, 0) and (0, e_j) are already canonical
+    w_doubled = Subspace(
         2 * n,
-        tuple(r + (Fraction(0),) * n for r in w.basis.entries)
-        + tuple((Fraction(0),) * n + e for e in standard_basis(n)),
+        tuple(r + (0,) * n for r in w.rows) + tuple((0,) * n + e for e in Subspace.full(n).rows),
     )
-    constrained = intersect(l.span, w_doubled)
     rows = []
-    for r in constrained.basis.entries:
-        x, xi = r[:n], r[n:]
-        coords = w.coordinates_of(x)
+    for r in intersect(l.span, w_doubled).basis.entries:
+        coords = w.coordinates_of(r[:n])
         if coords is None:
             raise PropertyViolationError("constrained vector part left the subspace")
-        restricted = tuple(sum(xi[j] * w.basis.entries[i][j] for j in range(n)) for i in range(d))
-        rows.append(coords + restricted)
-    return DiracVS.from_rows(d, rows)
+        rows.append(coords + w.basis.matvec(r[n:]))
+    return DiracVS.from_rows(w.dim, rows)
 
 
 def gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
@@ -146,11 +145,8 @@ def change_basis(l: DiracVS, c: MatrixQ) -> DiracVS:
 def characteristic(l: DiracVS) -> Subspace:
     """L intersected with Q^n + 0: vectors paired with the zero covector."""
     n = l.ambient_dim
-    primal = Subspace.span(
-        2 * n, tuple(e + (Fraction(0),) * n for e in standard_basis(n))
-    )
-    both = intersect(l.span, primal)
-    return Subspace.span(n, tuple(r[:n] for r in both.basis.entries))
+    primal = Subspace(2 * n, tuple(e + (0,) * n for e in Subspace.full(n).rows))
+    return Subspace(n, tuple(r[:n] for r in intersect(l.span, primal).rows))
 
 
 def range_and_form(l: DiracVS) -> tuple[Subspace, MatrixQ]:
@@ -160,19 +156,12 @@ def range_and_form(l: DiracVS) -> tuple[Subspace, MatrixQ]:
     covectors over the zero vector annihilate O.
     """
     n = l.ambient_dim
-    o = Subspace.span(n, tuple(r[:n] for r in l.span.basis.entries))
-    d = o.dim
-    reps: list[Vector] = []
-    vector_parts = MatrixQ(n, l.span.dim, tuple(l.span.basis.transpose().entries[:n]))
-    for row in o.basis.entries:
-        coeffs = solve(vector_parts, tuple(row))
-        if coeffs is None:
-            raise PropertyViolationError("range vector has no lift")
-        full = tuple(sum(c * l.span.basis.entries[k][j] for k, c in enumerate(coeffs)) for j in range(2 * n))
-        reps.append(full[n:])
-    omega = MatrixQ(d, d, tuple(
-        tuple(sum(reps[i][t] * o.basis.entries[j][t] for t in range(n)) for j in range(d)) for i in range(d)
-    ))
+    # L's canonical rows with a pivot among the vector columns come first; L is
+    # reduced, so their vector parts, made primitive, are O's canonical rows,
+    # and the matching basis rows of L lift O's basis
+    d = sum(1 for r in l.span.rows if any(r[:n]))
+    o = Subspace(n, tuple(tuple(primitive(r[:n])) for r in l.span.rows[:d]))
+    omega = MatrixQ(d, n, tuple(r[n:] for r in l.span.basis.entries[:d])) @ o.basis.transpose()
     if not omega.is_antisymmetric():
         raise PropertyViolationError("induced form failed antisymmetry")
     return o, omega

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import SpaceMismatchError
-from .rational_linalg import MatrixQ, Vector, rat
+from .rational_linalg import MatrixQ, Vector, check_digits, rat
 
 _VAR_RE = re.compile(r"[a-zA-Z]+[0-9]+")
 _TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|[a-zA-Z]+[0-9]+|[0-9]+(?:/[0-9]+)?)")
@@ -260,6 +260,7 @@ def _parse_term(tokens: list[str], pos: int, variables: tuple[str, ...]) -> tupl
                 raise ValueError(f"exponent {exps[idx]} of {tok} exceeds the maximum {MAX_EXPONENT}")
             pos += 1
         else:
+            check_digits(tok)
             try:
                 coeff *= Fraction(tok)
             except ZeroDivisionError:

@@ -6,8 +6,10 @@ canonically represented subspaces of Q^n.  Every value is immutable
 and every operation is a pure function, so results can be compared
 bit-for-bit and shared freely.
 
-All elimination goes through rref, which runs on primitive integer
-rows and makes Fractions only for its result.
+All elimination is one fraction-free Gauss-Jordan loop on primitive
+integer rows.  A Subspace stores its reduced rows as integers; Fractions
+are made only where a caller reads them (`rref`, `Subspace.basis`), and
+matrix products cost one gcd per entry.
 
 Subspaces carry a primal/dual tag: annihilators land in the dual
 space and mixing the two ambients raises, which catches the classic
@@ -19,7 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SpaceMismatchError
@@ -28,6 +32,12 @@ Vector = tuple[Fraction, ...]
 
 # p or p/q with q nonzero: no decimals, exponents, underscores or whitespace
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+# Most digits of an input numerator or denominator: exact results grow with
+# the input, and Python prints no int of more than 4,300 digits.
+MAX_DIGITS = 1000
+
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -39,8 +49,15 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.fullmatch(value):
             raise ValueError(f"not a rational 'p/q' string with a nonzero denominator: {value!r}")
+        check_digits(value)
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational (floats are not accepted)")
+
+
+def check_digits(text: str) -> None:
+    """Refuse a 'p/q' string with more than MAX_DIGITS digits in p or q."""
+    if len(text) > MAX_DIGITS and any(len(part.lstrip("+-")) > MAX_DIGITS for part in text.split("/")):
+        raise ValueError(f"rational has a numerator or denominator of more than {MAX_DIGITS} digits")
 
 
 def vec(values: Iterable[int | str | Fraction]) -> Vector:
@@ -57,6 +74,19 @@ def standard_basis(n: int) -> tuple[Vector, ...]:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
+def _scaled_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with row = ints / d and d the lcm of the denominators."""
+    ratios = [a.as_integer_ratio() for a in row]
+    d = lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
+
+
+def primitive(ints: Sequence[int]) -> Sequence[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
 @dataclass(frozen=True)
 class MatrixQ:
     """Dense matrix over Q, row-major, immutable."""
@@ -68,6 +98,13 @@ class MatrixQ:
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("entry grid does not match declared shape")
+
+    @cached_property
+    def _scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(ints, d) with entries = ints / d, d the lcm of all denominators."""
+        flat, d = _scaled_row([a for r in self.entries for a in r])
+        c = self.cols
+        return tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(self.rows)), d
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]], cols: int | None = None) -> MatrixQ:
@@ -121,13 +158,17 @@ class MatrixQ:
     def __matmul__(self, other: MatrixQ) -> MatrixQ:
         if self.cols != other.rows:
             raise SpaceMismatchError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = other.transpose().entries
-        return MatrixQ(self.rows, other.cols, tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.entries))
+        (rows, d), (ints, e) = self._scaled, other._scaled
+        cols = list(zip(*ints)) or [()] * other.cols
+        return MatrixQ(self.rows, other.cols, tuple(
+            tuple(Fraction(s, d * e) if (s := sum(map(mul, r, c))) else ZERO for c in cols) for r in rows
+        ))
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise SpaceMismatchError(f"matrix has {self.cols} columns, vector has length {len(v)}")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
+        (rows, d), (ints, e) = self._scaled, _scaled_row(v)
+        return tuple(Fraction(s, d * e) if (s := sum(map(mul, r, ints))) else ZERO for r in rows)
 
     def is_antisymmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -138,27 +179,15 @@ class MatrixQ:
         return all(a == 0 for r in self.entries for a in r)
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row scaled by the lcm of its denominators, then divided by the
-    gcd of the resulting integers: a primitive integer row on the same line."""
-    ratios = [a.as_integer_ratio() for a in row]
-    scale = lcm(*(d for _, d in ratios))
-    ints = [n * (scale // d) for n, d in ratios]
-    g = gcd(*ints)
-    return [a // g for a in ints] if g > 1 else ints
-
-
-def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
-    """Reduced row echelon form and rank.  Deterministic, exact.
-
-    Gauss-Jordan elimination on primitive integer rows (fraction-free, in
-    the spirit of Bareiss 1968): row_r <- (p/g) row_r - (f/g) row_p with
-    g = gcd(p, f), then row_r is divided by the gcd of its entries.  Only
-    the final division of each pivot row by its pivot makes Fractions.
-    The reduced form is unique, so the result equals Fraction elimination.
+def _eliminate(work: list, n_cols: int) -> list[int]:
+    """Gauss-Jordan elimination in place on integer rows; returns the pivot
+    columns.  Fraction-free, in the spirit of Bareiss 1968: row_r <- (p/g)
+    row_r - (f/g) row_p with g = gcd(p, f), then divided by its gcd.  The
+    first len(pivots) rows end reduced with a positive pivot, the others
+    zero; for primitive input rows they end primitive, so each is the
+    unique reduced echelon row times its pivot.
     """
-    work = [_integer_row(r) for r in m.entries]
-    n_rows, n_cols = m.rows, m.cols
+    n_rows = len(work)
     pivots: list[int] = []
     for col in range(n_cols):
         if len(pivots) == n_rows:
@@ -176,16 +205,19 @@ def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
             if f and r != top:
                 g = gcd(p, f)
                 pg, fg = p // g, f // g
-                row = [pg * a - fg * b for a, b in zip(row, prow)]
-                g = gcd(*row)
-                work[r] = [a // g for a in row] if g > 1 else row
+                work[r] = primitive([pg * a - fg * b for a, b in zip(row, prow)])
         pivots.append(col)
-    # zeros and the pivot itself skip Fraction's gcd normalisation
-    zero, one = Fraction(0), Fraction(1)
-    out = [tuple(zero if a == 0 else one if a == row[c] else Fraction(a, row[c]) for a in row)
-           for row, c in zip(work, pivots)]
-    out.extend((zero,) * n_cols for _ in range(n_rows - len(pivots)))
-    return MatrixQ(n_rows, n_cols, tuple(out)), len(pivots)
+    for r, c in enumerate(pivots):
+        if work[r][c] < 0:
+            work[r] = [-a for a in work[r]]
+    return pivots
+
+
+def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
+    """Reduced row echelon form and rank.  Deterministic, exact: the basis of
+    the row space, padded with zero rows."""
+    s = _row_space(m)
+    return MatrixQ(m.rows, m.cols, s.basis.entries + ((ZERO,) * m.cols,) * (m.rows - s.dim)), s.dim
 
 
 def rank(m: MatrixQ) -> int:
@@ -194,26 +226,17 @@ def rank(m: MatrixQ) -> int:
 
 def pivot_columns(reduced: MatrixQ, rk: int) -> tuple[int, ...]:
     """Pivot columns of a matrix already in reduced row echelon form."""
-    pivots = []
-    for r in range(rk):
-        lead = next(c for c in range(reduced.cols) if reduced.entries[r][c] != 0)
-        pivots.append(lead)
-    return tuple(pivots)
+    return tuple(_pivots(reduced.entries[:rk]))
 
 
-def kernel(m: MatrixQ) -> "Subspace":
+def _pivots(rows: Sequence[Sequence]) -> list[int]:
+    """Column of the first nonzero entry of each row."""
+    return [list(map(bool, r)).index(True) for r in rows]
+
+
+def kernel(m: MatrixQ) -> Subspace:
     """Null space {v : m v = 0}, in canonical form."""
-    reduced, rk = rref(m)
-    pivots = pivot_columns(reduced, rk)
-    free_cols = [c for c in range(m.cols) if c not in pivots]
-    basis_rows = []
-    for free in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for r, piv in enumerate(pivots):
-            v[piv] = -reduced.entries[r][free]
-        basis_rows.append(tuple(v))
-    return Subspace.span(m.cols, basis_rows)
+    return annihilator(_row_space(m, dual=True))
 
 
 def solve(m: MatrixQ, b: Sequence[Fraction]) -> Vector | None:
@@ -225,7 +248,7 @@ def solve(m: MatrixQ, b: Sequence[Fraction]) -> Vector | None:
     pivots = pivot_columns(reduced, rk)
     if m.cols in pivots:
         return None
-    x = [Fraction(0)] * m.cols
+    x = [ZERO] * m.cols
     for r, piv in enumerate(pivots):
         x[piv] = reduced.entries[r][m.cols]
     return tuple(x)
@@ -245,54 +268,79 @@ def inverse(m: MatrixQ) -> MatrixQ:
 class Subspace:
     """Linear subspace of Q^n in canonical form.
 
-    The basis matrix is in reduced row echelon form with no zero rows,
-    so two equal subspaces have bit-identical representations.  `dual`
+    `rows` are the reduced row echelon basis rows, each scaled to a
+    primitive integer row with a positive pivot.  That form is unique, so
+    two equal subspaces have identical representations.  `basis` is the
+    Fraction form (pivots 1), built once per object on first read.  `dual`
     tags subspaces of the dual space (Q^n)*; operations refuse to mix
     primal and dual ambients.
     """
 
     ambient_dim: int
-    basis: MatrixQ
+    rows: tuple[tuple[int, ...], ...]
     dual: bool = False
 
     def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
+        if any(len(r) != self.ambient_dim for r in self.rows):
             raise SpaceMismatchError("basis width does not match ambient dimension")
+
+    @cached_property
+    def basis(self) -> MatrixQ:
+        # each row divided by its pivot p; zeros and p itself skip Fraction's gcd
+        pivots = [r[c] for r, c in zip(self.rows, _pivots(self.rows))]
+        return MatrixQ(self.dim, self.ambient_dim, tuple(
+            tuple(ZERO if a == 0 else ONE if a == p else Fraction(a, p) for a in r)
+            for r, p in zip(self.rows, pivots)
+        ))
 
     @staticmethod
     def span(ambient_dim: int, rows: Sequence[Sequence[int | str | Fraction]], dual: bool = False) -> Subspace:
         m = MatrixQ.from_rows(rows, cols=ambient_dim)
-        reduced, rk = rref(m)
-        return Subspace(ambient_dim, MatrixQ(rk, ambient_dim, reduced.entries[:rk]), dual)
+        if m.cols != ambient_dim:
+            raise ValueError("entry grid does not match declared shape")
+        return _row_space(m, dual)
 
     @staticmethod
     def zero(ambient_dim: int, dual: bool = False) -> Subspace:
-        return Subspace(ambient_dim, MatrixQ(0, ambient_dim, ()), dual)
+        return Subspace(ambient_dim, (), dual)
 
     @staticmethod
     def full(ambient_dim: int, dual: bool = False) -> Subspace:
-        return Subspace(ambient_dim, MatrixQ.identity(ambient_dim), dual)
+        n = ambient_dim
+        return Subspace(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), dual)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise SpaceMismatchError("vector length does not match ambient dimension")
-        stacked = Subspace.span(self.ambient_dim, self.basis.entries + (tuple(v),), self.dual)
-        return stacked.dim == self.dim
+        return self.coordinates_of(v) is not None
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coordinates of v in the canonical basis, or None if v is outside."""
+        """Coordinates of v in the canonical basis (v's entries at the pivot
+        columns, as the basis is reduced), or None if v is outside."""
         if len(v) != self.ambient_dim:
             raise SpaceMismatchError("vector length does not match ambient dimension")
-        if self.dim == 0:
-            return () if all(a == 0 for a in v) else None
-        sol = solve(self.basis.transpose(), tuple(v))
-        if sol is None or self.basis.transpose().matvec(sol) != tuple(v):
+        # v is inside iff sum_r v[p_r] (L / row_r[p_r]) row_r == L v, L the lcm of the pivots
+        pivots = _pivots(self.rows)
+        big = lcm(*(r[c] for r, c in zip(self.rows, pivots)))
+        ints = _scaled_row(v)[0]
+        weights = [ints[c] * (big // r[c]) for r, c in zip(self.rows, pivots)]
+        cols = list(zip(*self.rows)) or [()] * self.ambient_dim
+        if [sum(map(mul, weights, col)) for col in cols] != [big * a for a in ints]:
             return None
-        return sol
+        return tuple(rat(v[c]) for c in pivots)
+
+
+def _reduced(n: int, work: list, dual: bool) -> Subspace:
+    """The subspace spanned by primitive integer rows of width n."""
+    rk = len(_eliminate(work, n))
+    return Subspace(n, tuple(map(tuple, work[:rk])), dual)
+
+
+def _row_space(m: MatrixQ, dual: bool = False) -> Subspace:
+    """The row space of m: the one place Fraction rows become integer rows."""
+    return _reduced(m.cols, [primitive(_scaled_row(r)[0]) for r in m.entries], dual)
 
 
 def _require_same_space(a: Subspace, b: Subspace) -> None:
@@ -305,46 +353,61 @@ def _require_same_space(a: Subspace, b: Subspace) -> None:
 def add(a: Subspace, b: Subspace) -> Subspace:
     """Subspace sum a + b."""
     _require_same_space(a, b)
-    return Subspace.span(a.ambient_dim, a.basis.entries + b.basis.entries, a.dual)
+    return _reduced(a.ambient_dim, list(a.rows + b.rows), a.dual)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a intersected with b by the Zassenhaus sum-intersection algorithm
+    (Cohen, GTM 138, 2.3): in the reduced form of [[A, A], [B, 0]] the rows
+    whose pivot lies in the right half are (0, canonical rows of a & b)."""
     _require_same_space(a, b)
-    return annihilator(add(annihilator(a), annihilator(b)))
+    n = a.ambient_dim
+    work = [r + r for r in a.rows] + [r + (0,) * n for r in b.rows]
+    pivots = _eliminate(work, 2 * n)
+    return Subspace(n, tuple(tuple(row[n:]) for row, c in zip(work, pivots) if c >= n), a.dual)
 
 
 def annihilator(s: Subspace) -> Subspace:
-    """{xi : xi(v) = 0 for all v in s}, living in the opposite ambient."""
-    if s.dim == 0:
-        return Subspace.full(s.ambient_dim, not s.dual)
-    ker = kernel(s.basis)
-    return Subspace(s.ambient_dim, ker.basis, not s.dual)
+    """{xi : xi(v) = 0 for all v in s}, living in the opposite ambient.
+
+    With L the lcm of the pivot entries, each free column f gives
+    xi[f] = L and xi[p_r] = -row_r[f] L / row_r[p_r].
+    """
+    n, rows = s.ambient_dim, s.rows
+    pivots = _pivots(rows)
+    big = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    vectors = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        xi = [0] * n
+        xi[free] = big
+        for row, c in zip(rows, pivots):
+            xi[c] = -row[free] * (big // row[c])
+        vectors.append(primitive(xi))
+    return _reduced(n, vectors, not s.dual)
 
 
 def image(m: MatrixQ, s: Subspace, dual: bool = False) -> Subspace:
     """Image m(s); `dual` tags the target space of the map."""
     if m.cols != s.ambient_dim:
         raise SpaceMismatchError("map source does not match subspace ambient")
-    rows = tuple(m.matvec(r) for r in s.basis.entries)
-    return Subspace.span(m.rows, rows, dual)
+    ints = m._scaled[0]
+    return _reduced(m.rows, [primitive([sum(map(mul, r, b)) for r in ints]) for b in s.rows], dual)
 
 
 def preimage(m: MatrixQ, s: Subspace, source_dual: bool = False) -> Subspace:
     """{v : m v in s}; `source_dual` tags the source space of the map."""
     if m.rows != s.ambient_dim:
         raise SpaceMismatchError("map target does not match subspace ambient")
-    constraints = annihilator(s).basis
-    if constraints.rows == 0:
-        return Subspace.full(m.cols, source_dual)
-    ker = kernel(constraints @ m)
-    return Subspace(m.cols, ker.basis, source_dual)
+    cols = list(zip(*m._scaled[0])) or [()] * m.cols
+    constraints = [primitive([sum(map(mul, k, c)) for c in cols]) for k in annihilator(s).rows]
+    return annihilator(_reduced(m.cols, constraints, not source_dual))
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """Whether b is contained in a."""
     _require_same_space(a, b)
-    return add(a, b).dim == a.dim
+    return len(_eliminate(list(a.rows + b.rows), a.ambient_dim)) == a.dim
 
 
 def column_space(m: MatrixQ, dual: bool = False) -> Subspace:
-    return Subspace.span(m.rows, m.transpose().entries, dual)
+    return _row_space(m.transpose(), dual)

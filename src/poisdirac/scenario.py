@@ -22,6 +22,19 @@ from .rational_linalg import Subspace, rat
 from .submanifolds import LevelSet, Parametrized, SubmanifoldPatch
 
 
+# Largest grid height and sample count a scenario or the command line may ask for.
+MAX_GRID_HEIGHT = 1_000_000
+MAX_SAMPLE_COUNT = 1000
+
+
+def check_sample_bounds(height: int | None, count: int, where: str) -> None:
+    """Refuse a grid height or sample count above its maximum (None: not given)."""
+    bounds = (("grid height", height, MAX_GRID_HEIGHT), ("sample count", count, MAX_SAMPLE_COUNT))
+    for what, value, bound in bounds:
+        if value is not None and value > bound:
+            raise SchemaError(f"{where}: {what} {value} exceeds the maximum {bound}")
+
+
 def _fail(path: str, message: str) -> SchemaError:
     return SchemaError(f"{path}: {message}")
 
@@ -305,6 +318,7 @@ def parse_scenario(document: Any) -> Scenario:
             _expect_int(grid["seed"], "$.sample_grid.seed"),
             _expect_int(grid["count"], "$.sample_grid.count"),
         )
+        check_sample_bounds(sample_grid[0], sample_grid[2], "$.sample_grid")
 
     compare_v0 = compare_v1 = None
     if "compare_v_frames" in obj:
@@ -345,7 +359,9 @@ def load_scenario_text(text: str) -> Scenario:
         document = json.loads(
             text, parse_float=_reject_float, parse_constant=_reject_float, object_pairs_hook=_reject_duplicate_keys
         )
-    except json.JSONDecodeError as exc:
+    except SchemaError:
+        raise
+    except ValueError as exc:  # malformed JSON, or an integer literal of too many digits
         raise SchemaError(f"invalid JSON: {exc}")
     return parse_scenario(document)
 

@@ -11,7 +11,8 @@ from poisdirac import submanifolds
 from poisdirac.cli import BUNDLED_ANALYSES, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
 from poisdirac.polynomials import MAX_EXPONENT
-from poisdirac.scenario import load_scenario_text
+from poisdirac.rational_linalg import MAX_DIGITS
+from poisdirac.scenario import MAX_GRID_HEIGHT, MAX_SAMPLE_COUNT, check_sample_bounds, load_scenario_text
 
 
 def run(capsys, *argv):
@@ -114,6 +115,70 @@ class TestExitCodes:
         code, out, err = run(capsys, analysis, "--scenario", name, "--points", "1,2")
         assert code == 1 and out == ""
         assert "point 0 has 2 coordinates" in err
+
+    # a coordinate of MAX_DIGITS digits is accepted, but {x1^6, x2} = 6*x1^5
+    # has about five times as many: more than Python prints
+    LONG = "7" * MAX_DIGITS
+
+    @pytest.mark.parametrize("mode", [[], ["--porcelain"]])
+    def test_bracket_too_long_to_print_is_two(self, capsys, tmp_path, mode):
+        doc = json.loads((Path(poisdirac.__file__).parent / "scenarios" / "bracket_sympl4.json").read_text())
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({**doc, "f": "x1^6", "g": "x2", "points": [["1", "2", "3", "0"], [self.LONG, "1", "1", "0"]]}))
+        code, out, err = run(capsys, "bracket", "--scenario", str(path), *mode)
+        assert code == 2 and out == ""
+        assert err == f"precondition failed: the result at ({self.LONG}, 1, 1, 0) has more than {sys.get_int_max_str_digits()} digits to print\n"
+
+    def test_classify_too_long_to_print_is_two(self, capsys, tmp_path):
+        doc = {
+            "ambient": {"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "1"}]},
+            "submanifold": {"type": "parametrized", "params": 1, "map": ["t1^6", "t1"]},
+            "points": [["2"], [self.LONG]],
+        }
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "classify", "--scenario", str(path))
+        assert code == 2 and out == "" and f"the result at ({self.LONG}) has more than" in err
+
+    @pytest.mark.parametrize("where", ["scenario", "points flag", "polynomial"])
+    def test_too_many_digits_is_one(self, capsys, tmp_path, where):
+        path = tmp_path / "line.json"
+        long = "7" * (MAX_DIGITS + 1)
+        argv = ["classify", "--scenario", str(path)]
+        if where == "scenario":
+            path.write_text(json.dumps({**self.LINE, "points": [[long, "0"]]}))
+        elif where == "points flag":
+            path.write_text(json.dumps(self.LINE))
+            argv += ["--points", f"1/{long},0"]
+        else:
+            path.write_text(json.dumps({**self.LINE, "points": [["1", "0"]], "f": f"{long}*x1"}))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and f"more than {MAX_DIGITS} digits" in err
+
+    def test_json_integer_of_too_many_digits_is_one(self, capsys, tmp_path):
+        path = tmp_path / "dim.json"
+        path.write_text('{"ambient": {"dim": ' + "9" * 5000 + ', "bivector": []}}')
+        code, out, err = run(capsys, "jacobi", "--scenario", str(path))
+        assert code == 1 and out == "" and err.startswith("error: invalid JSON")
+
+    @pytest.mark.parametrize("flag, value, what", [
+        ("--count", MAX_SAMPLE_COUNT + 1, "sample count"), ("--grid", MAX_GRID_HEIGHT + 1, "grid height"),
+    ])
+    def test_sample_flags_above_maximum_are_one(self, capsys, flag, value, what):
+        code, out, err = run(capsys, "classify", "--scenario", "ex_r6.json", flag, str(value))
+        assert code == 1 and out == "" and f"{what} {value} exceeds the maximum" in err
+
+    @pytest.mark.parametrize("key, value", [("count", MAX_SAMPLE_COUNT + 1), ("height", MAX_GRID_HEIGHT + 1)])
+    def test_sample_grid_above_maximum_is_one(self, capsys, tmp_path, key, value):
+        doc = json.loads((Path(poisdirac.__file__).parent / "scenarios" / "ex_r4_dirac.json").read_text())
+        doc["sample_grid"][key] = value
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "embed", "--scenario", str(path))
+        assert code == 1 and out == "" and err.startswith("error: $.sample_grid") and f"{value} exceeds" in err
+
+    def test_sample_bounds_admit_their_maximum(self):
+        check_sample_bounds(MAX_GRID_HEIGHT, MAX_SAMPLE_COUNT, "--grid/--count")
 
     def test_missing_scenario_file_is_one(self, capsys):
         code, _, err = run(capsys, "jacobi", "--scenario", "no_such_scenario.json")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,26 @@ def test_gauge_requires_antisymmetry():
 def test_non_isotropic_span_rejected():
     with pytest.raises(PreconditionError):
         DiracVS.from_rows(2, [[1, 0, 1, 0], [0, 1, 0, 1]])
+
+
+def test_isotropy_is_checked_on_scaled_integer_rows_randomized():
+    rng = random.Random(57)
+    rejected = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        l = from_subspace_form(*rand_dirac_form_data(rng, n))
+        rows = [list(r) for r in l.span.basis.entries]
+        scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
+        scaled = [[c * a for a in r] for c, r in zip(scales, rows)]
+        assert DiracVS.from_rows(n, scaled) == l
+        # shifting one covector entry breaks isotropy unless it pairs with zero
+        rows[rng.randrange(n)][n + rng.randrange(n)] += Fraction(1, 3)
+        span = Subspace.span(2 * n, rows)
+        if span.dim == n and any(pairing(r, q, n) for r in rows for q in rows):
+            with pytest.raises(PreconditionError, match="not isotropic"):
+                DiracVS(n, span)
+            rejected += 1
+    assert rejected >= 20
 
 
 def test_range_and_form_round_trip_randomized():

@@ -330,7 +330,7 @@ def test_sharp_kernel_is_leaf_annihilator():
         p = rand_poisson(rng, rng.randint(1, 6))
         ker = kernel(p.pi)
         ann_leaf = annihilator(p.leaf())
-        assert S(p.dim, ker.basis, dual=True) == ann_leaf
+        assert S(p.dim, ker.rows, dual=True) == ann_leaf
 
 
 def test_direct_sum_identity_randomized():

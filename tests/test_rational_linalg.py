@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from poisdirac.errors import SpaceMismatchError
 from poisdirac.rational_linalg import (
+    MAX_DIGITS,
     MatrixQ,
     Subspace,
     add,
@@ -292,3 +293,132 @@ def test_preimage_contains_source(data):
     m = data.draw(matrix_st(n, n))
     s = data.draw(subspace_st(n))
     assert contains(preimage(m, image(m, s)), s)
+
+
+# Reference subspace calculus in Fraction arithmetic: the formulas the integer
+# kernel replaced.  A reference subspace is its tuple of reduced basis rows.
+
+def _ref_span(n: int, rows) -> tuple:
+    reduced, rk = _reference_rref(MatrixQ(len(rows), n, tuple(tuple(r) for r in rows)))
+    return reduced.entries[:rk]
+
+
+def _ref_annihilator(n: int, basis: tuple) -> tuple:
+    """Kernel of the basis matrix: v[free] = 1, v[pivot_r] = -basis_r[free]."""
+    pivots = [next(j for j, a in enumerate(r) if a) for r in basis]
+    vectors = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, p in zip(basis, pivots):
+            v[p] = -r[free]
+        vectors.append(v)
+    return _ref_span(n, vectors)
+
+
+def _ref_intersect(n: int, a: tuple, b: tuple) -> tuple:
+    return _ref_annihilator(n, _ref_span(n, _ref_annihilator(n, a) + _ref_annihilator(n, b)))
+
+
+def _ref_matvec(m: MatrixQ, v) -> tuple:
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m.entries)
+
+
+def _rand_rows(rng: random.Random, kind: str, n: int) -> list:
+    """Spanning rows of a seeded random subspace of Q^n."""
+    entry = _huge if kind == "huge" else _small
+    k = rng.randint(0, n + 1)
+    if kind == "edge":  # the zero space, the full space, or repeated and zero rows
+        choice = rng.randrange(3)
+        if choice < 2:
+            return [] if choice == 0 else [list(e) for e in standard_basis(n)]
+        row = [entry(rng) for _ in range(n)]
+        return [row, [Fraction(0)] * n, [3 * a for a in row]][: rng.randint(1, 3)]
+    gens = [[entry(rng) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    # combinations of fewer generators than rows make rank deficiency common
+    return [[sum((Fraction(rng.randint(-3, 3)) * g[j] for g in gens), Fraction(0)) for j in range(n)] for _ in range(k)]
+
+
+def _is_canonical(s: Subspace) -> bool:
+    for row in s.rows:
+        lead = next(a for a in row if a)
+        if not (all(type(a) is int for a in row) and lead > 0 and gcd(*row) == 1):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind, pairs", [("small", 1000), ("edge", 600), ("huge", 400)])
+def test_subspace_calculus_equals_fraction_formulas(kind, pairs):
+    rng = random.Random(f"subspaces-{kind}")
+    for _ in range(pairs):
+        n = rng.randint(1, 4 if kind == "huge" else 6)
+        dual = rng.random() < 0.5
+        rows_a, rows_b = _rand_rows(rng, kind, n), _rand_rows(rng, kind, n)
+        a, b = Subspace.span(n, rows_a, dual), Subspace.span(n, rows_b, dual)
+        ref_a, ref_b = _ref_span(n, rows_a), _ref_span(n, rows_b)
+        assert _is_canonical(a) and _is_canonical(b)
+        assert a.basis.entries == ref_a and b.basis.entries == ref_b and a.dual == dual
+        meet = intersect(a, b)
+        assert meet.basis.entries == _ref_intersect(n, ref_a, ref_b) and meet.dual == dual and _is_canonical(meet)
+        assert add(a, b).basis.entries == _ref_span(n, ref_a + ref_b)
+        assert annihilator(a).basis.entries == _ref_annihilator(n, ref_a) and annihilator(a).dual != dual
+        assert contains(a, b) == (len(_ref_span(n, ref_a + ref_b)) == len(ref_a))
+        # coordinates: inside a they are the combination's coefficients and
+        # solve(basis^T, v); outside, None
+        coeffs = [_small(rng) for _ in ref_a]
+        inside = tuple(sum((c * r[j] for c, r in zip(coeffs, ref_a)), Fraction(0)) for j in range(n))
+        expected = solve(a.basis.transpose(), inside) if ref_a else ()
+        assert a.coordinates_of(inside) == tuple(coeffs) == expected and a.contains_vector(inside)
+        v = tuple(_small(rng) for _ in range(n))
+        v_inside = len(_ref_span(n, ref_a + (v,))) == len(ref_a)
+        assert (a.coordinates_of(v) is not None) == v_inside == a.contains_vector(v)
+        # image and preimage under a map Q^n -> Q^t
+        t = rng.randint(1, 5)
+        m = MatrixQ(t, n, tuple(tuple(_small(rng) for _ in range(n)) for _ in range(t)))
+        assert image(m, a, dual).basis.entries == _ref_span(t, [_ref_matvec(m, r) for r in ref_a])
+        target = Subspace.span(t, _rand_rows(rng, kind if kind != "huge" else "small", t))
+        constraints = _ref_annihilator(t, target.basis.entries)
+        expected_pre = (_ref_annihilator(n, _ref_span(n, [_ref_matvec(m.transpose(), k) for k in constraints]))
+                        if constraints else standard_basis(n))
+        assert preimage(m, target, dual).basis.entries == expected_pre and preimage(m, target, dual).dual == dual
+
+
+def test_subspace_operations_reject_mixed_ambients():
+    for op in (add, intersect, contains):
+        with pytest.raises(SpaceMismatchError, match="ambient dimensions differ"):
+            op(Subspace.full(2), Subspace.zero(3))
+        with pytest.raises(SpaceMismatchError, match="primal and dual"):
+            op(Subspace.full(2), Subspace.zero(2, dual=True))
+    with pytest.raises(SpaceMismatchError):
+        Subspace.full(3).coordinates_of((Fraction(1), Fraction(0)))
+    with pytest.raises(SpaceMismatchError):
+        Subspace(3, ((1, 0),))
+
+
+def test_subspace_rows_are_the_primitive_reduced_rows():
+    s = Subspace.span(3, [["-1/2", "1/3", "0"], ["2", "0", "4/5"]])
+    assert s.rows == ((5, 0, 2), (0, 5, 3))
+    assert s.basis.entries == ((1, 0, Fraction(2, 5)), (0, 1, Fraction(3, 5)))
+    assert s == Subspace(3, ((5, 0, 2), (0, 5, 3))) and hash(s) == hash(Subspace(3, ((5, 0, 2), (0, 5, 3))))
+
+
+def test_intersection_dimension_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("sympy-intersect")
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        rows_a, rows_b = _rand_rows(rng, "small", n), _rand_rows(rng, "small", n)
+        a, b = Subspace.span(n, rows_a), Subspace.span(n, rows_b)
+
+        def sympy_rank(rows):
+            return _to_sympy(sympy, MatrixQ(len(rows), n, tuple(tuple(r) for r in rows))).rank() if rows else 0
+
+        assert intersect(a, b).dim == sympy_rank(rows_a) + sympy_rank(rows_b) - sympy_rank(rows_a + rows_b)
+
+
+def test_rat_caps_digits():
+    assert rat("-" + "9" * MAX_DIGITS) == -(10 ** MAX_DIGITS - 1)
+    assert rat("1/" + "9" * MAX_DIGITS).denominator == 10 ** MAX_DIGITS - 1
+    for text in ("9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1)):
+        with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+            rat(text)
