@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, TypeVar
 
 from .errors import PreconditionError, SpaceMismatchError
 from .poisson_linear import PoissonVS
-from .polynomials import Poly, PolyMap, compose, compose_map
+from .polynomials import Poly, PolyMap, compose, compose_map, sum_of_products
 from .rational_linalg import MatrixQ
 
 _Field = TypeVar("_Field", bound="AntisymmetricField")
@@ -118,12 +118,13 @@ def jacobiator(pi: BivectorField) -> dict[tuple[int, int, int], Poly]:
 
 
 def jacobiator_component(pi: BivectorField, i: int, j: int, k: int) -> Poly:
-    total = Poly.zero(pi.variables)
-    for l, var in enumerate(pi.variables):
-        total = total + pi.entries[i][l] * pi.entries[j][k].partial(var)
-        total = total + pi.entries[j][l] * pi.entries[k][i].partial(var)
-        total = total + pi.entries[k][l] * pi.entries[i][j].partial(var)
-    return total
+    e = pi.entries
+    return sum_of_products(pi.variables, (
+        (e[a][l], e[b][c].partial(var))
+        for l, var in enumerate(pi.variables)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+        if not e[a][l].is_zero()
+    ))
 
 
 def is_poisson(pi: BivectorField) -> bool:
@@ -137,8 +138,8 @@ def nonzero_jacobiator_components(pi: BivectorField) -> dict[tuple[int, int, int
 def pushforward(pi: BivectorField, phi: PolyMap, phi_inv: PolyMap) -> BivectorField:
     """Push pi forward along a polynomial diffeomorphism with known inverse.
 
-    (phi_* pi)^{ab} = (sum_ij d_i phi^a d_j phi^b pi^{ij}) composed with
-    phi^{-1}.  Both composition identities are verified symbolically
+    (phi_* pi)^{ab} = (sum_j (sum_i d_i phi^a pi^{ij}) d_j phi^b) composed
+    with phi^{-1}.  Both composition identities are verified symbolically
     before any transport happens.
     """
     n = pi.dim
@@ -147,18 +148,14 @@ def pushforward(pi: BivectorField, phi: PolyMap, phi_inv: PolyMap) -> BivectorFi
     if not compose_map(phi, phi_inv).is_identity() or not compose_map(phi_inv, phi).is_identity():
         raise PreconditionError("supplied maps are not mutually inverse")
     jac = phi.jacobian()
+    columns = tuple(zip(*pi.entries))
     upper = {}
-    for a in range(n):
+    for a in range(n - 1):
+        jac_pi = [sum_of_products(pi.variables, zip(jac[a], column)) for column in columns]
         for b in range(a + 1, n):
-            acc = Poly.zero(pi.variables)
-            for i in range(n):
-                for j in range(n):
-                    entry = pi.entries[i][j]
-                    if entry.is_zero():
-                        continue
-                    acc = acc + jac[a][i] * jac[b][j] * entry
-            if not acc.is_zero():
-                upper[(a, b)] = compose(acc, phi_inv)
+            entry = sum_of_products(pi.variables, zip(jac_pi, jac[b]))
+            if not entry.is_zero():
+                upper[(a, b)] = compose(entry, phi_inv)
     return BivectorField.from_upper(phi_inv.source_vars, upper)
 
 

@@ -307,13 +307,14 @@ def _run_phi(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[s
 def _run_embed(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[str]]:
     data = _require(scenario.dirac_manifold, "dirac_manifold block")
     total = data.base_dim + data.fiber_dim
-    if scenario.samples is not None:
+    if args.grid is not None:
+        samples = grid_points(total, args.grid, args.seed, args.count)
+    elif scenario.samples is not None:
         samples = scenario.samples
     elif scenario.sample_grid is not None:
-        height, seed, count = scenario.sample_grid
-        samples = grid_points(total, height, seed, count)
+        samples = grid_points(total, *scenario.sample_grid)
     else:
-        samples = grid_points(total, args.grid or 3, args.seed, args.count)
+        samples = grid_points(total, 3, args.seed, args.count)
     result = build_embedding(data, samples)
     doc = {
         "analysis": "embed",

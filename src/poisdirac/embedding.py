@@ -27,7 +27,7 @@ from .bivector_fields import BivectorField, TwoFormField, is_closed, is_poisson
 from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import classify_subspace
-from .polynomials import Poly, fiber_variables, poly_matrix_det, poly_matrix_inverse
+from .polynomials import Poly, fiber_variables, poly_matrix_det, poly_matrix_inverse, sum_of_products
 from .rational_linalg import MatrixQ, Subspace, Vector, fmt_point, rank, standard_basis
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
@@ -152,20 +152,18 @@ def pullback_canonical_one_form(d: DiracManifoldData) -> tuple[Poly, ...]:
         return tuple(Poly.zero(total_vars) for _ in range(m))
     frame_cols = d.e_frame + d.v_frame
     frame = [[frame_cols[j][i] for j in range(m)] for i in range(m)]
-    det = poly_matrix_det(frame)
-    if not det.is_constant() or det.constant_value() == 0:
+    try:
+        inv = poly_matrix_inverse(frame)
+    except PreconditionError:
         raise PreconditionError(
-            f"frame determinant {det} is not a nonzero constant; the dual coframe is not polynomial"
-        )
-    inv = poly_matrix_inverse(frame)
-    theta = []
-    for j in range(m):
-        acc = Poly.zero(total_vars)
-        for cap_i in range(k):
-            p_var = Poly.variable(total_vars, total_vars[m + cap_i])
-            acc = acc + p_var * _lift(inv[cap_i][j], total_vars)
-        theta.append(acc)
-    return tuple(theta) + tuple(Poly.zero(total_vars) for _ in range(k))
+            f"frame determinant {poly_matrix_det(frame)} is not a nonzero constant; the dual coframe is not polynomial"
+        ) from None
+    fibers = [Poly.variable(total_vars, p) for p in total_vars[m:]]
+    theta = tuple(
+        sum_of_products(total_vars, ((p, _lift(inv[cap_i][j], total_vars)) for cap_i, p in enumerate(fibers)))
+        for j in range(m)
+    )
+    return theta + tuple(Poly.zero(total_vars) for _ in range(k))
 
 
 def pullback_canonical_form(d: DiracManifoldData) -> TwoFormField:
@@ -191,24 +189,18 @@ def _gauged_span_symbolic(d: DiracManifoldData, b: TwoFormField) -> tuple[tuple[
     rows: list[tuple[tuple[Poly, ...], tuple[Poly, ...]]] = []
     for sec in d.sections:
         vec = tuple(_lift(p, total_vars) for p in sec.vector) + (zero,) * k
-        cov = list(tuple(_lift(p, total_vars) for p in sec.covector) + (zero,) * k)
-        rows.append((vec, tuple(cov)))
+        cov = tuple(_lift(p, total_vars) for p in sec.covector) + (zero,) * k
+        rows.append((vec, cov))
     for cap_i in range(k):
         vec = tuple(zero for _ in range(m)) + tuple(
             Poly.constant(total_vars, 1) if j == cap_i else zero for j in range(k)
         )
         rows.append((vec, (zero,) * n))
-    gauged = []
-    for vec, cov in rows:
-        shift = []
-        for v in range(n):
-            acc = Poly.zero(total_vars)
-            for u in range(n):
-                if not b.entries[u][v].is_zero() and not vec[u].is_zero():
-                    acc = acc + b.entries[u][v] * vec[u]
-            shift.append(acc)
-        gauged.append((vec, tuple(c + s for c, s in zip(cov, shift))))
-    return tuple(gauged)
+    b_columns = tuple(zip(*b.entries))
+    return tuple(
+        (vec, tuple(c + sum_of_products(total_vars, zip(column, vec)) for c, column in zip(cov, b_columns)))
+        for vec, cov in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -308,26 +300,17 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
 def _extract_symbolic_bivector(d: DiracManifoldData, b: TwoFormField) -> BivectorField | None:
     """Solve the graph relation symbolically when the covector matrix
     inverts inside the polynomial ring; returns None otherwise."""
-    n = d.base_dim + d.fiber_dim
     rows = _gauged_span_symbolic(d, b)
-    cov = [[rows[r][1][j] for j in range(n)] for r in range(n)]
-    det = poly_matrix_det(cov)
-    if not det.is_constant() or det.constant_value() == 0:
+    try:
+        inv = poly_matrix_inverse([cov for _, cov in rows])
+    except PreconditionError:
         return None
-    inv = poly_matrix_inverse(cov)
-    vec = [[rows[r][0][j] for j in range(n)] for r in range(n)]
+    vec_columns = tuple(zip(*(vec for vec, _ in rows)))
     total_vars = total_space_variables(d)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Poly.zero(total_vars)
-            for r in range(n):
-                if not inv[i][r].is_zero() and not vec[r][j].is_zero():
-                    acc = acc + inv[i][r] * vec[r][j]
-            row.append(-acc)
-        entries.append(tuple(row))
-    field = BivectorField(total_vars, tuple(entries))
+    entries = tuple(
+        tuple(-sum_of_products(total_vars, zip(inv_row, column)) for column in vec_columns) for inv_row in inv
+    )
+    field = BivectorField(total_vars, entries)
     if not is_poisson(field):
         raise PropertyViolationError("extracted polynomial bivector fails the Jacobi identity")
     return field

@@ -12,6 +12,9 @@ are all exact; printing and parsing use one fixed grammar:
 
 Terms are kept in graded-lexicographic order, so equal polynomials
 print identically.
+
+There is one product kernel, `sum_of_products`: every product of term
+maps accumulates into one term map that is validated and ordered once.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import prod
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
-from .errors import SpaceMismatchError
+from .errors import PreconditionError, SpaceMismatchError
 from .rational_linalg import MatrixQ, Vector, check_digits, rat
 
 _VAR_RE = re.compile(r"[a-zA-Z]+[0-9]+")
@@ -105,12 +110,7 @@ class Poly:
 
     def __mul__(self, other: Poly) -> Poly:
         self._check_context(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly.make(self.variables, out)
+        return sum_of_products(self.variables, ((self, other),))
 
     def scale(self, c: int | str | Fraction) -> Poly:
         c = rat(c)
@@ -119,10 +119,7 @@ class Poly:
     def __pow__(self, k: int) -> Poly:
         if k < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Poly.constant(self.variables, 1)
-        for _ in range(k):
-            result = result * self
-        return result
+        return prod([self] * k, start=Poly.constant(self.variables, 1))
 
     def partial(self, var: str) -> Poly:
         """Partial derivative with respect to a named variable."""
@@ -158,14 +155,11 @@ class Poly:
         if len(contexts) != 1:
             raise SpaceMismatchError("substitution polynomials must share one variable context")
         target_vars = next(iter(contexts))
-        result = Poly.zero(target_vars)
-        for e, c in self.terms:
-            term = Poly.constant(target_vars, c)
-            for var, k in zip(self.variables, e):
-                if k:
-                    term = term * values[var] ** k
-            result = result + term
-        return result
+        one, factors = Poly.constant(target_vars, 1), [values[v] for v in self.variables]
+        return sum_of_products(target_vars, (
+            (Poly.constant(target_vars, c), prod((f for f, k in zip(factors, e) for _ in range(k)), start=one))
+            for e, c in self.terms
+        ))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -214,6 +208,21 @@ class Poly:
             sign = Fraction(-1) if tokens[pos] == "-" else Fraction(1)
             pos += 1
         return Poly.make(variables, out)
+
+
+def sum_of_products(variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """Sum of a * b over the pairs, all in the context `variables`: the one routine that
+    multiplies term maps, into one map that is validated and ordered once."""
+    variables = tuple(variables)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for a, b in pairs:
+        if not a.variables == b.variables == variables:
+            raise SpaceMismatchError(f"product of {a.variables} and {b.variables} in the context {variables}")
+        for e1, c1 in a.terms:
+            for e2, c2 in b.terms:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+    return Poly.make(variables, out)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -382,15 +391,10 @@ def _minor_det(
         det = entries[rows[0]][cols[0]]
     else:
         first, rest = entries[rows[0]], rows[1:]
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for k, j in enumerate(cols):
-            if first[j].is_zero():
-                continue
-            sub = _minor_det(entries, rest, cols[:k] + cols[k + 1:], table)
-            sign = -1 if k % 2 else 1
-            for e, c in (first[j] * sub).terms:
-                acc[e] = acc.get(e, 0) + sign * c
-        det = Poly.make(variables, acc)
+        det = sum_of_products(variables, (
+            (-first[j] if k % 2 else first[j], _minor_det(entries, rest, cols[:k] + cols[k + 1:], table))
+            for k, j in enumerate(cols) if not first[j].is_zero()
+        ))
     table[key] = det
     return det
 
@@ -419,7 +423,7 @@ def poly_matrix_inverse(entries: Sequence[Sequence[Poly]]) -> tuple[tuple[Poly, 
     table: _MinorTable = {}
     det = _minor_det(entries, full, full, table)
     if not det.is_constant() or det.constant_value() == 0:
-        raise ValueError(f"matrix determinant {det} is not a nonzero constant; inverse is not polynomial")
+        raise PreconditionError(f"matrix determinant {det} is not a nonzero constant; inverse is not polynomial")
     inv_det = 1 / det.constant_value()
     adj = [[None] * size for _ in range(size)]
     for i in range(size):

@@ -26,13 +26,23 @@ from .submanifolds import LevelSet, Parametrized, SubmanifoldPatch
 MAX_GRID_HEIGHT = 1_000_000
 MAX_SAMPLE_COUNT = 1000
 
+# Largest dimension of a patch: an ambient space, a parameter space, or the
+# total space of an embedding.  Fields are n x n grids and the memoized
+# determinant of an embedding touches n * 2^n minors, so an unbounded
+# dimension would be a resource bomb.  The bundled scenarios, the tests and
+# the benchmark generators use at most 8 base and 10 total dimensions.
+MAX_DIM = 12
+
 
 def check_sample_bounds(height: int | None, count: int, where: str) -> None:
-    """Refuse a grid height or sample count above its maximum (None: not given)."""
-    bounds = (("grid height", height, MAX_GRID_HEIGHT), ("sample count", count, MAX_SAMPLE_COUNT))
-    for what, value, bound in bounds:
-        if value is not None and value > bound:
-            raise SchemaError(f"{where}: {what} {value} exceeds the maximum {bound}")
+    """Refuse a grid height below 1 or a sample count below 0, or either
+    above its maximum (None: not given)."""
+    bounds = (("grid height", height, 1, MAX_GRID_HEIGHT), ("sample count", count, 0, MAX_SAMPLE_COUNT))
+    for what, value, low, high in bounds:
+        if value is not None and value > high:
+            raise SchemaError(f"{where}: {what} {value} exceeds the maximum {high}")
+        if value is not None and value < low:
+            raise SchemaError(f"{where}: {what} {value} is below the minimum {low}")
 
 
 def _fail(path: str, message: str) -> SchemaError:
@@ -55,6 +65,16 @@ def _expect_int(value: Any, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise _fail(path, f"expected an integer, got {value!r}")
     return value
+
+
+def _expect_dim(value: Any, path: str, what: str = "dimension") -> int:
+    """An integer from 1 to MAX_DIM."""
+    n = _expect_int(value, path)
+    if n < 1:
+        raise _fail(path, f"{what} must be positive")
+    if n > MAX_DIM:
+        raise _fail(path, f"{what} {n} exceeds the maximum {MAX_DIM}")
+    return n
 
 
 def _expect_str(value: Any, path: str) -> str:
@@ -119,11 +139,9 @@ def _parse_submanifold(value: Any, path: str, ambient_dim: int) -> SubmanifoldPa
         if len(comps) != ambient_dim:
             raise _fail(f"{path}.map", f"expected {ambient_dim} components, got {len(comps)}")
         if "params" in obj:
-            k = _expect_int(obj["params"], f"{path}.params")
+            k = _expect_dim(obj["params"], f"{path}.params", "parameter count")
         else:
-            k = _infer_parameter_count(comps, f"{path}.map")
-        if k < 1:
-            raise _fail(f"{path}.params", "parameter count must be positive")
+            k = _expect_dim(_infer_parameter_count(comps, f"{path}.map"), f"{path}.map", "parameter count")
         tvars = parameter_variables(k)
         polys = [_parse_poly(c, f"{path}.map[{i}]", tvars) for i, c in enumerate(comps)]
         return Parametrized(PolyMap(tvars, tuple(polys)))
@@ -153,8 +171,12 @@ def _infer_parameter_count(components: list, path: str) -> int:
     return highest
 
 
-def _parse_frame(value: Any, path: str, variables: tuple[str, ...], width: int) -> tuple[tuple[Poly, ...], ...]:
+def _parse_frame(
+    value: Any, path: str, variables: tuple[str, ...], width: int, count: int | None = None
+) -> tuple[tuple[Poly, ...], ...]:
     items = _expect_list(value, path)
+    if count is not None and len(items) != count:
+        raise _fail(path, f"expected {count} vector fields, got {len(items)}")
     frame = []
     for idx, field in enumerate(items):
         comps = _expect_list(field, f"{path}[{idx}]")
@@ -166,9 +188,7 @@ def _parse_frame(value: Any, path: str, variables: tuple[str, ...], width: int) 
 
 def _parse_dirac_manifold(value: Any, path: str) -> DiracManifoldData:
     obj = _expect_object(value, path, {"dim": None, "sections": None, "E_frame": None, "V_frame": None})
-    m = _expect_int(obj["dim"], f"{path}.dim")
-    if m < 1:
-        raise _fail(f"{path}.dim", "dimension must be positive")
+    m = _expect_dim(obj["dim"], f"{path}.dim")
     xvars = ambient_variables(m)
     sections = []
     for idx, sec in enumerate(_expect_list(obj["sections"], f"{path}.sections")):
@@ -183,6 +203,7 @@ def _parse_dirac_manifold(value: Any, path: str) -> DiracManifoldData:
             tuple(_parse_poly(p, f"{sec_path}.xi[{i}]", xvars) for i, p in enumerate(xis)),
         ))
     e_frame = _parse_frame(obj["E_frame"], f"{path}.E_frame", xvars, m)
+    _expect_dim(m + len(e_frame), f"{path}.E_frame", "total dimension")
     v_frame = _parse_frame(obj["V_frame"], f"{path}.V_frame", xvars, m)
     try:
         return DiracManifoldData(m, tuple(sections), e_frame, v_frame)
@@ -239,9 +260,7 @@ def parse_scenario(document: Any) -> Scenario:
     bivector = None
     if "ambient" in obj:
         amb = _expect_object(obj["ambient"], "$.ambient", {"dim": None, "bivector": None})
-        ambient_dim = _expect_int(amb["dim"], "$.ambient.dim")
-        if ambient_dim < 1:
-            raise _fail("$.ambient.dim", "dimension must be positive")
+        ambient_dim = _expect_dim(amb["dim"], "$.ambient.dim")
         bivector = _parse_bivector(amb["bivector"], "$.ambient.bivector", ambient_dim)
 
     submanifold = None
@@ -325,10 +344,10 @@ def parse_scenario(document: Any) -> Scenario:
         if dirac_manifold is None:
             raise _fail("$.compare_v_frames", "needs a dirac_manifold block")
         cmp_obj = _expect_object(obj["compare_v_frames"], "$.compare_v_frames", {"v0": None, "v1": None})
-        xvars = ambient_variables(dirac_manifold.base_dim)
-        width = dirac_manifold.base_dim
-        compare_v0 = _parse_frame(cmp_obj["v0"], "$.compare_v_frames.v0", xvars, width)
-        compare_v1 = _parse_frame(cmp_obj["v1"], "$.compare_v_frames.v1", xvars, width)
+        m, k = dirac_manifold.base_dim, dirac_manifold.fiber_dim
+        xvars = ambient_variables(m)
+        compare_v0 = _parse_frame(cmp_obj["v0"], "$.compare_v_frames.v0", xvars, m, m - k)
+        compare_v1 = _parse_frame(cmp_obj["v1"], "$.compare_v_frames.v1", xvars, m, m - k)
 
     return Scenario(
         name=name,

@@ -12,7 +12,7 @@ from poisdirac.cli import BUNDLED_ANALYSES, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
 from poisdirac.polynomials import MAX_EXPONENT
 from poisdirac.rational_linalg import MAX_DIGITS
-from poisdirac.scenario import MAX_GRID_HEIGHT, MAX_SAMPLE_COUNT, check_sample_bounds, load_scenario_text
+from poisdirac.scenario import MAX_DIM, MAX_GRID_HEIGHT, MAX_SAMPLE_COUNT, check_sample_bounds, load_scenario_text
 
 
 def run(capsys, *argv):
@@ -402,3 +402,113 @@ class TestReports:
             elapsed = time.perf_counter() - start
             assert code == 0, name
             assert elapsed < 1.0, f"{name} took {elapsed:.2f}s"
+
+
+def bundled(name: str) -> dict:
+    return json.loads((Path(poisdirac.__file__).parent / "scenarios" / name).read_text())
+
+
+class TestInputBounds:
+    """Sample flags, dimensions and frame counts are checked where the input enters."""
+
+    @pytest.mark.parametrize("command, scenario", [("classify", "ex_fz.json"), ("embed", "ex_r4_dirac.json")])
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "0"], "grid height 0 is below the minimum 1"),
+        (["--grid", "-3"], "grid height -3 is below the minimum 1"),
+        (["--grid", "2", "--count", "-1"], "sample count -1 is below the minimum 0"),
+    ])
+    def test_sample_flags_below_minimum_are_one(self, capsys, command, scenario, flags, message):
+        code, out, err = run(capsys, command, "--scenario", scenario, *flags)
+        assert (code, out) == (1, "") and err == f"error: --grid/--count: {message}\n"
+
+    def test_embed_grid_zero_without_sample_grid_is_one(self, capsys, tmp_path):
+        doc = bundled("ex_r4_dirac.json")
+        del doc["sample_grid"]
+        path = tmp_path / "nogrid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "embed", "--scenario", str(path), "--grid", "0", "--count", "2")
+        assert (code, out) == (1, "") and "grid height 0 is below the minimum 1" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("height", 0, "grid height 0 is below the minimum 1"), ("count", -1, "sample count -1 is below the minimum 0"),
+    ])
+    def test_sample_grid_below_minimum_is_one(self, capsys, tmp_path, key, value, message):
+        doc = bundled("ex_r4_dirac.json")
+        doc["sample_grid"][key] = value
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "embed", "--scenario", str(path))
+        assert (code, out) == (1, "") and err == f"error: $.sample_grid: {message}\n"
+
+    def test_embed_grid_flag_replaces_the_scenario_samples(self, capsys):
+        code, out, _ = run(capsys, "embed", "--scenario", "ex_r4_dirac.json", "--grid", "1", "--count", "2", "--porcelain")
+        points = [sample["point"] for sample in json.loads(out)["samples"]]
+        assert code == 0 and len(points) == 2
+        assert all(x in ("-1", "0", "1") for point in points for x in point)
+
+    def test_embed_count_zero_checks_no_samples(self, capsys):
+        code, out, _ = run(capsys, "embed", "--scenario", "ex_r4_dirac.json", "--grid", "1", "--count", "0", "--porcelain")
+        assert code == 0 and json.loads(out)["samples"] == []
+
+    def test_huge_ambient_dimension_is_one_without_allocating(self, tmp_path):
+        import resource
+
+        doc = bundled("ex_r4_pi1.json")
+        doc["ambient"]["dim"] = 10_000_000
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(Path(poisdirac.__file__).parents[1])}
+        limit = 1 << 30  # the n x n grid of that dimension needs far more
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "poisdirac.cli", "jacobi", "--scenario", str(path)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: $.ambient.dim: dimension 10000000 exceeds the maximum {MAX_DIM}\n"
+
+    @pytest.mark.parametrize("where", ["ambient", "params", "inferred params", "base", "total"])
+    def test_dimension_above_maximum_is_one(self, capsys, tmp_path, where):
+        big = MAX_DIM + 1
+        if where == "ambient":
+            doc, path_text, what = {"ambient": {"dim": big, "bivector": []}}, "$.ambient.dim", "dimension"
+        elif where in ("params", "inferred params"):
+            sub = {"type": "parametrized", "map": [f"t{big}", "0", "0", "0"]}
+            if where == "params":
+                sub = {**sub, "params": big}
+            doc = {"ambient": {"dim": 4, "bivector": []}, "submanifold": sub}
+            path_text, what = "$.submanifold." + ("params" if where == "params" else "map"), "parameter count"
+        elif where == "base":
+            doc, path_text, what = bundled("ex_r4_dirac.json"), "$.dirac_manifold.dim", "dimension"
+            doc["dirac_manifold"]["dim"] = big
+        else:
+            doc, path_text, what = bundled("ex_r10_dirac.json"), "$.dirac_manifold.E_frame", "total dimension"
+            doc["dirac_manifold"]["E_frame"] += [["0"] * 8] * (big - 10)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        analysis = "classify" if "params" in where else "jacobi" if where == "ambient" else "embed"
+        code, out, err = run(capsys, analysis, "--scenario", str(path))
+        assert (code, out) == (1, "") and err == f"error: {path_text}: {what} {big} exceeds the maximum {MAX_DIM}\n"
+
+    def test_dimensions_at_the_maximum_are_accepted(self):
+        last = f"x{MAX_DIM}"
+        doc = load_scenario_text(json.dumps({
+            "ambient": {"dim": MAX_DIM, "bivector": [{"i": 1, "j": MAX_DIM, "poly": last}]},
+            "submanifold": {"type": "parametrized", "map": [f"t{MAX_DIM}"] + ["0"] * (MAX_DIM - 1)},
+        }))
+        assert doc.ambient_dim == MAX_DIM and doc.submanifold.param_dim == MAX_DIM
+
+    @pytest.mark.parametrize("key, keep", [("v1", 1), ("v0", 3)])
+    def test_compare_frame_of_wrong_count_is_one(self, capsys, tmp_path, key, keep):
+        doc = bundled("ex_r4_splittings.json")
+        frame = doc["compare_v_frames"][key]
+        doc["compare_v_frames"][key] = (frame * 2)[:keep]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "embed", "--scenario", str(path))
+        expected = len(frame)
+        assert (code, out) == (1, "")
+        assert err == f"error: $.compare_v_frames.{key}: expected {expected} vector fields, got {keep}\n"
