@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence, TypeVar
 
@@ -79,6 +80,13 @@ class BivectorField(AntisymmetricField):
     def at(self, point: Sequence[Fraction]) -> PoissonVS:
         return PoissonVS(self.dim, self.matrix_at(point))
 
+    @cached_property
+    def _partials(self) -> dict[tuple[int, int], tuple[Poly, ...]]:
+        """(b, c) -> (d_1 Pi^{bc}, ..., d_n Pi^{bc}) for the nonzero entries, derived
+        once per field: above the diagonal, and negated below it."""
+        upper = {bc: tuple(p.partial(v) for v in self.variables) for bc, p in self.upper_entries().items()}
+        return upper | {(c, b): tuple(-d for d in ds) for (b, c), ds in upper.items()}
+
     def permuted(self, order: Sequence[int], new_variables: Sequence[str] | None = None) -> BivectorField:
         """Relabel coordinates: new coordinate a is the old coordinate order[a]."""
         n = self.dim
@@ -118,12 +126,11 @@ def jacobiator(pi: BivectorField) -> dict[tuple[int, int, int], Poly]:
 
 
 def jacobiator_component(pi: BivectorField, i: int, j: int, k: int) -> Poly:
-    e = pi.entries
+    e, partials = pi.entries, pi._partials
     return sum_of_products(pi.variables, (
-        (e[a][l], e[b][c].partial(var))
-        for l, var in enumerate(pi.variables)
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-        if not e[a][l].is_zero()
+        (e[a][l], partials[b, c][l])
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) if (b, c) in partials
+        for l in range(pi.dim) if not e[a][l].is_zero()
     ))
 
 

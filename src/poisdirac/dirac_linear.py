@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import PoissonVS
 from .rational_linalg import (
-    MatrixQ, Subspace, annihilator, intersect, inverse, pivot_columns, primitive, standard_basis,
+    MatrixQ, Subspace, _row_space, annihilator, intersect, inverse, pivot_columns, primitive, standard_basis,
 )
 
 
@@ -50,7 +50,8 @@ class DiracVS:
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Sequence[Sequence[Fraction]]) -> DiracVS:
-        return DiracVS(ambient_dim, Subspace.span(2 * ambient_dim, rows))
+        """The span of rows (X | xi) of Fractions or ints, which are not re-validated."""
+        return DiracVS(ambient_dim, _row_space(2 * ambient_dim, rows))
 
 
 def from_bivector(p: PoissonVS) -> DiracVS:

@@ -29,6 +29,7 @@ from .rational_linalg import (
     Vector,
     add,
     annihilator,
+    column_space,
     contains,
     image,
     intersect,
@@ -57,7 +58,7 @@ class PoissonVS:
 
     def leaf(self) -> Subspace:
         """O = image(sharp), the tangent space of the symplectic leaf."""
-        return self._derived("leaf", lambda: Subspace.span(self.dim, self.pi.transpose().entries))
+        return self._derived("leaf", lambda: column_space(self.pi))
 
     def sharp_annihilator(self, c: Subspace) -> Subspace:
         """sharp(ann c) for a primal subspace c."""

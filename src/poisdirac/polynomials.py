@@ -14,7 +14,11 @@ Terms are kept in graded-lexicographic order, so equal polynomials
 print identically.
 
 There is one product kernel, `sum_of_products`: every product of term
-maps accumulates into one term map that is validated and ordered once.
+maps multiplies integer numerators over one common denominator into one
+term map, and makes one Fraction per output term.  Arithmetic results are
+well formed by construction and are built without re-validation; parsing
+and the public constructors (`make`, `parse`, `constant`, `variable`)
+keep every check.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import cached_property
+from math import lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -39,8 +44,9 @@ _TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|[a-zA-Z]+[0-9]+|[0-9]+(?:/[0-9]+)?)")
 MAX_EXPONENT = 32
 
 
-def _grlex_key(exponents: tuple[int, ...]) -> tuple:
-    return (sum(exponents), exponents)
+def _ordered(variables: tuple[str, ...], terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> Poly:
+    """Poly of well-formed terms (nonzero Fractions), put in grlex order without re-validation."""
+    return Poly(variables, tuple(sorted(terms, key=lambda t: (sum(t[0]), t[0]), reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,7 @@ class Poly:
         for e in cleaned:
             if len(e) != len(variables) or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent vector {e} for variables {variables}")
-        ordered = tuple(sorted(cleaned.items(), key=lambda t: _grlex_key(t[0]), reverse=True))
-        return Poly(variables, ordered)
+        return _ordered(variables, cleaned.items())
 
     @staticmethod
     def zero(variables: Sequence[str]) -> Poly:
@@ -76,6 +81,12 @@ class Poly:
             raise ValueError(f"unknown variable {name!r} (context: {variables})")
         e = tuple(1 if v == name else 0 for v in variables)
         return Poly.make(variables, {e: Fraction(1)})
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+        """(d, ((e, d * c), ...)) with d the lcm of the coefficient denominators."""
+        d = lcm(*(c.denominator for _, c in self.terms))
+        return d, tuple((e, c.numerator * (d // c.denominator)) for e, c in self.terms)
 
     def term_map(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
@@ -99,8 +110,8 @@ class Poly:
         self._check_context(other)
         out = self.term_map()
         for e, c in other.terms:
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly.make(self.variables, out)
+            out[e] = out.get(e, 0) + c
+        return _ordered(self.variables, ((e, c) for e, c in out.items() if c))
 
     def __neg__(self) -> Poly:
         return Poly(self.variables, tuple((e, -c) for e, c in self.terms))
@@ -114,7 +125,7 @@ class Poly:
 
     def scale(self, c: int | str | Fraction) -> Poly:
         c = rat(c)
-        return Poly.make(self.variables, {e: c * coeff for e, coeff in self.terms})
+        return _ordered(self.variables, ((e, c * coeff) for e, coeff in self.terms if c))
 
     def __pow__(self, k: int) -> Poly:
         if k < 0:
@@ -126,13 +137,10 @@ class Poly:
         if var not in self.variables:
             raise ValueError(f"unknown variable {var!r} (context: {self.variables})")
         idx = self.variables.index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms:
-            if e[idx] == 0:
-                continue
-            de = tuple(k - 1 if i == idx else k for i, k in enumerate(e))
-            out[de] = out.get(de, Fraction(0)) + c * e[idx]
-        return Poly.make(self.variables, out)
+        # distinct terms have distinct derivatives, so nothing accumulates
+        return _ordered(self.variables, (
+            (tuple(k - 1 if i == idx else k for i, k in enumerate(e)), c * e[idx]) for e, c in self.terms if e[idx]
+        ))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.variables):
@@ -212,17 +220,26 @@ class Poly:
 
 def sum_of_products(variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
     """Sum of a * b over the pairs, all in the context `variables`: the one routine that
-    multiplies term maps, into one map that is validated and ordered once."""
+    multiplies term maps.  Fraction-free: with a = A / da and b = B / db on integer
+    numerators A, B, and L the lcm of da * db over the pairs, it accumulates the
+    integers A * (L // (da * db)) * B into one map and divides by L once per term."""
     variables = tuple(variables)
-    out: dict[tuple[int, ...], Fraction] = {}
+    scaled = []
     for a, b in pairs:
         if not a.variables == b.variables == variables:
             raise SpaceMismatchError(f"product of {a.variables} and {b.variables} in the context {variables}")
-        for e1, c1 in a.terms:
-            for e2, c2 in b.terms:
+        if a.terms and b.terms:
+            scaled.append((a._scaled, b._scaled))
+    big = lcm(*(da * db for (da, _), (db, _) in scaled))
+    out: dict[tuple[int, ...], int] = {}
+    for (da, ta), (db, tb) in scaled:
+        factor = big // (da * db)
+        for e1, n1 in ta:
+            n1 *= factor
+            for e2, n2 in tb:
                 e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-    return Poly.make(variables, out)
+                out[e] = out.get(e, 0) + n1 * n2
+    return _ordered(variables, ((e, Fraction(n, big)) for e, n in out.items() if n))
 
 
 def _tokenize(text: str) -> list[str]:

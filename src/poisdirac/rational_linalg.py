@@ -216,7 +216,7 @@ def _eliminate(work: list, n_cols: int) -> list[int]:
 def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
     """Reduced row echelon form and rank.  Deterministic, exact: the basis of
     the row space, padded with zero rows."""
-    s = _row_space(m)
+    s = _row_space(m.cols, m.entries)
     return MatrixQ(m.rows, m.cols, s.basis.entries + ((ZERO,) * m.cols,) * (m.rows - s.dim)), s.dim
 
 
@@ -236,7 +236,7 @@ def _pivots(rows: Sequence[Sequence]) -> list[int]:
 
 def kernel(m: MatrixQ) -> Subspace:
     """Null space {v : m v = 0}, in canonical form."""
-    return annihilator(_row_space(m, dual=True))
+    return annihilator(_row_space(m.cols, m.entries, dual=True))
 
 
 def solve(m: MatrixQ, b: Sequence[Fraction]) -> Vector | None:
@@ -298,7 +298,7 @@ class Subspace:
         m = MatrixQ.from_rows(rows, cols=ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("entry grid does not match declared shape")
-        return _row_space(m, dual)
+        return _row_space(ambient_dim, m.entries, dual)
 
     @staticmethod
     def zero(ambient_dim: int, dual: bool = False) -> Subspace:
@@ -338,9 +338,10 @@ def _reduced(n: int, work: list, dual: bool) -> Subspace:
     return Subspace(n, tuple(map(tuple, work[:rk])), dual)
 
 
-def _row_space(m: MatrixQ, dual: bool = False) -> Subspace:
-    """The row space of m: the one place Fraction rows become integer rows."""
-    return _reduced(m.cols, [primitive(_scaled_row(r)[0]) for r in m.entries], dual)
+def _row_space(n: int, rows: Iterable[Sequence[Fraction]], dual: bool = False) -> Subspace:
+    """The span of rows of Fractions or ints, not re-validated (unlike `Subspace.span`):
+    the one place Fraction rows become integer rows."""
+    return _reduced(n, [primitive(_scaled_row(r)[0]) for r in rows], dual)
 
 
 def _require_same_space(a: Subspace, b: Subspace) -> None:
@@ -410,4 +411,4 @@ def contains(a: Subspace, b: Subspace) -> bool:
 
 
 def column_space(m: MatrixQ, dual: bool = False) -> Subspace:
-    return _row_space(m.transpose(), dual)
+    return _row_space(m.rows, m.transpose().entries, dual)

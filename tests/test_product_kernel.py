@@ -9,6 +9,7 @@ replaced, are kept here as references and must agree exactly.
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 
@@ -170,3 +171,126 @@ def test_pushforward_along_maps_of_another_context_is_a_space_mismatch():
     identity = PolyMap.identity(("y1", "y2", "y3"))
     with pytest.raises(SpaceMismatchError):
         pushforward(pi, identity, identity)
+
+
+# -- the fraction-free kernel: mixed denominators, cancellation, canonical form ------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 101, 7919)
+
+
+def mixed_fraction(rng: random.Random) -> Fraction:
+    """Denominator 1, a prime, a prime power, or hundreds of digits (within MAX_DIGITS)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    if kind == 1:
+        return Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice(PRIMES))
+    if kind == 2:
+        return Fraction(rng.randrange(10 ** 299, 10 ** 300) * rng.choice((-1, 1)), rng.choice(PRIMES) ** rng.randint(1, 40))
+    return Fraction(rng.randrange(1, 10 ** 400) * rng.choice((-1, 1)), rng.randrange(1, 10 ** 350))
+
+
+def mixed_poly(rng: random.Random, variables, terms: int = 3, degree: int = 2) -> Poly:
+    return Poly.make(variables, {
+        tuple(rng.randint(0, degree) for _ in variables): mixed_fraction(rng) for _ in range(rng.randint(1, terms))
+    })
+
+
+def reference_sum_of_products(variables, pairs) -> Poly:
+    """The kernel as it was on Fractions: one Fraction * and + per pair of terms."""
+    out: dict = {}
+    for a, b in pairs:
+        for e1, c1 in a.terms:
+            for e2, c2 in b.terms:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+    return Poly.make(variables, out)
+
+
+def assert_canonical(p: Poly) -> None:
+    """Nonzero Fractions in lowest terms, in strictly descending grlex order."""
+    for e, c in p.terms:
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        assert len(e) == len(p.variables) and all(k >= 0 for k in e)
+    keys = [(sum(e), e) for e, _ in p.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:])), keys
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_on_mixed_denominators_matches_sympy_and_the_fraction_loop(seed):
+    rng = random.Random(f"mixed-{seed}")
+    x = Sympy(X3)
+    pairs = [(mixed_poly(rng, X3), mixed_poly(rng, X3)) for _ in range(5)]
+    a, b = pairs[0]
+    pairs += [(-a, b), (Poly.zero(X3), b)]  # one pair cancels the first, one is a zero factor
+    result = sum_of_products(X3, pairs)
+    assert result == reference_sum_of_products(X3, pairs)
+    assert result == x.poly(sum((x.expr(p) * x.expr(q) for p, q in pairs), x.sympy.Integer(0)))
+    assert_canonical(result)
+    for p, q in pairs:
+        assert p * q == reference_sum_of_products(X3, [(p, q)])
+        assert_canonical(p * q)
+
+
+def test_pairs_with_different_denominators_share_one_common_denominator():
+    x1, x2 = (Poly.variable(X3, v) for v in X3[:2])
+    half, third, fifth = (Fraction(1, q) for q in (2, 3, 5))
+    # denominators 2 and 3: neither divides the other
+    assert sum_of_products(X3, [(x1.scale(half), x2), (x1.scale(third), x2)]) == (x1 * x2).scale(Fraction(5, 6))
+    # both factors of the first pair carry a denominator
+    assert sum_of_products(X3, [(x1.scale(half), x2.scale(third)), (x1.scale(fifth), x2)]) == (x1 * x2).scale(Fraction(11, 30))
+    # the common denominator cancels to an integer coefficient
+    assert sum_of_products(X3, [(x1.scale(half), x2.scale(third)), (x1.scale(fifth), x2.scale(Fraction(5, 6)))]) == x1 * x2.scale(third)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_products_that_cancel_are_zero_or_smaller(seed):
+    rng = random.Random(f"cancel-{seed}")
+    a, b, c = (mixed_poly(rng, X3, terms=4) for _ in range(3))
+    assert sum_of_products(X3, [(a, b), (-a, b)]) == Poly.zero(X3)
+    assert sum_of_products(X3, [(a, b), (b, a.scale(-1))]).is_zero()
+    assert sum_of_products(X3, [(a, b), (a.scale(Fraction(-1, 7)), b.scale(7))]).is_zero()
+    partial_cancel = sum_of_products(X3, [(a + c, b), (-a, b)])
+    assert partial_cancel == c * b == reference_sum_of_products(X3, [(a + c, b), (-a, b)])
+    assert_canonical(partial_cancel)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_arithmetic_results_are_canonical(seed):
+    rng = random.Random(f"canonical-{seed}")
+    a, b = mixed_poly(rng, X3, terms=5), mixed_poly(rng, X3, terms=5)
+    for p in (a + b, a - b, a - a, -a, a.scale(Fraction(-3, 11)), a.scale(0), a.partial("x2"), a ** 2,
+              a.substitute({v: b for v in X3})):
+        assert_canonical(p)
+        assert p == Poly.make(X3, p.term_map())
+
+
+def test_a_poly_whose_integer_view_was_computed_is_equal_to_a_fresh_one():
+    rng = random.Random("integer-view")
+    a, b = mixed_poly(rng, X3, terms=4), mixed_poly(rng, X3, terms=4)
+    a * b  # computes the cached integer view of both factors
+    assert "_scaled" in vars(a) and "_scaled" in vars(b)
+    for p in (a, b):
+        fresh = Poly.make(X3, p.term_map())
+        assert "_scaled" not in vars(fresh)
+        assert p == fresh and fresh == p
+        assert hash(p) == hash(fresh) and repr(p) == repr(fresh) and str(p) == str(fresh)
+        assert {fresh: 1}[p] == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_jacobiator_component_alone_on_a_fresh_field_equals_the_jacobiator(n):
+    rng = random.Random(f"fresh-component-{n}")
+    variables = ambient_variables(n)
+    pi = BivectorField.from_upper(variables, {
+        (i, j): mixed_poly(rng, variables, terms=2) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.8
+    })
+    components = jacobiator(pi)
+    for (i, j, k), component in components.items():
+        assert_canonical(component)
+        assert jacobiator_component(BivectorField(pi.variables, pi.entries), i, j, k) == component
+        # every index order, on a fresh field each, against the one-product-at-a-time loop
+        for ijk in ((j, k, i), (k, i, j), (j, i, k), (i, k, j), (k, j, i)):
+            fresh = BivectorField(pi.variables, pi.entries)
+            assert jacobiator_component(fresh, *ijk) == reference_jacobiator_component(pi, *ijk)
