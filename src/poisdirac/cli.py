@@ -27,13 +27,7 @@ from . import __version__
 from .bivector_fields import is_poisson, nonzero_jacobiator_components, pushforward
 from .embedding import build_embedding, compare_splittings
 from .errors import PreconditionError, PropertyViolationError, SchemaError
-from .poisson_linear import (
-    canonical_iso,
-    classify_subspace,
-    cosymplectic_extension,
-    embedding_conditions,
-    induced_bivector,
-)
+from .poisson_linear import canonical_iso, classify_subspace, cosymplectic_extension, embedding_conditions
 from .rational_linalg import MatrixQ, Subspace, fmt_point, rat
 from .scenario import Scenario, check_sample_bounds, load_scenario_text
 from .submanifolds import LevelSet, Parametrized, PointData, grid_points, level_set_grid_points, rank_profile
@@ -82,7 +76,10 @@ def _record_doc(record) -> dict:
 def _resolve_scenario(path_text: str) -> str:
     path = Path(path_text)
     if path.exists():
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except (OSError, UnicodeError) as exc:
+            raise SchemaError(f"cannot read scenario {path_text!r}: {exc}") from None
     bundled = resources.files("poisdirac").joinpath("scenarios", path_text)
     if bundled.is_file():
         return bundled.read_text(encoding="utf-8")
@@ -254,7 +251,6 @@ def _run_extend(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, lis
     w = cosymplectic_extension(p, c)
     conditions = embedding_conditions(p, c, w)
     record = classify_subspace(p, w)
-    induced = induced_bivector(p, w)
     doc = {
         "analysis": "extend",
         "point": _point_doc(point),
@@ -262,7 +258,7 @@ def _run_extend(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, lis
         "w": _subspace_doc(w),
         "conditions": {"cond_leaf": conditions.cond_leaf, "cond_int": conditions.cond_int},
         "w_classification": _record_doc(record),
-        "induced_bivector": _matrix_doc(induced.pi),
+        "induced_bivector": _matrix_doc(conditions.induced.pi),
     }
     text = [
         f"extension at {fmt_point(point)}: dim c = {c.dim} -> dim w = {w.dim}",
@@ -281,11 +277,10 @@ def _run_phi(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[s
     w = _require(scenario.subspace_w, "subspace_w")
     p = pi.at(point)
     phi = canonical_iso(p, c, v, w)
-    pv, pw = induced_bivector(p, v), induced_bivector(p, w)
+    pv, pw = embedding_conditions(p, c, v).induced, embedding_conditions(p, c, w).induced
     poisson_iso = (phi @ pv.pi @ phi.transpose()) == pw.pi
-    identity_on_c = all(
-        phi.matvec(v.coordinates_of(row)) == w.coordinates_of(row) for row in c.basis.entries
-    )
+    c_in_v, c_in_w = v.coordinates_of_rows(c.basis.entries), w.coordinates_of_rows(c.basis.entries)
+    identity_on_c = all(phi.matvec(x) == y for x, y in zip(c_in_v, c_in_w))
     doc = {
         "analysis": "phi",
         "matrix": _matrix_doc(phi),
@@ -415,7 +410,10 @@ _COMMANDS = {
 def _emit(doc: dict, text: list[str], args: argparse.Namespace) -> None:
     rendered = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.output:
-        Path(args.output).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.output).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
     if args.porcelain:
         sys.stdout.write(rendered)
     else:
@@ -424,8 +422,15 @@ def _emit(doc: dict, text: list[str], args: argparse.Namespace) -> None:
             sys.stdout.write(line + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a usage error is an input error like any other: exit 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poisdirac",
         description="Exact Poisson/Dirac linear algebra and pointwise analysis of polynomial Poisson patches.",
     )
@@ -439,34 +444,40 @@ def build_parser() -> argparse.ArgumentParser:
         "phi": "canonical isomorphism between two cosymplectic extensions",
         "embed": "coisotropic embedding of a regular Dirac manifold",
         "bracket": "bracket of basic functions with a consistency cross-check",
+        "scenarios": "list bundled scenario files",
     }
     for name, descr in descriptions.items():
         p = sub.add_parser(name, help=descr)
-        p.add_argument("--scenario", required=True, help="scenario file path or bundled scenario name")
-        p.add_argument("--points", help="extra points, 'p/q,p/q;p/q,p/q'")
-        p.add_argument("--grid", type=int, help="height bound for generated sample points")
-        p.add_argument("--seed", type=int, default=0, help="seed for generated sample points")
-        p.add_argument("--count", type=int, default=25, help="number of generated sample points")
+        if name != "scenarios":
+            p.add_argument("--scenario", required=True, help="scenario file path or bundled scenario name")
+        if name in ("classify", "bracket"):
+            p.add_argument("--points", help="extra points, 'p/q,p/q;p/q,p/q'")
+        if name in ("classify", "bracket", "embed"):
+            p.add_argument("--grid", type=int, help="height bound for generated sample points")
+            p.add_argument("--seed", type=int, default=0, help="seed for generated sample points")
+            p.add_argument("--count", type=int, default=25, help="number of generated sample points")
         p.add_argument("--porcelain", action="store_true", help="print the machine-readable document only")
         p.add_argument("--output", help="also write the machine-readable document to this path")
-    listing = sub.add_parser("scenarios", help="list bundled scenario files")
-    listing.add_argument("--porcelain", action="store_true")
-    listing.add_argument("--output", default=None)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "scenarios":
-        doc = {"analysis": "scenarios", "bundled": bundled_scenario_names()}
-        _emit(doc, doc["bundled"], args)
-        return 0
     try:
-        check_sample_bounds(args.grid, args.count, "--grid/--count")
+        args = build_parser().parse_args(argv)
+        if args.command == "scenarios":
+            doc = {"analysis": "scenarios", "bundled": bundled_scenario_names()}
+            _emit(doc, doc["bundled"], args)
+            return 0
+        check_sample_bounds(getattr(args, "grid", None), getattr(args, "count", 0), "--grid/--count")
         scenario = load_scenario_text(_resolve_scenario(args.scenario))
-        with _printable_at(scenario.point):
-            doc, text = _COMMANDS[args.command](scenario, args)
+        try:
+            with _printable_at(scenario.point):
+                doc, text = _COMMANDS[args.command](scenario, args)
+        except ReportFailure as failure:
+            _emit(failure.document, failure.text, args)
+            return failure.exit_code
+        _emit(doc, text, args)
+        return 0
     except SchemaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -476,11 +487,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PropertyViolationError as exc:
         sys.stderr.write(f"property violation: {exc}\n")
         return 3
-    except ReportFailure as failure:
-        _emit(failure.document, failure.text, args)
-        return failure.exit_code
-    _emit(doc, text, args)
-    return 0
 
 
 if __name__ == "__main__":

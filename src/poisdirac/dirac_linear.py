@@ -100,13 +100,11 @@ def pullback(l: DiracVS, w: Subspace) -> DiracVS:
         2 * n,
         tuple(r + (0,) * n for r in w.rows) + tuple((0,) * n + e for e in Subspace.full(n).rows),
     )
-    rows = []
-    for r in intersect(l.span, w_doubled).basis.entries:
-        coords = w.coordinates_of(r[:n])
-        if coords is None:
-            raise PropertyViolationError("constrained vector part left the subspace")
-        rows.append(coords + w.basis.matvec(r[n:]))
-    return DiracVS.from_rows(w.dim, rows)
+    rows = intersect(l.span, w_doubled).basis.entries
+    coords = w.coordinates_of_rows(r[:n] for r in rows)
+    if coords is None:
+        raise PropertyViolationError("constrained vector part left the subspace")
+    return DiracVS.from_rows(w.dim, [x + w.basis.matvec(r[n:]) for x, r in zip(coords, rows)])
 
 
 def gauge(l: DiracVS, b: MatrixQ) -> DiracVS:

@@ -191,11 +191,8 @@ def _gauged_span_symbolic(d: DiracManifoldData, b: TwoFormField) -> tuple[tuple[
         vec = tuple(_lift(p, total_vars) for p in sec.vector) + (zero,) * k
         cov = tuple(_lift(p, total_vars) for p in sec.covector) + (zero,) * k
         rows.append((vec, cov))
-    for cap_i in range(k):
-        vec = tuple(zero for _ in range(m)) + tuple(
-            Poly.constant(total_vars, 1) if j == cap_i else zero for j in range(k)
-        )
-        rows.append((vec, (zero,) * n))
+    one = Poly.constant(total_vars, 1)
+    rows += [((zero,) * m + tuple(one if j == i else zero for j in range(k)), (zero,) * n) for i in range(k)]
     b_columns = tuple(zip(*b.entries))
     return tuple(
         (vec, tuple(c + sum_of_products(total_vars, zip(column, vec)) for c, column in zip(cov, b_columns)))
@@ -242,15 +239,11 @@ def _structure_at(d: DiracManifoldData, b: TwoFormField, point: Sequence[Fractio
         raise SpaceMismatchError(f"total space has dimension {n}, point has length {len(point)}")
     x = tuple(point[:m])
     base = bases.get(x) or d.dirac_at(x)
-    rows = []
-    for r in base.span.basis.entries:
-        rows.append(tuple(r[:m]) + (Fraction(0),) * k + tuple(r[m:]) + (Fraction(0),) * k)
-    for cap_i in range(k):
-        row = [Fraction(0)] * (2 * n)
-        row[m + cap_i] = Fraction(1)
-        rows.append(tuple(row))
-    lifted = DiracVS.from_rows(n, rows)
-    return gauge(lifted, b.at(point))
+    # (X, 0 | xi, 0) for each row of the base structure, then the fiber directions (0, e_I | 0, 0)
+    pad = (Fraction(0),) * k
+    rows = [r[:m] + pad + r[m:] + pad for r in base.span.basis.entries]
+    rows += [(Fraction(0),) * m + e + (Fraction(0),) * n for e in standard_basis(k)]
+    return gauge(DiracVS.from_rows(n, rows), b.at(point))
 
 
 def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> EmbeddingResult:

@@ -18,8 +18,9 @@ Sign conventions (used consistently package-wide):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from typing import Sequence
 
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
@@ -40,6 +41,19 @@ from .rational_linalg import (
 )
 
 
+def _derived(build):
+    """build(p, *args) made once per PoissonVS p and arguments: the result is
+    cached on p, outside the fields that equality and hashing read."""
+    @wraps(build)
+    def once(p, *args):
+        cache = p.__dict__.setdefault("_cache", {})
+        key = (build, *args)
+        if key not in cache:
+            cache[key] = build(p, *args)
+        return cache[key]
+    return once
+
+
 @dataclass(frozen=True)
 class PoissonVS:
     """Q^dim with an antisymmetric bivector matrix."""
@@ -56,20 +70,15 @@ class PoissonVS:
     def sharp(self, xi: Sequence[Fraction]) -> Vector:
         return self.pi.matvec(xi)
 
+    @_derived
     def leaf(self) -> Subspace:
         """O = image(sharp), the tangent space of the symplectic leaf."""
-        return self._derived("leaf", lambda: column_space(self.pi))
+        return column_space(self.pi)
 
+    @_derived
     def sharp_annihilator(self, c: Subspace) -> Subspace:
         """sharp(ann c) for a primal subspace c."""
-        return self._derived(("sharp_ann", c), lambda: sharp_image(self, annihilator(c)))
-
-    def _derived(self, key, build):
-        # once per frozen object, cached outside the fields that equality and hashing read
-        cache = self.__dict__.setdefault("_cache", {})
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
+        return sharp_image(self, annihilator(c))
 
 
 def sharp_image(p: PoissonVS, s: Subspace) -> Subspace:
@@ -107,6 +116,7 @@ class ClassificationRecord:
     lagrangian_in_leaf: bool
 
 
+@_derived
 def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
     if c.dual or c.ambient_dim != p.dim:
         raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
@@ -134,11 +144,13 @@ def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
     )
 
 
+@_derived
 def characteristic_subspace(p: PoissonVS, c: Subspace) -> Subspace:
     """C intersected with sharp(ann C): the kernel of the leaf form pulled back to C."""
-    return p._derived(("characteristic", c), lambda: intersect(c, p.sharp_annihilator(c)))
+    return intersect(c, p.sharp_annihilator(c))
 
 
+@_derived
 def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
     """Bivector induced on a pointwise Poisson-Dirac subspace.
 
@@ -153,46 +165,39 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
     d = w.dim
     constraint_rows = w.basis.entries + p.sharp_annihilator(w).basis.entries
     constraints = MatrixQ.from_rows(constraint_rows, cols=p.dim)
-    columns: list[Vector] = []
-    for target in standard_basis(len(constraint_rows))[:d]:
-        xi = solve(constraints, target)
-        if xi is None:
-            raise PropertyViolationError("covector extension system is inconsistent")
-        sharp_xi = p.sharp(xi)
-        coords = w.coordinates_of(sharp_xi)
-        if coords is None:
-            raise PropertyViolationError("sharp of the extension left the subspace")
-        columns.append(coords)
-    return PoissonVS(d, MatrixQ(d, d, tuple(columns)).transpose())
+    xis = [solve(constraints, target) for target in standard_basis(len(constraint_rows))[:d]]
+    if None in xis:
+        raise PropertyViolationError("covector extension system is inconsistent")
+    columns = w.coordinates_of_rows([p.sharp(xi) for xi in xis])
+    if columns is None:
+        raise PropertyViolationError("sharp of the extension left the subspace")
+    return PoissonVS(d, MatrixQ(d, d, columns).transpose())
 
 
 @dataclass(frozen=True)
 class EmbeddingConditions:
     """The two conditions for c to sit coisotropically inside a
     Poisson-Dirac subspace w: the leaf is covered by w + sharp(ann c),
-    and w meets c + sharp(ann c) exactly in c."""
+    and w meets c + sharp(ann c) exactly in c.  `induced` is the bivector
+    induced on w when both hold, else None."""
 
     cond_leaf: bool
     cond_int: bool
+    induced: PoissonVS | None = field(default=None, compare=False, repr=False)
 
     def both(self) -> bool:
         return self.cond_leaf and self.cond_int
 
 
+@_derived
 def embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> EmbeddingConditions:
-    return _embedding_conditions(p, c, w)[0]
-
-
-def _embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> tuple[EmbeddingConditions, PoissonVS | None]:
-    """The conditions, plus the induced bivector on w when both hold."""
     if not contains(w, c):
         raise PreconditionError("c must be contained in w")
     sharp_ann_c = p.sharp_annihilator(c)
     cond_leaf = contains(add(w, sharp_ann_c), p.leaf())
     cond_int = intersect(w, add(c, sharp_ann_c)) == c
-    result = EmbeddingConditions(cond_leaf, cond_int)
-    if not result.both():
-        return result, None
+    if not (cond_leaf and cond_int):
+        return EmbeddingConditions(cond_leaf, cond_int)
     # both conditions holding forces these two facts; a failure here
     # means the input data is inconsistent
     if characteristic_subspace(p, w).dim != 0:
@@ -200,17 +205,14 @@ def _embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> tuple[Embed
     pw = induced_bivector(p, w)
     if not classify_subspace(pw, subspace_in_basis(c, w)).coisotropic:
         raise PropertyViolationError("conditions hold but c is not coisotropic in the induced bivector")
-    return result, pw
+    return EmbeddingConditions(cond_leaf, cond_int, pw)
 
 
 def subspace_in_basis(s: Subspace, w: Subspace) -> Subspace:
     """Express a subspace s of w in the canonical basis coordinates of w."""
-    rows = []
-    for r in s.basis.entries:
-        coords = w.coordinates_of(r)
-        if coords is None:
-            raise PreconditionError("subspace is not contained in the coordinate subspace")
-        rows.append(coords)
+    rows = w.coordinates_of_rows(s.basis.entries)
+    if rows is None:
+        raise PreconditionError("subspace is not contained in the coordinate subspace")
     return Subspace.span(w.dim, rows)
 
 
@@ -281,10 +283,8 @@ def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> Matrix
     for name, sub in named:
         if not classify_subspace(p, sub).cosymplectic:
             raise PreconditionError(f"{name} is not cosymplectic")
-    induced = {}
     for name, sub in named:
-        conditions, induced[name] = _embedding_conditions(p, c, sub)
-        if not conditions.both():
+        if not embedding_conditions(p, c, sub).both():
             raise PreconditionError(f"c does not sit coisotropically inside {name}")
     sharp_ann_v = p.sharp_annihilator(v)
     # decompose each v-basis vector along w + sharp(ann v); A is minus the second part
@@ -299,14 +299,11 @@ def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> Matrix
     a = -(MatrixQ(d, sharp_ann_v.dim, tuple(tails)) @ sharp_ann_v.basis)
     # rows of B: 1/2 sharp_V(Omega(A v_i, A .)) in ambient coordinates
     omega_a = MatrixQ(d, d, leaf_form_gram(p, a.entries, a.entries))
-    b = (omega_a @ induced["v"].pi.transpose() @ v.basis).scale(Fraction(1, 2))
-    phi_cols: list[Vector] = []
-    for phi_vec in (v.basis + a + b).entries:
-        coords = w.coordinates_of(phi_vec)
-        if coords is None:
-            raise PropertyViolationError("canonical isomorphism image left w")
-        phi_cols.append(coords)
-    return MatrixQ(d, w.dim, tuple(phi_cols)).transpose()
+    b = (omega_a @ embedding_conditions(p, c, v).induced.pi.transpose() @ v.basis).scale(Fraction(1, 2))
+    phi_cols = w.coordinates_of_rows((v.basis + a + b).entries)
+    if phi_cols is None:
+        raise PropertyViolationError("canonical isomorphism image left w")
+    return MatrixQ(d, w.dim, phi_cols).transpose()
 
 
 @dataclass(frozen=True)
@@ -362,9 +359,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     t_inv = inverse(t)
     pushed = t_inv @ p.pi @ t_inv.transpose()
     model = PoissonVS(p.dim, pushed)
-    pv = induced_bivector(p, v) if v.dim else PoissonVS(0, MatrixQ(0, 0, ()))
-    expected_model = _block_model(pv, k)
-    if pushed != expected_model.pi:
+    if pushed != _block_model(induced_bivector(p, v), k).pi:
         raise PropertyViolationError("pushed bivector does not match the V + E + E* model")
     return CoisotropicSplitting(
         e=e,

@@ -331,6 +331,11 @@ class Subspace:
             return None
         return tuple(rat(v[c]) for c in pivots)
 
+    def coordinates_of_rows(self, vectors: Iterable[Sequence[Fraction]]) -> tuple[Vector, ...] | None:
+        """The coordinates of each vector, or None if any is outside."""
+        coords = tuple(map(self.coordinates_of, vectors))
+        return None if None in coords else coords
+
 
 def _reduced(n: int, work: list, dual: bool) -> Subspace:
     """The subspace spanned by primitive integer rows of width n."""

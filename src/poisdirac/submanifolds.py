@@ -32,8 +32,8 @@ from .poisson_linear import (
     characteristic_subspace,
     classify_subspace,
     cosymplectic_extension,
+    embedding_conditions,
     greedy_complement,
-    induced_bivector,
     subspace_in_basis,
 )
 from .polynomials import Poly, PolyMap
@@ -273,7 +273,7 @@ class PointData:
         intrinsic = self.bracket(f, g)
         p, tangent = self.poisson, self.tangent
         w = cosymplectic_extension(p, tangent)
-        pw = induced_bivector(p, w)
+        pw = embedding_conditions(p, tangent, w).induced
         tangent_in_w = subspace_in_basis(tangent, w)
         complement_rows = greedy_complement(tangent_in_w, standard_basis(w.dim))
         constraint = MatrixQ.from_rows(tangent_in_w.basis.entries + complement_rows, cols=w.dim)

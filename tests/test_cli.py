@@ -8,7 +8,7 @@ import pytest
 
 import poisdirac
 from poisdirac import submanifolds
-from poisdirac.cli import BUNDLED_ANALYSES, bundled_scenario_names, main
+from poisdirac.cli import BUNDLED_ANALYSES, build_parser, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
 from poisdirac.polynomials import MAX_EXPONENT
 from poisdirac.rational_linalg import MAX_DIGITS
@@ -512,3 +512,73 @@ class TestInputBounds:
         expected = len(frame)
         assert (code, out) == (1, "")
         assert err == f"error: $.compare_v_frames.{key}: expected {expected} vector fields, got {keep}\n"
+
+
+class TestCommandLine:
+    """Sampling flags exist only where an analysis reads them; usage and file errors exit 1."""
+
+    SAMPLING = {"--points", "--grid", "--seed", "--count"}
+
+    def test_sampling_flags_are_registered_where_they_are_read(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        flags = {name: {s for a in p._actions for s in a.option_strings} & self.SAMPLING for name, p in commands.items()}
+        assert flags == {
+            "classify": self.SAMPLING, "bracket": self.SAMPLING, "embed": self.SAMPLING - {"--points"},
+            "jacobi": set(), "pushforward": set(), "extend": set(), "phi": set(), "scenarios": set(),
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["extend", "--scenario", "ex_r6_extend.json", "--points", "zz"],
+        ["embed", "--scenario", "ex_r4_dirac.json", "--points", "1,2,3,4,5;7"],
+        ["jacobi", "--scenario", "ex_r4_pi1.json", "--grid", "3"],
+        ["phi", "--scenario", "ex_r6_phi.json", "--count", "3"],
+    ])
+    def test_a_sampling_flag_the_analysis_does_not_read_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: poisdirac: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--scenario", "ex_fz.json", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+        (["classify", "--scenario", "ex_fz.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["classify"], "the following arguments are required: --scenario"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_is_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: poisdirac") and "error: poisdirac" in err and message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["embed", "--help"]])
+    def test_help_and_version_are_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0 and capsys.readouterr().out
+
+    def test_scenario_naming_a_directory_is_one(self, capsys, tmp_path):
+        code, out, err = run(capsys, "jacobi", "--scenario", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read scenario {str(tmp_path)!r}: ") and err.count("\n") == 1
+
+    def test_scenario_that_is_not_utf8_is_one(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "café"}'.encode("latin-1"))
+        code, out, err = run(capsys, "jacobi", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read scenario {str(path)!r}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("mode", [[], ["--porcelain"]])
+    def test_output_into_a_missing_directory_is_one(self, capsys, tmp_path, mode):
+        target = tmp_path / "missing" / "doc.json"
+        code, out, err = run(capsys, "jacobi", "--scenario", "ex_r4_pi1.json", "--output", str(target), *mode)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write --output {str(target)!r}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    def test_output_of_a_failing_report_into_a_missing_directory_is_one(self, capsys, tmp_path):
+        argv = ["classify", "--scenario", "bracket_sympl4.json", "--points", "0,0,0,1"]  # off the locus
+        assert run(capsys, *argv)[0] == 2
+        target = tmp_path / "missing" / "doc.json"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (1, "") and err.startswith(f"error: cannot write --output {str(target)!r}")

@@ -8,6 +8,7 @@ from gen import rand_point, rand_poisson, rand_subspace, rand_valid_iso_triple
 from poisdirac import poisson_linear
 from poisdirac.errors import PreconditionError, SpaceMismatchError
 from poisdirac.poisson_linear import (
+    EmbeddingConditions,
     PoissonVS,
     canonical_iso,
     classify_subspace,
@@ -104,6 +105,17 @@ class TestEmbeddingConditions:
     def test_c_outside_w_rejected(self):
         with pytest.raises(PreconditionError):
             embedding_conditions(P4, E12, E1)
+
+    def test_record_carries_the_induced_bivector_outside_equality_and_repr(self):
+        good, bad = embedding_conditions(P4, E1, E12), embedding_conditions(P4, E1, Subspace.span(4, [[1, 0, 0, 0], [0, 0, 1, 0]]))
+        assert good.induced == induced_bivector(P4, E12) and good.induced.pi == J2 and bad.induced is None
+        assert good == EmbeddingConditions(True, True) and repr(good) == "EmbeddingConditions(cond_leaf=True, cond_int=True)"
+        assert hash(good) == hash(EmbeddingConditions(True, True))
+
+    def test_record_is_derived_once_per_structure(self):
+        p = PoissonVS(4, J4)
+        assert embedding_conditions(p, E1, E12) is embedding_conditions(p, E1, E12)
+        assert embedding_conditions(PoissonVS(4, J4), E1, E12) is not embedding_conditions(p, E1, E12)
 
 
 class TestCosymplecticExtension:

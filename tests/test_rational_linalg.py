@@ -372,6 +372,9 @@ def test_subspace_calculus_equals_fraction_formulas(kind, pairs):
         v = tuple(_small(rng) for _ in range(n))
         v_inside = len(_ref_span(n, ref_a + (v,))) == len(ref_a)
         assert (a.coordinates_of(v) is not None) == v_inside == a.contains_vector(v)
+        rows = [inside, v] if rng.random() < 0.5 else [v, inside]
+        assert a.coordinates_of_rows(rows) == (tuple(map(a.coordinates_of, rows)) if v_inside else None)
+        assert a.coordinates_of_rows([inside, inside]) == (tuple(coeffs),) * 2 and a.coordinates_of_rows([]) == ()
         # image and preimage under a map Q^n -> Q^t
         t = rng.randint(1, 5)
         m = MatrixQ(t, n, tuple(tuple(_small(rng) for _ in range(n)) for _ in range(t)))
