@@ -18,6 +18,7 @@ import dataclasses
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -428,7 +429,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SchemaError(f"{self.prog}: {message}")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # each command's parser rejects its own extras, so the error shows that command's usage
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
 
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="poisdirac",

@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import PoissonVS
 from .rational_linalg import (
-    MatrixQ, Subspace, _row_space, annihilator, intersect, inverse, pivot_columns, primitive, standard_basis,
+    MatrixQ, Subspace, _eliminate, _row_space, annihilator, intersect, inverse, pivot_columns, primitive, standard_basis,
 )
 
 
@@ -114,12 +114,13 @@ def gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
         raise SpaceMismatchError("gauge form must be n x n")
     if not b.is_antisymmetric():
         raise PreconditionError("gauge form must be antisymmetric")
-    bt = b.transpose()
-    rows = []
-    for r in l.span.basis.entries:
-        x = r[:n]
-        shift = bt.matvec(x)
-        rows.append(tuple(x) + tuple(c + s for c, s in zip(r[n:], shift)))
+    # on L's integer rows and B = B_int / d: the rows (d X | d xi + B_int^T X)
+    b_int, d = b._scaled
+    columns = tuple(zip(*b_int))
+    rows = [
+        tuple(d * a for a in r[:n]) + tuple(d * c + sum(map(mul, column, r[:n])) for c, column in zip(r[n:], columns))
+        for r in l.span.rows
+    ]
     return DiracVS.from_rows(n, rows)
 
 
@@ -169,18 +170,14 @@ def range_and_form(l: DiracVS) -> tuple[Subspace, MatrixQ]:
 def as_bivector(l: DiracVS) -> PoissonVS | None:
     """Extract the bivector when L is a graph, else None.
 
-    Write the basis of L as rows (X_k | xi_k).  As dim L = n, L is the
-    graph of a bivector exactly when the covectors xi_k are independent;
-    then e_i = sum_k c_ik xi_k has the partner sum_k c_ik X_k, so with
-    C the matrix of covector columns and V that of vector columns,
-    Pi = V C^-1.
+    One elimination of L's integer rows reordered to (xi | X).  As dim L
+    = n, L is a graph exactly when the pivots are the first n columns;
+    row i is then p_i (e_i | sharp e_i), so Pi is the transpose of the
+    right halves, each divided by its pivot p_i.
     """
     n = l.ambient_dim
-    rows = l.span.basis.entries
-    cov = MatrixQ(n, n, tuple(tuple(r[n + i] for r in rows) for i in range(n)))
-    try:
-        cov_inv = inverse(cov)
-    except ValueError:
+    work = [r[n:] + r[:n] for r in l.span.rows]
+    if _eliminate(work, 2 * n) != list(range(n)):
         return None
-    vecs = MatrixQ(n, n, tuple(tuple(r[i] for r in rows) for i in range(n)))
-    return PoissonVS(n, vecs @ cov_inv)
+    pi = tuple(tuple(Fraction(r[n + i], r[j]) for j, r in enumerate(work)) for i in range(n))
+    return PoissonVS(n, MatrixQ(n, n, pi))

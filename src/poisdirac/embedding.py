@@ -75,11 +75,12 @@ class DiracManifoldData:
         return self.sections[0].vector[0].variables
 
     def dirac_at(self, x: Sequence[Fraction]) -> DiracVS:
-        rows = [
-            tuple(p.evaluate(x) for p in sec.vector) + tuple(p.evaluate(x) for p in sec.covector)
-            for sec in self.sections
-        ]
-        return DiracVS.from_rows(self.base_dim, rows)
+        return _dirac_at(self.base_dim, self.sections, x)
+
+
+def _dirac_at(n: int, sections: Sequence[Section], point: Sequence[Fraction]) -> DiracVS:
+    """The Dirac structure on Q^n spanned by the sections evaluated at a point."""
+    return DiracVS.from_rows(n, [tuple(p.evaluate(point) for p in sec.vector + sec.covector) for sec in sections])
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,11 @@ def pullback_canonical_one_form(d: DiracManifoldData) -> tuple[Poly, ...]:
 
 def pullback_canonical_form(d: DiracManifoldData) -> TwoFormField:
     """Gauge two-form B = CANONICAL_FORM_SIGN * d(theta); closed by construction."""
-    theta = pullback_canonical_one_form(d)
+    return _gauge_form(d, pullback_canonical_one_form(d))
+
+
+def _gauge_form(d: DiracManifoldData, theta: tuple[Poly, ...]) -> TwoFormField:
+    """B = CANONICAL_FORM_SIGN * d(theta) for the pairing one-form theta of d."""
     total_vars = total_space_variables(d)
     n = len(total_vars)
     b = TwoFormField.from_upper(total_vars, {
@@ -180,8 +185,9 @@ def pullback_canonical_form(d: DiracManifoldData) -> TwoFormField:
     return b
 
 
-def _gauged_span_symbolic(d: DiracManifoldData, b: TwoFormField) -> tuple[tuple[tuple[Poly, ...], tuple[Poly, ...]], ...]:
-    """Spanning rows of the gauged pullback structure as (vector, covector) polynomials."""
+def _gauged_span_symbolic(d: DiracManifoldData, b: TwoFormField) -> tuple[Section, ...]:
+    """Spanning sections of the total-space structure: the gauge by b of the
+    pulled-back input sections and of the fiber directions (0, e_I | 0, 0)."""
     m, k = d.base_dim, d.fiber_dim
     total_vars = total_space_variables(d)
     n = m + k
@@ -195,7 +201,7 @@ def _gauged_span_symbolic(d: DiracManifoldData, b: TwoFormField) -> tuple[tuple[
     rows += [((zero,) * m + tuple(one if j == i else zero for j in range(k)), (zero,) * n) for i in range(k)]
     b_columns = tuple(zip(*b.entries))
     return tuple(
-        (vec, tuple(c + sum_of_products(total_vars, zip(column, vec)) for c, column in zip(cov, b_columns)))
+        Section(vec, tuple(c + sum_of_products(total_vars, zip(column, vec)) for c, column in zip(cov, b_columns)))
         for vec, cov in rows
     )
 
@@ -227,23 +233,10 @@ class EmbeddingResult:
     gauge_form: TwoFormField
     bivector: BivectorField | None
     sample_checks: tuple[SampleCheck, ...]
+    sections: tuple[Section, ...]  # polynomial spanning sections of the total-space structure
 
     def dirac_at(self, point: Sequence[Fraction]) -> DiracVS:
-        return _structure_at(self.data, self.gauge_form, point, {})
-
-
-def _structure_at(d: DiracManifoldData, b: TwoFormField, point: Sequence[Fraction], bases: dict[Vector, DiracVS]) -> DiracVS:
-    m, k = d.base_dim, d.fiber_dim
-    n = m + k
-    if len(point) != n:
-        raise SpaceMismatchError(f"total space has dimension {n}, point has length {len(point)}")
-    x = tuple(point[:m])
-    base = bases.get(x) or d.dirac_at(x)
-    # (X, 0 | xi, 0) for each row of the base structure, then the fiber directions (0, e_I | 0, 0)
-    pad = (Fraction(0),) * k
-    rows = [r[:m] + pad + r[m:] + pad for r in base.span.basis.entries]
-    rows += [(Fraction(0),) * m + e + (Fraction(0),) * n for e in standard_basis(k)]
-    return gauge(DiracVS.from_rows(n, rows), b.at(point))
+        return _dirac_at(self.total_dim, self.sections, point)
 
 
 def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> EmbeddingResult:
@@ -262,17 +255,16 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     m, k = d.base_dim, d.fiber_dim
     n = m + k
     b = pullback_canonical_form(d)
-    bivector = _extract_symbolic_bivector(d, b)
+    sections = _gauged_span_symbolic(d, b)
+    bivector = _extract_symbolic_bivector(d, sections)
     checks = []
     zero_tangent = Subspace.span(n, standard_basis(n)[:m])
     for point in samples:
         point = tuple(point)
-        structure = _structure_at(d, b, point, bases)
-        pointwise = as_bivector(structure)
-        if pointwise is None:
+        if as_bivector(_dirac_at(n, sections, point)) is None:
             raise PropertyViolationError(f"structure is not a bivector graph at {fmt_point(point)}")
         base_point = point[:m] + (Fraction(0),) * k
-        at_zero = _structure_at(d, b, base_point, bases)
+        at_zero = _dirac_at(n, sections, base_point)
         zero_bivector = as_bivector(at_zero)
         if zero_bivector is None:
             raise PropertyViolationError(f"structure is not a bivector graph at the zero-section point {fmt_point(base_point)}")
@@ -287,18 +279,18 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
         gauge_form=b,
         bivector=bivector,
         sample_checks=tuple(checks),
+        sections=sections,
     )
 
 
-def _extract_symbolic_bivector(d: DiracManifoldData, b: TwoFormField) -> BivectorField | None:
-    """Solve the graph relation symbolically when the covector matrix
-    inverts inside the polynomial ring; returns None otherwise."""
-    rows = _gauged_span_symbolic(d, b)
+def _extract_symbolic_bivector(d: DiracManifoldData, sections: tuple[Section, ...]) -> BivectorField | None:
+    """Solve the graph relation symbolically when the covector matrix of the
+    spanning sections inverts inside the polynomial ring; returns None otherwise."""
     try:
-        inv = poly_matrix_inverse([cov for _, cov in rows])
+        inv = poly_matrix_inverse([sec.covector for sec in sections])
     except PreconditionError:
         return None
-    vec_columns = tuple(zip(*(vec for vec, _ in rows)))
+    vec_columns = tuple(zip(*(sec.vector for sec in sections)))
     total_vars = total_space_variables(d)
     entries = tuple(
         tuple(-sum_of_products(total_vars, zip(inv_row, column)) for column in vec_columns) for inv_row in inv
@@ -339,21 +331,17 @@ def compare_splittings(
         if not report.ok:
             issue = report.issues[0]
             raise PreconditionError(f"{name} frame invalid at sample {issue.sample_index}: {issue.message}")
-    b0, b1 = pullback_canonical_form(d0), pullback_canonical_form(d1)
+    theta0, theta1 = pullback_canonical_one_form(d0), pullback_canonical_one_form(d1)
+    b0, b1 = _gauge_form(d0, theta0), _gauge_form(d1, theta1)
     diff = b1 - b0
     closed = is_closed(diff)
-    theta0, theta1 = pullback_canonical_one_form(d0), pullback_canonical_one_form(d1)
     m, k = d.base_dim, d.fiber_dim
     total_vars = total_space_variables(d)
     zero_fibers = {total_vars[m + i]: Poly.zero(total_vars) for i in range(k)}
     keep = {v: Poly.variable(total_vars, v) for v in total_vars[:m]}
     on_base = all((t1 - t0).substitute({**keep, **zero_fibers}).is_zero() for t0, t1 in zip(theta0, theta1))
-    intertwines = True
-    for point in samples:
-        point = tuple(point)
-        s0 = _structure_at(d0, b0, point, bases)
-        s1 = _structure_at(d1, b1, point, bases)
-        if gauge(s0, diff.at(point)) != s1:
-            intertwines = False
-            break
+    rows0, rows1 = _gauged_span_symbolic(d0, b0), _gauged_span_symbolic(d1, b1)
+    intertwines = all(
+        gauge(_dirac_at(m + k, rows0, point), diff.at(point)) == _dirac_at(m + k, rows1, point) for point in samples
+    )
     return SplittingComparison(diff, closed, on_base, intertwines)

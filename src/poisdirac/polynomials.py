@@ -143,16 +143,17 @@ class Poly:
         ))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        """The value at a point, on the integer view: with x = P / q over one common
+        denominator and D the total degree, sum n_e P^e q^(D - |e|) over d q^D."""
         if len(point) != len(self.variables):
             raise SpaceMismatchError(f"point length {len(point)} != variable count {len(self.variables)}")
-        total = Fraction(0)
-        for e, c in self.terms:
-            value = c
-            for base, k in zip(point, e):
-                if k:
-                    value *= base ** k
-            total += value
-        return total
+        d, terms = self._scaled
+        ratios = [x.as_integer_ratio() for x in point]
+        q = lcm(*(b for _, b in ratios))
+        nums = [a * (q // b) for a, b in ratios]
+        top = sum(terms[0][0]) if terms else 0
+        total = sum(n * q ** (top - sum(e)) * prod([p ** k for p, k in zip(nums, e) if k]) for e, n in terms)
+        return Fraction(total, d * q ** top)
 
     def substitute(self, values: Mapping[str, "Poly"]) -> Poly:
         """Replace every variable by a polynomial (all in one shared context)."""

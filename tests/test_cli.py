@@ -536,7 +536,26 @@ class TestCommandLine:
     def test_a_sampling_flag_the_analysis_does_not_read_is_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.endswith(f"error: poisdirac: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
+        assert err.endswith(f"error: poisdirac {argv[0]}: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
+
+    def test_an_unknown_argument_shows_the_usage_of_the_command_run(self, capsys):
+        code, out, err = run(capsys, "jacobi", "--scenario", "ex_r4_pi1.json", "--grid", "3")
+        assert (code, out) == (1, "")
+        usage, message = err.split("error: ")
+        assert usage.startswith("usage: poisdirac jacobi [-h] --scenario SCENARIO") and "{classify," not in usage
+        assert message == "poisdirac jacobi: unrecognized arguments: --grid 3\n"
+
+    def test_the_parser_is_built_once_per_process(self, capsys, tmp_path):
+        assert build_parser() is build_parser()
+        path = tmp_path / "doc.json"
+        assert main(["classify", "--scenario", "ex_fz.json", "--grid", "3", "--count", "2", "--output", str(path)]) == 0
+        path.unlink()
+        capsys.readouterr()
+        # the flags of the first run do not carry over to the second
+        code, out, err = run(capsys, "classify", "--scenario", "ex_fz.json")
+        golden = Path(__file__).parent / "golden" / "ex_fz.txt"
+        assert (code, out, err) == (0, golden.read_text(encoding="utf-8"), "")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["classify", "--scenario", "ex_fz.json", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),

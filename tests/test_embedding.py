@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from poisdirac import embedding
 from poisdirac.bivector_fields import BivectorField, is_closed, is_poisson
 from poisdirac.embedding import (
     DiracManifoldData,
@@ -288,3 +289,29 @@ class TestBaseStructuresBuiltOnce:
         calls = self.count_calls(monkeypatch)
         assert compare_splittings(data, data.v_frame, v1, self.SAMPLES).intertwines_at_all_samples
         assert calls == Counter({s[:3]: 1 for s in self.SAMPLES})
+
+
+class TestOneFormDerivedOncePerFrame:
+    """compare_splittings derives each frame's pairing one-form once and builds
+    its gauge form from it: one coframe inverse per frame."""
+
+    def test_compare_splittings(self, monkeypatch):
+        derived, inverses = Counter(), Counter()
+        one_form, inverse = embedding.pullback_canonical_one_form, embedding.poly_matrix_inverse
+
+        def counting_one_form(d):
+            derived[d.v_frame] += 1
+            return one_form(d)
+
+        def counting_inverse(entries):
+            inverses["calls"] += 1
+            return inverse(entries)
+
+        monkeypatch.setattr(embedding, "pullback_canonical_one_form", counting_one_form)
+        monkeypatch.setattr(embedding, "poly_matrix_inverse", counting_inverse)
+        data = r4_data()
+        v1 = ((p3("1"), p3("0"), p3("1")), (p3("0"), p3("1"), p3("0")))
+        result = compare_splittings(data, data.v_frame, v1, SAMPLES)
+        assert result.closed and result.one_form_difference_vanishes_on_base and result.intertwines_at_all_samples
+        assert derived == Counter({data.v_frame: 1, v1: 1})
+        assert inverses == Counter({"calls": 2})

@@ -1,0 +1,269 @@
+"""References for the one construction of the embedded Dirac structure.
+
+The total-space structure at a point is its symbolic gauged sections
+evaluated there.  The construction that came before it lifts the input
+structure at the base point, pads it, appends the fiber directions and
+gauges the result by B at the point; it is kept here as a reference, with
+a gauge in Fraction arithmetic, and must agree exactly on the bundled
+embed scenarios and on seeded random data.  `Poly.evaluate`, `as_bivector`
+and `gauge` are checked against the Fraction formulas they replaced, and
+`Poly.evaluate` against sympy as well.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from gen import rand_antisym, rand_dirac_form_data, rand_fraction, rand_point, rand_poisson, rand_subspace
+from poisdirac import embedding
+from poisdirac.cli import BUNDLED_ANALYSES, _resolve_scenario
+from poisdirac.dirac_linear import DiracVS, as_bivector, characteristic, from_bivector, from_subspace_form, gauge
+from poisdirac.embedding import DiracManifoldData, Section, build_embedding, pullback_canonical_form
+from poisdirac.polynomials import Poly, ambient_variables
+from poisdirac.rational_linalg import MatrixQ, inverse, standard_basis
+from poisdirac.scenario import load_scenario_text
+from poisdirac.submanifolds import grid_points
+
+
+def fraction_gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
+    """{(X, xi + i_X B)} on L's Fraction basis rows, with Fraction sums."""
+    n = l.ambient_dim
+    rows = []
+    for r in l.span.basis.entries:
+        x = r[:n]
+        shift = [sum((x[i] * b.entries[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
+        rows.append(x + tuple(c + s for c, s in zip(r[n:], shift)))
+    return DiracVS.from_rows(n, rows)
+
+
+def lifted_structure(d: DiracManifoldData, b, point) -> DiracVS:
+    """(X, 0 | xi, 0) for each basis row of the input structure at the base
+    point and (0, e_I | 0, 0) for each fiber direction, gauged by B there."""
+    m, k = d.base_dim, d.fiber_dim
+    n = m + k
+    pad = (Fraction(0),) * k
+    rows = [r[:m] + pad + r[m:] + pad for r in d.dirac_at(point[:m]).span.basis.entries]
+    rows += [(Fraction(0),) * m + e + (Fraction(0),) * n for e in standard_basis(k)]
+    return fraction_gauge(DiracVS.from_rows(n, rows), b.at(point))
+
+
+def rand_poly(rng: random.Random, variables, support, terms: int = 2, degree: int = 2) -> Poly:
+    coeffs: dict = {}
+    for _ in range(terms):
+        e = tuple(rng.randint(0, degree) if i in support else 0 for i in range(len(variables)))
+        coeffs[e] = coeffs.get(e, 0) + rand_fraction(rng)
+    return Poly.make(variables, coeffs)
+
+
+def rand_dirac_manifold(rng: random.Random, r: int, k: int, extract: bool) -> DiracManifoldData:
+    """A regular Dirac manifold on Q^(r+k), r >= 2: the graph of f(y) d/dy1 ^ d/dy2
+    on the y = x_1..x_r directions plus E = span d/dz over z = x_(r+1)..; the
+    sections mixed by a unipotent polynomial matrix (and, unless `extract`,
+    the first one scaled by 1 + x_m^2, so that no polynomial bivector is
+    extracted), E framed by a unimodular integer matrix and V_i = d/dy_i +
+    sum_l d_i h_l(y) d/dz_l.  The structure is a bivector graph everywhere."""
+    m = r + k
+    xs = ambient_variables(m)
+    zero, one = Poly.zero(xs), Poly.constant(xs, 1)
+
+    def unit(i):
+        return tuple(one if a == i else zero for a in range(m))
+
+    f = rand_poly(rng, xs, range(r))
+    sharp = {0: (zero, -f) + (zero,) * (m - 2), 1: (f,) + (zero,) * (m - 1)}
+    rows = [(sharp.get(i, (zero,) * m), unit(i)) for i in range(r)]
+    rows += [(unit(r + l), (zero,) * m) for l in range(k)]
+    for a in range(m - 1):
+        c = rand_poly(rng, xs, range(m), terms=1, degree=1)
+        rows[a] = tuple(tuple(p + c * q for p, q in zip(mine, theirs)) for mine, theirs in zip(rows[a], rows[a + 1]))
+    if not extract:
+        s = one + Poly.variable(xs, xs[-1]) ** 2
+        rows[0] = tuple(tuple(s * p for p in part) for part in rows[0])
+    u = [[1, rng.randint(-2, 2)], [0, 1]]
+    e_frame = tuple(tuple(Poly.constant(xs, u[j][a - r]) if a >= r else zero for a in range(m)) for j in range(k))
+    h = [rand_poly(rng, xs, range(r), degree=3) for _ in range(k)]
+    v_frame = tuple(tuple(one if a == i else zero if a < r else h[a - r].partial(xs[i]) for a in range(m)) for i in range(r))
+    return DiracManifoldData(m, tuple(Section(*row) for row in rows), e_frame, v_frame)
+
+
+def bundled_case(name: str):
+    scenario = load_scenario_text(_resolve_scenario(name))
+    d = scenario.dirac_manifold
+    return d, grid_points(d.base_dim + d.fiber_dim, *scenario.sample_grid)
+
+
+def random_case(seed: int):
+    rng = random.Random(seed)
+    r, k = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2)])
+    d = rand_dirac_manifold(rng, r, k, extract=seed % 2 == 0)
+    return d, [rand_point(rng, r + 2 * k) for _ in range(3)]
+
+
+EMBED_SCENARIOS = sorted(name for name, analysis in BUNDLED_ANALYSES.items() if analysis == "embed")
+
+
+class TestEvaluatedSectionsMatchTheLift:
+    def check(self, monkeypatch, d: DiracManifoldData, samples) -> None:
+        n = d.base_dim + d.fiber_dim
+        seen = {}
+        original = embedding._dirac_at
+
+        def recording(dim, sections, point):
+            structure = original(dim, sections, point)
+            if dim == n:
+                seen[tuple(point)] = structure
+            return structure
+
+        monkeypatch.setattr(embedding, "_dirac_at", recording)
+        result = build_embedding(d, samples)
+        samples = [tuple(s) for s in samples]
+        zero_section = [s[: d.base_dim] + (Fraction(0),) * d.fiber_dim for s in samples]
+        assert set(samples) | set(zero_section) <= set(seen)
+        for point, structure in seen.items():
+            reference = lifted_structure(d, result.gauge_form, point)
+            assert structure == reference, point
+            assert result.dirac_at(point) == reference, point
+
+    @pytest.mark.parametrize("name", EMBED_SCENARIOS)
+    def test_bundled_scenarios(self, monkeypatch, name):
+        d, samples = bundled_case(name)
+        self.check(monkeypatch, d, samples[:6])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_random_data(self, monkeypatch, seed):
+        d, samples = random_case(seed)
+        self.check(monkeypatch, d, samples)
+
+    def test_points_where_the_structure_is_no_graph(self):
+        # a complement tilted by x1: B depends on p1, and at p1 = -1 the
+        # structure is not a bivector graph; both constructions still agree
+        x3 = ("x1", "x2", "x3")
+        q = lambda t: Poly.parse(t, x3)
+        d = DiracManifoldData(
+            base_dim=3,
+            sections=(
+                Section((q("1"), q("0"), q("0")), (q("0"), q("1"), q("0"))),
+                Section((q("0"), q("1"), q("0")), (q("-1"), q("0"), q("0"))),
+                Section((q("0"), q("0"), q("1")), (q("0"), q("0"), q("0"))),
+            ),
+            e_frame=((q("0"), q("0"), q("1")),),
+            v_frame=((q("1"), q("0"), q("0")), (q("0"), q("1"), q("x1"))),
+        )
+        b = pullback_canonical_form(d)
+        sections = embedding._gauged_span_symbolic(d, b)
+        points = list(grid_points(4, 2, 3, 12)) + [(Fraction(1), Fraction(1), Fraction(0), Fraction(-1))]
+        graphs = set()
+        for point in points:
+            structure = embedding._dirac_at(4, sections, point)
+            assert structure == lifted_structure(d, b, point), point
+            graphs.add(as_bivector(structure) is not None)
+        assert graphs == {True, False}
+
+
+def fraction_evaluate(poly: Poly, point) -> Fraction:
+    total = Fraction(0)
+    for e, c in poly.terms:
+        value = c
+        for base, k in zip(point, e):
+            if k:
+                value *= base ** k
+        total += value
+    return total
+
+
+def sympy_evaluate(poly: Poly, point) -> Fraction:
+    symbols = sympy.symbols(poly.variables)
+    expr = sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s ** k for s, k in zip(symbols, e)))
+        for e, c in poly.terms
+    ))
+    value = sympy.Rational(expr.xreplace({s: sympy.Rational(x.numerator, x.denominator) for s, x in zip(symbols, point)}))
+    return Fraction(int(value.p), int(value.q))
+
+
+BIG = 10 ** 299
+EVALUATION_POINTS = [
+    (Fraction(0), Fraction(0), Fraction(0)),
+    (Fraction(-1), Fraction(-2, 3), Fraction(-5, 7)),
+    (Fraction(2), Fraction(-3), Fraction(4)),
+    (2, -3, 0),
+    (Fraction(BIG + 7, 3), Fraction(-(BIG + 1), 11 * BIG + 3), Fraction(5, BIG + 9)),
+]
+
+
+class TestEvaluate:
+    X3 = ambient_variables(3)
+
+    def polys(self):
+        rng = random.Random(5)
+        fixed = [Poly.zero(self.X3), Poly.constant(self.X3, "-7/4"), Poly.constant(self.X3, 3)]
+        return fixed + [rand_poly(rng, self.X3, range(3), terms=4, degree=3) for _ in range(12)]
+
+    @pytest.mark.parametrize("point", EVALUATION_POINTS, ids=["zero", "negative", "integer", "int", "300-digit"])
+    def test_matches_the_fraction_term_loop_and_sympy(self, point):
+        for poly in self.polys():
+            value = poly.evaluate(point)
+            assert type(value) is Fraction
+            assert value == fraction_evaluate(poly, point) == sympy_evaluate(poly, point), str(poly)
+
+
+def reference_bivector(l: DiracVS) -> MatrixQ | None:
+    """Pi = V C^-1, C and V the covector and vector columns of L's basis."""
+    n = l.ambient_dim
+    rows = l.span.basis.entries
+    cov = MatrixQ(n, n, tuple(tuple(r[n + i] for r in rows) for i in range(n)))
+    try:
+        cov_inv = inverse(cov)
+    except ValueError:
+        return None
+    return MatrixQ(n, n, tuple(tuple(r[i] for r in rows) for i in range(n))) @ cov_inv
+
+
+def random_structures(seed: int):
+    """Dirac structures on Q^2..Q^5: graphs, forms on subspaces, and their gauges."""
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randint(2, 5)
+        graph = from_bivector(rand_poisson(rng, n))
+        carried = from_subspace_form(*rand_dirac_form_data(rng, n))
+        b = rand_antisym(rng, n, height=12)
+        yield from (graph, carried, gauge(graph, b), gauge(carried, b))
+
+
+class TestAsBivector:
+    def test_matches_the_inverse_formula(self):
+        outcomes = set()
+        for l in random_structures(11):
+            pi = as_bivector(l)
+            expected = reference_bivector(l)
+            assert (pi is None) == (expected is None) == (characteristic(l).dim > 0)
+            if pi is not None:
+                assert pi.pi == expected
+            outcomes.add(pi is None)
+        assert outcomes == {True, False}
+
+    def test_round_trips_from_bivector(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            p = rand_poisson(rng, rng.randint(1, 6), height=9)
+            assert as_bivector(from_bivector(p)) == p
+
+    def test_form_on_a_proper_subspace_is_no_graph(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            o = rand_subspace(rng, n, max_dim=n - 1)
+            if o.dim == 0:
+                continue
+            assert as_bivector(from_subspace_form(o, MatrixQ.zeros(o.dim, o.dim))) is None
+
+
+class TestGauge:
+    def test_matches_the_fraction_reference(self):
+        rng = random.Random(21)
+        for l in random_structures(22):
+            b = rand_antisym(rng, l.ambient_dim, height=12)  # denominators 1..12
+            assert gauge(l, b) == fraction_gauge(l, b)
+            assert gauge(gauge(l, b), -b) == l
