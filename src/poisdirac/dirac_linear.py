@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import PoissonVS
 from .rational_linalg import (
-    MatrixQ, Subspace, _eliminate, _row_space, annihilator, intersect, inverse, pivot_columns, primitive, standard_basis,
+    MatrixQ, Subspace, _eliminate, _pivots, _row_space, annihilator, intersect, inverse, primitive, standard_basis,
 )
 
 
@@ -75,7 +75,7 @@ def from_subspace_form(o: Subspace, omega: MatrixQ) -> DiracVS:
     n = o.ambient_dim
     # o's basis is reduced, so omega's row i at o's pivot columns is a covector xi
     # with xi(o_j) = omega(o_i, o_j)
-    pivots = pivot_columns(o.basis, d)
+    pivots = _pivots(o.rows)
     rows = []
     for o_i, omega_i in zip(o.basis.entries, omega.entries):
         xi = [Fraction(0)] * n

@@ -26,7 +26,7 @@ from typing import Sequence
 from .bivector_fields import BivectorField, TwoFormField, is_closed, is_poisson
 from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
-from .poisson_linear import classify_subspace
+from .poisson_linear import _derived, classify_subspace
 from .polynomials import Poly, fiber_variables, poly_matrix_det, poly_matrix_inverse, sum_of_products
 from .rational_linalg import MatrixQ, Subspace, Vector, fmt_point, rank, standard_basis
 
@@ -169,11 +169,14 @@ def pullback_canonical_one_form(d: DiracManifoldData) -> tuple[Poly, ...]:
 
 def pullback_canonical_form(d: DiracManifoldData) -> TwoFormField:
     """Gauge two-form B = CANONICAL_FORM_SIGN * d(theta); closed by construction."""
-    return _gauge_form(d, pullback_canonical_one_form(d))
+    return _gauged(d)[1]
 
 
-def _gauge_form(d: DiracManifoldData, theta: tuple[Poly, ...]) -> TwoFormField:
-    """B = CANONICAL_FORM_SIGN * d(theta) for the pairing one-form theta of d."""
+@_derived
+def _gauged(d: DiracManifoldData) -> tuple[tuple[Poly, ...], TwoFormField, tuple[Section, ...]]:
+    """The pairing one-form theta of d, the gauge form B = CANONICAL_FORM_SIGN *
+    d(theta), and the spanning sections gauged by B: derived once per d."""
+    theta = pullback_canonical_one_form(d)
     total_vars = total_space_variables(d)
     n = len(total_vars)
     b = TwoFormField.from_upper(total_vars, {
@@ -182,7 +185,7 @@ def _gauge_form(d: DiracManifoldData, theta: tuple[Poly, ...]) -> TwoFormField:
     })
     if not is_closed(b):
         raise PropertyViolationError("derived gauge form is not closed; d^2 = 0 was violated")
-    return b
+    return theta, b, _gauged_span_symbolic(d, b)
 
 
 def _gauged_span_symbolic(d: DiracManifoldData, b: TwoFormField) -> tuple[Section, ...]:
@@ -254,8 +257,7 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
         raise PreconditionError(f"input data invalid at sample {first.sample_index}: {first.message}")
     m, k = d.base_dim, d.fiber_dim
     n = m + k
-    b = pullback_canonical_form(d)
-    sections = _gauged_span_symbolic(d, b)
+    _, b, sections = _gauged(d)
     bivector = _extract_symbolic_bivector(d, sections)
     checks = []
     zero_tangent = Subspace.span(n, standard_basis(n)[:m])
@@ -322,8 +324,9 @@ def compare_splittings(
     zero section, and the gauge by B must carry the first structure to
     the second at every sample.
     """
-    d0 = replace(d, v_frame=tuple(tuple(f) for f in v0_frame))
-    d1 = replace(d, v_frame=tuple(tuple(f) for f in v1_frame))
+    # a frame equal to d's own reuses what d has derived
+    frames = [tuple(map(tuple, f)) for f in (v0_frame, v1_frame)]
+    d0, d1 = (d if f == d.v_frame else replace(d, v_frame=f) for f in frames)
     base_samples = [tuple(s[: d.base_dim]) for s in samples]
     bases: dict[Vector, DiracVS] = {}  # d0 and d1 share their sections
     for name, dd in (("v0", d0), ("v1", d1)):
@@ -331,8 +334,7 @@ def compare_splittings(
         if not report.ok:
             issue = report.issues[0]
             raise PreconditionError(f"{name} frame invalid at sample {issue.sample_index}: {issue.message}")
-    theta0, theta1 = pullback_canonical_one_form(d0), pullback_canonical_one_form(d1)
-    b0, b1 = _gauge_form(d0, theta0), _gauge_form(d1, theta1)
+    (theta0, b0, rows0), (theta1, b1, rows1) = _gauged(d0), _gauged(d1)
     diff = b1 - b0
     closed = is_closed(diff)
     m, k = d.base_dim, d.fiber_dim
@@ -340,7 +342,6 @@ def compare_splittings(
     zero_fibers = {total_vars[m + i]: Poly.zero(total_vars) for i in range(k)}
     keep = {v: Poly.variable(total_vars, v) for v in total_vars[:m]}
     on_base = all((t1 - t0).substitute({**keep, **zero_fibers}).is_zero() for t0, t1 in zip(theta0, theta1))
-    rows0, rows1 = _gauged_span_symbolic(d0, b0), _gauged_span_symbolic(d1, b1)
     intertwines = all(
         gauge(_dirac_at(m + k, rows0, point), diff.at(point)) == _dirac_at(m + k, rows1, point) for point in samples
     )

@@ -42,8 +42,9 @@ from .rational_linalg import (
 
 
 def _derived(build):
-    """build(p, *args) made once per PoissonVS p and arguments: the result is
-    cached on p, outside the fields that equality and hashing read."""
+    """build(p, *args) made once per object p (a PoissonVS, or any frozen
+    dataclass) and arguments: the result is cached on p, outside the fields
+    that equality and hashing read."""
     @wraps(build)
     def once(p, *args):
         cache = p.__dict__.setdefault("_cache", {})
@@ -165,7 +166,7 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
     d = w.dim
     constraint_rows = w.basis.entries + p.sharp_annihilator(w).basis.entries
     constraints = MatrixQ.from_rows(constraint_rows, cols=p.dim)
-    xis = [solve(constraints, target) for target in standard_basis(len(constraint_rows))[:d]]
+    xis = solve(constraints, standard_basis(len(constraint_rows))[:d])
     if None in xis:
         raise PropertyViolationError("covector extension system is inconsistent")
     columns = w.coordinates_of_rows([p.sharp(xi) for xi in xis])
@@ -250,18 +251,14 @@ def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
 
 def leaf_form_gram(p: PoissonVS, xs: Sequence[Sequence[Fraction]], ys: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
     """Omega(x, y) for x in xs (rows) and y in ys (columns), all in the leaf O, via
-    Omega(sharp xi, .) = -xi|_O: sharp xi = v is solved once per distinct vector v,
-    and a vector with no solution is off the leaf."""
-    preimages: dict[Vector, Vector] = {}
-    for v in (*xs, *ys):
-        if len(v) != p.dim:
-            raise SpaceMismatchError("vector length does not match ambient dimension")
-        v = tuple(v)
-        if v not in preimages:
-            xi = solve(p.pi, v)
-            if xi is None:
-                raise PreconditionError("leaf form is only defined on the image of sharp")
-            preimages[v] = xi
+    Omega(sharp xi, .) = -xi|_O: sharp xi = v is solved for every distinct vector v
+    in one elimination, and a vector with no solution is off the leaf."""
+    if any(len(v) != p.dim for v in (*xs, *ys)):
+        raise SpaceMismatchError("vector length does not match ambient dimension")
+    distinct = list(dict.fromkeys(map(tuple, (*xs, *ys))))
+    preimages = dict(zip(distinct, solve(p.pi, distinct)))
+    if None in preimages.values():
+        raise PreconditionError("leaf form is only defined on the image of sharp")
     return tuple(tuple(-sum(a * b for a, b in zip(preimages[tuple(x)], y)) for y in ys) for x in xs)
 
 
@@ -289,14 +286,11 @@ def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> Matrix
     sharp_ann_v = p.sharp_annihilator(v)
     # decompose each v-basis vector along w + sharp(ann v); A is minus the second part
     dec_matrix = MatrixQ.from_rows(w.basis.entries + sharp_ann_v.basis.entries, cols=p.dim).transpose()
-    tails = []
-    for row in v.basis.entries:
-        coeffs = solve(dec_matrix, row)
-        if coeffs is None:
-            raise PropertyViolationError("sharp(ann v) is not a complement of w")
-        tails.append(coeffs[w.dim:])
+    coeffs = solve(dec_matrix, v.basis.entries)
+    if None in coeffs:
+        raise PropertyViolationError("sharp(ann v) is not a complement of w")
     d = v.dim
-    a = -(MatrixQ(d, sharp_ann_v.dim, tuple(tails)) @ sharp_ann_v.basis)
+    a = -(MatrixQ(d, sharp_ann_v.dim, tuple(c[w.dim:] for c in coeffs)) @ sharp_ann_v.basis)
     # rows of B: 1/2 sharp_V(Omega(A v_i, A .)) in ambient coordinates
     omega_a = MatrixQ(d, d, leaf_form_gram(p, a.entries, a.entries))
     b = (omega_a @ embedding_conditions(p, c, v).induced.pi.transpose() @ v.basis).scale(Fraction(1, 2))

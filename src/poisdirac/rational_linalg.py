@@ -8,8 +8,10 @@ bit-for-bit and shared freely.
 
 All elimination is one fraction-free Gauss-Jordan loop on primitive
 integer rows.  A Subspace stores its reduced rows as integers; Fractions
-are made only where a caller reads them (`rref`, `Subspace.basis`), and
-matrix products cost one gcd per entry.
+are made only where a caller reads them (`rref`, `solve`,
+`Subspace.basis`), and matrix products cost one gcd per entry.  `solve`
+takes every right-hand side of a coefficient matrix at once and runs one
+elimination for all of them; `inverse` is its identity case.
 
 Subspaces carry a primal/dual tag: annihilators land in the dual
 space and mixing the two ambients raises, which catches the classic
@@ -221,12 +223,7 @@ def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
 
 
 def rank(m: MatrixQ) -> int:
-    return rref(m)[1]
-
-
-def pivot_columns(reduced: MatrixQ, rk: int) -> tuple[int, ...]:
-    """Pivot columns of a matrix already in reduced row echelon form."""
-    return tuple(_pivots(reduced.entries[:rk]))
+    return _row_space(m.cols, m.entries).dim
 
 
 def _pivots(rows: Sequence[Sequence]) -> list[int]:
@@ -239,29 +236,32 @@ def kernel(m: MatrixQ) -> Subspace:
     return annihilator(_row_space(m.cols, m.entries, dual=True))
 
 
-def solve(m: MatrixQ, b: Sequence[Fraction]) -> Vector | None:
-    """One particular solution of m x = b, or None if inconsistent."""
-    if len(b) != m.rows:
+def solve(m: MatrixQ, bs: Sequence[Sequence[Fraction]]) -> tuple[Vector | None, ...]:
+    """For each right-hand side b, the solution of m x = b with every free
+    variable 0, or None where it is inconsistent.  One elimination of
+    [m | b_1 ... b_k] with pivots only in m's columns: then a pivot row reads
+    p x_c = b'_r, and a nonzero b' in a row below the rank is a contradiction."""
+    if any(len(b) != m.rows for b in bs):
         raise SpaceMismatchError("right-hand side length does not match row count")
-    aug = MatrixQ(m.rows, m.cols + 1, tuple(r + (bb,) for r, bb in zip(m.entries, b)))
-    reduced, rk = rref(aug)
-    pivots = pivot_columns(reduced, rk)
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for r, piv in enumerate(pivots):
-        x[piv] = reduced.entries[r][m.cols]
-    return tuple(x)
+    n = m.cols
+    work = [primitive(_scaled_row(r + b)[0]) for r, b in zip(m.entries, list(zip(*bs)) or [()] * m.rows)]
+    pivots = _eliminate(work, n)
+    row_at, below = dict(zip(pivots, work)), work[len(pivots):]
+    return tuple(
+        None if any(row[j] for row in below)
+        else tuple(Fraction(row_at[c][j], row_at[c][c]) if c in row_at else ZERO for c in range(n))
+        for j in range(n, n + len(bs))
+    )
 
 
 def inverse(m: MatrixQ) -> MatrixQ:
+    """m^-1: its columns solve m x = e_j, the identity case of `solve`."""
     if m.rows != m.cols:
         raise SpaceMismatchError("only square matrices can be inverted")
-    aug = MatrixQ(m.rows, 2 * m.cols, tuple(r + e for r, e in zip(m.entries, standard_basis(m.cols))))
-    reduced, rk = rref(aug)
-    if rk < m.rows or pivot_columns(reduced, rk) != tuple(range(m.rows)):
+    columns = solve(m, standard_basis(m.rows))
+    if None in columns:
         raise ValueError("matrix is singular")
-    return MatrixQ(m.rows, m.cols, tuple(r[m.cols:] for r in reduced.entries))
+    return MatrixQ(m.rows, m.cols, columns).transpose()
 
 
 @dataclass(frozen=True)

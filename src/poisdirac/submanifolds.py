@@ -233,7 +233,7 @@ class PointData:
             grad = tuple(f.partial(v).evaluate(self.sample) for v in f.variables)
             # tangent basis row i = J m_i for a unique m_i, and df(row_i) = grad . m_i
             jac = c.map.jacobian_at(self.sample)
-            rows = [solve(jac, row) for row in rows]
+            rows = solve(jac, rows)
             if None in rows:
                 raise PropertyViolationError("tangent basis vector has no parameter preimage")
         else:
@@ -257,7 +257,7 @@ class PointData:
         # solve for lambda with span-combination covector part equal to df
         basis = structure.span.basis.entries
         cov = MatrixQ(d, len(basis), tuple(tuple(row[d + i] for row in basis) for i in range(d)))
-        lam = solve(cov, df)
+        (lam,) = solve(cov, [df])
         if lam is None:
             raise PreconditionError(f"no tangent solution for df at {fmt_point(self.sample)}; function is not admissible there")
         y = tuple(sum(l * row[i] for l, row in zip(lam, basis)) for i in range(d))
@@ -278,8 +278,7 @@ class PointData:
         complement_rows = greedy_complement(tangent_in_w, standard_basis(w.dim))
         constraint = MatrixQ.from_rows(tangent_in_w.basis.entries + complement_rows, cols=w.dim)
         pad = (Fraction(0),) * len(complement_rows)
-        alpha = solve(constraint, tuple(self.differential(f)) + pad)
-        beta = solve(constraint, tuple(self.differential(g)) + pad)
+        alpha, beta = solve(constraint, [self.differential(f) + pad, self.differential(g) + pad])
         if alpha is None or beta is None:
             raise PropertyViolationError("covector extension to the cosymplectic subspace failed")
         # W-bracket with the same orientation as the intrinsic one: beta(sharp_W alpha)

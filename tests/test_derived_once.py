@@ -1,5 +1,6 @@
 """Each classification, embedding-conditions record and induced bivector is
-built at most once per (PoissonVS, subspaces), whoever asks for it.
+built at most once per (PoissonVS, subspaces), whoever asks for it, and each
+linear system with many right-hand sides is solved in one elimination.
 
 Builds are counted, not calls: a profile hook counts every run of a
 build function's own body, which a cached call never reaches.
@@ -9,10 +10,12 @@ import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
 from gen import rand_valid_iso_triple
+from poisdirac.bivector_fields import BivectorField
 from poisdirac.cli import main
 from poisdirac.poisson_linear import (
     PoissonVS,
@@ -21,7 +24,11 @@ from poisdirac.poisson_linear import (
     cosymplectic_extension,
     embedding_conditions,
     induced_bivector,
+    leaf_form_gram,
 )
+from poisdirac.polynomials import Poly, PolyMap
+from poisdirac.rational_linalg import MatrixQ, Subspace, solve
+from poisdirac.submanifolds import LevelSet, Parametrized, PointData
 
 # the code of each build function's own body, under whatever cache wraps it
 BUILD_FUNCTIONS = {
@@ -85,3 +92,61 @@ def test_counting_sees_a_second_build():
             classify_subspace(q, v)
         getattr(classify_subspace, "__wrapped__", classify_subspace)(q, v)
     assert sorted(builds.values()) == [1, 2]
+
+
+@contextmanager
+def counted_solves():
+    """Counter of runs of `solve`'s body, keyed by the name of the function
+    that called it (a comprehension counts as the function it sits in)."""
+    solves = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is solve.__code__:
+            caller = frame.f_back
+            while caller.f_code.co_name.startswith("<"):
+                caller = caller.f_back
+            solves[caller.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield solves
+    finally:
+        sys.setprofile(previous)
+
+
+X4 = ("x1", "x2", "x3", "x4")
+J4 = MatrixQ.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+E1, E12 = Subspace.span(4, [[1, 0, 0, 0]]), Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+TILTED = Subspace.span(4, [[1, 0, 0, 0], [0, 1, 1, 0]])
+A, B = (Fraction(1), Fraction(2), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(5))
+
+
+def _graph_point() -> PointData:
+    """A sample of a parametrized surface with a 2-dim tangent space."""
+    pi = BivectorField.from_upper(X4, {(0, 2): "1", (1, 3): "1"})
+    patch = Parametrized(PolyMap.parse(["t1", "t2", "t2^2", "t1^2"], ("t1", "t2")))
+    return PointData(pi, patch, (Fraction(1, 2), Fraction(-3)))
+
+
+def _hypersurface_point() -> PointData:
+    pi = BivectorField.from_upper(X4, {(0, 1): "1", (2, 3): "1"})
+    return PointData(pi, LevelSet((Poly.parse("x4", X4),)), (Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(0)))
+
+
+# caller of solve -> work on a fresh structure or point that has it solve two
+# or more right-hand sides against one coefficient matrix
+ONE_SOLVE_CASES = {
+    "leaf_form_gram": lambda: leaf_form_gram(PoissonVS(4, J4), [A, B, A], [B, A, A]),
+    "induced_bivector": lambda: induced_bivector(PoissonVS(4, J4), E12),
+    "canonical_iso": lambda: canonical_iso(PoissonVS(4, J4), E1, E12, TILTED),
+    "differential": lambda: _graph_point().differential(Poly.parse("t1*t2 + t2", ("t1", "t2"))),
+    "consistency": lambda: _hypersurface_point().consistency(Poly.parse("x1", X4), Poly.parse("x2", X4)),
+}
+
+
+@pytest.mark.parametrize("caller", ONE_SOLVE_CASES)
+def test_many_right_hand_sides_are_solved_in_one_elimination(caller):
+    with counted_solves() as solves:
+        ONE_SOLVE_CASES[caller]()
+    assert solves[caller] == 1, solves

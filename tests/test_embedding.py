@@ -292,26 +292,38 @@ class TestBaseStructuresBuiltOnce:
 
 
 class TestOneFormDerivedOncePerFrame:
-    """compare_splittings derives each frame's pairing one-form once and builds
-    its gauge form from it: one coframe inverse per frame."""
+    """Each frame's pairing one-form, gauge form and gauged sections are derived
+    once, whichever of build_embedding and compare_splittings asks: one coframe
+    inverse per frame, and one more for the extracted bivector."""
 
-    def test_compare_splittings(self, monkeypatch):
-        derived, inverses = Counter(), Counter()
-        one_form, inverse = embedding.pullback_canonical_one_form, embedding.poly_matrix_inverse
+    V1 = ((p3("1"), p3("0"), p3("1")), (p3("0"), p3("1"), p3("0")))
+    PER_FRAME = ("pullback_canonical_one_form", "_gauged_span_symbolic")
 
-        def counting_one_form(d):
-            derived[d.v_frame] += 1
-            return one_form(d)
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the per-frame builders keyed by (name, V frame), and of
+        poly_matrix_inverse keyed by (name, None)."""
+        counts = Counter()
+        for name in (*self.PER_FRAME, "poly_matrix_inverse"):
+            def counting(*args, name=name, original=getattr(embedding, name)):
+                counts[name, getattr(args[0], "v_frame", None)] += 1
+                return original(*args)
 
-        def counting_inverse(entries):
-            inverses["calls"] += 1
-            return inverse(entries)
+            monkeypatch.setattr(embedding, name, counting)
+        return counts
 
-        monkeypatch.setattr(embedding, "pullback_canonical_one_form", counting_one_form)
-        monkeypatch.setattr(embedding, "poly_matrix_inverse", counting_inverse)
+    def expected(self, frames, inverses):
+        return Counter({**{(name, f): 1 for name in self.PER_FRAME for f in frames}, ("poly_matrix_inverse", None): inverses})
+
+    def test_compare_splittings(self, counts):
         data = r4_data()
-        v1 = ((p3("1"), p3("0"), p3("1")), (p3("0"), p3("1"), p3("0")))
-        result = compare_splittings(data, data.v_frame, v1, SAMPLES)
+        result = compare_splittings(data, data.v_frame, self.V1, SAMPLES)
         assert result.closed and result.one_form_difference_vanishes_on_base and result.intertwines_at_all_samples
-        assert derived == Counter({data.v_frame: 1, v1: 1})
-        assert inverses == Counter({"calls": 2})
+        assert counts == self.expected((data.v_frame, self.V1), inverses=2)
+
+    def test_build_embedding_then_compare_splittings(self, counts):
+        # compare_splittings reuses what build_embedding derived for the data's own frame
+        data = r4_data()
+        build_embedding(data, SAMPLES)
+        assert compare_splittings(data, data.v_frame, self.V1, SAMPLES).intertwines_at_all_samples
+        assert counts == self.expected((data.v_frame, self.V1), inverses=3)

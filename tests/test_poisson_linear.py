@@ -183,8 +183,13 @@ class TestLeafForm:
                 call()
 
     def test_gram_rejects_wrong_length(self):
-        with pytest.raises(SpaceMismatchError, match="vector length"):
-            leaf_form_gram(P4, [(Fraction(1), Fraction(0))], [])
+        # every length is checked before the one solve: a short vector raises
+        # wherever it sits, also behind a vector off the leaf
+        p = PoissonVS(4, MatrixQ.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+        short, off_leaf = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
+        for xs, ys in (([short], []), ([off_leaf], [short])):
+            with pytest.raises(SpaceMismatchError, match="vector length"):
+                leaf_form_gram(p, xs, ys)
 
 
 class TestCanonicalIso:

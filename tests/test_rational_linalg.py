@@ -18,7 +18,6 @@ from poisdirac.rational_linalg import (
     intersect,
     inverse,
     kernel,
-    pivot_columns,
     preimage,
     rank,
     rat,
@@ -145,7 +144,7 @@ def test_rref_rank_and_kernel_match_sympy(kind):
         expected, expected_pivots = sm.rref()
         reduced, rk = rref(m)
         assert reduced.entries == tuple(tuple(_from_sympy(expected[i, j]) for j in range(m.cols)) for i in range(m.rows))
-        assert pivot_columns(reduced, rk) == tuple(expected_pivots)
+        assert tuple(next(j for j, a in enumerate(row) if a) for row in reduced.entries[:rk]) == tuple(expected_pivots)
         assert rank(m) == sm.rank()
         assert kernel(m) == Subspace.span(m.cols, [[_from_sympy(x) for x in v] for v in sm.nullspace()])
 
@@ -154,24 +153,30 @@ def test_rref_rank_and_kernel_match_sympy(kind):
 def test_solve_matches_sympy(kind):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(f"sympy-solve-{kind}")
-    outcomes = set()
+    outcomes, sizes = set(), set()
     for _ in range(40):
         m = _rand_matrix(rng, kind, (rng.randint(1, 6), rng.randint(1, 6)))
-        consistent = m.matvec([_small(rng) for _ in range(m.cols)])
-        for b in (consistent, tuple(_small(rng) for _ in range(m.rows))):
-            x = solve(m, b)
+        # 0 to 4 right-hand sides in one call, each in m's image or drawn at random
+        bs = [m.matvec([_small(rng) for _ in range(m.cols)]) if rng.random() < 0.5
+              else tuple(_small(rng) for _ in range(m.rows)) for _ in range(rng.randint(0, 4))]
+        xs = solve(m, bs)
+        assert len(xs) == len(bs)
+        sizes.add(len(bs))
+        kinds = set()
+        for b, x in zip(bs, xs):
             try:
                 expected, params = _to_sympy(sympy, m).gauss_jordan_solve(sympy.Matrix(b))
             except ValueError:  # sympy: "Linear system has no solution"
-                assert b != consistent and x is None
-                outcomes.add("inconsistent")
+                assert x is None
+                kinds.add("inconsistent")
                 continue
             # sympy's general solution with every free parameter at 0 is the
             # particular solution solve returns
             particular = expected.subs({t: 0 for t in params})
             assert x == tuple(_from_sympy(particular[j]) for j in range(m.cols))
-            outcomes.add("consistent")
-    assert outcomes == {"consistent", "inconsistent"}
+            kinds.add("consistent")
+        outcomes |= kinds | ({"mixed"} if len(kinds) == 2 else set())
+    assert outcomes == {"consistent", "inconsistent", "mixed"} and sizes == set(range(5))
 
 
 @pytest.mark.parametrize("kind", ["dense", "deficient", "huge"])
@@ -249,8 +254,8 @@ def test_primal_dual_mix_rejected():
 
 def test_solve_consistent_and_inconsistent():
     m = MatrixQ.from_rows([[1, 1], [2, 2]])
-    assert solve(m, (Fraction(1), Fraction(2))) is not None
-    assert solve(m, (Fraction(1), Fraction(3))) is None
+    assert solve(m, [(Fraction(1), Fraction(2)), (Fraction(1), Fraction(3))]) == ((Fraction(1), Fraction(0)), None)
+    assert solve(m, []) == ()
 
 
 @settings(max_examples=150)
@@ -367,7 +372,7 @@ def test_subspace_calculus_equals_fraction_formulas(kind, pairs):
         # solve(basis^T, v); outside, None
         coeffs = [_small(rng) for _ in ref_a]
         inside = tuple(sum((c * r[j] for c, r in zip(coeffs, ref_a)), Fraction(0)) for j in range(n))
-        expected = solve(a.basis.transpose(), inside) if ref_a else ()
+        expected = solve(a.basis.transpose(), [inside])[0] if ref_a else ()
         assert a.coordinates_of(inside) == tuple(coeffs) == expected and a.contains_vector(inside)
         v = tuple(_small(rng) for _ in range(n))
         v_inside = len(_ref_span(n, ref_a + (v,))) == len(ref_a)
