@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, TypeVar
 
 from .errors import PreconditionError, SpaceMismatchError
 from .poisson_linear import PoissonVS
-from .polynomials import Poly, PolyMap, compose, compose_map, sum_of_products
+from .polynomials import Poly, PolyMap, compose, compose_map, sum_of_products, values_at
 from .rational_linalg import MatrixQ
 
 _Field = TypeVar("_Field", bound="AntisymmetricField")
@@ -64,8 +64,7 @@ class AntisymmetricField:
         return {(i, j): self.entries[i][j] for i in range(n) for j in range(i + 1, n) if not self.entries[i][j].is_zero()}
 
     def matrix_at(self, point: Sequence[Fraction]) -> MatrixQ:
-        n = self.dim
-        return MatrixQ(n, n, tuple(tuple(e.evaluate(point) for e in row) for row in self.entries))
+        return MatrixQ(self.dim, self.dim, values_at(self.entries, point))
 
     def is_constant(self) -> bool:
         return all(e.is_constant() for row in self.entries for e in row)
@@ -84,7 +83,7 @@ class BivectorField(AntisymmetricField):
     def _partials(self) -> dict[tuple[int, int], tuple[Poly, ...]]:
         """(b, c) -> (d_1 Pi^{bc}, ..., d_n Pi^{bc}) for the nonzero entries, derived
         once per field: above the diagonal, and negated below it."""
-        upper = {bc: tuple(p.partial(v) for v in self.variables) for bc, p in self.upper_entries().items()}
+        upper = {bc: p.gradient for bc, p in self.upper_entries().items()}
         return upper | {(c, b): tuple(-d for d in ds) for (b, c), ds in upper.items()}
 
     def permuted(self, order: Sequence[int], new_variables: Sequence[str] | None = None) -> BivectorField:

@@ -27,7 +27,7 @@ from .bivector_fields import BivectorField, TwoFormField, is_closed, is_poisson
 from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import _derived, classify_subspace
-from .polynomials import Poly, fiber_variables, poly_matrix_det, poly_matrix_inverse, sum_of_products
+from .polynomials import Poly, fiber_variables, poly_matrix_det, poly_matrix_inverse, sum_of_products, values_at
 from .rational_linalg import MatrixQ, Subspace, Vector, fmt_point, rank, standard_basis
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
@@ -80,7 +80,7 @@ class DiracManifoldData:
 
 def _dirac_at(n: int, sections: Sequence[Section], point: Sequence[Fraction]) -> DiracVS:
     """The Dirac structure on Q^n spanned by the sections evaluated at a point."""
-    return DiracVS.from_rows(n, [tuple(p.evaluate(point) for p in sec.vector + sec.covector) for sec in sections])
+    return DiracVS.from_rows(n, values_at([sec.vector + sec.covector for sec in sections], point))
 
 
 @dataclass(frozen=True)
@@ -116,16 +116,14 @@ def _validate(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]], bases
             issues.append(ValidationIssue(idx, f"sections: {exc}"))
             continue
         char = characteristic(structure)
-        e_rows = tuple(tuple(p.evaluate(x) for p in field) for field in d.e_frame)
-        e_span = Subspace.span(m, e_rows)
+        frame_rows = values_at(d.e_frame + d.v_frame, x)
+        e_span = Subspace.span(m, frame_rows[:k])
         if e_span.dim != k:
             issues.append(ValidationIssue(idx, "E frame vectors are dependent"))
             continue
         if char != e_span:
             issues.append(ValidationIssue(idx, f"E frame spans a {e_span.dim}-dim space but L /\\ TM is {char.dim}-dim or differs"))
-        v_rows = tuple(tuple(p.evaluate(x) for p in field) for field in d.v_frame)
-        frame = MatrixQ.from_rows(e_rows + v_rows, cols=m)
-        if rank(frame) != m:
+        if rank(MatrixQ.from_rows(frame_rows, cols=m)) != m:
             issues.append(ValidationIssue(idx, "E and V frames do not span the tangent space"))
     return ValidationReport(tuple(issues))
 

@@ -142,18 +142,14 @@ class Poly:
             (tuple(k - 1 if i == idx else k for i, k in enumerate(e)), c * e[idx]) for e, c in self.terms if e[idx]
         ))
 
+    @cached_property
+    def gradient(self) -> tuple[Poly, ...]:
+        """The partial derivatives in the order of the variables, derived once per polynomial."""
+        return tuple(self.partial(v) for v in self.variables)
+
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """The value at a point, on the integer view: with x = P / q over one common
-        denominator and D the total degree, sum n_e P^e q^(D - |e|) over d q^D."""
-        if len(point) != len(self.variables):
-            raise SpaceMismatchError(f"point length {len(point)} != variable count {len(self.variables)}")
-        d, terms = self._scaled
-        ratios = [x.as_integer_ratio() for x in point]
-        q = lcm(*(b for _, b in ratios))
-        nums = [a * (q // b) for a, b in ratios]
-        top = sum(terms[0][0]) if terms else 0
-        total = sum(n * q ** (top - sum(e)) * prod([p ** k for p, k in zip(nums, e) if k]) for e, n in terms)
-        return Fraction(total, d * q ** top)
+        """The value at a point: the 1 x 1 case of `values_at`."""
+        return values_at(((self,),), point)[0][0]
 
     def substitute(self, values: Mapping[str, "Poly"]) -> Poly:
         """Replace every variable by a polynomial (all in one shared context)."""
@@ -243,6 +239,23 @@ def sum_of_products(variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]
     return _ordered(variables, ((e, Fraction(n, big)) for e, n in out.items() if n))
 
 
+def values_at(grid: Iterable[Sequence[Poly]], point: Sequence[Fraction]) -> tuple[Vector, ...]:
+    """Every polynomial of a grid at one point, row by row: the one point evaluator.  The point
+    is coerced by `rat` and put over one common denominator once, x = P / q; on the integer view
+    of a polynomial of total degree D the value is sum n_e P^e q^(D - |e|) over d q^D."""
+    ratios = [rat(x).as_integer_ratio() for x in point]
+    q = lcm(*(b for _, b in ratios))
+    nums = [a * (q // b) for a, b in ratios]
+    def value(poly: Poly) -> Fraction:
+        if len(poly.variables) != len(nums):
+            raise SpaceMismatchError(f"point length {len(nums)} != variable count {len(poly.variables)}")
+        d, terms = poly._scaled
+        top = sum(terms[0][0]) if terms else 0
+        total = sum(n * q ** (top - sum(e)) * prod([p ** k for p, k in zip(nums, e) if k]) for e, n in terms)
+        return Fraction(total, d * q ** top)
+    return tuple(tuple(map(value, row)) for row in grid)
+
+
 def _tokenize(text: str) -> list[str]:
     tokens: list[str] = []
     pos = 0
@@ -330,15 +343,14 @@ class PolyMap:
         return len(self.components)
 
     def evaluate(self, point: Sequence[Fraction]) -> Vector:
-        return tuple(comp.evaluate(point) for comp in self.components)
+        return values_at((self.components,), point)[0]
 
     def jacobian(self) -> tuple[tuple[Poly, ...], ...]:
         """Symbolic Jacobian: entry [i][j] = d components[i] / d source_vars[j]."""
-        return tuple(tuple(comp.partial(v) for v in self.source_vars) for comp in self.components)
+        return tuple(comp.gradient for comp in self.components)
 
     def jacobian_at(self, point: Sequence[Fraction]) -> MatrixQ:
-        rows = tuple(tuple(entry.evaluate(point) for entry in row) for row in self.jacobian())
-        return MatrixQ(self.target_dim, self.source_dim, rows)
+        return MatrixQ(self.target_dim, self.source_dim, values_at(self.jacobian(), point))
 
     def is_identity(self) -> bool:
         return self == PolyMap.identity(self.source_vars)

@@ -36,7 +36,7 @@ from .poisson_linear import (
     greedy_complement,
     subspace_in_basis,
 )
-from .polynomials import Poly, PolyMap
+from .polynomials import Poly, PolyMap, values_at
 from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, column_space, fmt_point, kernel, solve, standard_basis
 
 # Draws made by level_set_grid_points before it gives up on filling `count`.
@@ -75,6 +75,11 @@ class LevelSet:
     def ambient_dim(self) -> int:
         return len(self.constraints[0].variables)
 
+    @cached_property
+    def map(self) -> PolyMap:
+        """The constraint map Q^n -> Q^r, whose zero locus this is."""
+        return PolyMap(self.constraints[0].variables, self.constraints)
+
 
 SubmanifoldPatch = Parametrized | LevelSet
 
@@ -83,8 +88,8 @@ def ambient_point(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Vector:
     if isinstance(c, Parametrized):
         return c.map.evaluate(q)
     point = tuple(q)
-    for g in c.constraints:
-        if g.evaluate(point) != 0:
+    for g, value in zip(c.constraints, c.map.evaluate(point)):
+        if value:
             raise RegularityError(f"point {fmt_point(point)} does not satisfy constraint {g}")
     return point
 
@@ -97,10 +102,7 @@ def tangent_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
             raise RegularityError(f"parametrization is not an immersion at {fmt_point(q)}")
         return tangent
     point = ambient_point(c, q)
-    diffs = MatrixQ.from_rows(
-        [[g.partial(v).evaluate(point) for v in g.variables] for g in c.constraints]
-    )
-    tangent = kernel(diffs)
+    tangent = kernel(c.map.jacobian_at(point))
     if tangent.dim != c.ambient_dim - len(c.constraints):
         raise RegularityError(f"constraint differentials are dependent at {fmt_point(point)}")
     return tangent
@@ -182,10 +184,7 @@ def level_set_grid_points(c: LevelSet, height: int, seed: int, count: int) -> tu
 
     Stops after LEVEL_SET_ATTEMPTS draws, so it can return fewer than `count`.
     """
-    return _draw_points(
-        c.ambient_dim, height, seed, count, LEVEL_SET_ATTEMPTS,
-        lambda q: all(g.evaluate(q) == 0 for g in c.constraints),
-    )
+    return _draw_points(c.ambient_dim, height, seed, count, LEVEL_SET_ATTEMPTS, lambda q: not any(c.map.evaluate(q)))
 
 
 def _draw_points(dim: int, height: int, seed: int, count: int, attempts: int, keep) -> tuple[Vector, ...]:
@@ -227,17 +226,14 @@ class PointData:
         if f in self._differentials:
             return self._differentials[f]
         c, rows = self.patch, self.tangent.basis.entries
-        if f.variables != (c.map.source_vars if isinstance(c, Parametrized) else c.constraints[0].variables):
+        if f.variables != c.map.source_vars:
             raise SpaceMismatchError("function does not use the submanifold's coordinates")
+        (grad,) = values_at((f.gradient,), self.sample)  # on a level set, sample == ambient
         if isinstance(c, Parametrized):
-            grad = tuple(f.partial(v).evaluate(self.sample) for v in f.variables)
             # tangent basis row i = J m_i for a unique m_i, and df(row_i) = grad . m_i
-            jac = c.map.jacobian_at(self.sample)
-            rows = solve(jac, rows)
+            rows = solve(c.map.jacobian_at(self.sample), rows)
             if None in rows:
                 raise PropertyViolationError("tangent basis vector has no parameter preimage")
-        else:
-            grad = tuple(f.partial(v).evaluate(self.ambient) for v in f.variables)
         df = self._differentials[f] = tuple(sum(g * t for g, t in zip(grad, row)) for row in rows)
         return df
 

@@ -1,6 +1,7 @@
 """Each classification, embedding-conditions record and induced bivector is
-built at most once per (PoissonVS, subspaces), whoever asks for it, and each
-linear system with many right-hand sides is solved in one elimination.
+built at most once per (PoissonVS, subspaces), whoever asks for it, each
+linear system with many right-hand sides is solved in one elimination, and
+each partial derivative is derived once per polynomial.
 
 Builds are counted, not calls: a profile hook counts every run of a
 build function's own body, which a cached call never reaches.
@@ -150,3 +151,47 @@ def test_many_right_hand_sides_are_solved_in_one_elimination(caller):
     with counted_solves() as solves:
         ONE_SOLVE_CASES[caller]()
     assert solves[caller] == 1, solves
+
+
+@contextmanager
+def counted_partials():
+    """Counter of runs of `Poly.partial`'s body keyed by (id of the polynomial,
+    variable); every polynomial is kept alive until the block ends."""
+    partials, polys = Counter(), []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is Poly.partial.__code__:
+            polys.append(frame.f_locals["self"])
+            partials[(id(polys[-1]), frame.f_locals["var"])] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield partials
+    finally:
+        sys.setprofile(previous)
+
+
+# CLI run -> partial derivatives it takes: those of the patch map or the level-set
+# constraints and of the bracketed functions, once each, however many samples
+@pytest.mark.parametrize("args, derived", [
+    (["classify", "--scenario", "ex_fz.json", "--grid", "5", "--count", "8"], 6),
+    (["classify", "--scenario", "ex_x2z.json", "--grid", "3", "--count", "8"], 4),
+    (["bracket", "--scenario", "bracket_sympl4.json", "--grid", "3", "--count", "6"], 12),
+])
+def test_cli_run_derives_each_partial_once_per_polynomial(capsys, args, derived):
+    with counted_partials() as partials:
+        code = main(args + ["--porcelain"])
+    capsys.readouterr()
+    assert code == 0
+    assert max(partials.values()) == 1, partials
+    assert sum(partials.values()) == derived
+
+
+def test_counting_sees_a_second_derivation():
+    f, g = Poly.parse("x1*x2 + x3", X4[:3]), Poly.parse("x1*x2 + x3", X4[:3])
+    with counted_partials() as partials:
+        for p in (f, g, f):
+            PolyMap(X4[:3], (p,)).jacobian_at((Fraction(1), Fraction(2), Fraction(3)))
+        f.partial("x1")
+    assert sorted(partials.values()) == [1, 1, 1, 1, 1, 2]

@@ -5,9 +5,10 @@ evaluated there.  The construction that came before it lifts the input
 structure at the base point, pads it, appends the fiber directions and
 gauges the result by B at the point; it is kept here as a reference, with
 a gauge in Fraction arithmetic, and must agree exactly on the bundled
-embed scenarios and on seeded random data.  `Poly.evaluate`, `as_bivector`
-and `gauge` are checked against the Fraction formulas they replaced, and
-`Poly.evaluate` against sympy as well.
+embed scenarios and on seeded random data.  `values_at` (and
+`Poly.evaluate`, its 1 x 1 case), `as_bivector` and `gauge` are checked
+against the Fraction formulas they replaced, and `values_at` against sympy
+as well.
 """
 
 import random
@@ -18,10 +19,12 @@ import sympy
 
 from gen import rand_antisym, rand_dirac_form_data, rand_fraction, rand_point, rand_poisson, rand_subspace
 from poisdirac import embedding
+from poisdirac.bivector_fields import BivectorField
 from poisdirac.cli import BUNDLED_ANALYSES, _resolve_scenario
 from poisdirac.dirac_linear import DiracVS, as_bivector, characteristic, from_bivector, from_subspace_form, gauge
 from poisdirac.embedding import DiracManifoldData, Section, build_embedding, pullback_canonical_form
-from poisdirac.polynomials import Poly, ambient_variables
+from poisdirac.errors import SpaceMismatchError
+from poisdirac.polynomials import Poly, PolyMap, ambient_variables, values_at
 from poisdirac.rational_linalg import MatrixQ, inverse, standard_basis
 from poisdirac.scenario import load_scenario_text
 from poisdirac.submanifolds import grid_points
@@ -192,6 +195,8 @@ EVALUATION_POINTS = [
     (Fraction(BIG + 7, 3), Fraction(-(BIG + 1), 11 * BIG + 3), Fraction(5, BIG + 9)),
 ]
 
+FLOAT_REFUSAL = r"^cannot interpret 0\.[15] as a rational \(floats are not accepted\)$"
+
 
 class TestEvaluate:
     X3 = ambient_variables(3)
@@ -203,10 +208,49 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("point", EVALUATION_POINTS, ids=["zero", "negative", "integer", "int", "300-digit"])
     def test_matches_the_fraction_term_loop_and_sympy(self, point):
-        for poly in self.polys():
-            value = poly.evaluate(point)
-            assert type(value) is Fraction
-            assert value == fraction_evaluate(poly, point) == sympy_evaluate(poly, point), str(poly)
+        polys = self.polys()
+        expected = []
+        for poly in polys:
+            value = fraction_evaluate(poly, point)
+            assert value == sympy_evaluate(poly, point), str(poly)
+            expected.append(value)
+        # one polynomial at a time, the whole list as one row, and a 3 x 5 grid
+        values = [poly.evaluate(point) for poly in polys]
+        (row,) = values_at((polys,), point)
+        grid = values_at([polys[i:i + 5] for i in range(0, 15, 5)], point)
+        assert [len(r) for r in grid] == [5, 5, 5]
+        for got in (values, list(row), [v for r in grid for v in r]):
+            assert all(type(v) is Fraction for v in got)
+            assert got == expected
+
+    def test_a_wrong_length_point_is_refused_even_by_zero_polynomials(self):
+        zero = Poly.zero(self.X3)
+        for point in ((Fraction(1), Fraction(2)), (0, 0, 0, 0), ()):
+            with pytest.raises(SpaceMismatchError):
+                values_at(((zero, zero), (zero,)), point)
+            with pytest.raises(SpaceMismatchError):
+                zero.evaluate(point)
+
+    def test_an_empty_grid_has_no_rows(self):
+        assert values_at((), (Fraction(1), Fraction(2), Fraction(3))) == ()
+        assert values_at(((), ()), (1, 2, 3)) == ((), ())
+
+    def test_float_points_are_refused_as_float_matrix_entries_are(self):
+        with pytest.raises(TypeError, match=FLOAT_REFUSAL):
+            MatrixQ.from_rows([[0.5]])
+        poly = Poly.parse("x1^2 + x2", ["x1", "x2"])
+        pi = BivectorField.from_upper(["x1", "x2"], {(0, 1): "x1"})
+        curve = PolyMap.parse(["t1", "t1^2"], ["t1"])
+        for evaluation in (
+            lambda: poly.evaluate((0.1, 2)),
+            lambda: values_at(((Poly.zero(["x1", "x2"]),),), (0.5, 1)),
+            lambda: values_at((), (0.5,)),
+            lambda: pi.at((0.5, 1)),
+            lambda: curve.evaluate((0.5,)),
+            lambda: curve.jacobian_at((0.5,)),
+        ):
+            with pytest.raises(TypeError, match=FLOAT_REFUSAL):
+                evaluation()
 
 
 def reference_bivector(l: DiracVS) -> MatrixQ | None:
