@@ -21,7 +21,9 @@ and per metric and side the median and quartiles, plus how many pairs the
 change won (ties count for neither side) and the median difference.  With
 --trace-seed, one `--trace 1` run per side and workload adds the per-layer
 metrics.  The output goes to BENCH_<label>.json at the root of this
-repository.
+repository.  The script exits 1 after writing it if any run reported
+`correct: false` or failed operations, naming the workload, seed and side
+of each such run: a wrong run cannot back a claim.
 """
 
 from __future__ import annotations
@@ -89,6 +91,15 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def wrong_runs(report: dict) -> list[str]:
+    """'<workload> seed <N> <side>' for every run that was not correct or had failed operations."""
+    return [
+        f"{workload} seed {pair['seed']} {side} (correct: {pair[f'{side}_correct']}, failed: {pair[f'{side}_failed']})"
+        for workload, entry in report["workloads"].items() for pair in entry["pairs"] for side in SIDES
+        if not pair[f"{side}_correct"] or pair[f"{side}_failed"] > 0
+    ]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -139,7 +150,10 @@ def main() -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
-    return 0
+    wrong = wrong_runs(report)
+    for line in wrong:
+        print(f"wrong run: {line}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ from .bivector_fields import BivectorField, TwoFormField, is_closed, is_poisson
 from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import _derived, classify_subspace
-from .polynomials import Poly, fiber_variables, poly_matrix_det, poly_matrix_inverse, sum_of_products, values_at
-from .rational_linalg import MatrixQ, Subspace, Vector, fmt_point, rank, standard_basis
+from .polynomials import Poly, fiber_variables, integer_rows_at, poly_matrix_det, poly_matrix_inverse, sum_of_products
+from .rational_linalg import Subspace, Vector, _reduced, fmt_point, primitive, standard_basis
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
 CANONICAL_FORM_SIGN = -1
@@ -65,6 +65,8 @@ class DiracManifoldData:
         for sec in self.sections:
             if len(sec.vector) != m or len(sec.covector) != m:
                 raise SpaceMismatchError("section components must have base_dim entries")
+        if any(len(field) != m for field in self.e_frame + self.v_frame):
+            raise SpaceMismatchError("E and V frame fields must have base_dim entries")
 
     @property
     def fiber_dim(self) -> int:
@@ -80,7 +82,8 @@ class DiracManifoldData:
 
 def _dirac_at(n: int, sections: Sequence[Section], point: Sequence[Fraction]) -> DiracVS:
     """The Dirac structure on Q^n spanned by the sections evaluated at a point."""
-    return DiracVS.from_rows(n, values_at([sec.vector + sec.covector for sec in sections], point))
+    rows = integer_rows_at([sec.vector + sec.covector for sec in sections], point)
+    return DiracVS(n, _reduced(2 * n, [primitive(r) for r, _ in rows], False))
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,14 @@ def _validate(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]], bases
             issues.append(ValidationIssue(idx, f"sections: {exc}"))
             continue
         char = characteristic(structure)
-        frame_rows = values_at(d.e_frame + d.v_frame, x)
-        e_span = Subspace.span(m, frame_rows[:k])
+        frame_rows = [primitive(r) for r, _ in integer_rows_at(d.e_frame + d.v_frame, x)]
+        e_span = _reduced(m, frame_rows[:k], False)
         if e_span.dim != k:
             issues.append(ValidationIssue(idx, "E frame vectors are dependent"))
             continue
         if char != e_span:
             issues.append(ValidationIssue(idx, f"E frame spans a {e_span.dim}-dim space but L /\\ TM is {char.dim}-dim or differs"))
-        if rank(MatrixQ.from_rows(frame_rows, cols=m)) != m:
+        if _reduced(m, frame_rows, False).dim != m:
             issues.append(ValidationIssue(idx, "E and V frames do not span the tangent space"))
     return ValidationReport(tuple(issues))
 

@@ -18,7 +18,9 @@ maps multiplies integer numerators over one common denominator into one
 term map, and makes one Fraction per output term.  Arithmetic results are
 well formed by construction and are built without re-validation; parsing
 and the public constructors (`make`, `parse`, `constant`, `variable`)
-keep every check.
+keep every check.  Text and point values meet integers without a Fraction
+per entry: `parse` sums coefficients on integers, and `integer_rows_at`, the
+one point evaluator, gives each row of a grid as integers over one denominator.
 """
 
 from __future__ import annotations
@@ -191,28 +193,28 @@ class Poly:
 
     @staticmethod
     def parse(text: str, variables: Sequence[str]) -> Poly:
-        """Parse the term grammar; rejects anything outside it."""
+        """Parse the term grammar; rejects anything outside it.  One Fraction per monomial."""
         variables = tuple(variables)
         tokens = _tokenize(text)
         if not tokens:
             raise ValueError("empty polynomial string")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], tuple[int, int]] = {}
         pos = 0
-        sign = Fraction(1)
+        sign = 1
         if tokens[pos] in ("+", "-"):
-            sign = Fraction(-1) if tokens[pos] == "-" else Fraction(1)
+            sign = -1 if tokens[pos] == "-" else 1
             pos += 1
         while True:
-            coeff, exps, pos = _parse_term(tokens, pos, variables)
-            e = tuple(exps)
-            out[e] = out.get(e, Fraction(0)) + sign * coeff
+            num, den, e, pos = _parse_term(tokens, pos, variables)
+            n, d = out.get(e, (0, 1))
+            out[e] = (n * den + sign * num * d, d * den)
             if pos == len(tokens):
                 break
             if tokens[pos] not in ("+", "-"):
                 raise ValueError(f"expected '+' or '-' at token {pos} of {text!r}")
-            sign = Fraction(-1) if tokens[pos] == "-" else Fraction(1)
+            sign = -1 if tokens[pos] == "-" else 1
             pos += 1
-        return Poly.make(variables, out)
+        return _ordered(variables, ((e, Fraction(n, d)) for e, (n, d) in out.items() if n))
 
 
 def sum_of_products(variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
@@ -239,21 +241,32 @@ def sum_of_products(variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]
     return _ordered(variables, ((e, Fraction(n, big)) for e, n in out.items() if n))
 
 
-def values_at(grid: Iterable[Sequence[Poly]], point: Sequence[Fraction]) -> tuple[Vector, ...]:
-    """Every polynomial of a grid at one point, row by row: the one point evaluator.  The point
-    is coerced by `rat` and put over one common denominator once, x = P / q; on the integer view
-    of a polynomial of total degree D the value is sum n_e P^e q^(D - |e|) over d q^D."""
+def integer_rows_at(grid: Iterable[Sequence[Poly]], point: Sequence[Fraction]) -> list[tuple[list[int], int]]:
+    """Every polynomial of a grid at one point, row by row, as (integer numerators, common
+    denominator): the one point evaluator.  The point is coerced by `rat` and put over one
+    common denominator once, x = P / q.  On the integer views (d_j, n_e) of a row of total
+    degree at most D, entry j is (L // d_j) sum n_e P^e q^(D - |e|) over L q^D, L = lcm d_j."""
     ratios = [rat(x).as_integer_ratio() for x in point]
     q = lcm(*(b for _, b in ratios))
     nums = [a * (q // b) for a, b in ratios]
-    def value(poly: Poly) -> Fraction:
-        if len(poly.variables) != len(nums):
-            raise SpaceMismatchError(f"point length {len(nums)} != variable count {len(poly.variables)}")
-        d, terms = poly._scaled
-        top = sum(terms[0][0]) if terms else 0
-        total = sum(n * q ** (top - sum(e)) * prod([p ** k for p, k in zip(nums, e) if k]) for e, n in terms)
-        return Fraction(total, d * q ** top)
-    return tuple(tuple(map(value, row)) for row in grid)
+    out = []
+    for row in grid:
+        for poly in row:
+            if len(poly.variables) != len(nums):
+                raise SpaceMismatchError(f"point length {len(nums)} != variable count {len(poly.variables)}")
+        views = [poly._scaled for poly in row]
+        big = lcm(*(d for d, _ in views))
+        top = max((sum(terms[0][0]) for _, terms in views if terms), default=0)
+        out.append(([
+            big // d * sum(n * q ** (top - sum(e)) * prod(map(pow, nums, e)) for e, n in terms)
+            for d, terms in views
+        ], big * q ** top))
+    return out
+
+
+def values_at(grid: Iterable[Sequence[Poly]], point: Sequence[Fraction]) -> tuple[Vector, ...]:
+    """Every polynomial of a grid at one point: the rows of `integer_rows_at` divided out."""
+    return tuple(tuple(Fraction(n, den) for n in ints) for ints, den in integer_rows_at(grid, point))
 
 
 def _tokenize(text: str) -> list[str]:
@@ -270,8 +283,9 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_term(tokens: list[str], pos: int, variables: tuple[str, ...]) -> tuple[Fraction, list[int], int]:
-    coeff = Fraction(1)
+def _parse_term(tokens: list[str], pos: int, variables: tuple[str, ...]) -> tuple[int, int, tuple[int, ...], int]:
+    """One term from tokens[pos]: (num, den, exponents, next position), the coefficient num / den."""
+    num, den = 1, 1
     exps = [0] * len(variables)
     saw_factor = False
     while pos < len(tokens):
@@ -299,17 +313,20 @@ def _parse_term(tokens: list[str], pos: int, variables: tuple[str, ...]) -> tupl
             if exps[idx] > MAX_EXPONENT:
                 raise ValueError(f"exponent {exps[idx]} of {tok} exceeds the maximum {MAX_EXPONENT}")
             pos += 1
+        elif tok == "^":  # a '^' with no variable before it
+            raise ValueError(f"Invalid literal for Fraction: {tok!r}")
         else:
             check_digits(tok)
-            try:
-                coeff *= Fraction(tok)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in coefficient {tok!r}") from None
+            p, _, q = tok.partition("/")
+            q = int(q or 1)
+            if not q:
+                raise ValueError(f"zero denominator in coefficient {tok!r}")
+            num, den = num * int(p), den * q
             pos += 1
         saw_factor = True
     if not saw_factor:
         raise ValueError("empty term")
-    return coeff, exps, pos
+    return num, den, tuple(exps), pos
 
 
 @dataclass(frozen=True)

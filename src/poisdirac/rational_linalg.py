@@ -8,10 +8,11 @@ bit-for-bit and shared freely.
 
 All elimination is one fraction-free Gauss-Jordan loop on primitive
 integer rows.  A Subspace stores its reduced rows as integers; Fractions
-are made only where a caller reads them (`rref`, `solve`,
-`Subspace.basis`), and matrix products cost one gcd per entry.  `solve`
-takes every right-hand side of a coefficient matrix at once and runs one
-elimination for all of them; `inverse` is its identity case.
+are made only where a caller reads them (`rref`, `solve`, `Subspace.basis`),
+integer rows enter through `_reduced` without one, and matrix products cost
+one gcd per entry.  `solve` takes every right-hand side of a coefficient
+matrix at once and runs one elimination for all of them; `inverse` is its
+identity case.
 
 Subspaces carry a primal/dual tag: annihilators land in the dual
 space and mixing the two ambients raises, which catches the classic

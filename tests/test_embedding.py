@@ -13,7 +13,7 @@ from poisdirac.embedding import (
     pullback_canonical_form,
     validate_dirac_data,
 )
-from poisdirac.errors import PreconditionError, PropertyViolationError
+from poisdirac.errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from poisdirac.polynomials import Poly
 from poisdirac.submanifolds import grid_points
 
@@ -208,6 +208,17 @@ class TestBuildEmbedding:
         )
         with pytest.raises(PreconditionError):
             build_embedding(data, [(Fraction(0), Fraction(0))])
+
+    @pytest.mark.parametrize("frame", ["e_frame", "v_frame"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_frame_fields_of_the_wrong_length_are_refused_at_construction(self, frame, length):
+        x2 = ("x1", "x2")
+        one, zero = Poly.constant(x2, 1), Poly.zero(x2)
+        frames = {"e_frame": ((zero, one),), "v_frame": ((one, zero),)}
+        frames[frame] = ((one,) + (zero,) * (length - 1),)
+        sections = (Section((zero, zero), (one, zero)), Section((zero, one), (zero, zero)))
+        with pytest.raises(SpaceMismatchError, match="^E and V frame fields must have base_dim entries$"):
+            DiracManifoldData(base_dim=2, sections=sections, **frames)
 
     def test_graph_extraction_fails_away_from_zero_section(self):
         # a tilted complement puts a p-dependent term into the gauge form;

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisdirac.errors import SpaceMismatchError
-from poisdirac.polynomials import MAX_EXPONENT, Poly, PolyMap, compose, compose_map, poly_matrix_det, poly_matrix_inverse
+from poisdirac.polynomials import (
+    _VAR_RE, MAX_EXPONENT, Poly, PolyMap, _tokenize, compose, compose_map, poly_matrix_det, poly_matrix_inverse,
+)
+from poisdirac.rational_linalg import check_digits
 
 X3 = ("x1", "x2", "x3")
 
@@ -103,6 +106,115 @@ def test_parse_rejects_exponent_above_maximum(text):
 
 def test_parse_accepts_the_maximum_exponent():
     assert Poly.parse(f"x1^{MAX_EXPONENT}*x2^{MAX_EXPONENT}", X3).terms == (((MAX_EXPONENT, MAX_EXPONENT, 0), Fraction(1)),)
+
+
+def fraction_parse(text, variables):
+    """The parser on Fraction coefficients that `Poly.parse` replaced, kept as its reference."""
+    variables = tuple(variables)
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ValueError("empty polynomial string")
+    out = {}
+    pos = 0
+    sign = Fraction(1)
+    if tokens[pos] in ("+", "-"):
+        sign = Fraction(-1) if tokens[pos] == "-" else Fraction(1)
+        pos += 1
+    while True:
+        coeff, exps, pos = fraction_parse_term(tokens, pos, variables)
+        e = tuple(exps)
+        out[e] = out.get(e, Fraction(0)) + sign * coeff
+        if pos == len(tokens):
+            break
+        if tokens[pos] not in ("+", "-"):
+            raise ValueError(f"expected '+' or '-' at token {pos} of {text!r}")
+        sign = Fraction(-1) if tokens[pos] == "-" else Fraction(1)
+        pos += 1
+    return Poly.make(variables, out)
+
+
+def fraction_parse_term(tokens, pos, variables):
+    coeff = Fraction(1)
+    exps = [0] * len(variables)
+    saw_factor = False
+    while pos < len(tokens):
+        tok = tokens[pos]
+        if tok in ("+", "-"):
+            break
+        if tok == "*":
+            if not saw_factor:
+                raise ValueError("term cannot start with '*'")
+            pos += 1
+            continue
+        if saw_factor and tokens[pos - 1] != "*":
+            raise ValueError(f"missing '*' before {tok!r}")
+        if _VAR_RE.fullmatch(tok):
+            if tok not in variables:
+                raise ValueError(f"unknown variable {tok!r} (context: {variables})")
+            idx = variables.index(tok)
+            power = 1
+            if pos + 1 < len(tokens) and tokens[pos + 1] == "^":
+                if pos + 2 >= len(tokens) or not tokens[pos + 2].isdigit():
+                    raise ValueError("'^' must be followed by a nonnegative integer")
+                power = int(tokens[pos + 2])
+                pos += 2
+            exps[idx] += power
+            if exps[idx] > MAX_EXPONENT:
+                raise ValueError(f"exponent {exps[idx]} of {tok} exceeds the maximum {MAX_EXPONENT}")
+            pos += 1
+        else:
+            check_digits(tok)
+            try:
+                coeff *= Fraction(tok)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {tok!r}") from None
+            pos += 1
+        saw_factor = True
+    if not saw_factor:
+        raise ValueError("empty term")
+    return coeff, exps, pos
+
+
+def parse_outcome(parse, text):
+    """The parsed Poly, or the type and message of the exception raised."""
+    try:
+        return parse(text, X3)
+    except Exception as exc:  # every exception type is compared, not only ValueError
+        return type(exc), str(exc)
+
+
+BIG_NUM, BIG_DEN = "9" * 999 + "7", "1" + "0" * 998 + "3"
+VALID_PARSES = [
+    "-x1", "+x2", "- 3/4*x1*x2^2 + 5/6", "6/4", "2*3/4*x1*5", "007*x1 + 0/05*x2 + 0012/0008", "x1^0", "x1^0*x2^00",
+    "x1 + x1", "x1 - x1", "2*x1 - x1 - x1 + 3", "1/2*x1 + 1/3*x1 - 5/6*x1", "x2*x1 + x1*x2 - 1/4*x2*x1", "0", "-0",
+    "0*x1 + x2", "-0*x3 - 0", "x1 ** x2", f"x1^{MAX_EXPONENT // 2}*x1^{MAX_EXPONENT // 2}", f"x1^{MAX_EXPONENT - 1}*x2*x1",
+    f"{BIG_NUM}/{BIG_DEN}*x1 - {BIG_NUM}*x2 + 1/{BIG_DEN}", f"{BIG_NUM}/{BIG_DEN}*x3 - {BIG_NUM}/{BIG_DEN}*x3",
+]
+MALFORMED_PARSES = [
+    "", "  ", "+", "*x1", "x1 x2", "x1^", "x1^-1", "^2", "x1*^", "1/0", "0/0*x1", "x99", "x1 +", "x1 - - x2", "2x1",
+    "x1 $ x2", "1.5*x1", "1" * 1001, f"1/{'3' * 1001}*x1", "2*" + "1" * 5000, f"1/{'3' * 5000}", f"x1^{MAX_EXPONENT // 2 + 4}*x1^{MAX_EXPONENT // 2 + 4}",
+]
+
+
+@pytest.mark.parametrize("text", VALID_PARSES)
+def test_parse_matches_the_fraction_parser_on_valid_strings(text):
+    got, expected = Poly.parse(text, X3), fraction_parse(text, X3)
+    assert got == expected
+    assert all(type(c) is Fraction and c for _, c in got.terms)
+
+
+@pytest.mark.parametrize("text", MALFORMED_PARSES)
+def test_parse_raises_what_the_fraction_parser_raises_on_malformed_strings(text):
+    expected = parse_outcome(fraction_parse, text)
+    assert isinstance(expected, tuple), expected
+    assert parse_outcome(Poly.parse, text) == expected
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(["x1", "x3", "x9", "+", "-", "*", "^", "2", "0", "3/4", "1/0", "007", " ", "33"]), max_size=9))
+def test_parse_agrees_with_the_fraction_parser_on_random_token_strings(pieces):
+    text = "".join(pieces)
+    assert parse_outcome(Poly.parse, text) == parse_outcome(fraction_parse, text)
 
 
 @settings(max_examples=150)

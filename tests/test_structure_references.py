@@ -8,7 +8,8 @@ a gauge in Fraction arithmetic, and must agree exactly on the bundled
 embed scenarios and on seeded random data.  `values_at` (and
 `Poly.evaluate`, its 1 x 1 case), `as_bivector` and `gauge` are checked
 against the Fraction formulas they replaced, and `values_at` against sympy
-as well.
+as well; the integer rows of `integer_rows_at` must be the primitive rows
+of those values.
 """
 
 import random
@@ -24,8 +25,8 @@ from poisdirac.cli import BUNDLED_ANALYSES, _resolve_scenario
 from poisdirac.dirac_linear import DiracVS, as_bivector, characteristic, from_bivector, from_subspace_form, gauge
 from poisdirac.embedding import DiracManifoldData, Section, build_embedding, pullback_canonical_form
 from poisdirac.errors import SpaceMismatchError
-from poisdirac.polynomials import Poly, PolyMap, ambient_variables, values_at
-from poisdirac.rational_linalg import MatrixQ, inverse, standard_basis
+from poisdirac.polynomials import Poly, PolyMap, ambient_variables, integer_rows_at, values_at
+from poisdirac.rational_linalg import MatrixQ, _scaled_row, inverse, primitive, standard_basis
 from poisdirac.scenario import load_scenario_text
 from poisdirac.submanifolds import grid_points
 
@@ -194,6 +195,12 @@ EVALUATION_POINTS = [
     (2, -3, 0),
     (Fraction(BIG + 7, 3), Fraction(-(BIG + 1), 11 * BIG + 3), Fraction(5, BIG + 9)),
 ]
+# mixed denominators, with zero and negative coordinates
+MIXED_POINTS = [
+    (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)),
+    (Fraction(3, 4), 0, Fraction(-7, 10)),
+    (0, Fraction(-1, 9), Fraction(4, 9)),
+]
 
 FLOAT_REFUSAL = r"^cannot interpret 0\.[15] as a rational \(floats are not accepted\)$"
 
@@ -223,11 +230,25 @@ class TestEvaluate:
             assert all(type(v) is Fraction for v in got)
             assert got == expected
 
+    @pytest.mark.parametrize("point", EVALUATION_POINTS + MIXED_POINTS)
+    def test_integer_rows_are_the_primitive_rows_of_the_values(self, point):
+        polys = self.polys()
+        zero, constant = Poly.zero(self.X3), Poly.constant(self.X3, "-7/4")
+        grid = [polys[i:i + 5] for i in range(0, 15, 5)] + [(zero, zero, zero), (constant, zero), (), polys[::-1]]
+        rows, values = integer_rows_at(grid, point), values_at(grid, point)
+        assert len(rows) == len(values) == len(grid)
+        for (ints, den), row, grid_row in zip(rows, values, grid):
+            assert den > 0 and len(ints) == len(grid_row) and all(type(n) is int for n in ints)
+            assert [Fraction(n, den) for n in ints] == list(row) == [sympy_evaluate(p, point) for p in grid_row]
+            assert list(primitive(ints)) == list(primitive(_scaled_row(row)[0]))
+
     def test_a_wrong_length_point_is_refused_even_by_zero_polynomials(self):
         zero = Poly.zero(self.X3)
         for point in ((Fraction(1), Fraction(2)), (0, 0, 0, 0), ()):
             with pytest.raises(SpaceMismatchError):
                 values_at(((zero, zero), (zero,)), point)
+            with pytest.raises(SpaceMismatchError):
+                integer_rows_at(((zero,), (zero, zero)), point)
             with pytest.raises(SpaceMismatchError):
                 zero.evaluate(point)
 
@@ -245,6 +266,8 @@ class TestEvaluate:
             lambda: poly.evaluate((0.1, 2)),
             lambda: values_at(((Poly.zero(["x1", "x2"]),),), (0.5, 1)),
             lambda: values_at((), (0.5,)),
+            lambda: integer_rows_at((), (0.5,)),
+            lambda: integer_rows_at(((Poly.zero(["x1", "x2"]),),), (1, 0.5)),
             lambda: pi.at((0.5, 1)),
             lambda: curve.evaluate((0.5,)),
             lambda: curve.jacobian_at((0.5,)),
