@@ -23,7 +23,8 @@ change won (ties count for neither side) and the median difference.  With
 metrics.  The output goes to BENCH_<label>.json at the root of this
 repository.  The script exits 1 after writing it if any run reported
 `correct: false` or failed operations, naming the workload, seed and side
-of each such run: a wrong run cannot back a claim.
+of each such run: a wrong run cannot back a claim.  Stopped by SIGTERM, it
+stops its running benchmark and removes both exports before it exits.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -100,7 +102,14 @@ def wrong_runs(report: dict) -> list[str]:
     ]
 
 
+def _terminate(signum, frame):
+    """SIGTERM as an exception: `subprocess.run` kills its running child and
+    the temporary exports are removed on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _terminate)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")

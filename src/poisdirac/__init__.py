@@ -19,7 +19,7 @@ from .poisson_linear import (
 )
 from .polynomials import Poly, PolyMap
 from .rational_linalg import MatrixQ, Subspace
-from .submanifolds import LevelSet, Parametrized, basic_bracket, classify_at, rank_profile
+from .submanifolds import LevelSet, Parametrized, PointData, rank_profile
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,6 @@ __all__ = [
     "coisotropic_splitting", "cosymplectic_extension", "embedding_conditions",
     "induced_bivector", "leaf_form_value", "linear_uniqueness_iso",
     "Poly", "PolyMap", "MatrixQ", "Subspace",
-    "LevelSet", "Parametrized", "basic_bracket", "classify_at", "rank_profile",
+    "LevelSet", "Parametrized", "PointData", "rank_profile",
     "__version__",
 ]

@@ -31,7 +31,7 @@ from .errors import PreconditionError, PropertyViolationError, SchemaError
 from .poisson_linear import canonical_iso, classify_subspace, cosymplectic_extension, embedding_conditions
 from .rational_linalg import MatrixQ, Subspace, fmt_point, rat
 from .scenario import Scenario, check_sample_bounds, load_scenario_text
-from .submanifolds import LevelSet, Parametrized, PointData, grid_points, level_set_grid_points, rank_profile
+from .submanifolds import PointData, grid_points, grid_points_on, rank_profile
 
 BANNER = f"# poisdirac {__version__}"
 
@@ -65,8 +65,13 @@ def _bivector_doc(field) -> list[dict]:
     ]
 
 
+def _fields_doc(record) -> dict:
+    """A flat dataclass as a name -> value dict (no deep copy, unlike `dataclasses.asdict`)."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def _record_doc(record) -> dict:
-    fields = dataclasses.asdict(record)
+    fields = _fields_doc(record)
     return {
         "dims": {name[len("dim_"):]: v for name, v in fields.items() if name.startswith("dim_")},
         "rho_rank": record.rho_rank,
@@ -130,13 +135,10 @@ def _parse_points_flag(text: str, dim: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def _gather_points(scenario: Scenario, args: argparse.Namespace) -> tuple[tuple[Fraction, ...], ...]:
     sub = scenario.submanifold
-    dim = sub.param_dim if isinstance(sub, Parametrized) else sub.ambient_dim
     if args.points is not None:
-        return _parse_points_flag(args.points, dim)
+        return _parse_points_flag(args.points, sub.map.source_dim)
     if args.grid is not None:
-        if isinstance(sub, LevelSet):
-            return level_set_grid_points(sub, args.grid, args.seed, args.count)
-        return grid_points(dim, args.grid, args.seed, args.count)
+        return grid_points_on(sub, args.grid, args.seed, args.count)
     if scenario.points is not None:
         return scenario.points
     return ()
@@ -192,7 +194,7 @@ def _run_classify(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, l
                 **_record_doc(row.record),
                 "characteristic_basis": _matrix_doc(row.characteristic_basis),
             })
-    constant_doc = dataclasses.asdict(profile.constant)
+    constant_doc = _fields_doc(profile.constant)
     text.append("constant on samples: " + ", ".join(f"{k}={v}" for k, v in sorted(constant_doc.items())))
     doc = {
         "analysis": "classify",

@@ -27,8 +27,9 @@ from .bivector_fields import BivectorField, TwoFormField, is_closed, is_poisson
 from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import _derived, classify_subspace
+# poly_matrix_det is not called here, but perfbench's tracer test patches it by this name
 from .polynomials import Poly, fiber_variables, integer_rows_at, poly_matrix_det, poly_matrix_inverse, sum_of_products
-from .rational_linalg import Subspace, Vector, _reduced, fmt_point, primitive, standard_basis
+from .rational_linalg import Vector, _reduced, _row_space, fmt_point, primitive, standard_basis
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
 CANONICAL_FORM_SIGN = -1
@@ -156,9 +157,9 @@ def pullback_canonical_one_form(d: DiracManifoldData) -> tuple[Poly, ...]:
     frame = [[frame_cols[j][i] for j in range(m)] for i in range(m)]
     try:
         inv = poly_matrix_inverse(frame)
-    except PreconditionError:
+    except PreconditionError as exc:
         raise PreconditionError(
-            f"frame determinant {poly_matrix_det(frame)} is not a nonzero constant; the dual coframe is not polynomial"
+            f"frame determinant {exc.determinant} is not a nonzero constant; the dual coframe is not polynomial"
         ) from None
     fibers = [Poly.variable(total_vars, p) for p in total_vars[m:]]
     theta = tuple(
@@ -261,7 +262,7 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     _, b, sections = _gauged(d)
     bivector = _extract_symbolic_bivector(d, sections)
     checks = []
-    zero_tangent = Subspace.span(n, standard_basis(n)[:m])
+    zero_tangent = _row_space(n, standard_basis(n)[:m])
     for point in samples:
         point = tuple(point)
         if as_bivector(_dirac_at(n, sections, point)) is None:

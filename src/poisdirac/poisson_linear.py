@@ -28,6 +28,7 @@ from .rational_linalg import (
     MatrixQ,
     Subspace,
     Vector,
+    _row_space,
     add,
     annihilator,
     column_space,
@@ -165,7 +166,7 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
         raise PreconditionError("subspace is not pointwise Poisson-Dirac: extension of covectors is not well defined")
     d = w.dim
     constraint_rows = w.basis.entries + p.sharp_annihilator(w).basis.entries
-    constraints = MatrixQ.from_rows(constraint_rows, cols=p.dim)
+    constraints = MatrixQ(len(constraint_rows), p.dim, constraint_rows)
     xis = solve(constraints, standard_basis(len(constraint_rows))[:d])
     if None in xis:
         raise PropertyViolationError("covector extension system is inconsistent")
@@ -214,7 +215,7 @@ def subspace_in_basis(s: Subspace, w: Subspace) -> Subspace:
     rows = w.coordinates_of_rows(s.basis.entries)
     if rows is None:
         raise PreconditionError("subspace is not contained in the coordinate subspace")
-    return Subspace.span(w.dim, rows)
+    return _row_space(w.dim, rows)
 
 
 def greedy_complement(base: Subspace, candidates: Sequence[Vector]) -> tuple[Vector, ...]:
@@ -228,7 +229,7 @@ def greedy_complement(base: Subspace, candidates: Sequence[Vector]) -> tuple[Vec
     for v in candidates:
         if not current.contains_vector(v):
             added.append(tuple(v))
-            current = add(current, Subspace.span(base.ambient_dim, [v], base.dual))
+            current = add(current, _row_space(base.ambient_dim, [v], base.dual))
     return tuple(added)
 
 
@@ -242,7 +243,7 @@ def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
         raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
     reach = add(c, p.sharp_annihilator(c))
     r_vectors = greedy_complement(reach, standard_basis(p.dim))
-    w = add(c, Subspace.span(p.dim, r_vectors))
+    w = add(c, _row_space(p.dim, r_vectors))
     record = classify_subspace(p, w)
     if not record.cosymplectic or not embedding_conditions(p, c, w).both():
         raise PropertyViolationError("constructed extension failed its defining conditions")
@@ -285,7 +286,7 @@ def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> Matrix
             raise PreconditionError(f"c does not sit coisotropically inside {name}")
     sharp_ann_v = p.sharp_annihilator(v)
     # decompose each v-basis vector along w + sharp(ann v); A is minus the second part
-    dec_matrix = MatrixQ.from_rows(w.basis.entries + sharp_ann_v.basis.entries, cols=p.dim).transpose()
+    dec_matrix = MatrixQ(w.dim + sharp_ann_v.dim, p.dim, w.basis.entries + sharp_ann_v.basis.entries).transpose()
     coeffs = solve(dec_matrix, v.basis.entries)
     if None in coeffs:
         raise PropertyViolationError("sharp(ann v) is not a complement of w")
@@ -326,7 +327,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
         raise PreconditionError("sharp is not injective on the annihilator (codimension mismatch)")
     if v is None:
         v_rows = greedy_complement(e, m.basis.entries)
-        v = Subspace.span(p.dim, v_rows)
+        v = _row_space(p.dim, v_rows)
     else:
         if not contains(m, v) or intersect(v, e).dim != 0 or v.dim + e.dim != m.dim:
             raise PreconditionError("supplied v is not a complement of e inside m")
@@ -337,7 +338,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     # normalize the pairing Omega(f_J, e_I) = delta_IJ, then flatten to a Lagrangian
     e_rows = e.basis.entries
     pairing = MatrixQ(k, k, leaf_form_gram(p, w0_rows, e_rows))
-    w = inverse(pairing) @ MatrixQ.from_rows(w0_rows, cols=p.dim)
+    w = inverse(pairing) @ MatrixQ(k, p.dim, w0_rows)
     omega_w = MatrixQ(k, k, leaf_form_gram(p, w.entries, w.entries))
     f_rows = (w + (omega_w @ e.basis).scale(Fraction(1, 2))).entries
     # Omega(f_i, f_j) must vanish and Omega(f_i, e_j) must be delta_ij
@@ -349,7 +350,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
             if checks[i][k + j] != (1 if i == j else 0):
                 raise PropertyViolationError("pairing normalization failed")
     model_cols = v.basis.entries + e_rows + f_rows
-    t = MatrixQ.from_rows(model_cols, cols=p.dim).transpose()
+    t = MatrixQ(p.dim, p.dim, model_cols).transpose()
     t_inv = inverse(t)
     pushed = t_inv @ p.pi @ t_inv.transpose()
     model = PoissonVS(p.dim, pushed)
@@ -358,7 +359,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     return CoisotropicSplitting(
         e=e,
         v=v,
-        pairing_basis=MatrixQ.from_rows(f_rows, cols=p.dim),
+        pairing_basis=MatrixQ(k, p.dim, f_rows),
         change_of_basis=t,
         model=model,
     )
@@ -391,10 +392,10 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     e2 = p2.sharp_annihilator(m)
     if e1 != e2:
         raise PreconditionError("sharp images of the annihilator differ; structures do not match along m")
-    # imported here: dirac_linear imports PoissonVS from this module
-    from .dirac_linear import from_bivector, pullback
-
-    if pullback(from_bivector(p1), m) != pullback(from_bivector(p2), m):
+    # the pullback of graph(Pi) to m is fixed by its range (m intersect the leaf O) and its form -Omega there
+    reach = intersect(m, p1.leaf())
+    rows = reach.basis.entries
+    if reach != intersect(m, p2.leaf()) or leaf_form_gram(p1, rows, rows) != leaf_form_gram(p2, rows, rows):
         raise PreconditionError("the two bivectors induce different pullback structures on m")
     s1 = coisotropic_splitting(p1, m, v)
     s2 = coisotropic_splitting(p2, m, v)

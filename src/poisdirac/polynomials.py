@@ -463,14 +463,17 @@ def poly_matrix_inverse(entries: Sequence[Sequence[Poly]]) -> tuple[tuple[Poly, 
     The determinant and the n^2 cofactors of the adjugate come from one
     memoized Laplace expansion, sharing their minors.  Rejects
     non-constant determinants: those inverses leave the polynomial ring,
-    and this package never approximates.
+    and this package never approximates.  The PreconditionError carries the
+    determinant as `determinant`, so a caller can name it without a second expansion.
     """
     size = _square_size(entries)
     full = tuple(range(size))
     table: _MinorTable = {}
     det = _minor_det(entries, full, full, table)
     if not det.is_constant() or det.constant_value() == 0:
-        raise PreconditionError(f"matrix determinant {det} is not a nonzero constant; inverse is not polynomial")
+        error = PreconditionError(f"matrix determinant {det} is not a nonzero constant; inverse is not polynomial")
+        error.determinant = det
+        raise error
     inv_det = 1 / det.constant_value()
     adj = [[None] * size for _ in range(size)]
     for i in range(size):

@@ -269,17 +269,14 @@ def parse_scenario(document: Any) -> Scenario:
             raise _fail("$.submanifold", "a submanifold needs an ambient block")
         submanifold = _parse_submanifold(obj["submanifold"], "$.submanifold", ambient_dim)
 
-    def point_length() -> int | None:
-        if submanifold is not None:
-            return submanifold.param_dim if isinstance(submanifold, Parametrized) else submanifold.ambient_dim
-        return ambient_dim
+    point_length = submanifold.map.source_dim if submanifold is not None else ambient_dim
 
     points = None
     if "points" in obj:
         items = _expect_list(obj["points"], "$.points")
-        points = tuple(_parse_point(p, f"$.points[{i}]", point_length()) for i, p in enumerate(items))
+        points = tuple(_parse_point(p, f"$.points[{i}]", point_length) for i, p in enumerate(items))
 
-    point = _parse_point(obj["point"], "$.point", point_length()) if "point" in obj else None
+    point = _parse_point(obj["point"], "$.point", point_length) if "point" in obj else None
 
     poly_map = None
     map_inverse = None
@@ -313,9 +310,7 @@ def parse_scenario(document: Any) -> Scenario:
     if "f" in obj or "g" in obj:
         if submanifold is None:
             raise _fail("$.f", "functions need a submanifold")
-        fvars = (
-            submanifold.map.source_vars if isinstance(submanifold, Parametrized) else ambient_variables(ambient_dim)
-        )
+        fvars = submanifold.map.source_vars
         if "f" in obj:
             f_poly = _parse_poly(obj["f"], "$.f", fvars)
         if "g" in obj:

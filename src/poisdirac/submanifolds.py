@@ -1,18 +1,16 @@
 """Submanifolds of polynomial Poisson patches, analyzed pointwise.
 
-A submanifold is either a polynomial parametrization Q^k -> Q^n or a
-polynomial level set in Q^n; tangent and conormal spaces at rational
-points feed the linear classification machinery.  Rank profiles gather
-classification records over a sample set and report constancy as
-evidence over those samples only: deciding rank constancy of
-polynomial data globally is out of scope.
+A submanifold is a polynomial parametrization Q^k -> Q^n or a polynomial
+level set in Q^n.  Its points, and the functions on it, are written in the
+source coordinates of its `map`: the parameters, or the ambient coordinates
+of a level set, whose map is its constraint map.  Only this module tells
+the two kinds apart.
 
-Functions on a parametrized patch are polynomials in the parameters;
-on a level set they are ambient polynomials restricted to the locus.
-A function is basic at a point when its differential annihilates the
-characteristic subspace there, and basic functions carry the bracket
-{f, g}(q) = Y(g) for any tangent solution (Y, df_q) of the pullback
-structure.
+`PointData` is the pointwise entry: one sample with its tangent space and
+bivector, answering the classification, basic-function and bracket
+questions there.  Rank profiles report constancy as evidence over the
+samples only: deciding rank constancy of polynomial data globally is out
+of scope.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .poisson_linear import (
 from .polynomials import Poly, PolyMap, values_at
 from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, column_space, fmt_point, kernel, solve, standard_basis
 
-# Draws made by level_set_grid_points before it gives up on filling `count`.
+# Draws made by grid_points_on on a level set before it gives up on filling `count`.
 LEVEL_SET_ATTEMPTS = 10000
 
 
@@ -52,10 +50,6 @@ class Parametrized:
     @property
     def param_dim(self) -> int:
         return self.map.source_dim
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.map.target_dim
 
 
 @dataclass(frozen=True)
@@ -70,10 +64,6 @@ class LevelSet:
         contexts = {c.variables for c in self.constraints}
         if len(contexts) != 1:
             raise SpaceMismatchError("constraints must share one variable context")
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.constraints[0].variables)
 
     @cached_property
     def map(self) -> PolyMap:
@@ -95,7 +85,8 @@ def ambient_point(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Vector:
 
 
 def tangent_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
-    """Tangent space at a regular point, as a subspace of the ambient Q^n."""
+    """Tangent space at a regular point, as a subspace of the ambient Q^n.
+    A level-set point is checked to lie on the locus."""
     if isinstance(c, Parametrized):
         tangent = column_space(c.map.jacobian_at(q))
         if tangent.dim != c.param_dim:
@@ -103,18 +94,13 @@ def tangent_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
         return tangent
     point = ambient_point(c, q)
     tangent = kernel(c.map.jacobian_at(point))
-    if tangent.dim != c.ambient_dim - len(c.constraints):
+    if tangent.dim != c.map.source_dim - c.map.target_dim:
         raise RegularityError(f"constraint differentials are dependent at {fmt_point(point)}")
     return tangent
 
 
 def conormal_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
     return annihilator(tangent_at(c, q))
-
-
-def classify_at(pi: BivectorField, c: SubmanifoldPatch, q: Sequence[Fraction]) -> ClassificationRecord:
-    at = PointData(pi, c, q)
-    return classify_subspace(at.poisson, at.tangent)
 
 
 @dataclass(frozen=True)
@@ -156,20 +142,13 @@ def rank_profile(pi: BivectorField, c: SubmanifoldPatch, samples: Sequence[Seque
     for idx, q in enumerate(samples):
         try:
             at = PointData(pi, c, q)
-            record = classify_subspace(at.poisson, at.tangent)
             char = characteristic_subspace(at.poisson, at.tangent)
-            rows.append(RankProfileRow(at.sample, at.ambient, record, char.basis))
+            rows.append(RankProfileRow(at.sample, at.ambient, at.classification, char.basis))
         except (RegularityError, SpaceMismatchError) as exc:
             errors.append((idx, str(exc)))
-    def constant(values: list) -> bool:
-        return len(set(values)) <= 1
-    flags = ConstancyFlags(
-        dim_tangent=constant([r.record.dim_subspace for r in rows]),
-        dim_sharp_conormal=constant([r.record.dim_sharp_annihilator for r in rows]),
-        dim_sum=constant([r.record.dim_sum for r in rows]),
-        dim_characteristic=constant([r.record.dim_characteristic for r in rows]),
-        rho_rank=constant([r.record.rho_rank for r in rows]),
-    )
+    # the record fields behind ConstancyFlags, in its field order
+    profiled = ("dim_subspace", "dim_sharp_annihilator", "dim_sum", "dim_characteristic", "rho_rank")
+    flags = ConstancyFlags(*(len({getattr(r.record, name) for r in rows}) <= 1 for name in profiled))
     return RankProfile(tuple(rows), tuple(errors), flags)
 
 
@@ -179,12 +158,14 @@ def grid_points(dim: int, height: int, seed: int, count: int) -> tuple[Vector, .
     return _draw_points(dim, height, seed, count, count, lambda q: True)
 
 
-def level_set_grid_points(c: LevelSet, height: int, seed: int, count: int) -> tuple[Vector, ...]:
-    """Grid points filtered onto the locus; suits coordinate-aligned constraints.
-
-    Stops after LEVEL_SET_ATTEMPTS draws, so it can return fewer than `count`.
-    """
-    return _draw_points(c.ambient_dim, height, seed, count, LEVEL_SET_ATTEMPTS, lambda q: not any(c.map.evaluate(q)))
+def grid_points_on(c: SubmanifoldPatch, height: int, seed: int, count: int) -> tuple[Vector, ...]:
+    """The points of `grid_points` in c's point coordinates that lie on c: every
+    draw on a parametrization, the draws on the locus of a level set (suits
+    coordinate-aligned constraints).  A level set stops after LEVEL_SET_ATTEMPTS
+    draws, so it can return fewer than `count`."""
+    if isinstance(c, Parametrized):
+        return grid_points(c.map.source_dim, height, seed, count)
+    return _draw_points(c.map.source_dim, height, seed, count, LEVEL_SET_ATTEMPTS, lambda q: not any(c.map.evaluate(q)))
 
 
 def _draw_points(dim: int, height: int, seed: int, count: int, attempts: int, keep) -> tuple[Vector, ...]:
@@ -205,16 +186,23 @@ def _draw_points(dim: int, height: int, seed: int, count: int, attempts: int, ke
 class PointData:
     """One sample of a submanifold with what the pointwise analyses need
     there, each derived once: the ambient point, the tangent space, the
-    bivector at the point, and on demand the characteristic subspace and
-    the differentials of functions."""
+    bivector at the point, and on demand the classification, the
+    characteristic subspace and the differentials of functions."""
 
     def __init__(self, pi: BivectorField, c: SubmanifoldPatch, q: Sequence[Fraction]) -> None:
         self.patch = c
         self.sample: Vector = tuple(q)
-        self.ambient = ambient_point(c, q)
-        self.tangent = tangent_at(c, q)
+        self.tangent = tangent_at(c, self.sample)
+        # a level-set sample is its ambient point, and tangent_at checked it on the locus
+        self.ambient = self.sample if isinstance(c, LevelSet) else ambient_point(c, self.sample)
         self.poisson: PoissonVS = pi.at(self.ambient)
         self._differentials: dict[Poly, Vector] = {}
+        self._directions: tuple[Vector, ...] | None = None
+
+    @property
+    def classification(self) -> ClassificationRecord:
+        """The classification record of the tangent space."""
+        return classify_subspace(self.poisson, self.tangent)
 
     @cached_property
     def characteristic_in_tangent(self) -> Subspace:
@@ -225,16 +213,17 @@ class PointData:
         """df at the point as a covector in the canonical-basis coordinates of the tangent."""
         if f in self._differentials:
             return self._differentials[f]
-        c, rows = self.patch, self.tangent.basis.entries
-        if f.variables != c.map.source_vars:
+        if f.variables != self.patch.map.source_vars:
             raise SpaceMismatchError("function does not use the submanifold's coordinates")
-        (grad,) = values_at((f.gradient,), self.sample)  # on a level set, sample == ambient
-        if isinstance(c, Parametrized):
-            # tangent basis row i = J m_i for a unique m_i, and df(row_i) = grad . m_i
-            rows = solve(c.map.jacobian_at(self.sample), rows)
-            if None in rows:
-                raise PropertyViolationError("tangent basis vector has no parameter preimage")
-        df = self._differentials[f] = tuple(sum(g * t for g, t in zip(grad, row)) for row in rows)
+        if self._directions is None:  # tangent basis row i = J m_i on a parametrization; df(row i) = grad . m_i
+            rows = self.tangent.basis.entries
+            if isinstance(self.patch, Parametrized):
+                rows = solve(self.patch.map.jacobian_at(self.sample), rows)
+                if None in rows:
+                    raise PropertyViolationError("tangent basis vector has no parameter preimage")
+            self._directions = rows
+        (grad,) = values_at((f.gradient,), self.sample)
+        df = self._differentials[f] = tuple(sum(g * t for g, t in zip(grad, row)) for row in self._directions)
         return df
 
     def is_basic(self, f: Poly) -> bool:
@@ -243,7 +232,11 @@ class PointData:
         return all(sum(d * v for d, v in zip(df, row)) == 0 for row in self.characteristic_in_tangent.basis.entries)
 
     def bracket(self, f: Poly, g: Poly) -> Fraction:
-        """{f, g} at the point; see basic_bracket."""
+        """{f, g}(q) = Y(g) for a tangent solution (Y, df_q) of graph(Pi) pulled back
+        to the tangent, in the package's sign convention (sharp xi = Pi xi): with
+        Pi^{12} = Pi^{34} = 1, {x1, x2} = -1 on the hyperplane x4 = 0.  Rejects
+        functions not basic at the point; the value is checked to be independent of
+        the choice of Y, as dg must annihilate the solutions with zero covector part."""
         structure = pullback(from_bivector(self.poisson), self.tangent)
         d = self.tangent.dim
         df, dg = self.differential(f), self.differential(g)
@@ -265,14 +258,19 @@ class PointData:
         return sum(a * b for a, b in zip(dg, y))
 
     def consistency(self, f: Poly, g: Poly) -> BracketConsistency:
-        """The intrinsic bracket against the extension route; see bracket_consistency_check."""
+        """The intrinsic `bracket` against the extension route: extend the tangent to
+        the cosymplectic subspace W of `cosymplectic_extension`, extend df and dg to
+        covectors on W annihilating the greedy complement of the tangent, and evaluate
+        the bracket of the bivector induced on W.  The theory guarantees agreement,
+        so a disagreement raises PropertyViolationError."""
         intrinsic = self.bracket(f, g)
         p, tangent = self.poisson, self.tangent
         w = cosymplectic_extension(p, tangent)
         pw = embedding_conditions(p, tangent, w).induced
         tangent_in_w = subspace_in_basis(tangent, w)
         complement_rows = greedy_complement(tangent_in_w, standard_basis(w.dim))
-        constraint = MatrixQ.from_rows(tangent_in_w.basis.entries + complement_rows, cols=w.dim)
+        constraint_rows = tangent_in_w.basis.entries + complement_rows
+        constraint = MatrixQ(len(constraint_rows), w.dim, constraint_rows)
         pad = (Fraction(0),) * len(complement_rows)
         alpha, beta = solve(constraint, [self.differential(f) + pad, self.differential(g) + pad])
         if alpha is None or beta is None:
@@ -287,25 +285,6 @@ class PointData:
         return result
 
 
-def is_basic_at(f: Poly, pi: BivectorField, c: SubmanifoldPatch, q: Sequence[Fraction]) -> bool:
-    """Whether df annihilates the characteristic subspace at the point."""
-    return PointData(pi, c, q).is_basic(f)
-
-
-def is_basic(f: Poly, pi: BivectorField, c: SubmanifoldPatch, samples: Sequence[Sequence[Fraction]]) -> tuple[bool, ...]:
-    return tuple(is_basic_at(f, pi, c, q) for q in samples)
-
-
-def basic_bracket(f: Poly, g: Poly, pi: BivectorField, c: SubmanifoldPatch, q: Sequence[Fraction]) -> Fraction:
-    """{f, g}(q) = Y(g) for a tangent solution (Y, df_q) of the pullback structure.
-
-    Rejects non-basic inputs; the result is checked to be independent of
-    the choice of Y by verifying dg annihilates the solution-space
-    degeneracy directions.
-    """
-    return PointData(pi, c, q).bracket(f, g)
-
-
 @dataclass(frozen=True)
 class BracketConsistency:
     intrinsic: Fraction
@@ -314,17 +293,3 @@ class BracketConsistency:
     @property
     def agree(self) -> bool:
         return self.intrinsic == self.via_extension
-
-
-def bracket_consistency_check(
-    pi: BivectorField, c: SubmanifoldPatch, q: Sequence[Fraction], f: Poly, g: Poly
-) -> BracketConsistency:
-    """Intrinsic bracket against the route through a cosymplectic extension.
-
-    The extension route: extend the tangent space to a deterministic
-    cosymplectic subspace W, take the induced bivector, extend df and dg
-    to covectors on W annihilating the chosen complement of the tangent,
-    and evaluate the W-bracket.  Both routes must produce the same
-    rational; disagreement raises, since agreement is guaranteed.
-    """
-    return PointData(pi, c, q).consistency(f, g)

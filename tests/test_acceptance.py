@@ -52,11 +52,8 @@ from poisdirac.rational_linalg import MatrixQ, Subspace, add, annihilator, conta
 from poisdirac.submanifolds import (
     LevelSet,
     Parametrized,
-    basic_bracket,
-    bracket_consistency_check,
-    classify_at,
+    PointData,
     grid_points,
-    is_basic_at,
     rank_profile,
     tangent_at,
 )
@@ -112,16 +109,16 @@ def test_criterion_1_worked_examples():
     # vertical line in (R^3, x3 d1^d2)
     c_fz = LevelSet((p3("x1"), p3("x2")))
     for z, expected in ((0, 1), (1, 3), (-1, 3)):
-        ok &= classify_at(FZ, c_fz, f(0, 0, z)).dim_sum == expected
+        ok &= PointData(FZ, c_fz, f(0, 0, z)).classification.dim_sum == expected
     # curve (t^2, 0, t, 0) in (R^4, x1^2 d1^d2 + x3 d3^d4)
     c_x2z = Parametrized(PolyMap.parse(["t1^2", "0", "t1", "0"], ("t1",)))
-    ok &= classify_at(X2Z, c_x2z, (Fraction(1),)).dim_sum == 3
-    ok &= classify_at(X2Z, c_x2z, (Fraction(0),)).dim_sum == 1
+    ok &= PointData(X2Z, c_x2z, (Fraction(1),)).classification.dim_sum == 3
+    ok &= PointData(X2Z, c_x2z, (Fraction(0),)).classification.dim_sum == 1
     # graph surface in symplectic R^4
     c_graph = Parametrized(PolyMap.parse(["t1", "t2", "t2^2", "t1^2"], ("t1", "t2")))
     for pt in (f(1, 1), f(-2, -2), f(1, 2), f(0, 3), f(5, -5)):
         expected = 2 if pt[0] == pt[1] else 0
-        ok &= classify_at(GRAPH4, c_graph, pt).dim_characteristic == expected
+        ok &= PointData(GRAPH4, c_graph, pt).classification.dim_characteristic == expected
     # coordinate 3-plane in R^6: constant characteristic dimension, jumping direction
     c_r6 = LevelSet((Poly.parse("x4", X6), Poly.parse("x5", X6), Poly.parse("x6", X6)))
     samples = [f(0, 2, 3, 0, 0, 0), f(1, 2, 3, 0, 0, 0), f(-2, 1, -1, 0, 0, 0), f(0, -1, 5, 0, 0, 0)]
@@ -365,15 +362,15 @@ def test_criterion_6_bracket_consistency():
     c_hyper = LevelSet((Poly.parse("x4", X4),))
     q = (Fraction(1), Fraction(2), Fraction(3), Fraction(0))
     # fixture 1: pinned value for coordinate functions on the hyperplane
-    check = bracket_consistency_check(SYMPL4, c_hyper, q, Poly.parse("x1", X4), Poly.parse("x2", X4))
+    check = PointData(SYMPL4, c_hyper, q).consistency(Poly.parse("x1", X4), Poly.parse("x2", X4))
     ok &= check.agree and check.intrinsic == Fraction(-1)
     # fixture 2: constants are basic with vanishing brackets
-    check = bracket_consistency_check(SYMPL4, c_hyper, q, Poly.parse("7", X4), Poly.parse("x2", X4))
+    check = PointData(SYMPL4, c_hyper, q).consistency(Poly.parse("7", X4), Poly.parse("x2", X4))
     ok &= check.agree and check.intrinsic == 0
     # fixture 3: the function pairing with the characteristic direction is not basic
-    ok &= not is_basic_at(Poly.parse("x3", X4), SYMPL4, c_hyper, q)
+    ok &= not PointData(SYMPL4, c_hyper, q).is_basic(Poly.parse("x3", X4))
     try:
-        basic_bracket(Poly.parse("x3", X4), Poly.parse("x2", X4), SYMPL4, c_hyper, q)
+        PointData(SYMPL4, c_hyper, q).bracket(Poly.parse("x3", X4), Poly.parse("x2", X4))
         ok = False
     except Exception:
         pass
@@ -418,7 +415,7 @@ def test_criterion_6_bracket_consistency():
             return poly
 
         f, g = random_basic(), random_basic()
-        check = bracket_consistency_check(SYMPL4, patch, origin, f, g)
+        check = PointData(SYMPL4, patch, origin).consistency(f, g)
         ok &= check.agree
         done += 1
     _report("criterion 6: bracket consistency on fixtures and 50 randomized line/plane cases", ok)

@@ -1,7 +1,14 @@
-"""scripts/bench_pairs.py names every run that cannot back a claim."""
+"""scripts/bench_pairs.py names every run that cannot back a claim, and leaves no export behind."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -30,3 +37,30 @@ def test_wrong_runs_name_the_workload_seed_and_side():
         "linear_iso seed 6 parent (correct: False, failed: 1)",
         "linear_iso seed 6 change (correct: False, failed: 3)",
     ]
+
+
+def _in_git_checkout() -> bool:
+    root = SCRIPT.parents[1]
+    probe = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=root, capture_output=True, text=True)
+    return probe.returncode == 0 and Path(probe.stdout.strip()) == root
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="exports revisions with git archive")
+def test_sigterm_removes_both_exports(tmp_path):
+    argv = [sys.executable, str(SCRIPT), "--parent", "HEAD", "--change", "HEAD", "--label", "sigterm-test",
+            "--workload", "linear_iso", "--seeds", "1"]
+    proc = subprocess.Popen(argv, env={**os.environ, "TMPDIR": str(tmp_path)},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("*/change/BENCHMARK.json")):
+            assert proc.poll() is None and time.monotonic() < deadline, "the exports never appeared"
+            time.sleep(0.05)
+        assert list(tmp_path.glob("*/parent/BENCHMARK.json"))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert list(tmp_path.iterdir()) == []

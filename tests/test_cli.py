@@ -10,7 +10,7 @@ import poisdirac
 from poisdirac import submanifolds
 from poisdirac.cli import BUNDLED_ANALYSES, build_parser, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
-from poisdirac.polynomials import MAX_EXPONENT
+from poisdirac.polynomials import MAX_EXPONENT, PolyMap
 from poisdirac.rational_linalg import MAX_DIGITS
 from poisdirac.scenario import MAX_DIM, MAX_GRID_HEIGHT, MAX_SAMPLE_COUNT, check_sample_bounds, load_scenario_text
 
@@ -382,6 +382,19 @@ class TestReports:
         code, out, _ = run(capsys, "bracket", "--scenario", "bracket_sympl4.json", "--points", "1,2,3,0", "--porcelain")
         assert code == 0 and json.loads(out)["per_point"][0]["consistent"]
         assert calls == [(1, 2, 3, 0)]
+
+    @pytest.mark.parametrize("argv, count", [
+        (["classify", "--scenario", "ex_r6.json"], 4),
+        (["bracket", "--scenario", "bracket_sympl4.json", "--points", "1,2,3,0"], 1),
+    ])
+    def test_level_set_point_evaluates_its_constraints_once(self, capsys, monkeypatch, argv, count):
+        evaluated, tangents = [], []
+        evaluate, tangent_at = PolyMap.evaluate, submanifolds.tangent_at
+        monkeypatch.setattr(PolyMap, "evaluate", lambda m, q: evaluated.append(tuple(q)) or evaluate(m, q))
+        monkeypatch.setattr(submanifolds, "tangent_at", lambda c, q: tangents.append(tuple(q)) or tangent_at(c, q))
+        code, _, _ = run(capsys, *argv, "--porcelain")
+        assert code == 0
+        assert len(evaluated) == count and evaluated == tangents
 
     def test_params_field_optional_for_parametrized(self, tmp_path):
         doc = load_scenario_text(json.dumps({

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from poisdirac import embedding
+from poisdirac import embedding, polynomials
 from poisdirac.bivector_fields import BivectorField, is_closed, is_poisson
 from poisdirac.embedding import (
     DiracManifoldData,
@@ -153,6 +153,31 @@ class TestCanonicalForm:
         )
         with pytest.raises(PreconditionError):
             pullback_canonical_form(data)
+
+    def test_nonconstant_determinant_is_expanded_once(self, monkeypatch):
+        x2 = ("x1", "x2")
+        q = lambda t: Poly.parse(t, x2)
+        data = DiracManifoldData(
+            base_dim=2,
+            sections=(
+                Section((q("1"), q("0")), (q("0"), q("0"))),
+                Section((q("0"), q("0")), (q("0"), q("1"))),
+            ),
+            e_frame=((q("1"), q("x1")),),
+            v_frame=((q("-x1"), q("1")),),
+        )
+        expansions = []
+        minor_det = polynomials._minor_det
+
+        def counting(entries, rows, cols, table):
+            if len(rows) == len(entries):
+                expansions.append(rows)
+            return minor_det(entries, rows, cols, table)
+
+        monkeypatch.setattr(polynomials, "_minor_det", counting)
+        with pytest.raises(PreconditionError, match=r"frame determinant x1\^2 \+ 1 is not a nonzero constant"):
+            embedding.pullback_canonical_one_form(data)
+        assert expansions == [(0, 1)]
 
 
 class TestBuildEmbedding:

@@ -338,6 +338,46 @@ class TestUniquenessIso:
                 assert phi.matvec(row) == row
 
 
+def test_pullback_precondition_agrees_with_the_dirac_pullbacks():
+    # linear_uniqueness_iso compares the pullbacks of graph(Pi) to m through the leaf
+    # (range m intersect O, form -Omega there); refusing must mean the Dirac pullbacks differ
+    from gen import rand_minimal_coisotropic_pair
+    from poisdirac.dirac_linear import from_bivector, pullback
+    from poisdirac.errors import PropertyViolationError
+
+    def refused(p1, p2, m):
+        try:
+            linear_uniqueness_iso(p1, p2, m, None)
+        except (PreconditionError, PropertyViolationError) as exc:
+            return "different pullback structures" in str(exc)
+        return False
+
+    rng = random.Random(2024)
+    pairs = []
+    for _ in range(40):
+        # gauge-perturbed: conjugate by s = I + u alpha^T with alpha in ann m, fixing m pointwise
+        p1, m = rand_minimal_coisotropic_pair(rng)
+        n = p1.dim
+        alpha = [sum(rand_point(rng, 1)[0] * a for a in col) for col in zip(*annihilator(m).basis.entries)]
+        u = rand_point(rng, n)
+        if 1 + sum(a * b for a, b in zip(alpha, u)) != 0:
+            s = MatrixQ(n, n, tuple(tuple(Fraction(i == j) + u[i] * alpha[j] for j in range(n)) for i in range(n)))
+            pairs.append((p1, PoissonVS(n, s @ p1.pi @ s.transpose()), m))
+        # mismatched: the same structure scaled, and unrelated structures
+        pairs.append((p1, PoissonVS(n, p1.pi.scale(2)), m))
+        n = rng.randint(1, 5)
+        q1, q2, c = rand_poisson(rng, n), rand_poisson(rng, n), rand_subspace(rng, n)
+        pairs += [(q1, PoissonVS(n, q1.pi.scale(-3)), c), (q1, q2, c)]
+    outcomes = Counter()
+    for p1, p2, m in pairs:
+        if p1.sharp_annihilator(m) != p2.sharp_annihilator(m):
+            continue  # refused earlier, on the sharp images of the annihilator
+        differ = pullback(from_bivector(p1), m) != pullback(from_bivector(p2), m)
+        assert refused(p1, p2, m) == differ
+        outcomes[differ] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20, outcomes
+
+
 def test_sharp_kernel_is_leaf_annihilator():
     from poisdirac.rational_linalg import Subspace as S
     from poisdirac.rational_linalg import kernel

@@ -11,15 +11,11 @@ from poisdirac.rational_linalg import MatrixQ, Subspace
 from poisdirac.submanifolds import (
     LevelSet,
     Parametrized,
-    basic_bracket,
-    bracket_consistency_check,
-    classify_at,
+    PointData,
     conormal_at,
     grid_points,
-    is_basic,
-    is_basic_at,
+    grid_points_on,
     LEVEL_SET_ATTEMPTS,
-    level_set_grid_points,
     rank_profile,
     tangent_at,
 )
@@ -74,17 +70,17 @@ class TestTangentConormal:
 class TestClassifyAt:
     @pytest.mark.parametrize("z,expected", [(0, 1), (1, 3), (-1, 3), (-2, 3)])
     def test_vertical_line_reach(self, z, expected):
-        rec = classify_at(FZ, C_FZ, frac(0, 0, z))
+        rec = PointData(FZ, C_FZ, frac(0, 0, z)).classification
         assert rec.dim_sum == expected
 
     @pytest.mark.parametrize("z,expected", [(1, 3), (0, 1)])
     def test_curve_reach(self, z, expected):
-        rec = classify_at(X2Z, C_X2Z, (Fraction(z),))
+        rec = PointData(X2Z, C_X2Z, (Fraction(z),)).classification
         assert rec.dim_sum == expected
 
     @pytest.mark.parametrize("pt,expected", [((1, 1), 2), ((2, 2), 2), ((1, 2), 0), ((0, 3), 0)])
     def test_graph_surface_characteristic(self, pt, expected):
-        rec = classify_at(GRAPH4, C_GRAPH4, frac(*pt))
+        rec = PointData(GRAPH4, C_GRAPH4, frac(*pt)).classification
         assert rec.dim_characteristic == expected
 
     def test_levelset_and_parametrized_agree(self):
@@ -93,8 +89,8 @@ class TestClassifyAt:
         for _ in range(10):
             rng = random.Random(_)
             a, b = rand_fraction(rng), rand_fraction(rng)
-            rec_l = classify_at(SYMPL4, level, (a, Fraction(0), b, Fraction(0)))
-            rec_p = classify_at(SYMPL4, param, (a, b))
+            rec_l = PointData(SYMPL4, level, (a, Fraction(0), b, Fraction(0))).classification
+            rec_p = PointData(SYMPL4, param, (a, b)).classification
             assert rec_l == rec_p
 
 
@@ -153,72 +149,78 @@ class TestGridPoints:
                 assert abs(c.numerator) <= 3 * 3 and c.denominator <= 3
 
     def test_level_set_filter(self):
-        points = level_set_grid_points(C_HYPER, 2, 13, 5)
+        points = grid_points_on(C_HYPER, 2, 13, 5)
         assert points
         for q in points:
             assert q[3] == 0
 
     def test_level_set_points_are_the_grid_points_on_the_locus(self):
         on_locus = [q for q in grid_points(6, 3, 2, LEVEL_SET_ATTEMPTS) if q[3:] == (0, 0, 0)]
-        assert level_set_grid_points(C_R6, 3, 2, 6) == tuple(on_locus[:6])
+        assert grid_points_on(C_R6, 3, 2, 6) == tuple(on_locus[:6])
         # fewer than `count` when the draws run out
-        assert level_set_grid_points(C_R6, 3, 2, 10 ** 6) == tuple(on_locus)
+        assert grid_points_on(C_R6, 3, 2, 10 ** 6) == tuple(on_locus)
+
+    def test_parametrized_points_are_the_grid_points_of_its_parameters(self):
+        assert grid_points_on(C_GRAPH4, 3, 5, 7) == grid_points(2, 3, 5, 7)
 
     def test_level_set_grid_rejects_bad_height(self):
         with pytest.raises(PreconditionError, match="height"):
-            level_set_grid_points(C_R6, 0, 2, 6)
+            grid_points_on(C_R6, 0, 2, 6)
 
 
 class TestBasicFunctions:
     def test_linear_functions_basic_on_hyperplane(self):
         q = frac(1, 2, 3, 0)
-        assert is_basic_at(Poly.parse("x1", X4), SYMPL4, C_HYPER, q)
-        assert is_basic_at(Poly.parse("x2", X4), SYMPL4, C_HYPER, q)
+        at = PointData(SYMPL4, C_HYPER, q)
+        assert at.is_basic(Poly.parse("x1", X4))
+        assert at.is_basic(Poly.parse("x2", X4))
 
     def test_characteristic_pairing_function_not_basic(self):
         q = frac(1, 2, 3, 0)
-        assert not is_basic_at(Poly.parse("x3", X4), SYMPL4, C_HYPER, q)
+        assert not PointData(SYMPL4, C_HYPER, q).is_basic(Poly.parse("x3", X4))
 
     def test_constants_basic_everywhere_with_zero_bracket(self):
         q = frac(1, 2, 3, 0)
         five = Poly.parse("5", X4)
         g = Poly.parse("x2", X4)
-        assert is_basic_at(five, SYMPL4, C_HYPER, q)
-        assert basic_bracket(five, g, SYMPL4, C_HYPER, q) == 0
+        at = PointData(SYMPL4, C_HYPER, q)
+        assert at.is_basic(five)
+        assert at.bracket(five, g) == 0
 
     def test_pinned_bracket_value(self):
         # frozen by the pre-build oracle for the package's sharp convention
         q = frac(1, 2, 3, 0)
-        value = basic_bracket(Poly.parse("x1", X4), Poly.parse("x2", X4), SYMPL4, C_HYPER, q)
+        value = PointData(SYMPL4, C_HYPER, q).bracket(Poly.parse("x1", X4), Poly.parse("x2", X4))
         assert value == Fraction(-1)
 
     def test_antisymmetry_of_bracket(self):
         q = frac(1, 2, 3, 0)
         f, g = Poly.parse("x1", X4), Poly.parse("x2", X4)
-        assert basic_bracket(f, g, SYMPL4, C_HYPER, q) == -basic_bracket(g, f, SYMPL4, C_HYPER, q)
+        at = PointData(SYMPL4, C_HYPER, q)
+        assert at.bracket(f, g) == -at.bracket(g, f)
 
     def test_non_basic_rejected(self):
         q = frac(1, 2, 3, 0)
         with pytest.raises(PreconditionError):
-            basic_bracket(Poly.parse("x3", X4), Poly.parse("x2", X4), SYMPL4, C_HYPER, q)
+            PointData(SYMPL4, C_HYPER, q).bracket(Poly.parse("x3", X4), Poly.parse("x2", X4))
 
     def test_per_sample_vector(self):
         # the curve is isotropic inside the open leaf, so t1 is basic only
         # where the bivector vanishes
         f = Poly.parse("t1", ("t1",))
-        flags = is_basic(f, X2Z, C_X2Z, [(Fraction(1),), (Fraction(0),)])
+        flags = tuple(PointData(X2Z, C_X2Z, q).is_basic(f) for q in [(Fraction(1),), (Fraction(0),)])
         assert flags == (False, True)
 
 
 class TestBracketConsistency:
     def test_hyperplane_fixture(self):
         q = frac(1, 2, 3, 0)
-        check = bracket_consistency_check(SYMPL4, C_HYPER, q, Poly.parse("x1", X4), Poly.parse("x2", X4))
+        check = PointData(SYMPL4, C_HYPER, q).consistency(Poly.parse("x1", X4), Poly.parse("x2", X4))
         assert check.agree and check.intrinsic == Fraction(-1)
 
     def test_coisotropic_in_symplectic_extension_is_whole_space(self):
         q = frac(1, 2, 3, 0)
-        check = bracket_consistency_check(SYMPL4, C_HYPER, q, Poly.parse("x1+x2", X4), Poly.parse("x2", X4))
+        check = PointData(SYMPL4, C_HYPER, q).consistency(Poly.parse("x1+x2", X4), Poly.parse("x2", X4))
         assert check.agree
 
     def test_pre_poisson_line(self):
@@ -227,5 +229,15 @@ class TestBracketConsistency:
         line = Parametrized(PolyMap.parse(["t1", "0", "0", "0"], ("t1",)))
         f = Poly.parse("t1^2 - 2*t1", ("t1",))
         g = Poly.parse("3*t1^2 - 6*t1 + 1", ("t1",))
-        check = bracket_consistency_check(SYMPL4, line, (Fraction(1),), f, g)
+        check = PointData(SYMPL4, line, (Fraction(1),)).consistency(f, g)
         assert check.agree and check.intrinsic == 0
+
+    def test_parametrized_point_derives_its_directions_once(self, monkeypatch):
+        # one Jacobian for the tangent, one for the parameter directions of every differential
+        line = Parametrized(PolyMap.parse(["t1", "0", "0", "0"], ("t1",)))
+        calls = []
+        jacobian_at = PolyMap.jacobian_at
+        monkeypatch.setattr(PolyMap, "jacobian_at", lambda m, q: calls.append(tuple(q)) or jacobian_at(m, q))
+        f, g = Poly.parse("t1^2 - 2*t1", ("t1",)), Poly.parse("3*t1^2 - 6*t1 + 1", ("t1",))
+        PointData(SYMPL4, line, (Fraction(1),)).consistency(f, g)
+        assert calls == [(1,), (1,)]
