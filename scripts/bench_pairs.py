@@ -18,7 +18,11 @@ that runs first alternates from seed to seed.  The JSON names each side's
 revision by its git object, its tree and its src/ tree (compare with
 `git rev-parse COMMIT:src`), and records every run's end-to-end metrics,
 and per metric and side the median and quartiles, plus how many pairs the
-change won (ties count for neither side) and the median difference.  With
+change won (ties count for neither side), the median difference, and two
+verdicts against the change's BENCHMARK.json: `claim_rule_met` (won at least
+9 in 10 pairs, and the medians differ in the change's favour by more than the
+parent's interquartile range) and `within_bound` (the change's median is not
+worse than the parent's by more than the metric's bound).  With
 --trace-seed, one `--trace 1` run per side and workload adds the per-layer
 metrics.  The output goes to BENCH_<label>.json at the root of this
 repository.  The script exits 1 after writing it if any run reported
@@ -76,19 +80,30 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the change's wins."""
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of the contract (its name, `better` and `bound`): each
+    side's median and quartiles, the change's wins, and two verdicts.
+    `claim_rule_met`: the change won at least 9 in 10 of the pairs, and its median is
+    better than the parent's by more than the parent's interquartile range.
+    `within_bound`: the change's median is not worse than the parent's by more than
+    the bound, a fraction of the parent's median."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         values = {side: [p[side][name] for p in pairs] for side in SIDES}
         sign = 1 if direction == "higher" else -1
+        spreads = {side: _spread(values[side]) for side in SIDES}
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        difference = statistics.median(values["change"]) - statistics.median(values["parent"])
         out[name] = {
             "better": direction,
-            **{side: _spread(values[side]) for side in SIDES},
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
+            **spreads,
+            "change_wins": wins,
             "parent_wins": sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])),
             "pairs": len(pairs),
-            "median_difference": statistics.median(values["change"]) - statistics.median(values["parent"]),
+            "median_difference": difference,
+            "claim_rule_met": 10 * wins >= 9 * len(pairs) and sign * difference > spreads["parent"]["iqr"],
+            "within_bound": -sign * difference <= metric["bound"] * abs(spreads["parent"]["median"]),
         }
     return out
 
@@ -126,7 +141,6 @@ def main() -> int:
             path.mkdir()
         revisions = {side: _export(getattr(args, side), checkouts[side]) for side in SIDES}
         contract = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        better = {m["name"]: m["better"] for m in contract["end_to_end"]}
         report = {
             "label": args.label,
             "command": "python3 perfbench/run.py --workload W --seed N --trace 0",
@@ -148,7 +162,7 @@ def main() -> int:
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: ops_per_s {pair['parent']['ops_per_s']:.2f} -> "
                       f"{pair['change']['ops_per_s']:.2f}", file=sys.stderr)
-            entry = {"pairs": pairs, "summary": summarize(pairs, better)}
+            entry = {"pairs": pairs, "summary": summarize(pairs, contract["end_to_end"])}
             if args.trace_seed is not None:
                 entry["traced"] = {
                     side: {"seed": args.trace_seed, **{name: m["value"] for name, m in

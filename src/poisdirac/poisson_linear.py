@@ -25,6 +25,8 @@ from typing import Sequence
 
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .rational_linalg import (
+    ONE,
+    ZERO,
     MatrixQ,
     Subspace,
     Vector,
@@ -36,6 +38,7 @@ from .rational_linalg import (
     image,
     intersect,
     inverse,
+    linear_combination,
     preimage,
     solve,
     standard_basis,
@@ -252,15 +255,17 @@ def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
 
 def leaf_form_gram(p: PoissonVS, xs: Sequence[Sequence[Fraction]], ys: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
     """Omega(x, y) for x in xs (rows) and y in ys (columns), all in the leaf O, via
-    Omega(sharp xi, .) = -xi|_O: sharp xi = v is solved for every distinct vector v
-    in one elimination, and a vector with no solution is off the leaf."""
+    Omega(x, sharp eta) = eta(x) (Omega(sharp xi, .) = -xi|_O and antisymmetry): one
+    elimination solves sharp eta = v for each vector object v, where no solution means
+    v is off the leaf, and the Gram matrix is the one product xs @ (etas of ys)^T."""
     if any(len(v) != p.dim for v in (*xs, *ys)):
         raise SpaceMismatchError("vector length does not match ambient dimension")
-    distinct = list(dict.fromkeys(map(tuple, (*xs, *ys))))
-    preimages = dict(zip(distinct, solve(p.pi, distinct)))
+    distinct = {id(v): v for v in (*xs, *ys)}
+    preimages = dict(zip(distinct, solve(p.pi, list(distinct.values()))))
     if None in preimages.values():
         raise PreconditionError("leaf form is only defined on the image of sharp")
-    return tuple(tuple(-sum(a * b for a, b in zip(preimages[tuple(x)], y)) for y in ys) for x in xs)
+    etas = MatrixQ(len(ys), p.dim, tuple(preimages[id(y)] for y in ys))
+    return (MatrixQ(len(xs), p.dim, tuple(xs)) @ etas.transpose()).entries
 
 
 def leaf_form_value(p: PoissonVS, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -291,11 +296,11 @@ def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> Matrix
     if None in coeffs:
         raise PropertyViolationError("sharp(ann v) is not a complement of w")
     d = v.dim
-    a = -(MatrixQ(d, sharp_ann_v.dim, tuple(c[w.dim:] for c in coeffs)) @ sharp_ann_v.basis)
-    # rows of B: 1/2 sharp_V(Omega(A v_i, A .)) in ambient coordinates
-    omega_a = MatrixQ(d, d, leaf_form_gram(p, a.entries, a.entries))
-    b = (omega_a @ embedding_conditions(p, c, v).induced.pi.transpose() @ v.basis).scale(Fraction(1, 2))
-    phi_cols = w.coordinates_of_rows((v.basis + a + b).entries)
+    minus_a = MatrixQ(d, sharp_ann_v.dim, tuple(c[w.dim:] for c in coeffs)) @ sharp_ann_v.basis
+    # rows of B: 1/2 sharp_V(Omega(A v_i, A .)) in ambient coordinates (Omega(A., A.) is even in A)
+    omega_a = MatrixQ(d, d, leaf_form_gram(p, minus_a.entries, minus_a.entries))
+    two_b = omega_a @ embedding_conditions(p, c, v).induced.pi.transpose() @ v.basis
+    phi_cols = w.coordinates_of_rows(linear_combination((1, v.basis), (-1, minus_a), (Fraction(1, 2), two_b)).entries)
     if phi_cols is None:
         raise PropertyViolationError("canonical isomorphism image left w")
     return MatrixQ(d, w.dim, phi_cols).transpose()
@@ -316,11 +321,11 @@ class CoisotropicSplitting:
     pairing_basis: MatrixQ
     change_of_basis: MatrixQ
     model: PoissonVS
+    inverse_change_of_basis: MatrixQ = field(compare=False, repr=False)  # the inverse that pushed the model
 
 
 def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) -> CoisotropicSplitting:
-    record = classify_subspace(p, m)
-    if not record.coisotropic:
+    if not classify_subspace(p, m).coisotropic:
         raise PreconditionError("subspace is not coisotropic")
     e = p.sharp_annihilator(m)
     if e.dim != p.dim - m.dim:
@@ -340,7 +345,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     pairing = MatrixQ(k, k, leaf_form_gram(p, w0_rows, e_rows))
     w = inverse(pairing) @ MatrixQ(k, p.dim, w0_rows)
     omega_w = MatrixQ(k, k, leaf_form_gram(p, w.entries, w.entries))
-    f_rows = (w + (omega_w @ e.basis).scale(Fraction(1, 2))).entries
+    f_rows = linear_combination((1, w), (Fraction(1, 2), omega_w @ e.basis)).entries
     # Omega(f_i, f_j) must vanish and Omega(f_i, e_j) must be delta_ij
     checks = leaf_form_gram(p, f_rows, f_rows + e_rows)
     for i in range(k):
@@ -349,33 +354,23 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
                 raise PropertyViolationError("Lagrangian correction failed")
             if checks[i][k + j] != (1 if i == j else 0):
                 raise PropertyViolationError("pairing normalization failed")
-    model_cols = v.basis.entries + e_rows + f_rows
-    t = MatrixQ(p.dim, p.dim, model_cols).transpose()
+    t = MatrixQ(p.dim, p.dim, v.basis.entries + e_rows + f_rows).transpose()
     t_inv = inverse(t)
     pushed = t_inv @ p.pi @ t_inv.transpose()
     model = PoissonVS(p.dim, pushed)
     if pushed != _block_model(induced_bivector(p, v), k).pi:
         raise PropertyViolationError("pushed bivector does not match the V + E + E* model")
-    return CoisotropicSplitting(
-        e=e,
-        v=v,
-        pairing_basis=MatrixQ(k, p.dim, f_rows),
-        change_of_basis=t,
-        model=model,
-    )
+    return CoisotropicSplitting(e=e, v=v, pairing_basis=MatrixQ(k, p.dim, f_rows), change_of_basis=t, model=model,
+                                inverse_change_of_basis=t_inv)
 
 
 def _block_model(pv: PoissonVS, k: int) -> PoissonVS:
     """Block-diagonal model bivector: pv on the V block, then the k x k pairing."""
-    n = pv.dim + 2 * k
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(pv.dim):
-        for j in range(pv.dim):
-            entries[i][j] = pv.pi.entries[i][j]
-    for i in range(k):
-        entries[pv.dim + i][pv.dim + k + i] = Fraction(1)
-        entries[pv.dim + k + i][pv.dim + i] = Fraction(-1)
-    return PoissonVS(n, MatrixQ(n, n, tuple(tuple(r) for r in entries)))
+    d, n = pv.dim, pv.dim + 2 * k
+    entries = [list(r) + [ZERO] * (2 * k) for r in pv.pi.entries] + [[ZERO] * n for _ in range(2 * k)]
+    for i in range(d, d + k):
+        entries[i][i + k], entries[i + k][i] = ONE, -ONE
+    return PoissonVS(n, MatrixQ(n, n, tuple(map(tuple, entries))))
 
 
 def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace) -> MatrixQ:
@@ -388,9 +383,7 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     """
     if p1.dim != p2.dim:
         raise PreconditionError("ambient dimensions differ")
-    e1 = p1.sharp_annihilator(m)
-    e2 = p2.sharp_annihilator(m)
-    if e1 != e2:
+    if p1.sharp_annihilator(m) != p2.sharp_annihilator(m):
         raise PreconditionError("sharp images of the annihilator differ; structures do not match along m")
     # the pullback of graph(Pi) to m is fixed by its range (m intersect the leaf O) and its form -Omega there
     reach = intersect(m, p1.leaf())
@@ -401,7 +394,7 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     s2 = coisotropic_splitting(p2, m, v)
     if s1.model.pi != s2.model.pi:
         raise PropertyViolationError("splitting models disagree despite equal pullback data")
-    phi = s2.change_of_basis @ inverse(s1.change_of_basis)
+    phi = s2.change_of_basis @ s1.inverse_change_of_basis
     if phi @ p1.pi @ phi.transpose() != p2.pi:
         raise PropertyViolationError("matching isomorphism failed to intertwine the bivectors")
     for row in m.basis.entries:

@@ -9,10 +9,10 @@ bit-for-bit and shared freely.
 All elimination is one fraction-free Gauss-Jordan loop on primitive
 integer rows.  A Subspace stores its reduced rows as integers; Fractions
 are made only where a caller reads them (`rref`, `solve`, `Subspace.basis`),
-integer rows enter through `_reduced` without one, and matrix products cost
-one gcd per entry.  `solve` takes every right-hand side of a coefficient
-matrix at once and runs one elimination for all of them; `inverse` is its
-identity case.
+integer rows enter through `_reduced` without one, and matrix products and
+`linear_combination`s cost one gcd per entry.  `solve` takes every right-hand
+side of a coefficient matrix at once and runs one elimination for all of them;
+`inverse` is its identity case.
 
 Subspaces carry a primal/dual tag: annihilators land in the dual
 space and mixing the two ambients raises, which catches the classic
@@ -41,6 +41,7 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 MAX_DIGITS = 1000
 
 ZERO, ONE = Fraction(0), Fraction(1)
+_UNIT_BASES: dict[int, tuple[Vector, ...]] = {}  # standard_basis(n) by n
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -73,13 +74,16 @@ def fmt_point(point: Sequence[Fraction]) -> str:
 
 
 def standard_basis(n: int) -> tuple[Vector, ...]:
-    """The unit vectors e_1, ..., e_n of Q^n (the rows of the identity)."""
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    """The unit vectors e_1, ..., e_n of Q^n (the rows of the identity), built once per n."""
+    if n not in _UNIT_BASES:
+        _UNIT_BASES[n] = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    return _UNIT_BASES[n]
 
 
 def _scaled_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, d) with row = ints / d and d the lcm of the denominators."""
-    ratios = [a.as_integer_ratio() for a in row]
+    """(ints, d) with row = ints / d and d the lcm of the denominators.  A float,
+    which as_integer_ratio would read as a binary fraction, raises rat's TypeError."""
+    ratios = [rat(a) if isinstance(a, float) else a.as_integer_ratio() for a in row]
     d = lcm(*(q for _, q in ratios))
     return [p * (d // q) for p, q in ratios], d
 
@@ -122,8 +126,7 @@ class MatrixQ:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> MatrixQ:
-        zero = Fraction(0)
-        return MatrixQ(rows, cols, tuple((zero,) * cols for _ in range(rows)))
+        return MatrixQ(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
 
     @staticmethod
     def identity(n: int) -> MatrixQ:
@@ -144,19 +147,16 @@ class MatrixQ:
         return MatrixQ(self.cols, self.rows, tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
 
     def __add__(self, other: MatrixQ) -> MatrixQ:
-        self._check_shape(other)
-        return MatrixQ(self.rows, self.cols, tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
+        return linear_combination((1, self), (1, other))
 
     def __sub__(self, other: MatrixQ) -> MatrixQ:
-        self._check_shape(other)
-        return MatrixQ(self.rows, self.cols, tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
+        return linear_combination((1, self), (-1, other))
 
     def __neg__(self) -> MatrixQ:
         return MatrixQ(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries))
 
     def scale(self, c: int | str | Fraction) -> MatrixQ:
-        c = rat(c)
-        return MatrixQ(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.entries))
+        return linear_combination((rat(c), self))
 
     def __matmul__(self, other: MatrixQ) -> MatrixQ:
         if self.cols != other.rows:
@@ -174,12 +174,26 @@ class MatrixQ:
         return tuple(Fraction(s, d * e) if (s := sum(map(mul, r, ints))) else ZERO for r in rows)
 
     def is_antisymmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == -self.entries[j][i] for i in range(self.rows) for j in range(i, self.cols)
-        )
+        ints = self._scaled[0]  # entries = ints / d with one d
+        return self.rows == self.cols and all(a == -b for r, c in zip(ints, zip(*ints)) for a, b in zip(r, c))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
+
+
+def linear_combination(*terms: tuple[int | Fraction, MatrixQ]) -> MatrixQ:
+    """The sum of c M over the terms (c, M), on the integer views: one Fraction
+    per entry, over L the lcm of the denominators of the scaled terms."""
+    first = terms[0][1]
+    for _, m in terms[1:]:
+        first._check_shape(m)
+    views = [(c.numerator, c.denominator * m._scaled[1], m._scaled[0]) for c, m in terms]
+    big = lcm(*(d for _, d, _ in views))
+    weights = [k * (big // d) for k, d, _ in views]
+    return MatrixQ(first.rows, first.cols, tuple(
+        tuple(Fraction(s, big) if (s := sum(map(mul, weights, column))) else ZERO for column in zip(*rows))
+        for rows in zip(*(ints for _, _, ints in views))
+    ))
 
 
 def _eliminate(work: list, n_cols: int) -> list[int]:
@@ -294,6 +308,23 @@ class Subspace:
             for r, p in zip(self.rows, pivots)
         ))
 
+    @cached_property
+    def _annihilator(self) -> Subspace:
+        """`annihilator(self)`.  With L the lcm of the pivot entries, each free column f
+        gives xi[f] = L and xi[p_r] = -row_r[f] L / row_r[p_r].  Not cached on the
+        result, which would make a reference cycle."""
+        n, rows = self.ambient_dim, self.rows
+        pivots = _pivots(rows)
+        big = lcm(*(row[c] for row, c in zip(rows, pivots)))
+        vectors = []
+        for free in sorted(set(range(n)) - set(pivots)):
+            xi = [0] * n
+            xi[free] = big
+            for row, c in zip(rows, pivots):
+                xi[c] = -row[free] * (big // row[c])
+            vectors.append(primitive(xi))
+        return _reduced(n, vectors, not self.dual)
+
     @staticmethod
     def span(ambient_dim: int, rows: Sequence[Sequence[int | str | Fraction]], dual: bool = False) -> Subspace:
         m = MatrixQ.from_rows(rows, cols=ambient_dim)
@@ -375,22 +406,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def annihilator(s: Subspace) -> Subspace:
-    """{xi : xi(v) = 0 for all v in s}, living in the opposite ambient.
-
-    With L the lcm of the pivot entries, each free column f gives
-    xi[f] = L and xi[p_r] = -row_r[f] L / row_r[p_r].
-    """
-    n, rows = s.ambient_dim, s.rows
-    pivots = _pivots(rows)
-    big = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    vectors = []
-    for free in sorted(set(range(n)) - set(pivots)):
-        xi = [0] * n
-        xi[free] = big
-        for row, c in zip(rows, pivots):
-            xi[c] = -row[free] * (big // row[c])
-        vectors.append(primitive(xi))
-    return _reduced(n, vectors, not s.dual)
+    """{xi : xi(v) = 0 for all v in s}, living in the opposite ambient; built once per subspace."""
+    return s._annihilator
 
 
 def image(m: MatrixQ, s: Subspace, dual: bool = False) -> Subspace:

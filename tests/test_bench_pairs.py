@@ -1,6 +1,8 @@
-"""scripts/bench_pairs.py names every run that cannot back a claim, and leaves no export behind."""
+"""scripts/bench_pairs.py names every run that cannot back a claim, judges each metric by
+the claim rule and by its bound, and leaves no export behind."""
 
 import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -37,6 +39,56 @@ def test_wrong_runs_name_the_workload_seed_and_side():
         "linear_iso seed 6 parent (correct: False, failed: 1)",
         "linear_iso seed 6 change (correct: False, failed: 3)",
     ]
+
+
+OPS = {"name": "ops_per_s", "better": "higher", "bound": 0.1}
+P90 = {"name": "latency_p90_ms", "better": "lower", "bound": 0.15}
+
+
+def runs(name, parent, change):
+    return [{"seed": i, "parent": {name: p}, "change": {name: c}} for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def verdicts(metric, parent, change):
+    summary = bench_pairs.summarize(runs(metric["name"], parent, change), [metric])[metric["name"]]
+    return summary["claim_rule_met"], summary["within_bound"]
+
+
+PARENT = [100, 101, 99, 102, 98, 100, 103, 97, 100, 101]  # median 100, interquartile range 1.75
+
+
+@pytest.mark.parametrize("change, expected", [
+    ([p + 10 for p in PARENT], (True, True)),  # won 10/10, median +10 against the range 1.75
+    ([p + 10 for p in PARENT[:9]] + [PARENT[9] - 1], (True, True)),  # won 9/10
+    ([p + 10 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]], (False, True)),  # won only 8/10
+    ([p + 1.5 for p in PARENT], (False, True)),  # won 10/10, but the gain is inside the range
+    ([p - 9 for p in PARENT], (False, True)),  # 9% worse: inside the 10% bound
+    ([p - 11 for p in PARENT], (False, False)),  # 11% worse: outside it
+    (PARENT, (False, True)),  # all ties
+])
+def test_verdicts_for_a_higher_is_better_metric(change, expected):
+    assert verdicts(OPS, PARENT, change) == expected
+
+
+@pytest.mark.parametrize("change, expected", [
+    ([p - 10 for p in PARENT], (True, True)),  # lower is better: 10 ms less wins
+    ([p + 10 for p in PARENT], (False, True)),  # 10% worse, inside the 15% bound
+    ([p + 16 for p in PARENT], (False, False)),
+])
+def test_verdicts_for_a_lower_is_better_metric(change, expected):
+    assert verdicts(P90, PARENT, change) == expected
+
+
+def test_summary_keeps_every_field_for_every_contract_metric():
+    contract = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    names = [m["name"] for m in contract]
+    pairs = [{"seed": i, "parent": dict.fromkeys(names, 1.0 + i), "change": dict.fromkeys(names, 1.0 + i)} for i in range(4)]
+    summary = bench_pairs.summarize(pairs, contract)
+    assert list(summary) == names
+    for entry in summary.values():
+        assert entry["pairs"] == 4 and entry["change_wins"] == entry["parent_wins"] == 0
+        assert entry["median_difference"] == 0 and entry["parent"]["iqr"] == entry["change"]["iqr"]
+        assert entry["claim_rule_met"] is False and entry["within_bound"] is True
 
 
 def _in_git_checkout() -> bool:

@@ -1,7 +1,8 @@
 """Each classification, embedding-conditions record and induced bivector is
 built at most once per (PoissonVS, subspaces), whoever asks for it, each
-linear system with many right-hand sides is solved in one elimination, and
-each partial derivative is derived once per polynomial.
+annihilator once per subspace, each linear system with many right-hand
+sides is solved in one elimination, each inverse once, and each partial
+derivative is derived once per polynomial.
 
 Builds are counted, not calls: a profile hook counts every run of a
 build function's own body, which a cached call never reaches.
@@ -15,20 +16,22 @@ from fractions import Fraction
 
 import pytest
 
-from gen import rand_valid_iso_triple
+from gen import rand_minimal_coisotropic_pair, rand_valid_iso_triple
 from poisdirac.bivector_fields import BivectorField
 from poisdirac.cli import main
 from poisdirac.poisson_linear import (
     PoissonVS,
     canonical_iso,
     classify_subspace,
+    coisotropic_splitting,
     cosymplectic_extension,
     embedding_conditions,
     induced_bivector,
     leaf_form_gram,
+    linear_uniqueness_iso,
 )
 from poisdirac.polynomials import Poly, PolyMap
-from poisdirac.rational_linalg import MatrixQ, Subspace, solve
+from poisdirac.rational_linalg import MatrixQ, Subspace, _reduced, annihilator, inverse, solve
 from poisdirac.submanifolds import LevelSet, Parametrized, PointData
 
 # the code of each build function's own body, under whatever cache wraps it
@@ -151,6 +154,78 @@ def test_many_right_hand_sides_are_solved_in_one_elimination(caller):
     with counted_solves() as solves:
         ONE_SOLVE_CASES[caller]()
     assert solves[caller] == 1, solves
+
+
+@contextmanager
+def counted_annihilations(s: Subspace):
+    """Number of eliminations that build the annihilator of the object s (in a
+    one-element list): runs of `_reduced` called from the body of `annihilator`,
+    or of whatever it reads the annihilator from, with s as its argument."""
+    runs = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is _reduced.__code__:
+            caller = frame.f_back.f_code
+            if caller.co_name.endswith("annihilator") and frame.f_back.f_locals[caller.co_varnames[0]] is s:
+                runs[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(previous)
+
+
+def test_classification_annihilates_its_subspace_once():
+    # classify_subspace reads ann c directly, through sharp(ann c) and through sharp^-1(c)
+    rng = random.Random(41)
+    for _ in range(10):
+        p, c, _, _ = rand_valid_iso_triple(rng, max_dim=6)
+        p, c = PoissonVS(p.dim, p.pi), Subspace(c.ambient_dim, c.rows)  # nothing derived from either yet
+        with counted_annihilations(c) as runs:
+            classify_subspace(p, c)
+        assert runs == [1]
+
+
+def test_counting_sees_each_annihilation_of_its_object():
+    c, twin = Subspace(3, ((1, 0, 2),)), Subspace(3, ((1, 0, 2),))
+    with counted_annihilations(c) as runs:
+        annihilator(twin)
+        assert runs == [0]
+        annihilator(c)
+    assert runs == [1]
+
+
+@contextmanager
+def counted_inverses():
+    """Number of runs of `inverse`'s body, in a one-element list."""
+    runs = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is inverse.__code__:
+            runs[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(previous)
+
+
+def test_matching_isomorphism_reuses_the_inverse_of_the_first_splitting():
+    # each of the two splittings inverts its pairing and its change of basis;
+    # the matching map reads the first inverse back instead of inverting it again
+    rng = random.Random(43)
+    for _ in range(10):
+        p1, m = rand_minimal_coisotropic_pair(rng)
+        v = coisotropic_splitting(p1, m).v
+        p2 = PoissonVS(p1.dim, p1.pi)
+        with counted_inverses() as runs:
+            phi = linear_uniqueness_iso(p1, p2, m, v)
+        assert runs == [4]
+        assert phi == MatrixQ.identity(p1.dim)
 
 
 @contextmanager

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import rand_point, rand_poisson, rand_subspace, rand_valid_iso_triple
+from gen import rand_antisym, rand_matrix, rand_point, rand_poisson, rand_subspace, rand_valid_iso_triple
 from poisdirac import poisson_linear
 from poisdirac.errors import PreconditionError, SpaceMismatchError
 from poisdirac.poisson_linear import (
@@ -21,7 +21,7 @@ from poisdirac.poisson_linear import (
     linear_uniqueness_iso,
     sharp_image,
 )
-from poisdirac.rational_linalg import MatrixQ, Subspace, add, annihilator, intersect
+from poisdirac.rational_linalg import MatrixQ, Subspace, add, annihilator, intersect, solve
 
 J2 = MatrixQ.from_rows([[0, 1], [-1, 0]])
 J4 = MatrixQ.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -33,6 +33,22 @@ E12 = Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
 def dual_span(n, rows):
     return Subspace.span(n, rows, dual=True)
+
+
+def reference_gram(p, xs, ys):
+    """The Fraction dot-product formula: Omega(x, y) = -xi(y) with sharp xi = x,
+    solved once per distinct vector."""
+    distinct = list(dict.fromkeys(map(tuple, (*xs, *ys))))
+    preimages = dict(zip(distinct, solve(p.pi, distinct)))
+    if None in preimages.values():
+        raise PreconditionError("leaf form is only defined on the image of sharp")
+    return tuple(tuple(-sum(a * b for a, b in zip(preimages[tuple(x)], y)) for y in ys) for x in xs)
+
+
+def rank_deficient_poisson(rng, n):
+    """Pi = B K B^T with B n x (n - 2): its leaf is a proper subspace."""
+    b = rand_matrix(rng, n, n - 2)
+    return PoissonVS(n, b @ rand_antisym(rng, n - 2) @ b.transpose())
 
 
 class TestSharpImage:
@@ -180,6 +196,82 @@ class TestLeafForm:
         x, y = (off, on) if off_in == "x" else (on, off)
         for call in (lambda: leaf_form_gram(p, [on, x], [y, on]), lambda: leaf_form_value(p, x, y)):
             with pytest.raises(PreconditionError, match="only defined on the image of sharp"):
+                call()
+
+    def assert_gram_is_the_reference(self, p, xs, ys):
+        gram = leaf_form_gram(p, xs, ys)
+        assert gram == reference_gram(p, xs, ys)
+        assert len(gram) == len(xs) and all(len(row) == len(ys) for row in gram)
+        assert all(type(a) is Fraction for row in gram for a in row)
+        return gram
+
+    def test_gram_of_int_entry_vectors(self):
+        rng = random.Random(13)
+        checked = 0
+        for _ in range(30):
+            n = rng.choice((2, 4, 6))
+            p = PoissonVS(n, rand_antisym(rng, n))
+            if p.leaf().dim < n:
+                continue
+            checked += 1
+            # a full-rank bivector: every int vector, as a list or a tuple, lies on the leaf
+            xs = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            ys = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            self.assert_gram_is_the_reference(p, xs, ys)
+        assert checked >= 20
+        assert leaf_form_gram(P4, [[1, 0, 0, 0]], [[0, 1, 0, 0], [0, 0, 1, 0]]) == ((-1, 0),)
+
+    def test_gram_with_no_rows_or_no_columns(self):
+        rng = random.Random(14)
+        for p in (P4, rank_deficient_poisson(rng, 4), PoissonVS(3, MatrixQ.zeros(3, 3))):
+            on_leaf = [p.sharp(rand_point(rng, p.dim)) for _ in range(2)]
+            assert self.assert_gram_is_the_reference(p, [], on_leaf) == ()
+            assert self.assert_gram_is_the_reference(p, on_leaf, []) == ((), ())
+            assert leaf_form_gram(p, [], []) == ()
+
+    def test_gram_of_repeated_vectors(self):
+        rng = random.Random(15)
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            p = rand_poisson(rng, n) if rng.random() < 0.5 else rank_deficient_poisson(rng, max(n, 3))
+            x, y = (p.sharp(rand_point(rng, p.dim)) for _ in range(2))
+            # the same object twice, an equal copy, and one list given as both arguments
+            copy = tuple(list(x))
+            assert copy == x and copy is not x
+            xs = [x, y, x, copy]
+            gram = self.assert_gram_is_the_reference(p, xs, [y, x, y])
+            assert gram[0] == gram[2] == gram[3] and gram[0][1] == gram[1][0] == gram[1][2] == 0
+            assert self.assert_gram_is_the_reference(p, xs, xs) == reference_gram(p, xs, list(xs))
+
+    def test_gram_on_rank_deficient_bivectors(self):
+        rng = random.Random(16)
+        for _ in range(30):
+            n = rng.randint(3, 7)
+            p = rank_deficient_poisson(rng, n)
+            assert p.leaf().dim < n
+            xs = [p.sharp(rand_point(rng, n)) for _ in range(rng.randint(1, 4))]
+            ys = [p.sharp(rand_point(rng, n)) for _ in range(rng.randint(1, 4))]
+            gram = self.assert_gram_is_the_reference(p, xs, ys)
+            assert leaf_form_gram(p, ys, xs) == tuple(tuple(-a for a in col) for col in zip(*gram))
+            off = next(e for e in ((1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2), (0, 0, 1) + (0,) * (n - 3))
+                       if not p.leaf().contains_vector(e))
+            for bad in (([off], ys), (xs, ys + [off])):
+                with pytest.raises(PreconditionError, match="only defined on the image of sharp"):
+                    leaf_form_gram(p, *bad)
+                with pytest.raises(PreconditionError, match="only defined on the image of sharp"):
+                    reference_gram(p, *bad)
+
+    def test_gram_refuses_floats(self):
+        refusal = r"^cannot interpret 0\.5 as a rational \(floats are not accepted\)$"
+        on = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        for call in (
+            lambda: leaf_form_gram(P4, [(0.5, 0, 0, 0)], [on]),
+            lambda: leaf_form_gram(P4, [on], [on, (0, 0.5, 0, 0)]),
+            lambda: leaf_form_gram(P4, [], [(0, 0, 0, 0.5)]),
+            lambda: leaf_form_value(P4, on, (0, 0, 0.5, 0)),
+            lambda: P2.sharp((0.5, 0)),
+        ):
+            with pytest.raises(TypeError, match=refusal):
                 call()
 
     def test_gram_rejects_wrong_length(self):

@@ -1,4 +1,7 @@
+import gc
+import inspect
 import random
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -18,6 +21,7 @@ from poisdirac.rational_linalg import (
     intersect,
     inverse,
     kernel,
+    linear_combination,
     preimage,
     rank,
     rat,
@@ -58,6 +62,13 @@ def test_standard_basis_is_identity_rows():
     assert standard_basis(0) == ()
     assert MatrixQ.identity(3).entries == standard_basis(3)
     assert standard_basis(2) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def test_standard_basis_is_built_once_per_n_by_a_plain_function():
+    # a plain function, so a tracer that wraps functions still sees its calls
+    assert inspect.isfunction(standard_basis)
+    assert standard_basis(5) is standard_basis(5) and standard_basis(0) is standard_basis(0)
+    assert all(type(a) is Fraction for row in standard_basis(5) for a in row)
 
 
 def _reference_rref(m: MatrixQ) -> tuple[MatrixQ, int]:
@@ -193,6 +204,89 @@ def test_inverse_matches_sympy(kind):
             continue
         expected = sm.inv()
         assert inverse(m).entries == tuple(tuple(_from_sympy(expected[i, j]) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("kind", ["empty", "dense", "repeats", "huge"])
+def test_sums_and_scalings_equal_the_fraction_formulas(kind):
+    rng = random.Random(f"combination-{kind}")
+    for _ in range(60):
+        a = _rand_matrix(rng, kind)
+        b, c = (_rand_matrix(rng, "dense" if kind == "empty" else kind, (a.rows, a.cols)) for _ in range(2))
+        k1, k2, k3 = _small(rng), rng.randint(-3, 3), _huge(rng) if kind == "huge" else _small(rng)
+        expected = tuple(tuple(k1 * x + k2 * y + k3 * z for x, y, z in zip(*rows)) for rows in zip(a.entries, b.entries, c.entries))
+        results = {
+            "combination": (linear_combination((k1, a), (k2, b), (k3, c)), expected),
+            "+": (a + b, tuple(tuple(x + y for x, y in zip(*rows)) for rows in zip(a.entries, b.entries))),
+            "-": (a - b, tuple(tuple(x - y for x, y in zip(*rows)) for rows in zip(a.entries, b.entries))),
+            "scale": (a.scale("-3/4"), tuple(tuple(Fraction(-3, 4) * x for x in row) for row in a.entries)),
+        }
+        for name, (got, want) in results.items():
+            assert (got.rows, got.cols) == (a.rows, a.cols), name
+            assert got.entries == want, name
+            assert all(type(x) is Fraction and gcd(x.numerator, x.denominator) == 1 for row in got.entries for x in row)
+
+
+def test_sums_refuse_mismatched_shapes():
+    a, b = MatrixQ.zeros(2, 2), MatrixQ.zeros(2, 3)
+    for combine in (lambda: a + b, lambda: b - a, lambda: linear_combination((1, a), (2, a), (1, b))):
+        with pytest.raises(SpaceMismatchError, match="shape mismatch"):
+            combine()
+
+
+@pytest.mark.parametrize("kind", ["dense", "huge"])
+def test_is_antisymmetric_equals_the_entrywise_test(kind):
+    rng = random.Random(f"antisymmetric-{kind}")
+    entry = _huge if kind == "huge" else _small
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        upper = {(i, j): entry(rng) for i in range(n) for j in range(i + 1, n)}
+        data = [[upper[i, j] if i < j else -upper[j, i] if i > j else Fraction(0) for j in range(n)] for i in range(n)]
+        if n and rng.random() < 0.5:  # one entry off: a diagonal one, or one of a pair
+            i, j = rng.randrange(n), rng.randrange(n)
+            data[i][j] += Fraction(1, rng.randint(1, 3))
+        m = MatrixQ(n, n, tuple(map(tuple, data)))
+        expected = all(m[i, j] == -m[j, i] for i in range(n) for j in range(n))
+        assert m.is_antisymmetric() == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    assert not MatrixQ.zeros(2, 3).is_antisymmetric() and MatrixQ.zeros(0, 0).is_antisymmetric()
+
+
+FLOAT_REFUSAL = r"^cannot interpret 0\.[15] as a rational \(floats are not accepted\)$"
+
+
+def test_floats_are_refused_where_a_callers_vector_enters():
+    m = MatrixQ.from_rows([[0, 1], [-1, 0]])
+    line = Subspace.span(2, [[1, 0]])
+    for call in (
+        lambda: m.matvec((0.1, 0)),
+        lambda: solve(m, [(0.1, 0)]),
+        lambda: solve(m, [(1, 0), (0, 0.5)]),
+        lambda: line.coordinates_of((0.5, 0.25)),
+        lambda: line.coordinates_of((0.5, 0)),
+        lambda: line.contains_vector((0, 0.5)),
+    ):
+        with pytest.raises(TypeError, match=FLOAT_REFUSAL):
+            call()
+    # ints are exact, and still accepted
+    assert m.matvec((1, 0)) == (0, -1) and solve(m, [(1, 0)]) == ((0, 1),)
+    assert line.coordinates_of((3, 0)) == (3,)
+
+
+def test_annihilator_is_built_once_per_subspace_without_a_reference_cycle():
+    s = Subspace.span(3, [[1, 2, 3]])
+    ann = annihilator(s)
+    assert annihilator(s) is ann and annihilator(Subspace.span(3, [[1, 2, 3]])) == ann
+    assert annihilator(ann) == s and annihilator(ann) is not s
+    # with the collector off, dropping the last reference frees s at once: no cycle holds it
+    gc.disable()
+    try:
+        alive = weakref.ref(s)
+        del s
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_rref_identity():
