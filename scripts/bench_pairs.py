@@ -19,10 +19,11 @@ revision by its git object, its tree and its src/ tree (compare with
 `git rev-parse COMMIT:src`), and records every run's end-to-end metrics,
 and per metric and side the median and quartiles, plus how many pairs the
 change won (ties count for neither side), the median difference, and two
-verdicts against the change's BENCHMARK.json: `claim_rule_met` (won at least
-9 in 10 pairs, and the medians differ in the change's favour by more than the
-parent's interquartile range) and `within_bound` (the change's median is not
-worse than the parent's by more than the metric's bound).  With
+verdicts against the change's BENCHMARK.json: `claim_rule_met` (at least 10
+pairs, won at least 9 in 10 of them, and the medians differ in the change's
+favour by more than the parent's interquartile range) and `within_bound` (the
+change's median is not worse than the parent's by more than the metric's
+bound).  With
 --trace-seed, one `--trace 1` run per side and workload adds the per-layer
 metrics.  The output goes to BENCH_<label>.json at the root of this
 repository.  The script exits 1 after writing it if any run reported
@@ -45,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+MIN_CLAIM_PAIRS = 10  # fewer pairs are measured, not claimed
 
 
 def _seeds(text: str) -> list[int]:
@@ -83,8 +85,9 @@ def _spread(values: list[float]) -> dict:
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric of the contract (its name, `better` and `bound`): each
     side's median and quartiles, the change's wins, and two verdicts.
-    `claim_rule_met`: the change won at least 9 in 10 of the pairs, and its median is
-    better than the parent's by more than the parent's interquartile range.
+    `claim_rule_met`: there are at least 10 pairs, the change won at least 9 in 10 of
+    them, and its median is better than the parent's by more than the parent's
+    interquartile range.
     `within_bound`: the change's median is not worse than the parent's by more than
     the bound, a fraction of the parent's median."""
     out = {}
@@ -102,7 +105,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "parent_wins": sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])),
             "pairs": len(pairs),
             "median_difference": difference,
-            "claim_rule_met": 10 * wins >= 9 * len(pairs) and sign * difference > spreads["parent"]["iqr"],
+            "claim_rule_met": (len(pairs) >= MIN_CLAIM_PAIRS and 10 * wins >= 9 * len(pairs)
+                               and sign * difference > spreads["parent"]["iqr"]),
             "within_bound": -sign * difference <= metric["bound"] * abs(spreads["parent"]["median"]),
         }
     return out

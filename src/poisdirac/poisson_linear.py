@@ -39,7 +39,6 @@ from .rational_linalg import (
     intersect,
     inverse,
     linear_combination,
-    preimage,
     solve,
     standard_basis,
 )
@@ -93,19 +92,20 @@ def sharp_image(p: PoissonVS, s: Subspace) -> Subspace:
     return image(p.pi, s, dual=False)
 
 
-def sharp_preimage(p: PoissonVS, s: Subspace) -> Subspace:
-    """sharp^{-1}(s) inside the dual, for a primal subspace s."""
-    if s.dual:
-        raise SpaceMismatchError("sharp preimage consumes primal subspaces; got a dual one")
-    return preimage(p.pi, s, source_dual=True)
-
-
 @dataclass(frozen=True)
 class ClassificationRecord:
-    """Dimensions and flags describing one subspace of a Poisson vector space.
+    """Dimensions and flags describing one subspace C of a Poisson vector space.
 
     rho is the composite of sharp with the projection to the normal
-    space, ann C -> Q^n / C; its rank equals dim(C + sharp ann C) - dim C.
+    space, ann C -> Q^n / C (arXiv math/0611480; the constant rank
+    condition of Calvo and Falceto is on its rank).  The rows A of ann C
+    identify Q^n / C with Q^m, so rank rho = r = dim A(S), S = sharp ann C.
+    With k = dim C, m = n - k, s = dim S and l = dim O, every field
+    follows from l, s and r:
+        dim(C + S) = k + r          dim(C cap S) = s - r
+        coisotropic <=> r = 0       cosymplectic <=> r = m
+        pointwise Poisson-Dirac <=> s = r
+        Lagrangian in the leaf <=> r = 0 and 2s = l, as dim(C cap O) = l - s.
     """
 
     dim_subspace: int
@@ -127,25 +127,22 @@ def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
         raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
     ann = annihilator(c)
     sharp_ann = p.sharp_annihilator(c)
-    total = add(c, sharp_ann)
-    characteristic = characteristic_subspace(p, c)
-    leaf = p.leaf()
-    rho_rank = total.dim - c.dim
-    kernel_rho = intersect(ann, sharp_preimage(p, c))
-    if rho_rank != ann.dim - kernel_rho.dim:
+    k, m, s, leaf_dim = c.dim, ann.dim, sharp_ann.dim, p.leaf().dim
+    r = image(ann.basis, sharp_ann).dim
+    if add(c, sharp_ann).dim != k + r:
         raise PropertyViolationError("rank(rho) identities disagree; bivector data is inconsistent")
     return ClassificationRecord(
-        dim_subspace=c.dim,
-        dim_annihilator=ann.dim,
-        dim_sharp_annihilator=sharp_ann.dim,
-        dim_sum=total.dim,
-        dim_characteristic=characteristic.dim,
-        dim_leaf=leaf.dim,
-        rho_rank=rho_rank,
-        coisotropic=contains(c, sharp_ann),
-        cosymplectic=total.dim == p.dim and characteristic.dim == 0,
-        pointwise_poisson_dirac=characteristic.dim == 0,
-        lagrangian_in_leaf=sharp_ann == intersect(c, leaf),
+        dim_subspace=k,
+        dim_annihilator=m,
+        dim_sharp_annihilator=s,
+        dim_sum=k + r,
+        dim_characteristic=s - r,
+        dim_leaf=leaf_dim,
+        rho_rank=r,
+        coisotropic=r == 0,
+        cosymplectic=r == m,
+        pointwise_poisson_dirac=s == r,
+        lagrangian_in_leaf=r == 0 and 2 * s == leaf_dim,
     )
 
 
@@ -199,8 +196,11 @@ def embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> EmbeddingCon
     if not contains(w, c):
         raise PreconditionError("c must be contained in w")
     sharp_ann_c = p.sharp_annihilator(c)
-    cond_leaf = contains(add(w, sharp_ann_c), p.leaf())
-    cond_int = intersect(w, add(c, sharp_ann_c)) == c
+    reach = add(w, sharp_ann_c)
+    cond_leaf = contains(reach, p.leaf())
+    # w meets c + sharp(ann c), which holds c as w does, exactly in c iff
+    # adding sharp(ann c) raises dim w as much as dim c
+    cond_int = reach.dim - w.dim == add(c, sharp_ann_c).dim - c.dim
     if not (cond_leaf and cond_int):
         return EmbeddingConditions(cond_leaf, cond_int)
     # both conditions holding forces these two facts; a failure here

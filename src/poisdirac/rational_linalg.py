@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Matrices with Fraction entries, reduced row echelon form, and a
-subspace calculus (sum, intersection, annihilator, preimage) on
+subspace calculus (sum, intersection, annihilator, image) on
 canonically represented subspaces of Q^n.  Every value is immutable
 and every operation is a pure function, so results can be compared
 bit-for-bit and shared freely.
@@ -416,15 +416,6 @@ def image(m: MatrixQ, s: Subspace, dual: bool = False) -> Subspace:
         raise SpaceMismatchError("map source does not match subspace ambient")
     ints = m._scaled[0]
     return _reduced(m.rows, [primitive([sum(map(mul, r, b)) for r in ints]) for b in s.rows], dual)
-
-
-def preimage(m: MatrixQ, s: Subspace, source_dual: bool = False) -> Subspace:
-    """{v : m v in s}; `source_dual` tags the source space of the map."""
-    if m.rows != s.ambient_dim:
-        raise SpaceMismatchError("map target does not match subspace ambient")
-    cols = list(zip(*m._scaled[0])) or [()] * m.cols
-    constraints = [primitive([sum(map(mul, k, c)) for c in cols]) for k in annihilator(s).rows]
-    return annihilator(_reduced(m.cols, constraints, not source_dual))
 
 
 def contains(a: Subspace, b: Subspace) -> bool:

@@ -37,6 +37,17 @@ def rand_poisson(rng: random.Random, n: int, height: int = 3) -> PoissonVS:
     return PoissonVS(n, rand_antisym(rng, n, height))
 
 
+def rand_low_rank_poisson(rng: random.Random, n: int, height: int = 3) -> PoissonVS:
+    """A bivector of rank at most 4: the sum of one or two u ^ v."""
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for _ in range(rng.randint(1, 2)):
+        u, v = rand_point(rng, n, height), rand_point(rng, n, height)
+        for i in range(n):
+            for j in range(n):
+                entries[i][j] += u[i] * v[j] - u[j] * v[i]
+    return PoissonVS(n, MatrixQ(n, n, tuple(map(tuple, entries))))
+
+
 def rand_subspace(rng: random.Random, n: int, dual: bool = False, max_dim: int | None = None) -> Subspace:
     max_dim = n if max_dim is None else max_dim
     rows = rng.randint(0, max_dim)

@@ -14,6 +14,7 @@ from gen import (
     rand_antisym,
     rand_dirac_form_data,
     rand_fraction,
+    rand_low_rank_poisson,
     rand_point,
     rand_poisson,
     rand_subspace,
@@ -37,6 +38,8 @@ from poisdirac.dirac_linear import (
 )
 from poisdirac.embedding import DiracManifoldData, Section, build_embedding, compare_splittings
 from poisdirac.poisson_linear import (
+    ClassificationRecord,
+    PoissonVS,
     canonical_iso,
     characteristic_subspace,
     classify_subspace,
@@ -223,21 +226,42 @@ def test_criterion_4_embedding_end_to_end():
 N_INSTANCES = 200
 
 
+def _subspace_record(p: PoissonVS, c: Subspace) -> ClassificationRecord:
+    """The classification of c read off whole subspaces: sums, intersections and a containment."""
+    ann = annihilator(c)
+    sharp_ann = sharp_image(p, ann)
+    total, characteristic = add(c, sharp_ann), intersect(c, sharp_ann)
+    return ClassificationRecord(
+        dim_subspace=c.dim,
+        dim_annihilator=ann.dim,
+        dim_sharp_annihilator=sharp_ann.dim,
+        dim_sum=total.dim,
+        dim_characteristic=characteristic.dim,
+        dim_leaf=p.leaf().dim,
+        rho_rank=total.dim - c.dim,
+        coisotropic=contains(c, sharp_ann),
+        cosymplectic=total == Subspace.full(p.dim) and characteristic.dim == 0,
+        pointwise_poisson_dirac=characteristic.dim == 0,
+        lagrangian_in_leaf=sharp_ann == intersect(c, p.leaf()),
+    )
+
+
 def test_criterion_5a_classification_table():
+    # every record field against the subspace route, on full random bivectors at
+    # dims <= 6 and on bivectors of rank <= 4 at dims <= 8
     rng = random.Random(101)
-    ok = True
-    for _ in range(N_INSTANCES):
-        n = rng.randint(1, 6)
-        p = rand_poisson(rng, n)
+    ok, lagrangian, characteristic = True, 0, 0
+    for i in range(2 * N_INSTANCES):
+        n = rng.randint(1, 6) if i % 2 else rng.randint(2, 8)
+        p = rand_poisson(rng, n) if i % 2 else rand_low_rank_poisson(rng, n)
         c = rand_subspace(rng, n)
         rec = classify_subspace(p, c)
-        sharp_ann = sharp_image(p, annihilator(c))
-        ok &= (rec.rho_rank == 0) == contains(c, sharp_ann)
-        ok &= (rec.rho_rank == 0) == rec.coisotropic
-        direct_sum = intersect(c, sharp_ann).dim == 0 and add(c, sharp_ann) == Subspace.full(n)
-        ok &= rec.cosymplectic == direct_sum
-        ok &= rec.rho_rank == rec.dim_sum - rec.dim_subspace
-    _report("criterion 5a: classification table equivalences (200 instances)", ok)
+        ok &= rec == _subspace_record(p, c)
+        lagrangian += rec.lagrangian_in_leaf and rec.dim_sharp_annihilator > 0
+        characteristic += rec.dim_characteristic > 0
+    ok &= lagrangian > 0 and characteristic > 0
+    _report("criterion 5a: classification table equals the subspace route (400 instances)", ok,
+            f"{lagrangian} Lagrangian with sharp(ann c) != 0, {characteristic} with a characteristic")
 
 
 def test_criterion_5b_direct_sum_identity():
@@ -325,8 +349,8 @@ def test_criterion_5f_canonical_iso_postconditions():
 
 
 def test_criterion_5g_extension_conditions():
-    rng = random.Random(107)
-    ok = True
+    rng, others = random.Random(107), random.Random(1070)
+    ok, held = True, 0
     for _ in range(N_INSTANCES):
         n = rng.randint(1, 6)
         p = rand_poisson(rng, n)
@@ -336,7 +360,16 @@ def test_criterion_5g_extension_conditions():
         ok &= conds.cond_leaf and conds.cond_int
         ok &= classify_subspace(p, w).cosymplectic
         ok &= cosymplectic_extension(p, c) == w  # deterministic
-    _report("criterion 5g: cosymplectic extension always satisfies both conditions (200 instances)", ok)
+        # both conditions on any w containing c, against the intersection that defines cond_int
+        sharp_ann_c = sharp_image(p, annihilator(c))
+        any_w = add(c, rand_subspace(others, n))
+        conds = embedding_conditions(p, c, any_w)
+        ok &= conds.cond_leaf == contains(add(any_w, sharp_ann_c), p.leaf())
+        ok &= conds.cond_int == (intersect(any_w, add(c, sharp_ann_c)) == c)
+        held += conds.cond_int
+    ok &= 0 < held < N_INSTANCES
+    _report("criterion 5g: cosymplectic extension always satisfies both conditions (200 instances)", ok,
+            f"cond_int held on {held} of {N_INSTANCES} other superspaces")
 
 
 def test_criterion_5h_leaf_form_identity():

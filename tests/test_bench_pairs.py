@@ -65,6 +65,8 @@ PARENT = [100, 101, 99, 102, 98, 100, 103, 97, 100, 101]  # median 100, interqua
     ([p - 9 for p in PARENT], (False, True)),  # 9% worse: inside the 10% bound
     ([p - 11 for p in PARENT], (False, False)),  # 11% worse: outside it
     (PARENT, (False, True)),  # all ties
+    ([p + 10 for p in PARENT[:4]], (False, True)),  # won 4/4 by far, but fewer than 10 pairs back no claim
+    ([p + 10 for p in PARENT[:9]], (False, True)),  # won 9/9, likewise
 ])
 def test_verdicts_for_a_higher_is_better_metric(change, expected):
     assert verdicts(OPS, PARENT, change) == expected

@@ -1,8 +1,9 @@
 """Each classification, embedding-conditions record and induced bivector is
-built at most once per (PoissonVS, subspaces), whoever asks for it, each
-annihilator once per subspace, each linear system with many right-hand
-sides is solved in one elimination, each inverse once, and each partial
-derivative is derived once per polynomial.
+built at most once per (PoissonVS, subspaces), whoever asks for it, a fresh
+classification runs four eliminations, each annihilator is built once per
+subspace, each linear system with many right-hand sides is solved in one
+elimination, each inverse once, and each partial derivative is derived once
+per polynomial.
 
 Builds are counted, not calls: a profile hook counts every run of a
 build function's own body, which a cached call never reaches.
@@ -31,7 +32,7 @@ from poisdirac.poisson_linear import (
     linear_uniqueness_iso,
 )
 from poisdirac.polynomials import Poly, PolyMap
-from poisdirac.rational_linalg import MatrixQ, Subspace, _reduced, annihilator, inverse, solve
+from poisdirac.rational_linalg import MatrixQ, Subspace, _eliminate, _reduced, annihilator, inverse, solve
 from poisdirac.submanifolds import LevelSet, Parametrized, PointData
 
 # the code of each build function's own body, under whatever cache wraps it
@@ -178,7 +179,7 @@ def counted_annihilations(s: Subspace):
 
 
 def test_classification_annihilates_its_subspace_once():
-    # classify_subspace reads ann c directly, through sharp(ann c) and through sharp^-1(c)
+    # classify_subspace reads ann c directly and through sharp(ann c)
     rng = random.Random(41)
     for _ in range(10):
         p, c, _, _ = rand_valid_iso_triple(rng, max_dim=6)
@@ -186,6 +187,19 @@ def test_classification_annihilates_its_subspace_once():
         with counted_annihilations(c) as runs:
             classify_subspace(p, c)
         assert runs == [1]
+
+
+def test_classification_of_a_fresh_subspace_runs_four_eliminations():
+    # ann c, sharp(ann c), rank rho = dim A(sharp ann c) with A the rows of ann c,
+    # and c + sharp(ann c), the second route to that rank; the leaf is built beforehand
+    rng = random.Random(47)
+    for _ in range(10):
+        p, c, _, _ = rand_valid_iso_triple(rng, max_dim=6)
+        p, c = PoissonVS(p.dim, p.pi), Subspace(c.ambient_dim, c.rows)
+        p.leaf()
+        with counted_runs(_eliminate) as runs:
+            classify_subspace(p, c)
+        assert runs == [4]
 
 
 def test_counting_sees_each_annihilation_of_its_object():
@@ -198,12 +212,12 @@ def test_counting_sees_each_annihilation_of_its_object():
 
 
 @contextmanager
-def counted_inverses():
-    """Number of runs of `inverse`'s body, in a one-element list."""
+def counted_runs(function):
+    """Number of runs of the function's body, in a one-element list."""
     runs = [0]
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is inverse.__code__:
+        if event == "call" and frame.f_code is function.__code__:
             runs[0] += 1
 
     previous = sys.getprofile()
@@ -222,7 +236,7 @@ def test_matching_isomorphism_reuses_the_inverse_of_the_first_splitting():
         p1, m = rand_minimal_coisotropic_pair(rng)
         v = coisotropic_splitting(p1, m).v
         p2 = PoissonVS(p1.dim, p1.pi)
-        with counted_inverses() as runs:
+        with counted_runs(inverse) as runs:
             phi = linear_uniqueness_iso(p1, p2, m, v)
         assert runs == [4]
         assert phi == MatrixQ.identity(p1.dim)
