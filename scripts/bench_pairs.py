@@ -50,9 +50,12 @@ MIN_CLAIM_PAIRS = 10  # fewer pairs are measured, not claimed
 
 
 def _seeds(text: str) -> list[int]:
-    """'11-20' or '1,3,5' as a list of seeds."""
+    """'11-20' or '1,3,5' as a list of seeds; ValueError on malformed text or an
+    empty or descending range."""
     if "-" in text:
         lo, hi = (int(x) for x in text.split("-"))
+        if hi < lo:
+            raise ValueError(f"descending seed range {text!r}")
         return list(range(lo, hi + 1))
     return [int(x) for x in text.split(",")]
 
@@ -139,6 +142,10 @@ def main() -> int:
     args = parser.parse_args()
     if len(args.workload) != len(args.seeds):
         parser.error("give one --seeds after each --workload")
+    try:  # every --seeds is checked before anything is exported or run
+        seed_lists = [_seeds(text) for text in args.seeds]
+    except ValueError as exc:
+        parser.error(f"--seeds takes 'LO-HI' with LO <= HI or 'N,M,...': {exc}")
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         for path in checkouts.values():
@@ -153,9 +160,9 @@ def main() -> int:
             "revisions": revisions,
             "workloads": {},
         }
-        for workload, seed_text in zip(args.workload, args.seeds):
+        for workload, seeds in zip(args.workload, seed_lists):
             pairs = []
-            for i, seed in enumerate(_seeds(seed_text)):
+            for i, seed in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 runs = {side: _run(checkouts[side], workload, seed, 0) for side in order}
                 pair = {"seed": seed, "first": order[0]}

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, TypeVar
 
 from .errors import PreconditionError, SpaceMismatchError
 from .poisson_linear import PoissonVS
-from .polynomials import Poly, PolyMap, compose, compose_map, sum_of_products, values_at
+from .polynomials import Poly, PolyMap, compose, compose_map, integer_rows_at, sum_of_products
 from .rational_linalg import MatrixQ
 
 _Field = TypeVar("_Field", bound="AntisymmetricField")
@@ -64,7 +64,7 @@ class AntisymmetricField:
         return {(i, j): self.entries[i][j] for i in range(n) for j in range(i + 1, n) if not self.entries[i][j].is_zero()}
 
     def matrix_at(self, point: Sequence[Fraction]) -> MatrixQ:
-        return MatrixQ(self.dim, self.dim, values_at(self.entries, point))
+        return MatrixQ._over(self.dim, integer_rows_at(self.entries, point))
 
     def is_constant(self) -> bool:
         return all(e.is_constant() for row in self.entries for e in row)

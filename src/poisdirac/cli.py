@@ -282,8 +282,7 @@ def _run_phi(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[s
     phi = canonical_iso(p, c, v, w)
     pv, pw = embedding_conditions(p, c, v).induced, embedding_conditions(p, c, w).induced
     poisson_iso = (phi @ pv.pi @ phi.transpose()) == pw.pi
-    c_in_v, c_in_w = v.coordinates_of_rows(c.basis.entries), w.coordinates_of_rows(c.basis.entries)
-    identity_on_c = all(phi.matvec(x) == y for x, y in zip(c_in_v, c_in_w))
+    identity_on_c = v.coordinates_of_rows(c.basis) @ phi.transpose() == w.coordinates_of_rows(c.basis)
     doc = {
         "analysis": "phi",
         "matrix": _matrix_doc(phi),

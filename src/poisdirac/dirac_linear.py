@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import PoissonVS
 from .rational_linalg import (
-    MatrixQ, Subspace, _eliminate, _pivots, _row_space, annihilator, intersect, inverse, primitive, standard_basis,
+    MatrixQ, Subspace, _eliminate, _pivots, _reduced, annihilator, intersect, inverse, primitive, stack,
 )
 
 
@@ -50,13 +51,20 @@ class DiracVS:
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Sequence[Sequence[Fraction]]) -> DiracVS:
-        """The span of rows (X | xi) of Fractions or ints, which are not re-validated."""
-        return DiracVS(ambient_dim, _row_space(2 * ambient_dim, rows))
+        """The span of rows (X | xi) of Fractions, ints or 'p/q' strings."""
+        return DiracVS(ambient_dim, Subspace.span(2 * ambient_dim, rows))
+
+
+def _span_pairs(vectors: MatrixQ, covectors: MatrixQ) -> DiracVS:
+    """The Dirac structure spanned by the rows (X_i | xi_i) of two matrices with as many rows."""
+    d, e = vectors.den, covectors.den
+    rows = [primitive([a * e for a in x] + [b * d for b in xi]) for x, xi in zip(vectors.ints, covectors.ints)]
+    return DiracVS(vectors.cols, _reduced(2 * vectors.cols, rows, False))
 
 
 def from_bivector(p: PoissonVS) -> DiracVS:
-    """Graph of sharp: {(Pi xi, xi) : xi in the dual}."""
-    return DiracVS.from_rows(p.dim, [p.sharp(xi) + xi for xi in standard_basis(p.dim)])
+    """Graph of sharp: {(Pi xi, xi) : xi in the dual}; row j of Pi^T is sharp e_j."""
+    return _span_pairs(p.pi.transpose(), MatrixQ.identity(p.dim))
 
 
 def from_subspace_form(o: Subspace, omega: MatrixQ) -> DiracVS:
@@ -73,17 +81,11 @@ def from_subspace_form(o: Subspace, omega: MatrixQ) -> DiracVS:
     if not omega.is_antisymmetric():
         raise PreconditionError("form matrix must be antisymmetric")
     n = o.ambient_dim
-    # o's basis is reduced, so omega's row i at o's pivot columns is a covector xi
-    # with xi(o_j) = omega(o_i, o_j)
-    pivots = _pivots(o.rows)
-    rows = []
-    for o_i, omega_i in zip(o.basis.entries, omega.entries):
-        xi = [Fraction(0)] * n
-        for c, value in zip(pivots, omega_i):
-            xi[c] = value
-        rows.append(o_i + tuple(xi))
-    rows += [(Fraction(0),) * n + eta for eta in annihilator(o).basis.entries]
-    return DiracVS.from_rows(n, rows)
+    # o's basis is reduced, so row i of omega placed at o's pivot columns (omega @ units)
+    # is a covector xi with xi(o_j) = omega(o_i, o_j); then (0 | eta) for eta in ann o
+    units = MatrixQ._of(n, (MatrixQ.identity(n).ints[c] for c in _pivots(o.rows)))
+    ann = annihilator(o).basis
+    return _span_pairs(stack(o.basis, MatrixQ.zeros(ann.rows, n)), stack(omega @ units, ann))
 
 
 def pullback(l: DiracVS, w: Subspace) -> DiracVS:
@@ -100,11 +102,11 @@ def pullback(l: DiracVS, w: Subspace) -> DiracVS:
         2 * n,
         tuple(r + (0,) * n for r in w.rows) + tuple((0,) * n + e for e in Subspace.full(n).rows),
     )
-    rows = intersect(l.span, w_doubled).basis.entries
-    coords = w.coordinates_of_rows(r[:n] for r in rows)
+    rows = intersect(l.span, w_doubled).basis
+    coords = w.coordinates_of_rows(rows[:, :n])
     if coords is None:
         raise PropertyViolationError("constrained vector part left the subspace")
-    return DiracVS.from_rows(w.dim, [x + w.basis.matvec(r[n:]) for x, r in zip(coords, rows)])
+    return _span_pairs(coords, rows[:, n:] @ w.basis.transpose())
 
 
 def gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
@@ -114,14 +116,9 @@ def gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
         raise SpaceMismatchError("gauge form must be n x n")
     if not b.is_antisymmetric():
         raise PreconditionError("gauge form must be antisymmetric")
-    # on L's integer rows and B = B_int / d: the rows (d X | d xi + B_int^T X)
-    b_int, d = b._scaled
-    columns = tuple(zip(*b_int))
-    rows = [
-        tuple(d * a for a in r[:n]) + tuple(d * c + sum(map(mul, column, r[:n])) for c, column in zip(r[n:], columns))
-        for r in l.span.rows
-    ]
-    return DiracVS.from_rows(n, rows)
+    # on L's basis rows (X | xi): i_X B is the row X B
+    rows = l.span.basis
+    return _span_pairs(rows[:, :n], rows[:, n:] + rows[:, :n] @ b)
 
 
 def change_basis(l: DiracVS, c: MatrixQ) -> DiracVS:
@@ -134,12 +131,9 @@ def change_basis(l: DiracVS, c: MatrixQ) -> DiracVS:
     n = l.ambient_dim
     if c.rows != n or c.cols != n:
         raise SpaceMismatchError("change-of-basis matrix must be n x n")
-    ct = c.transpose()
-    c_inv = inverse(c)
-    rows = []
-    for r in l.span.basis.entries:
-        rows.append(ct.matvec(r[:n]) + c_inv.matvec(r[n:]))
-    return DiracVS.from_rows(n, rows)
+    # on L's basis rows (X | xi): X^T c is (c^T X)^T and xi^T c^-T is (c^-1 xi)^T
+    rows = l.span.basis
+    return _span_pairs(rows[:, :n] @ c, rows[:, n:] @ inverse(c).transpose())
 
 
 def characteristic(l: DiracVS) -> Subspace:
@@ -161,7 +155,7 @@ def range_and_form(l: DiracVS) -> tuple[Subspace, MatrixQ]:
     # and the matching basis rows of L lift O's basis
     d = sum(1 for r in l.span.rows if any(r[:n]))
     o = Subspace(n, tuple(tuple(primitive(r[:n])) for r in l.span.rows[:d]))
-    omega = MatrixQ(d, n, tuple(r[n:] for r in l.span.basis.entries[:d])) @ o.basis.transpose()
+    omega = l.span.basis[:d, n:] @ o.basis.transpose()
     if not omega.is_antisymmetric():
         raise PropertyViolationError("induced form failed antisymmetry")
     return o, omega
@@ -179,5 +173,5 @@ def as_bivector(l: DiracVS) -> PoissonVS | None:
     work = [r[n:] + r[:n] for r in l.span.rows]
     if _eliminate(work, 2 * n) != list(range(n)):
         return None
-    pi = tuple(tuple(Fraction(r[n + i], r[j]) for j, r in enumerate(work)) for i in range(n))
-    return PoissonVS(n, MatrixQ(n, n, pi))
+    big = lcm(*(r[j] for j, r in enumerate(work)))
+    return PoissonVS(n, MatrixQ._of(n, ([r[n + i] * (big // r[j]) for j, r in enumerate(work)] for i in range(n)), big))

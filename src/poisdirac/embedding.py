@@ -29,7 +29,7 @@ from .errors import PreconditionError, PropertyViolationError, SpaceMismatchErro
 from .poisson_linear import _derived, classify_subspace
 # poly_matrix_det is not called here, but perfbench's tracer test patches it by this name
 from .polynomials import Poly, fiber_variables, integer_rows_at, poly_matrix_det, poly_matrix_inverse, sum_of_products
-from .rational_linalg import Vector, _reduced, _row_space, fmt_point, primitive, standard_basis
+from .rational_linalg import MatrixQ, Subspace, Vector, _reduced, fmt_point, primitive
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
 CANONICAL_FORM_SIGN = -1
@@ -262,7 +262,7 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     _, b, sections = _gauged(d)
     bivector = _extract_symbolic_bivector(d, sections)
     checks = []
-    zero_tangent = _row_space(n, standard_basis(n)[:m])
+    zero_tangent = Subspace(n, MatrixQ.identity(n).ints[:m])
     for point in samples:
         point = tuple(point)
         if as_bivector(_dirac_at(n, sections, point)) is None:

@@ -25,22 +25,8 @@ from typing import Sequence
 
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .rational_linalg import (
-    ONE,
-    ZERO,
-    MatrixQ,
-    Subspace,
-    Vector,
-    _row_space,
-    add,
-    annihilator,
-    column_space,
-    contains,
-    image,
-    intersect,
-    inverse,
-    linear_combination,
-    solve,
-    standard_basis,
+    MatrixQ, Subspace, Vector, _eliminate, _row_space, add, annihilator, column_space, contains,
+    image, intersect, inverse, linear_combination, primitive, solve, stack,
 )
 
 
@@ -165,15 +151,15 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
     if characteristic_subspace(p, w).dim != 0:
         raise PreconditionError("subspace is not pointwise Poisson-Dirac: extension of covectors is not well defined")
     d = w.dim
-    constraint_rows = w.basis.entries + p.sharp_annihilator(w).basis.entries
-    constraints = MatrixQ(len(constraint_rows), p.dim, constraint_rows)
-    xis = solve(constraints, standard_basis(len(constraint_rows))[:d])
-    if None in xis:
+    constraints = stack(w.basis, p.sharp_annihilator(w).basis)
+    xis = solve(constraints, MatrixQ.identity(constraints.rows)[:d, :])
+    if xis is None:
         raise PropertyViolationError("covector extension system is inconsistent")
-    columns = w.coordinates_of_rows([p.sharp(xi) for xi in xis])
+    # row i of xis pi^T is sharp xi_i
+    columns = w.coordinates_of_rows(xis @ p.pi.transpose())
     if columns is None:
         raise PropertyViolationError("sharp of the extension left the subspace")
-    return PoissonVS(d, MatrixQ(d, d, columns).transpose())
+    return PoissonVS(d, columns.transpose())
 
 
 @dataclass(frozen=True)
@@ -215,25 +201,24 @@ def embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> EmbeddingCon
 
 def subspace_in_basis(s: Subspace, w: Subspace) -> Subspace:
     """Express a subspace s of w in the canonical basis coordinates of w."""
-    rows = w.coordinates_of_rows(s.basis.entries)
+    rows = w.coordinates_of_rows(s.basis)
     if rows is None:
         raise PreconditionError("subspace is not contained in the coordinate subspace")
-    return _row_space(w.dim, rows)
+    return _row_space(rows)
 
 
-def greedy_complement(base: Subspace, candidates: Sequence[Vector]) -> tuple[Vector, ...]:
-    """Extend base by candidate vectors in order; returns the added vectors.
+def greedy_complement(base: Subspace, candidates: MatrixQ) -> MatrixQ:
+    """Extend base by the rows of candidates in order; returns the added rows.
 
     Deterministic: candidates are scanned in the given order and one is
-    kept whenever it is independent of everything collected so far.
+    kept whenever it is independent of everything collected so far.  Those
+    are the pivot columns after base's in one elimination of the matrix whose
+    columns are base's rows and then the candidates.
     """
-    current = base
-    added: list[Vector] = []
-    for v in candidates:
-        if not current.contains_vector(v):
-            added.append(tuple(v))
-            current = add(current, _row_space(base.ambient_dim, [v], base.dual))
-    return tuple(added)
+    k = base.dim
+    work = [primitive(col) for col in zip(*base.rows, *candidates.ints)]
+    kept = [candidates.ints[c - k] for c in _eliminate(work, k + candidates.rows) if c >= k]
+    return MatrixQ._of(candidates.cols, kept, candidates.den)
 
 
 def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
@@ -245,32 +230,29 @@ def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
     if c.dual or c.ambient_dim != p.dim:
         raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
     reach = add(c, p.sharp_annihilator(c))
-    r_vectors = greedy_complement(reach, standard_basis(p.dim))
-    w = add(c, _row_space(p.dim, r_vectors))
+    w = add(c, _row_space(greedy_complement(reach, MatrixQ.identity(p.dim))))
     record = classify_subspace(p, w)
     if not record.cosymplectic or not embedding_conditions(p, c, w).both():
         raise PropertyViolationError("constructed extension failed its defining conditions")
     return w
 
 
-def leaf_form_gram(p: PoissonVS, xs: Sequence[Sequence[Fraction]], ys: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
-    """Omega(x, y) for x in xs (rows) and y in ys (columns), all in the leaf O, via
+def leaf_form_gram(p: PoissonVS, xs: MatrixQ, ys: MatrixQ) -> MatrixQ:
+    """Omega(x, y) for x a row of xs and y a row of ys, all in the leaf O, via
     Omega(x, sharp eta) = eta(x) (Omega(sharp xi, .) = -xi|_O and antisymmetry): one
-    elimination solves sharp eta = v for each vector object v, where no solution means
-    v is off the leaf, and the Gram matrix is the one product xs @ (etas of ys)^T."""
-    if any(len(v) != p.dim for v in (*xs, *ys)):
+    elimination solves sharp eta = v for the rows v of ys, and of xs unless it is ys,
+    where no solution means a v off the leaf, and the Gram matrix is xs @ etas^T."""
+    if xs.cols != p.dim or ys.cols != p.dim:
         raise SpaceMismatchError("vector length does not match ambient dimension")
-    distinct = {id(v): v for v in (*xs, *ys)}
-    preimages = dict(zip(distinct, solve(p.pi, list(distinct.values()))))
-    if None in preimages.values():
+    preimages = solve(p.pi, ys if xs is ys else stack(ys, xs))
+    if preimages is None:
         raise PreconditionError("leaf form is only defined on the image of sharp")
-    etas = MatrixQ(len(ys), p.dim, tuple(preimages[id(y)] for y in ys))
-    return (MatrixQ(len(xs), p.dim, tuple(xs)) @ etas.transpose()).entries
+    return xs @ preimages[:ys.rows, :].transpose()
 
 
 def leaf_form_value(p: PoissonVS, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     """Omega(x, y) for x, y in the leaf O: the 1 x 1 case of leaf_form_gram."""
-    return leaf_form_gram(p, (x,), (y,))[0][0]
+    return leaf_form_gram(p, MatrixQ(1, len(x), (x,)), MatrixQ(1, len(y), (y,)))[0, 0]
 
 
 def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> MatrixQ:
@@ -291,19 +273,17 @@ def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> Matrix
             raise PreconditionError(f"c does not sit coisotropically inside {name}")
     sharp_ann_v = p.sharp_annihilator(v)
     # decompose each v-basis vector along w + sharp(ann v); A is minus the second part
-    dec_matrix = MatrixQ(w.dim + sharp_ann_v.dim, p.dim, w.basis.entries + sharp_ann_v.basis.entries).transpose()
-    coeffs = solve(dec_matrix, v.basis.entries)
-    if None in coeffs:
+    coeffs = solve(stack(w.basis, sharp_ann_v.basis).transpose(), v.basis)
+    if coeffs is None:
         raise PropertyViolationError("sharp(ann v) is not a complement of w")
-    d = v.dim
-    minus_a = MatrixQ(d, sharp_ann_v.dim, tuple(c[w.dim:] for c in coeffs)) @ sharp_ann_v.basis
+    minus_a = coeffs[:, w.dim:] @ sharp_ann_v.basis
     # rows of B: 1/2 sharp_V(Omega(A v_i, A .)) in ambient coordinates (Omega(A., A.) is even in A)
-    omega_a = MatrixQ(d, d, leaf_form_gram(p, minus_a.entries, minus_a.entries))
+    omega_a = leaf_form_gram(p, minus_a, minus_a)
     two_b = omega_a @ embedding_conditions(p, c, v).induced.pi.transpose() @ v.basis
-    phi_cols = w.coordinates_of_rows(linear_combination((1, v.basis), (-1, minus_a), (Fraction(1, 2), two_b)).entries)
+    phi_cols = w.coordinates_of_rows(linear_combination((1, v.basis), (-1, minus_a), (Fraction(1, 2), two_b)))
     if phi_cols is None:
         raise PropertyViolationError("canonical isomorphism image left w")
-    return MatrixQ(d, w.dim, phi_cols).transpose()
+    return phi_cols.transpose()
 
 
 @dataclass(frozen=True)
@@ -331,46 +311,41 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     if e.dim != p.dim - m.dim:
         raise PreconditionError("sharp is not injective on the annihilator (codimension mismatch)")
     if v is None:
-        v_rows = greedy_complement(e, m.basis.entries)
-        v = _row_space(p.dim, v_rows)
+        v = _row_space(greedy_complement(e, m.basis))
     else:
         if not contains(m, v) or intersect(v, e).dim != 0 or v.dim + e.dim != m.dim:
             raise PreconditionError("supplied v is not a complement of e inside m")
     k = e.dim
-    w0_rows = greedy_complement(e, p.sharp_annihilator(v).basis.entries)
-    if len(w0_rows) != k:
+    w0 = greedy_complement(e, p.sharp_annihilator(v).basis)
+    if w0.rows != k:
         raise PropertyViolationError("could not complete e to sharp(ann v)")
     # normalize the pairing Omega(f_J, e_I) = delta_IJ, then flatten to a Lagrangian
-    e_rows = e.basis.entries
-    pairing = MatrixQ(k, k, leaf_form_gram(p, w0_rows, e_rows))
-    w = inverse(pairing) @ MatrixQ(k, p.dim, w0_rows)
-    omega_w = MatrixQ(k, k, leaf_form_gram(p, w.entries, w.entries))
-    f_rows = linear_combination((1, w), (Fraction(1, 2), omega_w @ e.basis)).entries
+    w = inverse(leaf_form_gram(p, w0, e.basis)) @ w0
+    f = linear_combination((1, w), (Fraction(1, 2), leaf_form_gram(p, w, w) @ e.basis))
     # Omega(f_i, f_j) must vanish and Omega(f_i, e_j) must be delta_ij
-    checks = leaf_form_gram(p, f_rows, f_rows + e_rows)
-    for i in range(k):
-        for j in range(k):
-            if checks[i][j] != 0:
-                raise PropertyViolationError("Lagrangian correction failed")
-            if checks[i][k + j] != (1 if i == j else 0):
-                raise PropertyViolationError("pairing normalization failed")
-    t = MatrixQ(p.dim, p.dim, v.basis.entries + e_rows + f_rows).transpose()
+    checks = leaf_form_gram(p, f, stack(f, e.basis))
+    for i, row in enumerate(checks.ints):
+        if any(row[:k]):
+            raise PropertyViolationError("Lagrangian correction failed")
+        if any(a != (checks.den if i == j else 0) for j, a in enumerate(row[k:])):
+            raise PropertyViolationError("pairing normalization failed")
+    t = stack(v.basis, e.basis, f).transpose()
     t_inv = inverse(t)
     pushed = t_inv @ p.pi @ t_inv.transpose()
     model = PoissonVS(p.dim, pushed)
     if pushed != _block_model(induced_bivector(p, v), k).pi:
         raise PropertyViolationError("pushed bivector does not match the V + E + E* model")
-    return CoisotropicSplitting(e=e, v=v, pairing_basis=MatrixQ(k, p.dim, f_rows), change_of_basis=t, model=model,
+    return CoisotropicSplitting(e=e, v=v, pairing_basis=f, change_of_basis=t, model=model,
                                 inverse_change_of_basis=t_inv)
 
 
 def _block_model(pv: PoissonVS, k: int) -> PoissonVS:
     """Block-diagonal model bivector: pv on the V block, then the k x k pairing."""
-    d, n = pv.dim, pv.dim + 2 * k
-    entries = [list(r) + [ZERO] * (2 * k) for r in pv.pi.entries] + [[ZERO] * n for _ in range(2 * k)]
+    d, n, one = pv.dim, pv.dim + 2 * k, pv.pi.den
+    ints = [list(r) + [0] * (2 * k) for r in pv.pi.ints] + [[0] * n for _ in range(2 * k)]
     for i in range(d, d + k):
-        entries[i][i + k], entries[i + k][i] = ONE, -ONE
-    return PoissonVS(n, MatrixQ(n, n, tuple(map(tuple, entries))))
+        ints[i][i + k], ints[i + k][i] = one, -one
+    return PoissonVS(n, MatrixQ._of(n, ints, one))
 
 
 def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace) -> MatrixQ:
@@ -387,7 +362,7 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
         raise PreconditionError("sharp images of the annihilator differ; structures do not match along m")
     # the pullback of graph(Pi) to m is fixed by its range (m intersect the leaf O) and its form -Omega there
     reach = intersect(m, p1.leaf())
-    rows = reach.basis.entries
+    rows = reach.basis
     if reach != intersect(m, p2.leaf()) or leaf_form_gram(p1, rows, rows) != leaf_form_gram(p2, rows, rows):
         raise PreconditionError("the two bivectors induce different pullback structures on m")
     s1 = coisotropic_splitting(p1, m, v)
@@ -397,7 +372,6 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     phi = s2.change_of_basis @ s1.inverse_change_of_basis
     if phi @ p1.pi @ phi.transpose() != p2.pi:
         raise PropertyViolationError("matching isomorphism failed to intertwine the bivectors")
-    for row in m.basis.entries:
-        if phi.matvec(row) != row:
-            raise PropertyViolationError("matching isomorphism moved a point of m")
+    if m.basis @ phi.transpose() != m.basis:
+        raise PropertyViolationError("matching isomorphism moved a point of m")
     return phi

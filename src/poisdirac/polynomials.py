@@ -367,7 +367,7 @@ class PolyMap:
         return tuple(comp.gradient for comp in self.components)
 
     def jacobian_at(self, point: Sequence[Fraction]) -> MatrixQ:
-        return MatrixQ(self.target_dim, self.source_dim, values_at(self.jacobian(), point))
+        return MatrixQ._over(self.source_dim, integer_rows_at(self.jacobian(), point))
 
     def is_identity(self) -> bool:
         return self == PolyMap.identity(self.source_vars)

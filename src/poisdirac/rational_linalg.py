@@ -1,18 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices with Fraction entries, reduced row echelon form, and a
-subspace calculus (sum, intersection, annihilator, image) on
-canonically represented subspaces of Q^n.  Every value is immutable
-and every operation is a pure function, so results can be compared
-bit-for-bit and shared freely.
+Exact matrices, reduced row echelon form, and a subspace calculus (sum,
+intersection, annihilator, image) on canonically represented subspaces of
+Q^n.  Every value is immutable and every operation is a pure function, so
+results can be compared bit-for-bit and shared freely.
 
-All elimination is one fraction-free Gauss-Jordan loop on primitive
-integer rows.  A Subspace stores its reduced rows as integers; Fractions
-are made only where a caller reads them (`rref`, `solve`, `Subspace.basis`),
-integer rows enter through `_reduced` without one, and matrix products and
-`linear_combination`s cost one gcd per entry.  `solve` takes every right-hand
-side of a coefficient matrix at once and runs one elimination for all of them;
-`inverse` is its identity case.
+One integer form: a MatrixQ stores integer rows over one positive denominator,
+reduced so that equal matrices have equal fields, and a Subspace its reduced
+rows as primitive integer rows.  All elimination is one fraction-free
+Gauss-Jordan loop on such rows, and products, sums, `solve` and coordinates
+in a subspace go from integer rows to integer rows.  Fractions are made only
+where a caller reads them (`entries`, `matvec`, indexing); caller values become
+integers, and floats are refused, only at the boundary (`MatrixQ(...)`,
+`from_rows`, `Subspace.span`, caller vectors).  `solve` takes every right-hand
+side at once in one elimination; `inverse` is its identity case.
 
 Subspaces carry a primal/dual tag: annihilators land in the dual
 space and mixing the two ambients raises, which catches the classic
@@ -24,7 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -40,8 +42,7 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 # the input, and Python prints no int of more than 4,300 digits.
 MAX_DIGITS = 1000
 
-ZERO, ONE = Fraction(0), Fraction(1)
-_UNIT_BASES: dict[int, tuple[Vector, ...]] = {}  # standard_basis(n) by n
+ZERO = Fraction(0)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -73,13 +74,6 @@ def fmt_point(point: Sequence[Fraction]) -> str:
     return "(" + ", ".join(str(x) for x in point) + ")"
 
 
-def standard_basis(n: int) -> tuple[Vector, ...]:
-    """The unit vectors e_1, ..., e_n of Q^n (the rows of the identity), built once per n."""
-    if n not in _UNIT_BASES:
-        _UNIT_BASES[n] = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-    return _UNIT_BASES[n]
-
-
 def _scaled_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """(ints, d) with row = ints / d and d the lcm of the denominators.  A float,
     which as_integer_ratio would read as a binary fraction, raises rat's TypeError."""
@@ -94,57 +88,83 @@ def primitive(ints: Sequence[int]) -> Sequence[int]:
     return [a // g for a in ints] if g > 1 else ints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MatrixQ:
-    """Dense matrix over Q, row-major, immutable."""
+    """Dense matrix over Q, immutable: integer rows `ints` over one positive `den`,
+    with no factor above 1 common to den and every entry, so equal matrices have
+    equal fields.  `entries`, the Fraction view, is built on first read."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    ints: tuple[tuple[int, ...], ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[Fraction]]) -> None:
+        """The matrix of a grid of Fractions or ints; a float raises rat's TypeError."""
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
+        flat, d = _scaled_row([a for r in entries for a in r])
+        self._set(cols, [flat[i * cols:(i + 1) * cols] for i in range(rows)], d)
+
+    def _set(self, cols: int, ints: Iterable[Sequence[int]], den: int) -> None:
+        """Store ints / den in that normal form."""
+        ints = tuple(map(tuple, ints))
+        g = gcd(den, *chain.from_iterable(ints)) if den != 1 else 1
+        if g > 1:
+            ints, den = tuple(tuple(a // g for a in r) for r in ints), den // g
+        self.__dict__.update(rows=len(ints), cols=cols, ints=ints, den=den)
+
+    @staticmethod
+    def _of(cols: int, ints: Iterable[Sequence[int]], den: int = 1) -> MatrixQ:
+        """The matrix ints / den of integer rows of width cols, not re-validated."""
+        m = object.__new__(MatrixQ)
+        m._set(cols, ints, den)
+        return m
+
+    @staticmethod
+    def _over(cols: int, scaled: Sequence[tuple[Sequence[int], int]]) -> MatrixQ:
+        """The matrix of rows given as (integer numerators, denominator) pairs."""
+        big = lcm(*(d for _, d in scaled))
+        return MatrixQ._of(cols, ([a * (big // d) for a in r] for r, d in scaled), big)
 
     @cached_property
-    def _scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(ints, d) with entries = ints / d, d the lcm of all denominators."""
-        flat, d = _scaled_row([a for r in self.entries for a in r])
-        c = self.cols
-        return tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(self.rows)), d
+    def entries(self) -> tuple[Vector, ...]:
+        d = self.den
+        return tuple(tuple(Fraction(a, d) if a else ZERO for a in r) for r in self.ints)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]], cols: int | None = None) -> MatrixQ:
         data = tuple(vec(r) for r in rows)
-        if data:
-            width = len(data[0])
-        elif cols is not None:
-            width = cols
-        else:
+        if not data and cols is None:
             raise ValueError("cannot infer column count of an empty matrix")
-        return MatrixQ(len(data), width, data)
+        return MatrixQ(len(data), len(data[0]) if data else cols, data)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> MatrixQ:
-        return MatrixQ(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
+        return MatrixQ._of(cols, ((0,) * cols,) * rows)
 
     @staticmethod
+    @cache
     def identity(n: int) -> MatrixQ:
-        return MatrixQ(n, n, standard_basis(n))
+        """The n x n identity, built once per n."""
+        return MatrixQ._of(n, (tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def _check_shape(self, other: MatrixQ) -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise SpaceMismatchError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def __getitem__(self, idx: tuple[int, int]) -> Fraction:
+    def __getitem__(self, idx: tuple[int, int] | tuple[slice, slice]) -> Fraction | MatrixQ:
+        """The entry m[i, j] as a Fraction, or for slices i and j the submatrix."""
         i, j = idx
+        if isinstance(i, slice):
+            return MatrixQ._of(len(range(self.cols)[j]), (r[j] for r in self.ints[i]), self.den)
         return self.entries[i][j]
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> MatrixQ:
-        return MatrixQ(self.cols, self.rows, tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        return MatrixQ._of(self.rows, tuple(zip(*self.ints)) or ((),) * self.cols, self.den)
 
     def __add__(self, other: MatrixQ) -> MatrixQ:
         return linear_combination((1, self), (1, other))
@@ -153,7 +173,7 @@ class MatrixQ:
         return linear_combination((1, self), (-1, other))
 
     def __neg__(self) -> MatrixQ:
-        return MatrixQ(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries))
+        return MatrixQ._of(self.cols, ([-a for a in r] for r in self.ints), self.den)
 
     def scale(self, c: int | str | Fraction) -> MatrixQ:
         return linear_combination((rat(c), self))
@@ -161,39 +181,46 @@ class MatrixQ:
     def __matmul__(self, other: MatrixQ) -> MatrixQ:
         if self.cols != other.rows:
             raise SpaceMismatchError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        (rows, d), (ints, e) = self._scaled, other._scaled
-        cols = list(zip(*ints)) or [()] * other.cols
-        return MatrixQ(self.rows, other.cols, tuple(
-            tuple(Fraction(s, d * e) if (s := sum(map(mul, r, c))) else ZERO for c in cols) for r in rows
-        ))
+        cols = list(zip(*other.ints)) or [()] * other.cols
+        return MatrixQ._of(other.cols, ([sum(map(mul, r, c)) for c in cols] for r in self.ints), self.den * other.den)
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise SpaceMismatchError(f"matrix has {self.cols} columns, vector has length {len(v)}")
-        (rows, d), (ints, e) = self._scaled, _scaled_row(v)
-        return tuple(Fraction(s, d * e) if (s := sum(map(mul, r, ints))) else ZERO for r in rows)
+        ints, e = _scaled_row(v)
+        d = self.den * e
+        return tuple(Fraction(s, d) if (s := sum(map(mul, r, ints))) else ZERO for r in self.ints)
 
     def is_antisymmetric(self) -> bool:
-        ints = self._scaled[0]  # entries = ints / d with one d
+        ints = self.ints
         return self.rows == self.cols and all(a == -b for r, c in zip(ints, zip(*ints)) for a, b in zip(r, c))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
+        return not any(map(any, self.ints))
 
 
 def linear_combination(*terms: tuple[int | Fraction, MatrixQ]) -> MatrixQ:
-    """The sum of c M over the terms (c, M), on the integer views: one Fraction
-    per entry, over L the lcm of the denominators of the scaled terms."""
+    """The sum of c M over the terms (c, M), on the integer rows over L, the lcm
+    of the denominators of the scaled terms."""
     first = terms[0][1]
     for _, m in terms[1:]:
         first._check_shape(m)
-    views = [(c.numerator, c.denominator * m._scaled[1], m._scaled[0]) for c, m in terms]
+    views = [(c.numerator, c.denominator * m.den, m.ints) for c, m in terms]
     big = lcm(*(d for _, d, _ in views))
     weights = [k * (big // d) for k, d, _ in views]
-    return MatrixQ(first.rows, first.cols, tuple(
-        tuple(Fraction(s, big) if (s := sum(map(mul, weights, column))) else ZERO for column in zip(*rows))
-        for rows in zip(*(ints for _, _, ints in views))
-    ))
+    return MatrixQ._of(first.cols, (
+        [sum(map(mul, weights, column)) for column in zip(*rows)] for rows in zip(*(ints for _, _, ints in views))
+    ), big)
+
+
+def stack(*ms: MatrixQ) -> MatrixQ:
+    """The rows of each matrix in turn, over the lcm of their denominators."""
+    if len({m.cols for m in ms}) != 1:
+        raise SpaceMismatchError("stacked matrices differ in column count")
+    big = lcm(*(m.den for m in ms))
+    return MatrixQ._of(ms[0].cols, (
+        r if m.den == big else [a * (big // m.den) for a in r] for m in ms for r in m.ints
+    ), big)
 
 
 def _eliminate(work: list, n_cols: int) -> list[int]:
@@ -233,12 +260,12 @@ def _eliminate(work: list, n_cols: int) -> list[int]:
 def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
     """Reduced row echelon form and rank.  Deterministic, exact: the basis of
     the row space, padded with zero rows."""
-    s = _row_space(m.cols, m.entries)
-    return MatrixQ(m.rows, m.cols, s.basis.entries + ((ZERO,) * m.cols,) * (m.rows - s.dim)), s.dim
+    s = _row_space(m)
+    return stack(s.basis, MatrixQ.zeros(m.rows - s.dim, m.cols)), s.dim
 
 
 def rank(m: MatrixQ) -> int:
-    return _row_space(m.cols, m.entries).dim
+    return _row_space(m).dim
 
 
 def _pivots(rows: Sequence[Sequence]) -> list[int]:
@@ -248,35 +275,40 @@ def _pivots(rows: Sequence[Sequence]) -> list[int]:
 
 def kernel(m: MatrixQ) -> Subspace:
     """Null space {v : m v = 0}, in canonical form."""
-    return annihilator(_row_space(m.cols, m.entries, dual=True))
+    return annihilator(_row_space(m, dual=True))
 
 
-def solve(m: MatrixQ, bs: Sequence[Sequence[Fraction]]) -> tuple[Vector | None, ...]:
-    """For each right-hand side b, the solution of m x = b with every free
-    variable 0, or None where it is inconsistent.  One elimination of
-    [m | b_1 ... b_k] with pivots only in m's columns: then a pivot row reads
+def solve(m: MatrixQ, bs: MatrixQ) -> MatrixQ | None:
+    """The matrix whose row j solves m x = b_j, b_j the row j of bs, with every free
+    variable 0; None if any of these systems is inconsistent.  One elimination of the
+    integer rows of [m | bs^T] with pivots only in m's columns: then a pivot row reads
     p x_c = b'_r, and a nonzero b' in a row below the rank is a contradiction."""
-    if any(len(b) != m.rows for b in bs):
+    if bs.cols != m.rows:
         raise SpaceMismatchError("right-hand side length does not match row count")
-    n = m.cols
-    work = [primitive(_scaled_row(r + b)[0]) for r, b in zip(m.entries, list(zip(*bs)) or [()] * m.rows)]
+    n, g = m.cols, gcd(m.den, bs.den)
+    d, e = m.den // g, bs.den // g  # row r of m x = b, times m.den bs.den / g
+    work = [primitive([a * e for a in r] + [b * d for b in col])
+            for r, col in zip(m.ints, list(zip(*bs.ints)) or [()] * m.rows)]
     pivots = _eliminate(work, n)
-    row_at, below = dict(zip(pivots, work)), work[len(pivots):]
-    return tuple(
-        None if any(row[j] for row in below)
-        else tuple(Fraction(row_at[c][j], row_at[c][c]) if c in row_at else ZERO for c in range(n))
-        for j in range(n, n + len(bs))
-    )
+    if any(any(row[n:]) for row in work[len(pivots):]):
+        return None
+    big = lcm(*(row[c] for row, c in zip(work, pivots)))
+    xs = [[0] * n for _ in range(bs.rows)]
+    for row, c in zip(work, pivots):
+        f = big // row[c]
+        for x, b in zip(xs, row[n:]):
+            x[c] = b * f
+    return MatrixQ._of(n, xs, big)
 
 
 def inverse(m: MatrixQ) -> MatrixQ:
     """m^-1: its columns solve m x = e_j, the identity case of `solve`."""
     if m.rows != m.cols:
         raise SpaceMismatchError("only square matrices can be inverted")
-    columns = solve(m, standard_basis(m.rows))
-    if None in columns:
+    columns = solve(m, MatrixQ.identity(m.rows))
+    if columns is None:
         raise ValueError("matrix is singular")
-    return MatrixQ(m.rows, m.cols, columns).transpose()
+    return columns.transpose()
 
 
 @dataclass(frozen=True)
@@ -286,7 +318,7 @@ class Subspace:
     `rows` are the reduced row echelon basis rows, each scaled to a
     primitive integer row with a positive pivot.  That form is unique, so
     two equal subspaces have identical representations.  `basis` is the
-    Fraction form (pivots 1), built once per object on first read.  `dual`
+    matrix of those rows with pivots 1, built once per object on first read.  `dual`
     tags subspaces of the dual space (Q^n)*; operations refuse to mix
     primal and dual ambients.
     """
@@ -301,12 +333,10 @@ class Subspace:
 
     @cached_property
     def basis(self) -> MatrixQ:
-        # each row divided by its pivot p; zeros and p itself skip Fraction's gcd
+        """Each row divided by its pivot p, over L the lcm of the pivots."""
         pivots = [r[c] for r, c in zip(self.rows, _pivots(self.rows))]
-        return MatrixQ(self.dim, self.ambient_dim, tuple(
-            tuple(ZERO if a == 0 else ONE if a == p else Fraction(a, p) for a in r)
-            for r, p in zip(self.rows, pivots)
-        ))
+        big = lcm(*pivots)
+        return MatrixQ._of(self.ambient_dim, ([a * (big // p) for a in r] for r, p in zip(self.rows, pivots)), big)
 
     @cached_property
     def _annihilator(self) -> Subspace:
@@ -330,7 +360,7 @@ class Subspace:
         m = MatrixQ.from_rows(rows, cols=ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("entry grid does not match declared shape")
-        return _row_space(ambient_dim, m.entries, dual)
+        return _row_space(m, dual)
 
     @staticmethod
     def zero(ambient_dim: int, dual: bool = False) -> Subspace:
@@ -338,8 +368,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int, dual: bool = False) -> Subspace:
-        n = ambient_dim
-        return Subspace(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), dual)
+        return Subspace(ambient_dim, MatrixQ.identity(ambient_dim).ints, dual)
 
     @property
     def dim(self) -> int:
@@ -349,24 +378,25 @@ class Subspace:
         return self.coordinates_of(v) is not None
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coordinates of v in the canonical basis (v's entries at the pivot
-        columns, as the basis is reduced), or None if v is outside."""
-        if len(v) != self.ambient_dim:
+        """`coordinates_of_rows` of one caller vector, or None if v is outside."""
+        coords = self.coordinates_of_rows(MatrixQ(1, len(v), (v,)))
+        return None if coords is None else coords.entries[0]
+
+    def coordinates_of_rows(self, m: MatrixQ) -> MatrixQ | None:
+        """The coordinates of each row of m in the canonical basis (its entries at the
+        pivot columns, as the basis is reduced), or None if any row is outside."""
+        if m.cols != self.ambient_dim:
             raise SpaceMismatchError("vector length does not match ambient dimension")
         # v is inside iff sum_r v[p_r] (L / row_r[p_r]) row_r == L v, L the lcm of the pivots
         pivots = _pivots(self.rows)
         big = lcm(*(r[c] for r, c in zip(self.rows, pivots)))
-        ints = _scaled_row(v)[0]
-        weights = [ints[c] * (big // r[c]) for r, c in zip(self.rows, pivots)]
+        factors = [big // r[c] for r, c in zip(self.rows, pivots)]
         cols = list(zip(*self.rows)) or [()] * self.ambient_dim
-        if [sum(map(mul, weights, col)) for col in cols] != [big * a for a in ints]:
-            return None
-        return tuple(rat(v[c]) for c in pivots)
-
-    def coordinates_of_rows(self, vectors: Iterable[Sequence[Fraction]]) -> tuple[Vector, ...] | None:
-        """The coordinates of each vector, or None if any is outside."""
-        coords = tuple(map(self.coordinates_of, vectors))
-        return None if None in coords else coords
+        for v in m.ints:
+            weights = [v[c] * f for c, f in zip(pivots, factors)]
+            if [sum(map(mul, weights, col)) for col in cols] != [big * a for a in v]:
+                return None
+        return MatrixQ._of(self.dim, ([v[c] for c in pivots] for v in m.ints), m.den)
 
 
 def _reduced(n: int, work: list, dual: bool) -> Subspace:
@@ -375,10 +405,9 @@ def _reduced(n: int, work: list, dual: bool) -> Subspace:
     return Subspace(n, tuple(map(tuple, work[:rk])), dual)
 
 
-def _row_space(n: int, rows: Iterable[Sequence[Fraction]], dual: bool = False) -> Subspace:
-    """The span of rows of Fractions or ints, not re-validated (unlike `Subspace.span`):
-    the one place Fraction rows become integer rows."""
-    return _reduced(n, [primitive(_scaled_row(r)[0]) for r in rows], dual)
+def _row_space(m: MatrixQ, dual: bool = False) -> Subspace:
+    """The span of the rows of m."""
+    return _reduced(m.cols, [primitive(r) for r in m.ints], dual)
 
 
 def _require_same_space(a: Subspace, b: Subspace) -> None:
@@ -414,8 +443,7 @@ def image(m: MatrixQ, s: Subspace, dual: bool = False) -> Subspace:
     """Image m(s); `dual` tags the target space of the map."""
     if m.cols != s.ambient_dim:
         raise SpaceMismatchError("map source does not match subspace ambient")
-    ints = m._scaled[0]
-    return _reduced(m.rows, [primitive([sum(map(mul, r, b)) for r in ints]) for b in s.rows], dual)
+    return _reduced(m.rows, [primitive([sum(map(mul, r, b)) for r in m.ints]) for b in s.rows], dual)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -425,4 +453,4 @@ def contains(a: Subspace, b: Subspace) -> bool:
 
 
 def column_space(m: MatrixQ, dual: bool = False) -> Subspace:
-    return _row_space(m.rows, m.transpose().entries, dual)
+    return _row_space(m.transpose(), dual)

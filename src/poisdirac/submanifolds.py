@@ -34,8 +34,8 @@ from .poisson_linear import (
     greedy_complement,
     subspace_in_basis,
 )
-from .polynomials import Poly, PolyMap, values_at
-from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, column_space, fmt_point, kernel, solve, standard_basis
+from .polynomials import Poly, PolyMap, integer_rows_at
+from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, column_space, fmt_point, kernel, solve, stack
 
 # Draws made by grid_points_on on a level set before it gives up on filling `count`.
 LEVEL_SET_ATTEMPTS = 10000
@@ -196,8 +196,8 @@ class PointData:
         # a level-set sample is its ambient point, and tangent_at checked it on the locus
         self.ambient = self.sample if isinstance(c, LevelSet) else ambient_point(c, self.sample)
         self.poisson: PoissonVS = pi.at(self.ambient)
-        self._differentials: dict[Poly, Vector] = {}
-        self._directions: tuple[Vector, ...] | None = None
+        self._differentials: dict[Poly, MatrixQ] = {}
+        self._directions: MatrixQ | None = None
 
     @property
     def classification(self) -> ClassificationRecord:
@@ -209,27 +209,26 @@ class PointData:
         """The characteristic subspace in the canonical-basis coordinates of the tangent."""
         return subspace_in_basis(characteristic_subspace(self.poisson, self.tangent), self.tangent)
 
-    def differential(self, f: Poly) -> Vector:
-        """df at the point as a covector in the canonical-basis coordinates of the tangent."""
+    def differential(self, f: Poly) -> MatrixQ:
+        """df at the point as a 1 x k row, a covector in the canonical-basis coordinates of the tangent."""
         if f in self._differentials:
             return self._differentials[f]
         if f.variables != self.patch.map.source_vars:
             raise SpaceMismatchError("function does not use the submanifold's coordinates")
         if self._directions is None:  # tangent basis row i = J m_i on a parametrization; df(row i) = grad . m_i
-            rows = self.tangent.basis.entries
+            rows = self.tangent.basis
             if isinstance(self.patch, Parametrized):
                 rows = solve(self.patch.map.jacobian_at(self.sample), rows)
-                if None in rows:
+                if rows is None:
                     raise PropertyViolationError("tangent basis vector has no parameter preimage")
             self._directions = rows
-        (grad,) = values_at((f.gradient,), self.sample)
-        df = self._differentials[f] = tuple(sum(g * t for g, t in zip(grad, row)) for row in self._directions)
+        grad = MatrixQ._over(len(f.variables), integer_rows_at((f.gradient,), self.sample))
+        df = self._differentials[f] = grad @ self._directions.transpose()
         return df
 
     def is_basic(self, f: Poly) -> bool:
         """Whether df annihilates the characteristic subspace at the point."""
-        df = self.differential(f)
-        return all(sum(d * v for d, v in zip(df, row)) == 0 for row in self.characteristic_in_tangent.basis.entries)
+        return (self.differential(f) @ self.characteristic_in_tangent.basis.transpose()).is_zero()
 
     def bracket(self, f: Poly, g: Poly) -> Fraction:
         """{f, g}(q) = Y(g) for a tangent solution (Y, df_q) of graph(Pi) pulled back
@@ -244,18 +243,16 @@ class PointData:
             if not self.is_basic(h):
                 raise PreconditionError(f"function {h} is not basic at {fmt_point(self.sample)}")
         # solve for lambda with span-combination covector part equal to df
-        basis = structure.span.basis.entries
-        cov = MatrixQ(d, len(basis), tuple(tuple(row[d + i] for row in basis) for i in range(d)))
-        (lam,) = solve(cov, [df])
+        basis = structure.span.basis
+        vectors, cov = basis[:, :d], basis[:, d:].transpose()
+        lam = solve(cov, df)
         if lam is None:
             raise PreconditionError(f"no tangent solution for df at {fmt_point(self.sample)}; function is not admissible there")
-        y = tuple(sum(l * row[i] for l, row in zip(lam, basis)) for i in range(d))
+        dg_column = dg.transpose()
         # degeneracy directions: combinations with zero covector part; dg must kill them
-        for null in kernel(cov).basis.entries:
-            y0 = tuple(sum(l * row[i] for l, row in zip(null, basis)) for i in range(d))
-            if sum(a * b for a, b in zip(dg, y0)) != 0:
-                raise PropertyViolationError("bracket value depends on the solution choice")
-        return sum(a * b for a, b in zip(dg, y))
+        if not (kernel(cov).basis @ vectors @ dg_column).is_zero():
+            raise PropertyViolationError("bracket value depends on the solution choice")
+        return (lam @ vectors @ dg_column)[0, 0]
 
     def consistency(self, f: Poly, g: Poly) -> BracketConsistency:
         """The intrinsic `bracket` against the extension route: extend the tangent to
@@ -268,16 +265,16 @@ class PointData:
         w = cosymplectic_extension(p, tangent)
         pw = embedding_conditions(p, tangent, w).induced
         tangent_in_w = subspace_in_basis(tangent, w)
-        complement_rows = greedy_complement(tangent_in_w, standard_basis(w.dim))
-        constraint_rows = tangent_in_w.basis.entries + complement_rows
-        constraint = MatrixQ(len(constraint_rows), w.dim, constraint_rows)
-        pad = (Fraction(0),) * len(complement_rows)
-        alpha, beta = solve(constraint, [self.differential(f) + pad, self.differential(g) + pad])
-        if alpha is None or beta is None:
+        complement = greedy_complement(tangent_in_w, MatrixQ.identity(w.dim))
+        # df and dg, extended by 0 on the complement
+        dfg = stack(self.differential(f), self.differential(g))
+        rhs = MatrixQ._of(w.dim, (r + (0,) * complement.rows for r in dfg.ints), dfg.den)
+        covectors = solve(stack(tangent_in_w.basis, complement), rhs)
+        if covectors is None:
             raise PropertyViolationError("covector extension to the cosymplectic subspace failed")
-        # W-bracket with the same orientation as the intrinsic one: beta(sharp_W alpha)
-        via_extension = sum(b * s for b, s in zip(beta, pw.sharp(alpha)))
-        result = BracketConsistency(intrinsic, Fraction(via_extension))
+        # W-bracket with the same orientation as the intrinsic one: beta(sharp_W alpha), rows alpha and beta
+        via_extension = (covectors @ pw.pi @ covectors.transpose())[1, 0]
+        result = BracketConsistency(intrinsic, via_extension)
         if not result.agree:
             raise PropertyViolationError(
                 f"bracket routes disagree at {fmt_point(self.sample)}: intrinsic {intrinsic}, extension {via_extension}"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from poisdirac.poisson_linear import PoissonVS, cosymplectic_extension, sharp_image, standard_basis
+from poisdirac.poisson_linear import PoissonVS, cosymplectic_extension, sharp_image
 from poisdirac.polynomials import Poly, PolyMap, compose_map
 from poisdirac.rational_linalg import MatrixQ, Subspace, annihilator
 from poisdirac.rational_linalg import add as subspace_add
@@ -62,7 +62,7 @@ def rand_complement_extension(rng: random.Random, p: PoissonVS, c: Subspace) -> 
     guard = 0
     while current.dim < p.dim:
         guard += 1
-        v = tuple(rand_fraction(rng) for _ in range(p.dim)) if guard < 50 else standard_basis(p.dim)[guard % p.dim]
+        v = tuple(rand_fraction(rng) for _ in range(p.dim)) if guard < 50 else MatrixQ.identity(p.dim).entries[guard % p.dim]
         if not current.contains_vector(v):
             current = subspace_add(current, Subspace.span(p.dim, [v]))
             w = subspace_add(w, Subspace.span(p.dim, [v]))

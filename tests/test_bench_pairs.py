@@ -93,6 +93,30 @@ def test_summary_keeps_every_field_for_every_contract_metric():
         assert entry["claim_rule_met"] is False and entry["within_bound"] is True
 
 
+@pytest.mark.parametrize("text, seeds", [("11-14", [11, 12, 13, 14]), ("11-11", [11]), ("1,3,5", [1, 3, 5]), ("7", [7])])
+def test_seed_texts(text, seeds):
+    assert bench_pairs._seeds(text) == seeds
+
+
+@pytest.mark.parametrize("text", ["20-11", "11-", "-3", "1-2-3", "1,,3", "", "eleven"])
+def test_malformed_or_empty_seed_texts_raise(text):
+    with pytest.raises(ValueError):
+        bench_pairs._seeds(text)
+
+
+@pytest.mark.parametrize("bad", ["20-11", "11-"])
+def test_a_bad_seeds_value_exits_2_before_anything_runs(tmp_path, bad):
+    # the bad value belongs to the second workload: nothing of the first may run either
+    label = "bad-seeds-test"
+    argv = [sys.executable, str(SCRIPT), "--parent", "HEAD", "--change", "HEAD", "--label", label,
+            "--workload", "linear_iso", "--seeds", "1", "--workload", "symbolic", "--seeds", bad]
+    proc = subprocess.run(argv, env={**os.environ, "TMPDIR": str(tmp_path)}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--seeds" in proc.stderr and "Traceback" not in proc.stderr
+    assert not proc.stdout and list(tmp_path.iterdir()) == []
+    assert not (SCRIPT.parents[1] / f"BENCH_{label}.json").exists()
+
+
 def _in_git_checkout() -> bool:
     root = SCRIPT.parents[1]
     probe = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=root, capture_output=True, text=True)

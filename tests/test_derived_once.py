@@ -2,8 +2,8 @@
 built at most once per (PoissonVS, subspaces), whoever asks for it, a fresh
 classification runs four eliminations, each annihilator is built once per
 subspace, each linear system with many right-hand sides is solved in one
-elimination, each inverse once, and each partial derivative is derived once
-per polynomial.
+elimination, each inverse once, each partial derivative is derived once
+per polynomial, and the linear constructions split no Fraction row into integers.
 
 Builds are counted, not calls: a profile hook counts every run of a
 build function's own body, which a cached call never reaches.
@@ -32,7 +32,7 @@ from poisdirac.poisson_linear import (
     linear_uniqueness_iso,
 )
 from poisdirac.polynomials import Poly, PolyMap
-from poisdirac.rational_linalg import MatrixQ, Subspace, _eliminate, _reduced, annihilator, inverse, solve
+from poisdirac.rational_linalg import MatrixQ, Subspace, _eliminate, _reduced, _scaled_row, annihilator, inverse, solve
 from poisdirac.submanifolds import LevelSet, Parametrized, PointData
 
 # the code of each build function's own body, under whatever cache wraps it
@@ -142,7 +142,7 @@ def _hypersurface_point() -> PointData:
 # caller of solve -> work on a fresh structure or point that has it solve two
 # or more right-hand sides against one coefficient matrix
 ONE_SOLVE_CASES = {
-    "leaf_form_gram": lambda: leaf_form_gram(PoissonVS(4, J4), [A, B, A], [B, A, A]),
+    "leaf_form_gram": lambda: leaf_form_gram(PoissonVS(4, J4), MatrixQ.from_rows([A, B, A]), MatrixQ.from_rows([B, A, A])),
     "induced_bivector": lambda: induced_bivector(PoissonVS(4, J4), E12),
     "canonical_iso": lambda: canonical_iso(PoissonVS(4, J4), E1, E12, TILTED),
     "differential": lambda: _graph_point().differential(Poly.parse("t1*t2 + t2", ("t1", "t2"))),
@@ -240,6 +240,41 @@ def test_matching_isomorphism_reuses_the_inverse_of_the_first_splitting():
             phi = linear_uniqueness_iso(p1, p2, m, v)
         assert runs == [4]
         assert phi == MatrixQ.identity(p1.dim)
+
+
+def _fresh(s: Subspace) -> Subspace:
+    """An equal subspace with nothing derived from it yet."""
+    return Subspace(s.ambient_dim, s.rows, s.dual)
+
+
+# a minimal coisotropic pair (dim 5, m of dim 3) and the v of its first splitting, built
+# before any count starts: these are the boundary objects a caller builds
+P5, M3 = rand_minimal_coisotropic_pair(random.Random(60))
+V5 = coisotropic_splitting(P5, M3).v
+
+# construction -> its run on fresh structures over the fixed inputs above.  A run of
+# `_scaled_row` splits Fraction entries into integers; when matrices stored Fraction
+# entries, these runs took 55, 64 and 139 of them, on Fraction rows handed on and split again
+SCALED_ROW_CASES = {
+    "canonical_iso": lambda: canonical_iso(PoissonVS(4, J4), _fresh(E1), _fresh(E12), _fresh(TILTED)),
+    "coisotropic_splitting": lambda: coisotropic_splitting(PoissonVS(P5.dim, P5.pi), _fresh(M3)),
+    "linear_uniqueness_iso": lambda: linear_uniqueness_iso(
+        PoissonVS(P5.dim, P5.pi), PoissonVS(P5.dim, P5.pi.transpose().transpose()), _fresh(M3), _fresh(V5)),
+}
+
+
+@pytest.mark.parametrize("construction", SCALED_ROW_CASES)
+def test_linear_constructions_split_no_fraction_rows(construction):
+    with counted_runs(_scaled_row) as runs:
+        SCALED_ROW_CASES[construction]()
+    assert runs == [0]
+
+
+def test_counting_sees_a_fraction_row_split():
+    with counted_runs(_scaled_row) as runs:
+        MatrixQ.from_rows([[1, "1/2"]])
+        PoissonVS(4, J4).sharp(A)
+    assert runs == [2]
 
 
 @contextmanager

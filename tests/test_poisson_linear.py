@@ -38,11 +38,18 @@ def dual_span(n, rows):
 def reference_gram(p, xs, ys):
     """The Fraction dot-product formula: Omega(x, y) = -xi(y) with sharp xi = x,
     solved once per distinct vector."""
-    distinct = list(dict.fromkeys(map(tuple, (*xs, *ys))))
-    preimages = dict(zip(distinct, solve(p.pi, distinct)))
-    if None in preimages.values():
-        raise PreconditionError("leaf form is only defined on the image of sharp")
+    preimages = {}
+    for v in dict.fromkeys(map(tuple, (*xs, *ys))):
+        xi = solve(p.pi, MatrixQ.from_rows([v]))
+        if xi is None:
+            raise PreconditionError("leaf form is only defined on the image of sharp")
+        preimages[v] = xi.entries[0]
     return tuple(tuple(-sum(a * b for a, b in zip(preimages[tuple(x)], y)) for y in ys) for x in xs)
+
+
+def gram_rows(p, xs, ys):
+    """leaf_form_gram of the matrices whose rows are xs and ys, as rows of Fractions."""
+    return leaf_form_gram(p, MatrixQ.from_rows(xs, cols=p.dim), MatrixQ.from_rows(ys, cols=p.dim)).entries
 
 
 def rank_deficient_poisson(rng, n):
@@ -181,7 +188,7 @@ class TestLeafForm:
             p = rand_poisson(rng, n)
             xis = [rand_point(rng, n) for _ in range(rng.randint(1, 3))]
             ys = [p.sharp(rand_point(rng, n)) for _ in range(rng.randint(1, 3))]
-            gram = leaf_form_gram(p, [p.sharp(xi) for xi in xis], ys)
+            gram = gram_rows(p, [p.sharp(xi) for xi in xis], ys)
             assert gram == tuple(tuple(-sum(a * b for a, b in zip(xi, y)) for y in ys) for xi in xis)
             for i, xi in enumerate(xis):
                 for j, y in enumerate(ys):
@@ -194,12 +201,12 @@ class TestLeafForm:
         on = (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
         off = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
         x, y = (off, on) if off_in == "x" else (on, off)
-        for call in (lambda: leaf_form_gram(p, [on, x], [y, on]), lambda: leaf_form_value(p, x, y)):
+        for call in (lambda: gram_rows(p, [on, x], [y, on]), lambda: leaf_form_value(p, x, y)):
             with pytest.raises(PreconditionError, match="only defined on the image of sharp"):
                 call()
 
     def assert_gram_is_the_reference(self, p, xs, ys):
-        gram = leaf_form_gram(p, xs, ys)
+        gram = gram_rows(p, xs, ys)
         assert gram == reference_gram(p, xs, ys)
         assert len(gram) == len(xs) and all(len(row) == len(ys) for row in gram)
         assert all(type(a) is Fraction for row in gram for a in row)
@@ -219,7 +226,7 @@ class TestLeafForm:
             ys = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(rng.randint(1, 3))]
             self.assert_gram_is_the_reference(p, xs, ys)
         assert checked >= 20
-        assert leaf_form_gram(P4, [[1, 0, 0, 0]], [[0, 1, 0, 0], [0, 0, 1, 0]]) == ((-1, 0),)
+        assert gram_rows(P4, [[1, 0, 0, 0]], [[0, 1, 0, 0], [0, 0, 1, 0]]) == ((-1, 0),)
 
     def test_gram_with_no_rows_or_no_columns(self):
         rng = random.Random(14)
@@ -227,7 +234,7 @@ class TestLeafForm:
             on_leaf = [p.sharp(rand_point(rng, p.dim)) for _ in range(2)]
             assert self.assert_gram_is_the_reference(p, [], on_leaf) == ()
             assert self.assert_gram_is_the_reference(p, on_leaf, []) == ((), ())
-            assert leaf_form_gram(p, [], []) == ()
+            assert gram_rows(p, [], []) == ()
 
     def test_gram_of_repeated_vectors(self):
         rng = random.Random(15)
@@ -242,6 +249,10 @@ class TestLeafForm:
             gram = self.assert_gram_is_the_reference(p, xs, [y, x, y])
             assert gram[0] == gram[2] == gram[3] and gram[0][1] == gram[1][0] == gram[1][2] == 0
             assert self.assert_gram_is_the_reference(p, xs, xs) == reference_gram(p, xs, list(xs))
+            # one matrix object given as both arguments is solved once, with the same Gram matrix
+            m = MatrixQ.from_rows(xs)
+            assert leaf_form_gram(p, m, m) == leaf_form_gram(p, m, MatrixQ.from_rows(xs))
+            assert leaf_form_gram(p, m, m).entries == reference_gram(p, xs, xs)
 
     def test_gram_on_rank_deficient_bivectors(self):
         rng = random.Random(16)
@@ -252,12 +263,12 @@ class TestLeafForm:
             xs = [p.sharp(rand_point(rng, n)) for _ in range(rng.randint(1, 4))]
             ys = [p.sharp(rand_point(rng, n)) for _ in range(rng.randint(1, 4))]
             gram = self.assert_gram_is_the_reference(p, xs, ys)
-            assert leaf_form_gram(p, ys, xs) == tuple(tuple(-a for a in col) for col in zip(*gram))
+            assert gram_rows(p, ys, xs) == tuple(tuple(-a for a in col) for col in zip(*gram))
             off = next(e for e in ((1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2), (0, 0, 1) + (0,) * (n - 3))
                        if not p.leaf().contains_vector(e))
             for bad in (([off], ys), (xs, ys + [off])):
                 with pytest.raises(PreconditionError, match="only defined on the image of sharp"):
-                    leaf_form_gram(p, *bad)
+                    gram_rows(p, *bad)
                 with pytest.raises(PreconditionError, match="only defined on the image of sharp"):
                     reference_gram(p, *bad)
 
@@ -265,9 +276,9 @@ class TestLeafForm:
         refusal = r"^cannot interpret 0\.5 as a rational \(floats are not accepted\)$"
         on = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
         for call in (
-            lambda: leaf_form_gram(P4, [(0.5, 0, 0, 0)], [on]),
-            lambda: leaf_form_gram(P4, [on], [on, (0, 0.5, 0, 0)]),
-            lambda: leaf_form_gram(P4, [], [(0, 0, 0, 0.5)]),
+            lambda: gram_rows(P4, [(0.5, 0, 0, 0)], [on]),
+            lambda: gram_rows(P4, [on], [on, (0, 0.5, 0, 0)]),
+            lambda: gram_rows(P4, [], [(0, 0, 0, 0.5)]),
             lambda: leaf_form_value(P4, on, (0, 0, 0.5, 0)),
             lambda: P2.sharp((0.5, 0)),
         ):
@@ -281,7 +292,7 @@ class TestLeafForm:
         short, off_leaf = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
         for xs, ys in (([short], []), ([off_leaf], [short])):
             with pytest.raises(SpaceMismatchError, match="vector length"):
-                leaf_form_gram(p, xs, ys)
+                gram_rows(p, xs, ys)
 
 
 class TestCanonicalIso:
@@ -400,17 +411,17 @@ class TestUniquenessIso:
         # which preserves the pullback structure on m
         rng = random.Random(99)
         from gen import rand_fraction, rand_minimal_coisotropic_pair
-        from poisdirac.poisson_linear import greedy_complement, sharp_image, standard_basis
+        from poisdirac.poisson_linear import greedy_complement, sharp_image
         from poisdirac.rational_linalg import rank
 
         for _ in range(30):
             p1, m = rand_minimal_coisotropic_pair(rng)
             n = p1.dim
             e = sharp_image(p1, annihilator(m))
-            v = Subspace.span(n, greedy_complement(e, m.basis.entries))
+            v = Subspace.span(n, greedy_complement(e, m.basis).entries)
             # perturbation fixing m pointwise: identity plus columns supported
             # outside m, written in an adapted basis
-            adapted = list(m.basis.entries) + list(greedy_complement(m, standard_basis(n)))
+            adapted = list(m.basis.entries) + list(greedy_complement(m, MatrixQ.identity(n)).entries)
             t = MatrixQ.from_rows(adapted, cols=n).transpose()
             while True:
                 s_rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]

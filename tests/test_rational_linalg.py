@@ -1,5 +1,4 @@
 import gc
-import inspect
 import random
 import weakref
 from fractions import Fraction
@@ -26,7 +25,7 @@ from poisdirac.rational_linalg import (
     rat,
     rref,
     solve,
-    standard_basis,
+    stack,
 )
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -51,17 +50,13 @@ def test_rat_rejects_other_strings(text):
         rat(text)
 
 
-def test_standard_basis_is_identity_rows():
-    assert standard_basis(0) == ()
-    assert MatrixQ.identity(3).entries == standard_basis(3)
-    assert standard_basis(2) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
-def test_standard_basis_is_built_once_per_n_by_a_plain_function():
-    # a plain function, so a tracer that wraps functions still sees its calls
-    assert inspect.isfunction(standard_basis)
-    assert standard_basis(5) is standard_basis(5) and standard_basis(0) is standard_basis(0)
-    assert all(type(a) is Fraction for row in standard_basis(5) for a in row)
+def test_identity_is_built_once_per_n():
+    # its rows are the unit vectors e_1, ..., e_n, as integer rows and as Fractions
+    assert MatrixQ.identity(0).entries == () and MatrixQ.identity(0) == MatrixQ.zeros(0, 0)
+    assert MatrixQ.identity(2).entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert MatrixQ.identity(3).ints == ((1, 0, 0), (0, 1, 0), (0, 0, 1)) and MatrixQ.identity(3).den == 1
+    assert MatrixQ.identity(5) is MatrixQ.identity(5) and MatrixQ.identity(0) is MatrixQ.identity(0)
+    assert all(type(a) is Fraction for row in MatrixQ.identity(5).entries for a in row)
 
 
 def _reference_rref(m: MatrixQ) -> tuple[MatrixQ, int]:
@@ -163,11 +158,11 @@ def test_solve_matches_sympy(kind):
         # 0 to 4 right-hand sides in one call, each in m's image or drawn at random
         bs = [m.matvec([_small(rng) for _ in range(m.cols)]) if rng.random() < 0.5
               else tuple(_small(rng) for _ in range(m.rows)) for _ in range(rng.randint(0, 4))]
-        xs = solve(m, bs)
-        assert len(xs) == len(bs)
+        xs = solve(m, MatrixQ(len(bs), m.rows, tuple(bs)))
         sizes.add(len(bs))
-        kinds = set()
-        for b, x in zip(bs, xs):
+        kinds, solutions = set(), []
+        for b in bs:
+            x = solve(m, MatrixQ(1, m.rows, (b,)))
             try:
                 expected, params = _to_sympy(sympy, m).gauss_jordan_solve(sympy.Matrix(b))
             except ValueError:  # sympy: "Linear system has no solution"
@@ -177,8 +172,11 @@ def test_solve_matches_sympy(kind):
             # sympy's general solution with every free parameter at 0 is the
             # particular solution solve returns
             particular = expected.subs({t: 0 for t in params})
-            assert x == tuple(_from_sympy(particular[j]) for j in range(m.cols))
+            assert x.entries == (tuple(_from_sympy(particular[j]) for j in range(m.cols)),)
+            solutions.append(x.entries[0])
             kinds.add("consistent")
+        # all right-hand sides at once: every solution, or None if any system is inconsistent
+        assert xs is None if "inconsistent" in kinds else xs.entries == tuple(solutions)
         outcomes |= kinds | ({"mixed"} if len(kinds) == 2 else set())
     assert outcomes == {"consistent", "inconsistent", "mixed"} and sizes == set(range(5))
 
@@ -219,6 +217,158 @@ def test_sums_and_scalings_equal_the_fraction_formulas(kind):
             assert all(type(x) is Fraction and gcd(x.numerator, x.denominator) == 1 for row in got.entries for x in row)
 
 
+class RefMatrix:
+    """The Fraction-entry matrix that the integer form replaced: entries stored as
+    Fractions and every operation an entrywise formula.  The reference for MatrixQ."""
+
+    def __init__(self, rows: int, cols: int, entries):
+        self.rows, self.cols = rows, cols
+        self.entries = tuple(tuple(Fraction(a) for a in r) for r in entries)
+
+    @staticmethod
+    def of(m: MatrixQ) -> "RefMatrix":
+        return RefMatrix(m.rows, m.cols, m.entries)
+
+    def __matmul__(self, other):
+        return RefMatrix(self.rows, other.cols, [[sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
+                                                     Fraction(0)) for j in range(other.cols)] for i in range(self.rows)])
+
+    def transpose(self):
+        return RefMatrix(self.cols, self.rows, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+
+    def combination(self, *terms):
+        """self's shape, entry (i, j) the sum of c M[i][j] over the terms (c, M)."""
+        return RefMatrix(self.rows, self.cols, [[sum((Fraction(c) * m.entries[i][j] for c, m in terms), Fraction(0))
+                                                 for j in range(self.cols)] for i in range(self.rows)])
+
+    def solve(self, bs):
+        """Row j solves self x = b_j with free variables 0, by Gauss-Jordan on [self | b_j]
+        in Fractions; None if any b_j is inconsistent."""
+        solutions = []
+        for b in bs.entries:
+            reduced, rk = _reference_rref(MatrixQ(self.rows, self.cols + 1, tuple(r + (c,) for r, c in zip(self.entries, b))))
+            x = [Fraction(0)] * self.cols
+            for row in reduced.entries[:rk]:
+                c = next(j for j, a in enumerate(row) if a)
+                if c == self.cols:
+                    return None
+                x[c] = row[self.cols]
+            solutions.append(x)
+        return RefMatrix(bs.rows, self.cols, solutions)
+
+
+def _assert_matches(got: MatrixQ, want: RefMatrix) -> None:
+    """got equals the reference, and is in the normal form: den > 0 sharing no factor with every entry."""
+    assert (got.rows, got.cols) == (want.rows, want.cols) and got.entries == want.entries
+    assert got.den > 0 and gcd(got.den, *(a for r in got.ints for a in r)) == 1
+    assert all(type(a) is int for r in got.ints for a in r)
+
+
+def _shape_pair(rng: random.Random, kind: str) -> tuple[int, int]:
+    if kind == "empty":
+        return (0, rng.randint(0, 4)) if rng.random() < 0.5 else (rng.randint(0, 4), 0)
+    return rng.randint(1, 5), rng.randint(1, 5)
+
+
+@pytest.mark.parametrize("kind", ["empty", "dense", "deficient", "huge"])
+def test_matrix_operations_equal_the_fraction_reference(kind):
+    rng = random.Random(f"reference-matrix-{kind}")
+    seen = set()
+    for _ in range(40):
+        rows, cols = _shape_pair(rng, kind)
+        a = _rand_matrix(rng, "dense" if kind == "empty" else kind, (rows, cols))
+        b, c = (_rand_matrix(rng, "dense" if kind == "empty" else kind, (rows, cols)) for _ in range(2))
+        inner = rng.randint(0, 4)
+        right = _rand_matrix(rng, "huge" if kind == "huge" else "dense", (cols, inner))
+        ra, rb, rc, rright = map(RefMatrix.of, (a, b, c, right))
+        k1, k3 = (_huge(rng) if kind == "huge" else _small(rng) for _ in range(2))
+        _assert_matches(a @ right, ra @ rright)
+        _assert_matches(a.transpose(), ra.transpose())
+        _assert_matches(a - b, ra.combination((1, ra), (-1, rb)))
+        _assert_matches(a.scale("-7/3"), ra.combination((Fraction(-7, 3), ra)))
+        _assert_matches(linear_combination((k1, a), (-2, b), (k3, c)), ra.combination((k1, ra), (-2, rb), (k3, rc)))
+        # right-hand sides in a's image, then one drawn at random (often inconsistent)
+        bs = MatrixQ.from_rows([a.matvec([_small(rng) for _ in range(cols)]) for _ in range(rng.randint(0, 3))], cols=rows)
+        _assert_matches(solve(a, bs), ra.solve(bs))
+        b_any = MatrixQ.from_rows([[_small(rng) for _ in range(rows)]], cols=rows)
+        expected = ra.solve(b_any)
+        seen.add("inconsistent" if expected is None else "consistent")
+        if expected is None:
+            assert solve(a, b_any) is None and solve(a, stack(bs, b_any)) is None
+        else:
+            _assert_matches(solve(a, b_any), expected)
+        if rows == cols:
+            seen.add("singular" if rank(a) < rows else "invertible")
+            if rank(a) < rows:
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(a)
+            else:
+                _assert_matches(inverse(a), ra.solve(RefMatrix.of(MatrixQ.identity(rows))).transpose())
+    assert {"consistent", "inconsistent", "invertible"} <= seen
+    assert kind in ("empty", "huge") or "singular" in seen
+
+
+@pytest.mark.parametrize("kind", ["edge", "small", "huge"])
+def test_subspace_basis_and_coordinates_equal_the_fraction_reference(kind):
+    rng = random.Random(f"reference-coordinates-{kind}")
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = _rand_rows(rng, kind, n)
+        s = Subspace.span(n, rows)
+        ref_basis = _ref_span(n, rows)
+        _assert_matches(s.basis, RefMatrix(len(ref_basis), n, ref_basis))
+        # coordinates of combinations of the basis are their coefficients; a row outside gives None
+        k = rng.randint(0, 3)
+        coeffs = RefMatrix(k, s.dim, [[_huge(rng) if kind == "huge" else _small(rng) for _ in range(s.dim)] for _ in range(k)])
+        inside = coeffs @ RefMatrix(len(ref_basis), n, ref_basis)
+        _assert_matches(s.coordinates_of_rows(MatrixQ(inside.rows, n, inside.entries)), coeffs)
+        v = tuple(_small(rng) for _ in range(n))
+        outside = len(_ref_span(n, list(ref_basis) + [v])) > len(ref_basis)
+        mixed = MatrixQ(inside.rows + 1, n, inside.entries + (v,))
+        assert (s.coordinates_of_rows(mixed) is None) == outside
+        seen.add(outside)
+    assert seen == {True, False}
+
+
+def test_products_whose_denominators_cancel_are_integer_matrices():
+    rng = random.Random("cancelling-products")
+    for _ in range(30):
+        q = rng.getrandbits(80) | 1 << 79
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = MatrixQ(n, k, tuple(tuple(Fraction(rng.randint(-9, 9), q) for _ in range(k)) for _ in range(n)))
+        b = MatrixQ(k, m, tuple(tuple(q * rng.randint(-9, 9) for _ in range(m)) for _ in range(k)))
+        product = a @ b
+        _assert_matches(product, RefMatrix.of(a) @ RefMatrix.of(b))
+        assert product.den == 1
+        square = _rand_matrix(rng, "huge", (n, n))
+        if rank(square) == n:
+            assert square @ inverse(square) == MatrixQ.identity(n) == inverse(square) @ square
+
+
+def test_equal_matrices_built_by_different_routes_are_equal_and_hash_equal():
+    rng = random.Random("routes")
+    for _ in range(40):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        m = _rand_matrix(rng, rng.choice(["dense", "huge"]), (rows, cols))
+        twice = m.scale(2)
+        routes = [
+            MatrixQ.from_rows([[str(a) for a in r] for r in m.entries], cols=cols),
+            m @ MatrixQ.identity(cols),
+            MatrixQ.identity(rows) @ m,
+            m.transpose().transpose(),
+            twice @ MatrixQ.identity(cols).scale(Fraction(1, 2)),
+            twice - m,
+            linear_combination((Fraction(1, 3), m), (Fraction(2, 3), m)),
+            -(-m),
+        ]
+        for other in routes:
+            assert other == m and hash(other) == hash(m)
+            assert (other.ints, other.den) == (m.ints, m.den)
+    assert MatrixQ.zeros(2, 3) == MatrixQ(2, 3, ((Fraction(0, 5),) * 3,) * 2) and MatrixQ.zeros(2, 3).den == 1
+    assert MatrixQ.zeros(0, 3) != MatrixQ.zeros(0, 2) and MatrixQ.zeros(3, 0) != MatrixQ.zeros(2, 0)
+
+
 def test_sums_refuse_mismatched_shapes():
     a, b = MatrixQ.zeros(2, 2), MatrixQ.zeros(2, 3)
     for combine in (lambda: a + b, lambda: b - a, lambda: linear_combination((1, a), (2, a), (1, b))):
@@ -254,8 +404,6 @@ def test_floats_are_refused_where_a_callers_vector_enters():
     line = Subspace.span(2, [[1, 0]])
     for call in (
         lambda: m.matvec((0.1, 0)),
-        lambda: solve(m, [(0.1, 0)]),
-        lambda: solve(m, [(1, 0), (0, 0.5)]),
         lambda: line.coordinates_of((0.5, 0.25)),
         lambda: line.coordinates_of((0.5, 0)),
         lambda: line.contains_vector((0, 0.5)),
@@ -263,8 +411,20 @@ def test_floats_are_refused_where_a_callers_vector_enters():
         with pytest.raises(TypeError, match=FLOAT_REFUSAL):
             call()
     # ints are exact, and still accepted
-    assert m.matvec((1, 0)) == (0, -1) and solve(m, [(1, 0)]) == ((0, 1),)
+    assert m.matvec((1, 0)) == (0, -1) and solve(m, MatrixQ.from_rows([(1, 0)])).entries == ((0, 1),)
     assert line.coordinates_of((3, 0)) == (3,)
+
+
+def test_a_float_entry_is_refused_when_the_matrix_is_built():
+    # the right-hand sides of solve are matrices, so their floats are refused here too
+    for build in (
+        lambda: MatrixQ(1, 2, ((0.1, 0),)),
+        lambda: MatrixQ(2, 2, ((Fraction(1), 0), (0, 0.5))),
+        lambda: MatrixQ.from_rows([[1, 0], [0.5, 0]]),
+        lambda: Subspace.span(2, [[0.5, 1]]),
+    ):
+        with pytest.raises(TypeError, match=FLOAT_REFUSAL):
+            build()
 
 
 def test_annihilator_is_built_once_per_subspace_without_a_reference_cycle():
@@ -336,8 +496,12 @@ def test_primal_dual_mix_rejected():
 
 def test_solve_consistent_and_inconsistent():
     m = MatrixQ.from_rows([[1, 1], [2, 2]])
-    assert solve(m, [(Fraction(1), Fraction(2)), (Fraction(1), Fraction(3))]) == ((Fraction(1), Fraction(0)), None)
-    assert solve(m, []) == ()
+    assert solve(m, MatrixQ.from_rows([(1, 2)])) == MatrixQ.from_rows([(1, 0)])
+    assert solve(m, MatrixQ.from_rows([(1, 3)])) is None
+    assert solve(m, MatrixQ.from_rows([(1, 2), (1, 3)])) is None
+    assert solve(m, MatrixQ.zeros(0, 2)) == MatrixQ.zeros(0, 2)
+    with pytest.raises(SpaceMismatchError, match="right-hand side length"):
+        solve(m, MatrixQ.zeros(1, 3))
 
 
 @settings(max_examples=150)
@@ -409,7 +573,7 @@ def _rand_rows(rng: random.Random, kind: str, n: int) -> list:
     if kind == "edge":  # the zero space, the full space, or repeated and zero rows
         choice = rng.randrange(3)
         if choice < 2:
-            return [] if choice == 0 else [list(e) for e in standard_basis(n)]
+            return [] if choice == 0 else [list(e) for e in MatrixQ.identity(n).entries]
         row = [entry(rng) for _ in range(n)]
         return [row, [Fraction(0)] * n, [3 * a for a in row]][: rng.randint(1, 3)]
     gens = [[entry(rng) for _ in range(n)] for _ in range(rng.randint(0, n))]
@@ -445,14 +609,16 @@ def test_subspace_calculus_equals_fraction_formulas(kind, pairs):
         # solve(basis^T, v); outside, None
         coeffs = [_small(rng) for _ in ref_a]
         inside = tuple(sum((c * r[j] for c, r in zip(coeffs, ref_a)), Fraction(0)) for j in range(n))
-        expected = solve(a.basis.transpose(), [inside])[0] if ref_a else ()
+        expected = solve(a.basis.transpose(), MatrixQ(1, n, (inside,))).entries[0] if ref_a else ()
         assert a.coordinates_of(inside) == tuple(coeffs) == expected and a.contains_vector(inside)
         v = tuple(_small(rng) for _ in range(n))
         v_inside = len(_ref_span(n, ref_a + (v,))) == len(ref_a)
         assert (a.coordinates_of(v) is not None) == v_inside == a.contains_vector(v)
         rows = [inside, v] if rng.random() < 0.5 else [v, inside]
-        assert a.coordinates_of_rows(rows) == (tuple(map(a.coordinates_of, rows)) if v_inside else None)
-        assert a.coordinates_of_rows([inside, inside]) == (tuple(coeffs),) * 2 and a.coordinates_of_rows([]) == ()
+        coords = a.coordinates_of_rows(MatrixQ(2, n, tuple(rows)))
+        assert (None if coords is None else coords.entries) == (tuple(map(a.coordinates_of, rows)) if v_inside else None)
+        assert a.coordinates_of_rows(MatrixQ(2, n, (inside, inside))).entries == (tuple(coeffs),) * 2
+        assert a.coordinates_of_rows(MatrixQ.zeros(0, n)) == MatrixQ.zeros(0, a.dim)
         # image under a map Q^n -> Q^t
         t = rng.randint(1, 5)
         m = MatrixQ(t, n, tuple(tuple(_small(rng) for _ in range(n)) for _ in range(t)))

@@ -26,7 +26,7 @@ from poisdirac.dirac_linear import DiracVS, as_bivector, characteristic, from_bi
 from poisdirac.embedding import DiracManifoldData, Section, build_embedding, pullback_canonical_form
 from poisdirac.errors import SpaceMismatchError
 from poisdirac.polynomials import Poly, PolyMap, ambient_variables, integer_rows_at, values_at
-from poisdirac.rational_linalg import MatrixQ, _scaled_row, inverse, primitive, standard_basis
+from poisdirac.rational_linalg import MatrixQ, _scaled_row, inverse, primitive
 from poisdirac.scenario import load_scenario_text
 from poisdirac.submanifolds import grid_points
 
@@ -49,7 +49,7 @@ def lifted_structure(d: DiracManifoldData, b, point) -> DiracVS:
     n = m + k
     pad = (Fraction(0),) * k
     rows = [r[:m] + pad + r[m:] + pad for r in d.dirac_at(point[:m]).span.basis.entries]
-    rows += [(Fraction(0),) * m + e + (Fraction(0),) * n for e in standard_basis(k)]
+    rows += [(Fraction(0),) * m + e + (Fraction(0),) * n for e in MatrixQ.identity(k).entries]
     return fraction_gauge(DiracVS.from_rows(n, rows), b.at(point))
 
 
