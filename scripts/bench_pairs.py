@@ -28,8 +28,12 @@ bound).  With
 metrics.  The output goes to BENCH_<label>.json at the root of this
 repository.  The script exits 1 after writing it if any run reported
 `correct: false` or failed operations, naming the workload, seed and side
-of each such run: a wrong run cannot back a claim.  Stopped by SIGTERM, it
-stops its running benchmark and removes both exports before it exits.
+of each such run: a wrong run cannot back a claim.  A run that exits
+non-zero or prints no result line is a wrong run too: the script runs
+nothing more, records it as `broken_run` (workload, seed, side, trace flag
+and exit code), writes the file of the runs so far and exits 1.  Stopped by
+SIGTERM, it stops its running benchmark and removes both exports before it
+exits.
 """
 
 from __future__ import annotations
@@ -72,12 +76,30 @@ def _export(rev: str, dest: Path) -> dict:
             "src": _git("rev-parse", f"{rev}:src")}
 
 
-def _run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench run; its last line of standard output is the JSON result."""
+def _run(checkout: Path, workload: str, seed: int, trace: int) -> tuple[int, dict | None]:
+    """One perfbench run: its exit code, and the JSON result on its last line of standard
+    output, or None if it exited non-zero or that line is no result."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        result = None
+    return proc.returncode, result if isinstance(result, dict) and "metrics" in result else None
+
+
+class BrokenRun(Exception):
+    """A run that gave no result: args[0] names it."""
+
+
+def _result(checkouts: dict, side: str, workload: str, seed: int, trace: int) -> dict:
+    """The result of one run on one side; BrokenRun if it gave none."""
+    code, result = _run(checkouts[side], workload, seed, trace)
+    if result is None:
+        raise BrokenRun({"workload": workload, "seed": seed, "side": side, "trace": trace, "exit_code": code})
+    return result
 
 
 def _spread(values: list[float]) -> dict:
@@ -116,12 +138,18 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def wrong_runs(report: dict) -> list[str]:
-    """'<workload> seed <N> <side>' for every run that was not correct or had failed operations."""
-    return [
+    """'<workload> seed <N> <side>' for every run that was not correct, had failed
+    operations or gave no result."""
+    wrong = [
         f"{workload} seed {pair['seed']} {side} (correct: {pair[f'{side}_correct']}, failed: {pair[f'{side}_failed']})"
         for workload, entry in report["workloads"].items() for pair in entry["pairs"] for side in SIDES
         if not pair[f"{side}_correct"] or pair[f"{side}_failed"] > 0
     ]
+    if "broken_run" in report:
+        run = report["broken_run"]
+        wrong.append(f"{run['workload']} seed {run['seed']} {run['side']} "
+                     f"(trace {run['trace']}: exit code {run['exit_code']}, no result line)")
+    return wrong
 
 
 def _terminate(signum, frame):
@@ -160,27 +188,31 @@ def main() -> int:
             "revisions": revisions,
             "workloads": {},
         }
-        for workload, seeds in zip(args.workload, seed_lists):
-            pairs = []
-            for i, seed in enumerate(seeds):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                runs = {side: _run(checkouts[side], workload, seed, 0) for side in order}
-                pair = {"seed": seed, "first": order[0]}
-                for side in SIDES:
-                    pair[side] = {name: m["value"] for name, m in runs[side]["metrics"].items()}
-                    pair[f"{side}_correct"] = runs[side]["correct"]
-                    pair[f"{side}_failed"] = runs[side]["failed"]
-                pairs.append(pair)
-                print(f"{workload} seed {seed}: ops_per_s {pair['parent']['ops_per_s']:.2f} -> "
-                      f"{pair['change']['ops_per_s']:.2f}", file=sys.stderr)
-            entry = {"pairs": pairs, "summary": summarize(pairs, contract["end_to_end"])}
-            if args.trace_seed is not None:
-                entry["traced"] = {
-                    side: {"seed": args.trace_seed, **{name: m["value"] for name, m in
-                           _run(checkouts[side], workload, args.trace_seed, 1)["metrics"].items()}}
-                    for side in SIDES
-                }
-            report["workloads"][workload] = entry
+        try:
+            for workload, seeds in zip(args.workload, seed_lists):
+                entry = report["workloads"][workload] = {"pairs": []}
+                for i, seed in enumerate(seeds):
+                    order = SIDES if i % 2 == 0 else SIDES[::-1]
+                    runs = {side: _result(checkouts, side, workload, seed, 0) for side in order}
+                    pair = {"seed": seed, "first": order[0]}
+                    for side in SIDES:
+                        pair[side] = {name: m["value"] for name, m in runs[side]["metrics"].items()}
+                        pair[f"{side}_correct"] = runs[side]["correct"]
+                        pair[f"{side}_failed"] = runs[side]["failed"]
+                    entry["pairs"].append(pair)
+                    print(f"{workload} seed {seed}: ops_per_s {pair['parent']['ops_per_s']:.2f} -> "
+                          f"{pair['change']['ops_per_s']:.2f}", file=sys.stderr)
+                if args.trace_seed is not None:
+                    entry["traced"] = {
+                        side: {"seed": args.trace_seed, **{name: m["value"] for name, m in
+                               _result(checkouts, side, workload, args.trace_seed, 1)["metrics"].items()}}
+                        for side in SIDES
+                    }
+        except BrokenRun as exc:
+            report["broken_run"] = exc.args[0]
+        for entry in report["workloads"].values():
+            if entry["pairs"]:
+                entry["summary"] = summarize(entry["pairs"], contract["end_to_end"])
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out)

@@ -194,4 +194,4 @@ def verify_split_form(pi: BivectorField, k: int) -> bool:
         if any(pi.entries[i][j] != (one if i < k and j == i + k else zero) for j in range(i + 1, n)):
             return False
     y_block = (pi.entries[i][j] for i in range(2 * k, n) for j in range(2 * k, n))
-    return all(e[t] == 0 for entry in y_block for e, _ in entry.terms for t in range(2 * k))
+    return all(e[t] == 0 for entry in y_block for e, _ in entry.nums for t in range(2 * k))

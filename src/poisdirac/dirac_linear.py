@@ -49,11 +49,6 @@ class DiracVS:
                 if pairing(rows[i], rows[j], n) != 0:
                     raise PreconditionError("span is not isotropic for the symmetric pairing")
 
-    @staticmethod
-    def from_rows(ambient_dim: int, rows: Sequence[Sequence[Fraction]]) -> DiracVS:
-        """The span of rows (X | xi) of Fractions, ints or 'p/q' strings."""
-        return DiracVS(ambient_dim, Subspace.span(2 * ambient_dim, rows))
-
 
 def _span_pairs(vectors: MatrixQ, covectors: MatrixQ) -> DiracVS:
     """The Dirac structure spanned by the rows (X_i | xi_i) of two matrices with as many rows."""

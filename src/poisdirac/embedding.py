@@ -137,9 +137,10 @@ def total_space_variables(d: DiracManifoldData) -> tuple[str, ...]:
 
 
 def _lift(poly: Poly, total_vars: tuple[str, ...]) -> Poly:
-    """Reinterpret a base polynomial in the total-space variable context."""
-    pad = len(total_vars) - len(poly.variables)
-    return Poly.make(total_vars, {e + (0,) * pad: c for e, c in poly.terms})
+    """Reinterpret a base polynomial in the total-space variable context; zeros appended
+    to every exponent keep the grlex order."""
+    pad = (0,) * (len(total_vars) - len(poly.variables))
+    return Poly(total_vars, tuple((e + pad, n) for e, n in poly.nums), poly.den)
 
 
 def pullback_canonical_one_form(d: DiracManifoldData) -> tuple[Poly, ...]:

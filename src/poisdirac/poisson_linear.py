@@ -322,8 +322,10 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     # normalize the pairing Omega(f_J, e_I) = delta_IJ, then flatten to a Lagrangian
     w = inverse(leaf_form_gram(p, w0, e.basis)) @ w0
     f = linear_combination((1, w), (Fraction(1, 2), leaf_form_gram(p, w, w) @ e.basis))
-    # Omega(f_i, f_j) must vanish and Omega(f_i, e_j) must be delta_ij
-    checks = leaf_form_gram(p, f, stack(f, e.basis))
+    # Omega(f_i, f_j) must vanish and Omega(f_i, e_j) must be delta_ij: the first k rows of
+    # the Gram of (f, e) with itself, so that each row is solved once
+    fe = stack(f, e.basis)
+    checks = leaf_form_gram(p, fe, fe)[:k, :]
     for i, row in enumerate(checks.ints):
         if any(row[:k]):
             raise PropertyViolationError("Lagrangian correction failed")

@@ -1,9 +1,10 @@
 """Multivariate polynomial algebra over Q.
 
-Polynomials are term maps from exponent vectors to nonzero Fraction
-coefficients, over an explicit ordered variable context.  Arithmetic,
-partial derivatives, evaluation at rational points, and composition
-are all exact; printing and parsing use one fixed grammar:
+One number form, as for `MatrixQ`: a polynomial stores integer numerators,
+(exponent vector, nonzero int) pairs over an explicit ordered variable context,
+over one positive denominator, reduced so that equal polynomials have equal
+fields.  Arithmetic, partial derivatives, evaluation at rational points, and
+composition are all exact; printing and parsing use one fixed grammar:
 
     terms joined by '+' and '-', coefficients as integers or 'p/q',
     variables like x1, t2, p1, y3, exponents via '^', products via '*',
@@ -11,16 +12,18 @@ are all exact; printing and parsing use one fixed grammar:
     most MAX_EXPONENT.
 
 Terms are kept in graded-lexicographic order, so equal polynomials
-print identically.
+print identically.  `terms`, the Fraction view, is built only where it is
+read: printing, `constant_value` and outside readers.
 
-There is one product kernel, `sum_of_products`: every product of term
-maps multiplies integer numerators over one common denominator into one
-term map, and makes one Fraction per output term.  Arithmetic results are
-well formed by construction and are built without re-validation; parsing
-and the public constructors (`make`, `parse`, `constant`, `variable`)
-keep every check.  Text and point values meet integers without a Fraction
-per entry: `parse` sums coefficients on integers, and `integer_rows_at`, the
-one point evaluator, gives each row of a grid as integers over one denominator.
+Every operation goes from integers to integers: sums, scaling, partial
+derivatives, substitution and parsing make no Fraction per term, and there
+is one product kernel, `sum_of_products`, which multiplies numerators over
+one common denominator.  Caller coefficients (`make`, `constant`) and points
+become integers, and floats are refused, only in `rational_linalg._scaled_row`.
+Arithmetic results are well formed by construction and are built without
+re-validation; parsing and the public constructors (`make`, `parse`,
+`constant`, `variable`) keep every check.  `integer_rows_at`, the one point
+evaluator, gives each row of a grid as integers over one denominator.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, SpaceMismatchError
-from .rational_linalg import MatrixQ, Vector, check_digits, rat
+from .rational_linalg import MatrixQ, Vector, _scaled_row, check_digits
 
 _VAR_RE = re.compile(r"[a-zA-Z]+[0-9]+")
 _TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|[a-zA-Z]+[0-9]+|[0-9]+(?:/[0-9]+)?)")
@@ -46,63 +49,67 @@ _TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|[a-zA-Z]+[0-9]+|[0-9]+(?:/[0-9]+)?)")
 MAX_EXPONENT = 32
 
 
-def _ordered(variables: tuple[str, ...], terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> Poly:
-    """Poly of well-formed terms (nonzero Fractions), put in grlex order without re-validation."""
-    return Poly(variables, tuple(sorted(terms, key=lambda t: (sum(t[0]), t[0]), reverse=True)))
+def _ordered(variables: tuple[str, ...], nums: Iterable[tuple[tuple[int, ...], int]], den: int) -> Poly:
+    """Poly of (exponent, nonzero int) pairs over den > 0, put in grlex order and divided by
+    the gcd of den and every numerator, without re-validation."""
+    nums = sorted(nums, key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    if den != 1 and (g := gcd(den, *(n for _, n in nums))) > 1:
+        nums, den = [(e, n // g) for e, n in nums], den // g
+    return Poly(variables, tuple(nums), den)
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial over Q in an ordered tuple of named variables."""
+    """Polynomial over Q in an ordered tuple of named variables: the integer numerators
+    `nums`, (exponent, nonzero int) pairs in grlex order, over one positive `den`, with
+    no factor above 1 common to den and every numerator, so equal polynomials have equal
+    fields.  `terms`, the Fraction view, is built on first read."""
 
     variables: tuple[str, ...]
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    nums: tuple[tuple[tuple[int, ...], int], ...]
+    den: int
 
     @staticmethod
-    def make(variables: Sequence[str], terms: Mapping[tuple[int, ...], Fraction]) -> Poly:
+    def make(variables: Sequence[str], terms: Mapping[tuple[int, ...], int | str | Fraction]) -> Poly:
+        """The polynomial of a term map; a float coefficient raises rat's TypeError."""
         variables = tuple(variables)
-        cleaned = {tuple(e): Fraction(c) for e, c in terms.items() if c != 0}
-        for e in cleaned:
+        nums, den = _scaled_row(list(terms.values()))
+        pairs = [(tuple(e), n) for e, n in zip(terms, nums) if n]
+        for e, _ in pairs:
             if len(e) != len(variables) or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent vector {e} for variables {variables}")
-        return _ordered(variables, cleaned.items())
+        return _ordered(variables, pairs, den)
 
     @staticmethod
     def zero(variables: Sequence[str]) -> Poly:
-        return Poly.make(variables, {})
+        return Poly(tuple(variables), (), 1)
 
     @staticmethod
     def constant(variables: Sequence[str], c: int | str | Fraction) -> Poly:
-        n = len(variables)
-        return Poly.make(variables, {(0,) * n: rat(c)})
+        return Poly.make(variables, {(0,) * len(variables): c})
 
     @staticmethod
     def variable(variables: Sequence[str], name: str) -> Poly:
         variables = tuple(variables)
         if name not in variables:
             raise ValueError(f"unknown variable {name!r} (context: {variables})")
-        e = tuple(1 if v == name else 0 for v in variables)
-        return Poly.make(variables, {e: Fraction(1)})
+        return Poly(variables, ((tuple(int(v == name) for v in variables), 1),), 1)
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
-        """(d, ((e, d * c), ...)) with d the lcm of the coefficient denominators."""
-        d = lcm(*(c.denominator for _, c in self.terms))
-        return d, tuple((e, c.numerator * (d // c.denominator)) for e, c in self.terms)
-
-    def term_map(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.terms)
+    def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        """The (exponent, Fraction coefficient) pairs in grlex order."""
+        return tuple((e, Fraction(n, self.den)) for e, n in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e, _ in self.terms)
+        return all(sum(e) == 0 for e, _ in self.nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms[0][1] if self.terms else Fraction(0)
+        return self.terms[0][1] if self.nums else Fraction(0)
 
     def _check_context(self, other: Poly) -> None:
         if self.variables != other.variables:
@@ -110,13 +117,15 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         self._check_context(other)
-        out = self.term_map()
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return _ordered(self.variables, ((e, c) for e, c in out.items() if c))
+        big = lcm(self.den, other.den)
+        fa, fb = big // self.den, big // other.den
+        out = {e: n * fa for e, n in self.nums}
+        for e, n in other.nums:
+            out[e] = out.get(e, 0) + n * fb
+        return _ordered(self.variables, [(e, n) for e, n in out.items() if n], big)
 
     def __neg__(self) -> Poly:
-        return Poly(self.variables, tuple((e, -c) for e, c in self.terms))
+        return Poly(self.variables, tuple((e, -n) for e, n in self.nums), self.den)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -126,8 +135,8 @@ class Poly:
         return sum_of_products(self.variables, ((self, other),))
 
     def scale(self, c: int | str | Fraction) -> Poly:
-        c = rat(c)
-        return _ordered(self.variables, ((e, c * coeff) for e, coeff in self.terms if c))
+        (p,), q = _scaled_row((c,))
+        return _ordered(self.variables, [(e, n * p) for e, n in self.nums if p], self.den * q)
 
     def __pow__(self, k: int) -> Poly:
         if k < 0:
@@ -140,9 +149,9 @@ class Poly:
             raise ValueError(f"unknown variable {var!r} (context: {self.variables})")
         idx = self.variables.index(var)
         # distinct terms have distinct derivatives, so nothing accumulates
-        return _ordered(self.variables, (
-            (tuple(k - 1 if i == idx else k for i, k in enumerate(e)), c * e[idx]) for e, c in self.terms if e[idx]
-        ))
+        return _ordered(self.variables, [
+            (tuple(k - 1 if i == idx else k for i, k in enumerate(e)), n * e[idx]) for e, n in self.nums if e[idx]
+        ], self.den)
 
     @cached_property
     def gradient(self) -> tuple[Poly, ...]:
@@ -163,13 +172,15 @@ class Poly:
             raise SpaceMismatchError("substitution polynomials must share one variable context")
         target_vars = next(iter(contexts))
         one, factors = Poly.constant(target_vars, 1), [values[v] for v in self.variables]
+        constant = (0,) * len(target_vars)
         return sum_of_products(target_vars, (
-            (Poly.constant(target_vars, c), prod((f for f, k in zip(factors, e) for _ in range(k)), start=one))
-            for e, c in self.terms
+            (_ordered(target_vars, ((constant, n),), self.den),
+             prod((f for f, k in zip(factors, e) for _ in range(k)), start=one))
+            for e, n in self.nums
         ))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         pieces: list[str] = []
         for n, (e, c) in enumerate(self.terms):
@@ -193,12 +204,13 @@ class Poly:
 
     @staticmethod
     def parse(text: str, variables: Sequence[str]) -> Poly:
-        """Parse the term grammar; rejects anything outside it.  One Fraction per monomial."""
+        """Parse the term grammar; rejects anything outside it.  Sums on integers over the
+        lcm of the term denominators."""
         variables = tuple(variables)
         tokens = _tokenize(text)
         if not tokens:
             raise ValueError("empty polynomial string")
-        out: dict[tuple[int, ...], tuple[int, int]] = {}
+        terms: list[tuple[tuple[int, ...], int, int]] = []
         pos = 0
         sign = 1
         if tokens[pos] in ("+", "-"):
@@ -206,15 +218,18 @@ class Poly:
             pos += 1
         while True:
             num, den, e, pos = _parse_term(tokens, pos, variables)
-            n, d = out.get(e, (0, 1))
-            out[e] = (n * den + sign * num * d, d * den)
+            terms.append((e, sign * num, den))
             if pos == len(tokens):
                 break
             if tokens[pos] not in ("+", "-"):
                 raise ValueError(f"expected '+' or '-' at token {pos} of {text!r}")
             sign = -1 if tokens[pos] == "-" else 1
             pos += 1
-        return _ordered(variables, ((e, Fraction(n, d)) for e, (n, d) in out.items() if n))
+        big = lcm(*(d for _, _, d in terms))
+        out: dict[tuple[int, ...], int] = {}
+        for e, n, d in terms:
+            out[e] = out.get(e, 0) + n * (big // d)
+        return _ordered(variables, [(e, n) for e, n in out.items() if n], big)
 
 
 def sum_of_products(variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
@@ -223,43 +238,41 @@ def sum_of_products(variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]
     numerators A, B, and L the lcm of da * db over the pairs, it accumulates the
     integers A * (L // (da * db)) * B into one map and divides by L once per term."""
     variables = tuple(variables)
-    scaled = []
+    nonzero = []
     for a, b in pairs:
         if not a.variables == b.variables == variables:
             raise SpaceMismatchError(f"product of {a.variables} and {b.variables} in the context {variables}")
-        if a.terms and b.terms:
-            scaled.append((a._scaled, b._scaled))
-    big = lcm(*(da * db for (da, _), (db, _) in scaled))
+        if a.nums and b.nums:
+            nonzero.append((a, b))
+    big = lcm(*(a.den * b.den for a, b in nonzero))
     out: dict[tuple[int, ...], int] = {}
-    for (da, ta), (db, tb) in scaled:
-        factor = big // (da * db)
-        for e1, n1 in ta:
+    for a, b in nonzero:
+        factor, tb = big // (a.den * b.den), b.nums
+        for e1, n1 in a.nums:
             n1 *= factor
             for e2, n2 in tb:
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + n1 * n2
-    return _ordered(variables, ((e, Fraction(n, big)) for e, n in out.items() if n))
+    return _ordered(variables, [(e, n) for e, n in out.items() if n], big)
 
 
 def integer_rows_at(grid: Iterable[Sequence[Poly]], point: Sequence[Fraction]) -> list[tuple[list[int], int]]:
     """Every polynomial of a grid at one point, row by row, as (integer numerators, common
-    denominator): the one point evaluator.  The point is coerced by `rat` and put over one
-    common denominator once, x = P / q.  On the integer views (d_j, n_e) of a row of total
-    degree at most D, entry j is (L // d_j) sum n_e P^e q^(D - |e|) over L q^D, L = lcm d_j."""
-    ratios = [rat(x).as_integer_ratio() for x in point]
-    q = lcm(*(b for _, b in ratios))
-    nums = [a * (q // b) for a, b in ratios]
+    denominator): the one point evaluator.  The point becomes integers over one common
+    denominator once, x = P / q, by `_scaled_row`.  For the polynomials N_j / d_j of a row
+    of total degree at most D, entry j is (L // d_j) sum n_e P^e q^(D - |e|) over L q^D,
+    L = lcm d_j, the sum over the terms (e, n_e) of N_j."""
+    xs, q = _scaled_row(point)
     out = []
     for row in grid:
         for poly in row:
-            if len(poly.variables) != len(nums):
-                raise SpaceMismatchError(f"point length {len(nums)} != variable count {len(poly.variables)}")
-        views = [poly._scaled for poly in row]
-        big = lcm(*(d for d, _ in views))
-        top = max((sum(terms[0][0]) for _, terms in views if terms), default=0)
+            if len(poly.variables) != len(xs):
+                raise SpaceMismatchError(f"point length {len(xs)} != variable count {len(poly.variables)}")
+        big = lcm(*(poly.den for poly in row))
+        top = max((sum(poly.nums[0][0]) for poly in row if poly.nums), default=0)
         out.append(([
-            big // d * sum(n * q ** (top - sum(e)) * prod(map(pow, nums, e)) for e, n in terms)
-            for d, terms in views
+            big // poly.den * sum(n * q ** (top - sum(e)) * prod(map(pow, xs, e)) for e, n in poly.nums)
+            for poly in row
         ], big * q ** top))
     return out
 

@@ -10,10 +10,12 @@ reduced so that equal matrices have equal fields, and a Subspace its reduced
 rows as primitive integer rows.  All elimination is one fraction-free
 Gauss-Jordan loop on such rows, and products, sums, `solve` and coordinates
 in a subspace go from integer rows to integer rows.  Fractions are made only
-where a caller reads them (`entries`, `matvec`, indexing); caller values become
-integers, and floats are refused, only at the boundary (`MatrixQ(...)`,
-`from_rows`, `Subspace.span`, caller vectors).  `solve` takes every right-hand
-side at once in one elimination; `inverse` is its identity case.
+where a caller reads them (`entries`, `matvec`, indexing).  Caller numbers
+become integers, and floats are refused, in one place, `_scaled_row`, which
+runs only at the boundary: `MatrixQ(...)`, `from_rows`, `Subspace.span`, the
+vector of `matvec`, and in `polynomials` the coefficients of `Poly.make` and
+the point of `integer_rows_at`.  `solve` takes every right-hand side at once
+in one elimination; `inverse` is its identity case.
 
 Subspaces carry a primal/dual tag: annihilators land in the dual
 space and mixing the two ambients raises, which catches the classic
@@ -65,19 +67,17 @@ def check_digits(text: str) -> None:
         raise ValueError(f"rational has a numerator or denominator of more than {MAX_DIGITS} digits")
 
 
-def vec(values: Iterable[int | str | Fraction]) -> Vector:
-    return tuple(rat(v) for v in values)
-
-
 def fmt_point(point: Sequence[Fraction]) -> str:
     """A point as '(p/q, ...)': the one format for points in reports and diagnostics."""
     return "(" + ", ".join(str(x) for x in point) + ")"
 
 
-def _scaled_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, d) with row = ints / d and d the lcm of the denominators.  A float,
-    which as_integer_ratio would read as a binary fraction, raises rat's TypeError."""
-    ratios = [rat(a) if isinstance(a, float) else a.as_integer_ratio() for a in row]
+def _scaled_row(row: Sequence[int | str | Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with row = ints / d and d the lcm of the denominators: the one place
+    where caller numbers become integers.  Anything but an int or a Fraction goes
+    through `rat`, so a 'p/q' string is read and a float, which as_integer_ratio
+    would read as a binary fraction, raises rat's TypeError."""
+    ratios = [(a if isinstance(a, (int, Fraction)) else rat(a)).as_integer_ratio() for a in row]
     d = lcm(*(q for _, q in ratios))
     return [p * (d // q) for p, q in ratios], d
 
@@ -100,7 +100,7 @@ class MatrixQ:
     den: int
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[Fraction]]) -> None:
-        """The matrix of a grid of Fractions or ints; a float raises rat's TypeError."""
+        """The matrix of a grid of Fractions, ints or 'p/q' strings; a float raises rat's TypeError."""
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
         flat, d = _scaled_row([a for r in entries for a in r])
@@ -134,10 +134,9 @@ class MatrixQ:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]], cols: int | None = None) -> MatrixQ:
-        data = tuple(vec(r) for r in rows)
-        if not data and cols is None:
+        if not rows and cols is None:
             raise ValueError("cannot infer column count of an empty matrix")
-        return MatrixQ(len(data), len(data[0]) if data else cols, data)
+        return MatrixQ(len(rows), len(rows[0]) if rows else cols, rows)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> MatrixQ:
@@ -159,9 +158,6 @@ class MatrixQ:
         if isinstance(i, slice):
             return MatrixQ._of(len(range(self.cols)[j]), (r[j] for r in self.ints[i]), self.den)
         return self.entries[i][j]
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> MatrixQ:
         return MatrixQ._of(self.rows, tuple(zip(*self.ints)) or ((),) * self.cols, self.den)
@@ -255,17 +251,6 @@ def _eliminate(work: list, n_cols: int) -> list[int]:
         if work[r][c] < 0:
             work[r] = [-a for a in work[r]]
     return pivots
-
-
-def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
-    """Reduced row echelon form and rank.  Deterministic, exact: the basis of
-    the row space, padded with zero rows."""
-    s = _row_space(m)
-    return stack(s.basis, MatrixQ.zeros(m.rows - s.dim, m.cols)), s.dim
-
-
-def rank(m: MatrixQ) -> int:
-    return _row_space(m).dim
 
 
 def _pivots(rows: Sequence[Sequence]) -> list[int]:
@@ -373,14 +358,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        return self.coordinates_of(v) is not None
-
-    def coordinates_of(self, v: Sequence[Fraction]) -> Vector | None:
-        """`coordinates_of_rows` of one caller vector, or None if v is outside."""
-        coords = self.coordinates_of_rows(MatrixQ(1, len(v), (v,)))
-        return None if coords is None else coords.entries[0]
 
     def coordinates_of_rows(self, m: MatrixQ) -> MatrixQ | None:
         """The coordinates of each row of m in the canonical basis (its entries at the

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from poisdirac.poisson_linear import PoissonVS, cosymplectic_extension, sharp_image
 from poisdirac.polynomials import Poly, PolyMap, compose_map
-from poisdirac.rational_linalg import MatrixQ, Subspace, annihilator
+from poisdirac.rational_linalg import MatrixQ, Subspace, annihilator, column_space, contains
 from poisdirac.rational_linalg import add as subspace_add
 
 
@@ -63,9 +63,10 @@ def rand_complement_extension(rng: random.Random, p: PoissonVS, c: Subspace) -> 
     while current.dim < p.dim:
         guard += 1
         v = tuple(rand_fraction(rng) for _ in range(p.dim)) if guard < 50 else MatrixQ.identity(p.dim).entries[guard % p.dim]
-        if not current.contains_vector(v):
-            current = subspace_add(current, Subspace.span(p.dim, [v]))
-            w = subspace_add(w, Subspace.span(p.dim, [v]))
+        line = Subspace.span(p.dim, [v])
+        if not contains(current, line):
+            current = subspace_add(current, line)
+            w = subspace_add(w, line)
     return w
 
 
@@ -114,11 +115,9 @@ def rand_dirac_form_data(rng: random.Random, n: int) -> tuple[Subspace, MatrixQ]
 
 
 def rand_invertible(rng: random.Random, n: int, height: int = 2) -> MatrixQ:
-    from poisdirac.rational_linalg import rank
-
     while True:
         m = rand_matrix(rng, n, n, height)
-        if rank(m) == n:
+        if column_space(m).dim == n:
             return m
 
 

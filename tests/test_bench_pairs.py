@@ -1,5 +1,6 @@
-"""scripts/bench_pairs.py names every run that cannot back a claim, judges each metric by
-the claim rule and by its bound, and leaves no export behind."""
+"""scripts/bench_pairs.py names every run that cannot back a claim, writes the runs so far
+when a run gives no result, judges each metric by the claim rule and by its bound, and
+leaves no export behind."""
 
 import importlib.util
 import json
@@ -115,6 +116,54 @@ def test_a_bad_seeds_value_exits_2_before_anything_runs(tmp_path, bad):
     assert "--seeds" in proc.stderr and "Traceback" not in proc.stderr
     assert not proc.stdout and list(tmp_path.iterdir()) == []
     assert not (SCRIPT.parents[1] / f"BENCH_{label}.json").exists()
+
+
+@pytest.mark.parametrize("script, code, has_result", [
+    ("print('{\"correct\": true, \"failed\": 0, \"metrics\": {}}')", 0, True),
+    ("print('{\"correct\": true, \"failed\": 0, \"metrics\": {}}'); raise SystemExit(1)", 1, False),
+    ("raise SystemExit(3)", 3, False),
+    ("print('report'); print('[]')", 0, False),
+    ("print('{\"correct\": tr')", 0, False),
+    ("pass", 0, False),
+], ids=["result", "result then exit 1", "exit 3", "no JSON object", "cut JSON", "no output"])
+def test_a_run_gives_its_exit_code_and_a_result_only_if_it_printed_one(tmp_path, script, code, has_result):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(script + "\n", encoding="utf-8")
+    got_code, result = bench_pairs._run(tmp_path, "linear_iso", 1, 0)
+    assert got_code == code and (result is not None) == has_result
+
+
+def test_a_run_without_a_result_is_a_wrong_run_and_the_runs_so_far_are_written(tmp_path, monkeypatch, capsys):
+    contract = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    good = {"correct": True, "failed": 0, "metrics": {m["name"]: {"value": 1.0} for m in contract["end_to_end"]}}
+    calls = []
+
+    def fake_run(checkout, workload, seed, trace):
+        calls.append((workload, seed, checkout.name))
+        return (1, None) if (workload, seed, checkout.name) == ("symbolic", 3, "change") else (0, good)
+
+    def fake_export(rev, dest):
+        (dest / "BENCHMARK.json").write_text(json.dumps(contract), encoding="utf-8")
+        return {"rev": rev}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.setattr(bench_pairs, "_export", fake_export)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "A", "--change", "B", "--label", "cut",
+                                      "--workload", "linear_iso", "--seeds", "1-2",
+                                      "--workload", "symbolic", "--seeds", "3-4", "--workload", "embed_cli", "--seeds", "5"])
+    assert bench_pairs.main() == 1
+    # seed 3 ran its parent first; nothing runs after the broken run
+    assert calls[-2:] == [("symbolic", 3, "parent"), ("symbolic", 3, "change")] and len(calls) == 6
+    report = json.loads((tmp_path / "BENCH_cut.json").read_text(encoding="utf-8"))
+    assert report["broken_run"] == {"workload": "symbolic", "seed": 3, "side": "change", "trace": 0, "exit_code": 1}
+    assert [p["seed"] for p in report["workloads"]["linear_iso"]["pairs"]] == [1, 2]
+    assert report["workloads"]["linear_iso"]["summary"]["ops_per_s"]["pairs"] == 2
+    assert report["workloads"]["symbolic"] == {"pairs": []} and "embed_cli" not in report["workloads"]
+    err = capsys.readouterr().err
+    assert "wrong run: symbolic seed 3 change (trace 0: exit code 1, no result line)" in err
+    assert "Traceback" not in err
 
 
 def _in_git_checkout() -> bool:

@@ -2,8 +2,9 @@
 built at most once per (PoissonVS, subspaces), whoever asks for it, a fresh
 classification runs four eliminations, each annihilator is built once per
 subspace, each linear system with many right-hand sides is solved in one
-elimination, each inverse once, each partial derivative is derived once
-per polynomial, and the linear constructions split no Fraction row into integers.
+elimination, a splitting solves each leaf-form vector once, each inverse
+once, each partial derivative is derived once per polynomial, and the
+linear constructions split no Fraction row into integers.
 
 Builds are counted, not calls: a profile hook counts every run of a
 build function's own body, which a cached call never reaches.
@@ -100,9 +101,10 @@ def test_counting_sees_a_second_build():
 
 
 @contextmanager
-def counted_solves():
-    """Counter of runs of `solve`'s body, keyed by the name of the function
-    that called it (a comprehension counts as the function it sits in)."""
+def counted_solves(weight=lambda frame: 1):
+    """Counter of runs of `solve`'s body, each counted as weight(its frame), once by
+    default, keyed by the name of the function that called it (a comprehension
+    counts as the function it sits in)."""
     solves = Counter()
 
     def profile(frame, event, arg):
@@ -110,7 +112,7 @@ def counted_solves():
             caller = frame.f_back
             while caller.f_code.co_name.startswith("<"):
                 caller = caller.f_back
-            solves[caller.f_code.co_name] += 1
+            solves[caller.f_code.co_name] += weight(frame)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -268,6 +270,15 @@ def test_linear_constructions_split_no_fraction_rows(construction):
     with counted_runs(_scaled_row) as runs:
         SCALED_ROW_CASES[construction]()
     assert runs == [0]
+
+
+def test_a_splitting_solves_each_leaf_form_vector_once():
+    # with k = dim e = 2, the right-hand sides leaf_form_gram solves are 2k to pair w0 with e,
+    # k for the Lagrangian correction of w, and 2k to check f against (f, e) with itself;
+    # the check that paired f with the stack (f, e) solved f twice, 12 in all
+    with counted_solves(lambda frame: frame.f_locals["bs"].rows) as right_hand_sides:
+        splitting = coisotropic_splitting(PoissonVS(P5.dim, P5.pi), _fresh(M3))
+    assert splitting.e.dim == 2 and right_hand_sides["leaf_form_gram"] == 10
 
 
 def test_counting_sees_a_fraction_row_split():

@@ -265,7 +265,7 @@ class TestLeafForm:
             gram = self.assert_gram_is_the_reference(p, xs, ys)
             assert gram_rows(p, ys, xs) == tuple(tuple(-a for a in col) for col in zip(*gram))
             off = next(e for e in ((1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2), (0, 0, 1) + (0,) * (n - 3))
-                       if not p.leaf().contains_vector(e))
+                       if p.leaf().coordinates_of_rows(MatrixQ.from_rows([e])) is None)
             for bad in (([off], ys), (xs, ys + [off])):
                 with pytest.raises(PreconditionError, match="only defined on the image of sharp"):
                     gram_rows(p, *bad)
@@ -314,8 +314,8 @@ class TestCanonicalIso:
             phi = canonical_iso(p, c, v, w)
             pv, pw = induced_bivector(p, v), induced_bivector(p, w)
             assert phi @ pv.pi @ phi.transpose() == pw.pi
-            for row in c.basis.entries:
-                assert phi.matvec(v.coordinates_of(row)) == w.coordinates_of(row)
+            for x, y in zip(v.coordinates_of_rows(c.basis).entries, w.coordinates_of_rows(c.basis).entries):
+                assert phi.matvec(x) == y
             done += 1
 
     def test_each_classification_and_induced_bivector_is_computed_once(self, monkeypatch):
@@ -412,7 +412,6 @@ class TestUniquenessIso:
         rng = random.Random(99)
         from gen import rand_fraction, rand_minimal_coisotropic_pair
         from poisdirac.poisson_linear import greedy_complement, sharp_image
-        from poisdirac.rational_linalg import rank
 
         for _ in range(30):
             p1, m = rand_minimal_coisotropic_pair(rng)
@@ -429,7 +428,7 @@ class TestUniquenessIso:
                     for j in range(m.dim, n):
                         s_rows[i][j] = rand_fraction(rng) if i != j else Fraction(1) + rand_fraction(rng)
                 s_adapted = MatrixQ(n, n, tuple(tuple(r) for r in s_rows))
-                if rank(s_adapted) == n:
+                if Subspace.span(n, s_adapted.entries).dim == n:
                     break
             from poisdirac.rational_linalg import inverse as inv
 

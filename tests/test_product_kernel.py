@@ -208,7 +208,12 @@ def reference_sum_of_products(variables, pairs) -> Poly:
 
 
 def assert_canonical(p: Poly) -> None:
-    """Nonzero Fractions in lowest terms, in strictly descending grlex order."""
+    """Nonzero integer numerators over one positive denominator that shares no factor with
+    all of them, whose Fraction view holds nonzero Fractions in lowest terms, in strictly
+    descending grlex order."""
+    assert type(p.den) is int and p.den > 0 and gcd(p.den, *(n for _, n in p.nums)) == 1
+    assert all(type(n) is int and n for _, n in p.nums)
+    assert p.terms == tuple((e, Fraction(n, p.den)) for e, n in p.nums)
     for e, c in p.terms:
         assert type(c) is Fraction and c != 0
         assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
@@ -263,20 +268,63 @@ def test_arithmetic_results_are_canonical(seed):
     for p in (a + b, a - b, a - a, -a, a.scale(Fraction(-3, 11)), a.scale(0), a.partial("x2"), a ** 2,
               a.substitute({v: b for v in X3})):
         assert_canonical(p)
-        assert p == Poly.make(X3, p.term_map())
+        assert p == Poly.make(X3, dict(p.terms))
 
 
-def test_a_poly_whose_integer_view_was_computed_is_equal_to_a_fresh_one():
-    rng = random.Random("integer-view")
+def test_a_poly_whose_fraction_view_was_read_is_equal_to_a_fresh_one():
+    rng = random.Random("fraction-view")
     a, b = mixed_poly(rng, X3, terms=4), mixed_poly(rng, X3, terms=4)
-    a * b  # computes the cached integer view of both factors
-    assert "_scaled" in vars(a) and "_scaled" in vars(b)
+    str(a), b.terms  # build the cached Fraction view of both
+    assert "terms" in vars(a) and "terms" in vars(b)
     for p in (a, b):
-        fresh = Poly.make(X3, p.term_map())
-        assert "_scaled" not in vars(fresh)
+        fresh = Poly(X3, p.nums, p.den)
+        assert "terms" not in vars(fresh)
         assert p == fresh and fresh == p
         assert hash(p) == hash(fresh) and repr(p) == repr(fresh) and str(p) == str(fresh)
         assert {fresh: 1}[p] == 1
+
+
+def _antiderivative(p: Poly, var: int) -> Poly:
+    """The antiderivative in one variable with no constant term, from the Fraction view."""
+    return Poly.make(p.variables, {
+        tuple(k + (i == var) for i, k in enumerate(e)): c / (e[var] + 1) for e, c in p.terms
+    })
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_equal_polynomials_built_by_different_routes_have_equal_fields(seed):
+    rng = random.Random(f"routes-{seed}")
+    x = [Poly.variable(X3, v) for v in X3]
+    one, zero = Poly.constant(X3, 1), Poly.zero(X3)
+    other = Poly.parse("2/5*x1^2 - 1/7*x3 + 3/11", X3)  # denominators that none of the a's has
+    for a in (mixed_poly(rng, X3, terms=5), rand_poly(rng, X3, terms=5), Poly.constant(X3, "-7/4")):
+        routes = {
+            "make": Poly.make(X3, {e: Fraction(c) for e, c in a.terms}),
+            "parse": Poly.parse(str(a), X3),
+            "times one": a * one,
+            "one times": one * a,
+            "minus zero": a - zero,
+            "plus then minus another": (a + other) - other,
+            "scale 2 then 1/2": a.scale(2).scale(Fraction(1, 2)),
+            "partial of antiderivative": _antiderivative(a, 1).partial("x2"),
+            "identity substitute": a.substitute(dict(zip(X3, x))),
+            "double negation": -(-a),
+        }
+        for route, p in routes.items():
+            assert_canonical(p)
+            assert (p.variables, p.nums, p.den) == (a.variables, a.nums, a.den), route
+            assert p == a and hash(p) == hash(a), route
+
+
+def test_the_zero_polynomial_has_denominator_one():
+    rng = random.Random("zero")
+    a = mixed_poly(rng, X3, terms=4)
+    third = Poly.constant(X3, "1/3")
+    for p in (Poly.zero(X3), a - a, a + (-a), a.scale(0), third.partial("x1"), third - third,
+              Poly.make(X3, {(1, 0, 0): Fraction(0, 5)}), Poly.parse("1/2*x1 - 1/2*x1", X3), Poly.parse("0/7", X3),
+              sum_of_products(X3, [(a, third), (-a, third)]), Poly.zero(X3).substitute({v: a for v in X3})):
+        assert p.nums == () and p.den == 1 and p.terms == () and p == Poly.zero(X3)
+        assert hash(p) == hash(Poly.zero(X3)) and str(p) == "0"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

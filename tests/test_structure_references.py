@@ -26,7 +26,7 @@ from poisdirac.dirac_linear import DiracVS, as_bivector, characteristic, from_bi
 from poisdirac.embedding import DiracManifoldData, Section, build_embedding, pullback_canonical_form
 from poisdirac.errors import SpaceMismatchError
 from poisdirac.polynomials import Poly, PolyMap, ambient_variables, integer_rows_at, values_at
-from poisdirac.rational_linalg import MatrixQ, _scaled_row, inverse, primitive
+from poisdirac.rational_linalg import MatrixQ, Subspace, _scaled_row, inverse, primitive
 from poisdirac.scenario import load_scenario_text
 from poisdirac.submanifolds import grid_points
 
@@ -39,7 +39,7 @@ def fraction_gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
         x = r[:n]
         shift = [sum((x[i] * b.entries[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
         rows.append(x + tuple(c + s for c, s in zip(r[n:], shift)))
-    return DiracVS.from_rows(n, rows)
+    return DiracVS(n, Subspace.span(2 * n, rows))
 
 
 def lifted_structure(d: DiracManifoldData, b, point) -> DiracVS:
@@ -50,7 +50,7 @@ def lifted_structure(d: DiracManifoldData, b, point) -> DiracVS:
     pad = (Fraction(0),) * k
     rows = [r[:m] + pad + r[m:] + pad for r in d.dirac_at(point[:m]).span.basis.entries]
     rows += [(Fraction(0),) * m + e + (Fraction(0),) * n for e in MatrixQ.identity(k).entries]
-    return fraction_gauge(DiracVS.from_rows(n, rows), b.at(point))
+    return fraction_gauge(DiracVS(n, Subspace.span(2 * n, rows)), b.at(point))
 
 
 def rand_poly(rng: random.Random, variables, support, terms: int = 2, degree: int = 2) -> Poly:
@@ -274,6 +274,22 @@ class TestEvaluate:
         ):
             with pytest.raises(TypeError, match=FLOAT_REFUSAL):
                 evaluation()
+
+    def test_float_coefficients_are_refused_as_float_matrix_entries_are(self):
+        # a float's binary fraction is not the number its caller wrote: 0.1 is 3602879701896397/2^55
+        x1 = Poly.variable(self.X3, "x1")
+        for build in (
+            lambda: Poly.make(("x1",), {(1,): 0.1}),
+            lambda: Poly.make(self.X3, {(1, 0, 0): 1, (0, 0, 0): 0.5}),
+            lambda: Poly.constant(self.X3, 0.5),
+            lambda: x1.scale(0.5),
+        ):
+            with pytest.raises(TypeError, match=FLOAT_REFUSAL):
+                build()
+        # ints, Fractions and 'p/q' strings are exact, and still accepted
+        made = Poly.make(self.X3, {(1, 0, 0): 1, (0, 1, 0): "-1/3", (0, 0, 0): Fraction(1, 2)})
+        assert made == Poly.parse("x1 - 1/3*x2 + 1/2", self.X3) and (made.nums, made.den) == (
+            (((1, 0, 0), 6), ((0, 1, 0), -2), ((0, 0, 0), 3)), 6)
 
 
 def reference_bivector(l: DiracVS) -> MatrixQ | None:
