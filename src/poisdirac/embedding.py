@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from .bivector_fields import BivectorField, TwoFormField, is_closed, is_poisson
 from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
-from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
+from .errors import NotUnimodularError, PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import _derived, classify_subspace
-# poly_matrix_det is not called here, but perfbench's tracer test patches it by this name
 from .polynomials import Poly, fiber_variables, integer_rows_at, poly_matrix_det, poly_matrix_inverse, sum_of_products
 from .rational_linalg import MatrixQ, Subspace, Vector, _reduced, fmt_point, primitive
 
@@ -158,9 +158,9 @@ def pullback_canonical_one_form(d: DiracManifoldData) -> tuple[Poly, ...]:
     frame = [[frame_cols[j][i] for j in range(m)] for i in range(m)]
     try:
         inv = poly_matrix_inverse(frame)
-    except PreconditionError as exc:
+    except NotUnimodularError:
         raise PreconditionError(
-            f"frame determinant {exc.determinant} is not a nonzero constant; the dual coframe is not polynomial"
+            f"frame determinant {poly_matrix_det(frame)} is not a nonzero constant; the dual coframe is not polynomial"
         ) from None
     fibers = [Poly.variable(total_vars, p) for p in total_vars[m:]]
     theta = tuple(
@@ -293,12 +293,12 @@ def _extract_symbolic_bivector(d: DiracManifoldData, sections: tuple[Section, ..
     spanning sections inverts inside the polynomial ring; returns None otherwise."""
     try:
         inv = poly_matrix_inverse([sec.covector for sec in sections])
-    except PreconditionError:
+    except NotUnimodularError:
         return None
     vec_columns = tuple(zip(*(sec.vector for sec in sections)))
     total_vars = total_space_variables(d)
     entries = tuple(
-        tuple(-sum_of_products(total_vars, zip(inv_row, column)) for column in vec_columns) for inv_row in inv
+        tuple(sum_of_products(total_vars, zip(inv_row, column), repeat(-1)) for column in vec_columns) for inv_row in inv
     )
     field = BivectorField(total_vars, entries)
     if not is_poisson(field):

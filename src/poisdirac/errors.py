@@ -19,6 +19,10 @@ class PreconditionError(ValueError):
     """A mathematical precondition of an operation does not hold."""
 
 
+class NotUnimodularError(PreconditionError):
+    """A polynomial matrix's determinant is not a nonzero constant, so its inverse is not polynomial."""
+
+
 class RegularityError(PreconditionError):
     """A submanifold description is not regular at the queried point."""
 

@@ -12,18 +12,28 @@ composition are all exact; printing and parsing use one fixed grammar:
     most MAX_EXPONENT.
 
 Terms are kept in graded-lexicographic order, so equal polynomials
-print identically.  `terms`, the Fraction view, is built only where it is
-read: printing, `constant_value` and outside readers.
+print identically, and printing formats each coefficient from `nums` and
+`den`.  `terms`, the Fraction view, is built only where it is read:
+`constant_value` and outside readers.
 
-Every operation goes from integers to integers: sums, scaling, partial
-derivatives, substitution and parsing make no Fraction per term, and there
-is one product kernel, `sum_of_products`, which multiplies numerators over
-one common denominator.  Caller coefficients (`make`, `constant`) and points
-become integers, and floats are refused, only in `rational_linalg._scaled_row`.
-Arithmetic results are well formed by construction and are built without
-re-validation; parsing and the public constructors (`make`, `parse`,
-`constant`, `variable`) keep every check.  `integer_rows_at`, the one point
-evaluator, gives each row of a grid as integers over one denominator.
+Every operation goes from integers to integers: sums, differences, scaling,
+partial derivatives, substitution and parsing make no Fraction per term, and
+there is one product kernel, `sum_of_products`, which multiplies numerators
+over one common denominator and takes a sign per product, so no caller
+negates a polynomial only to add it.  Caller coefficients (`make`,
+`constant`) and points become integers, and floats are refused, only in
+`rational_linalg._scaled_row`.  Arithmetic results are well formed by
+construction and are built without re-validation; parsing and the public
+constructors (`make`, `parse`, `constant`, `variable`) keep every check.
+`integer_rows_at`, the one point evaluator, gives each row of a grid as
+integers over one denominator.
+
+Determinants are memoized cofactor (Laplace) expansions, whose memo table
+is capped at MAX_MINOR_TERMS terms.  `poly_matrix_inverse` is Gauss-Jordan
+elimination that divides only by constant pivots, after an integer
+two-point test that rejects most matrices with a non-constant determinant;
+only a Schur complement with no constant entry left goes to the cofactor
+expansion.
 """
 
 from __future__ import annotations
@@ -32,12 +42,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .errors import PreconditionError, SpaceMismatchError
-from .rational_linalg import MatrixQ, Vector, _scaled_row, check_digits
+from .errors import NotUnimodularError, PreconditionError, SpaceMismatchError
+from .rational_linalg import MatrixQ, Vector, _integer_det, _scaled_row, check_digits
 
 _VAR_RE = re.compile(r"[a-zA-Z]+[0-9]+")
 _TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|[a-zA-Z]+[0-9]+|[0-9]+(?:/[0-9]+)?)")
@@ -116,19 +127,23 @@ class Poly:
             raise SpaceMismatchError(f"variable contexts differ: {self.variables} vs {other.variables}")
 
     def __add__(self, other: Poly) -> Poly:
-        self._check_context(other)
-        big = lcm(self.den, other.den)
-        fa, fb = big // self.den, big // other.den
-        out = {e: n * fa for e, n in self.nums}
-        for e, n in other.nums:
-            out[e] = out.get(e, 0) + n * fb
-        return _ordered(self.variables, [(e, n) for e, n in out.items() if n], big)
+        return self._plus(other, 1)
 
     def __neg__(self) -> Poly:
         return Poly(self.variables, tuple((e, -n) for e, n in self.nums), self.den)
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: Poly, sign: int) -> Poly:
+        """self + sign * other, summed on integers over the lcm of the denominators."""
+        self._check_context(other)
+        big = lcm(self.den, other.den)
+        fa, fb = big // self.den, sign * (big // other.den)
+        out = {e: n * fa for e, n in self.nums}
+        for e, n in other.nums:
+            out[e] = out.get(e, 0) + n * fb
+        return _ordered(self.variables, [(e, n) for e, n in out.items() if n], big)
 
     def __mul__(self, other: Poly) -> Poly:
         self._check_context(other)
@@ -180,26 +195,30 @@ class Poly:
         ))
 
     def __str__(self) -> str:
+        """Each coefficient n / den printed in lowest terms, as a Fraction prints, without
+        building one."""
         if not self.nums:
             return "0"
         pieces: list[str] = []
-        for n, (e, c) in enumerate(self.terms):
+        for i, (e, n) in enumerate(self.nums):
             factors = [
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, e)
                 if k
             ]
-            mag = abs(c)
+            sign, n = ("-", -n) if n < 0 else ("+", n)
+            g = gcd(n, self.den)
+            mag = f"{n // g}" if g == self.den else f"{n // g}/{self.den // g}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
-            if n == 0:
-                pieces.append(body if c > 0 else f"-{body}")
+                body = "*".join([mag] + factors)
+            if i == 0:
+                pieces.append(body if sign == "+" else f"-{body}")
             else:
-                pieces.append(f" + {body}" if c > 0 else f" - {body}")
+                pieces.append(f" {sign} {body}")
         return "".join(pieces)
 
     @staticmethod
@@ -232,22 +251,25 @@ class Poly:
         return _ordered(variables, [(e, n) for e, n in out.items() if n], big)
 
 
-def sum_of_products(variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """Sum of a * b over the pairs, all in the context `variables`: the one routine that
+def sum_of_products(
+    variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]], signs: Iterable[int] | None = None
+) -> Poly:
+    """Sum of a * b over the pairs, all in the context `variables`, each product taken
+    with its sign +1 or -1 from `signs` (all +1 when None): the one routine that
     multiplies term maps.  Fraction-free: with a = A / da and b = B / db on integer
     numerators A, B, and L the lcm of da * db over the pairs, it accumulates the
-    integers A * (L // (da * db)) * B into one map and divides by L once per term."""
+    integers sign * A * (L // (da * db)) * B into one map and divides by L once per term."""
     variables = tuple(variables)
     nonzero = []
-    for a, b in pairs:
+    for (a, b), sign in zip(pairs, repeat(1) if signs is None else signs):
         if not a.variables == b.variables == variables:
             raise SpaceMismatchError(f"product of {a.variables} and {b.variables} in the context {variables}")
         if a.nums and b.nums:
-            nonzero.append((a, b))
-    big = lcm(*(a.den * b.den for a, b in nonzero))
+            nonzero.append((a, b, sign))
+    big = lcm(*(a.den * b.den for a, b, _ in nonzero))
     out: dict[tuple[int, ...], int] = {}
-    for a, b in nonzero:
-        factor, tb = big // (a.den * b.den), b.nums
+    for a, b, sign in nonzero:
+        factor, tb = sign * (big // (a.den * b.den)), b.nums
         for e1, n1 in a.nums:
             n1 *= factor
             for e2, n2 in tb:
@@ -414,8 +436,20 @@ def fiber_variables(k: int) -> tuple[str, ...]:
     return tuple(f"p{i + 1}" for i in range(k))
 
 
-# Determinants of minors, keyed by (row indices, column indices).
-_MinorTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Poly]
+# Most terms that the memoized minors of one cofactor expansion may hold
+# together: the expansion touches up to n * 2^n minors, and their size, not
+# the matrix's dimension, is what grows.  The inverse in the dense 8 + 2
+# embedding scenario (scripts/dense_embed_scenario.py) expands a 7 x 7 Schur
+# complement into 103,410 terms in 568 minors; 10 + 2 passes 5,000,000
+# terms in its 10 x 10 one, and without a cap it runs out of memory.
+MAX_MINOR_TERMS = 400_000
+
+
+class _MinorTable(dict):
+    """Determinants of minors of one matrix, keyed by (row indices, column indices),
+    and the number of terms they hold together."""
+
+    terms = 0
 
 
 def _square_size(entries: Sequence[Sequence[Poly]]) -> int:
@@ -436,9 +470,11 @@ def _minor_det(
 ) -> Poly:
     """Determinant of the minor of `entries` on the given rows and columns.
 
-    Laplace expansion along the minor's first row, skipping zero entries.
-    Each distinct minor is expanded once per table: a determinant and all its cofactors
-    touch at most n * 2^n minors instead of O(n!) expansions.
+    Laplace expansion along the minor's first row, skipping zero entries, with the
+    cofactor signs carried into the one `sum_of_products` call.  Each distinct minor
+    is expanded once per table: a determinant and all its cofactors touch at most
+    n * 2^n minors instead of O(n!) expansions.  Raises PreconditionError once the
+    table holds more than MAX_MINOR_TERMS terms.
     """
     key = (rows, cols)
     det = table.get(key)
@@ -451,11 +487,17 @@ def _minor_det(
         det = entries[rows[0]][cols[0]]
     else:
         first, rest = entries[rows[0]], rows[1:]
+        nonzero = [(k, j) for k, j in enumerate(cols) if first[j].nums]
         det = sum_of_products(variables, (
-            (-first[j] if k % 2 else first[j], _minor_det(entries, rest, cols[:k] + cols[k + 1:], table))
-            for k, j in enumerate(cols) if not first[j].is_zero()
-        ))
+            (first[j], _minor_det(entries, rest, cols[:k] + cols[k + 1:], table)) for k, j in nonzero
+        ), (-1 if k % 2 else 1 for k, _ in nonzero))
     table[key] = det
+    table.terms += len(det.nums)
+    if table.terms > MAX_MINOR_TERMS:
+        size = len(entries)
+        raise PreconditionError(
+            f"the cofactor expansion of a {size} x {size} polynomial matrix needs more than {MAX_MINOR_TERMS} terms"
+        )
     return det
 
 
@@ -467,30 +509,97 @@ def poly_matrix_det(entries: Sequence[Sequence[Poly]]) -> Poly:
     """
     size = _square_size(entries)
     full = tuple(range(size))
-    return _minor_det(entries, full, full, {})
+    return _minor_det(entries, full, full, _MinorTable())
+
+
+_NOT_UNIMODULAR = "matrix determinant is not a nonzero constant; inverse is not polynomial"
+
+
+def _is_unit(p: Poly) -> bool:
+    """Whether p is a nonzero constant, a unit of the polynomial ring."""
+    return len(p.nums) == 1 and not any(p.nums[0][0])
+
+
+def _reciprocal(c: Poly) -> Poly:
+    """1 / c for a nonzero constant c; its numerator and denominator are already coprime."""
+    ((e, n),) = c.nums
+    return Poly(c.variables, ((e, c.den if n > 0 else -c.den),), abs(n))
+
+
+def _pivot(aug: list[list[Poly]], prows: list[int], pcols: list[int], inv: list[list[Poly]], rest: list[int]) -> None:
+    """One Gauss-Jordan step on the block aug[prows][pcols], whose inverse is `inv`, over
+    the columns `rest`: the pivot rows become inv times themselves, and every other row
+    r loses aug[r][pcols] times the new pivot rows, each entry a - f b in one
+    `sum_of_products` call.  The block's own columns, I in the pivot rows and 0 in the
+    others, are not written: no later step reads them."""
+    variables = inv[0][0].variables
+    one = Poly.constant(variables, 1)
+    if inv == [[one]]:  # a pivot 1 leaves its row as it is
+        new = {j: [aug[prows[0]][j]] for j in rest}
+    else:
+        new = {j: [sum_of_products(variables, zip(inv_row, (aug[r][j] for r in prows))) for inv_row in inv] for j in rest}
+    signs = (1,) + (-1,) * len(prows)
+    for r, row in enumerate(aug):
+        if r in prows:
+            for j in rest:
+                row[j] = new[j][prows.index(r)]
+            continue
+        fs = [row[c] for c in pcols]
+        if not any(f.nums for f in fs):
+            continue
+        for j in rest:
+            if any(b.nums for b in new[j]):
+                row[j] = sum_of_products(variables, ((row[j], one), *zip(fs, new[j])), signs)
 
 
 def poly_matrix_inverse(entries: Sequence[Sequence[Poly]]) -> tuple[tuple[Poly, ...], ...]:
-    """Inverse of a polynomial matrix whose determinant is a nonzero constant.
+    """Inverse of a polynomial matrix C whose determinant is a nonzero constant.
 
-    The determinant and the n^2 cofactors of the adjugate come from one
-    memoized Laplace expansion, sharing their minors.  Rejects
-    non-constant determinants: those inverses leave the polynomial ring,
-    and this package never approximates.  The PreconditionError carries the
-    determinant as `determinant`, so a caller can name it without a second expansion.
+    Every other matrix is rejected with NotUnimodularError: its inverse leaves the
+    polynomial ring, and this package never approximates.  It is rejected at once,
+    from two integer determinants, when det C(0) is 0 or differs from det C(1, ..., 1);
+    both are exact disproofs.  Otherwise Gauss-Jordan elimination on [C | I] pivots on
+    any remaining entry that is a nonzero constant, so it divides only by constants.
+    When no such entry is left, the remaining block S (the Schur complement) has
+    det C = +-(product of the pivots) det S, so C is rejected unless det S is a nonzero
+    constant; S^-1 then comes from one memoized cofactor expansion, its determinant and
+    adjugate sharing their minors, and finishes the elimination as a block pivot.  That
+    expansion raises PreconditionError past MAX_MINOR_TERMS terms.
     """
     size = _square_size(entries)
-    full = tuple(range(size))
-    table: _MinorTable = {}
-    det = _minor_det(entries, full, full, table)
-    if not det.is_constant() or det.constant_value() == 0:
-        error = PreconditionError(f"matrix determinant {det} is not a nonzero constant; inverse is not polynomial")
-        error.determinant = det
-        raise error
-    inv_det = 1 / det.constant_value()
-    adj = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            cof = _minor_det(entries, full[:i] + full[i + 1:], full[:j] + full[j + 1:], table)
-            adj[j][i] = cof.scale(inv_det if (i + j) % 2 == 0 else -inv_det)
-    return tuple(tuple(r) for r in adj)
+    variables = entries[0][0].variables
+    # C(0) and C(1, ..., 1), each row as integers over the lcm of its denominators
+    at_zero, at_ones = [], []
+    for row in entries:
+        big = lcm(*(p.den for p in row))
+        at_zero.append([big // p.den * p.nums[-1][1] if p.nums and not any(p.nums[-1][0]) else 0 for p in row])
+        at_ones.append([big // p.den * sum(n for _, n in p.nums) for p in row])
+    det_at_zero = _integer_det(at_zero)
+    if not det_at_zero or det_at_zero != _integer_det(at_ones):
+        raise NotUnimodularError(_NOT_UNIMODULAR)
+    identity = range(size, 2 * size)
+    one, zero = Poly.constant(variables, 1), Poly.zero(variables)
+    aug = [list(row) + [one if j == i else zero for j in range(size)] for i, row in enumerate(entries)]
+    rows, cols, pivot_rows = list(range(size)), list(range(size)), {}
+    while pivot := next(((r, c) for r in rows for c in cols if _is_unit(aug[r][c])), None):
+        r, c = pivot
+        rows.remove(r)
+        cols.remove(c)
+        _pivot(aug, [r], [c], [[_reciprocal(aug[r][c])]], cols + list(identity))
+        pivot_rows[c] = r
+    if rows:
+        schur = [[aug[r][c] for c in cols] for r in rows]
+        full, table = tuple(range(len(rows))), _MinorTable()
+        det = _minor_det(schur, full, full, table)
+        if not _is_unit(det):
+            raise NotUnimodularError(_NOT_UNIMODULAR)
+        inv_det = _reciprocal(det)
+
+        def cofactor(i: int, j: int) -> Poly:  # (-1)^(i + j) / det S times the minor without row i and column j
+            minor = _minor_det(schur, full[:i] + full[i + 1:], full[:j] + full[j + 1:], table)
+            return sum_of_products(variables, ((minor, inv_det),), ((-1) ** (i + j),))
+
+        inv = [[cofactor(j, i) for j in full] for i in full]
+        _pivot(aug, rows, cols, inv, list(identity))
+        pivot_rows.update(zip(cols, rows))
+    return tuple(tuple(aug[pivot_rows[c]][size:]) for c in range(size))

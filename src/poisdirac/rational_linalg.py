@@ -8,8 +8,9 @@ results can be compared bit-for-bit and shared freely.
 One integer form: a MatrixQ stores integer rows over one positive denominator,
 reduced so that equal matrices have equal fields, and a Subspace its reduced
 rows as primitive integer rows.  All elimination is one fraction-free
-Gauss-Jordan loop on such rows, and products, sums, `solve` and coordinates
-in a subspace go from integer rows to integer rows.  Fractions are made only
+Gauss-Jordan loop on such rows, plus Bareiss's fraction-free determinant
+(`_integer_det`), and products, sums, `solve` and coordinates in a
+subspace go from integer rows to integer rows.  Fractions are made only
 where a caller reads them (`entries`, `matvec`, indexing).  Caller numbers
 become integers, and floats are refused, in one place, `_scaled_row`, which
 runs only at the boundary: `MatrixQ(...)`, `from_rows`, `Subspace.span`, the
@@ -251,6 +252,24 @@ def _eliminate(work: list, n_cols: int) -> list[int]:
         if work[r][c] < 0:
             work[r] = [-a for a in work[r]]
     return pivots
+
+
+def _integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free elimination:
+    after step k every entry is a (k+1) x (k+1) minor, so each division is exact."""
+    work, sign, prev = [list(r) for r in rows], 1, 1
+    for k in range(len(work) - 1):
+        sel = next((r for r in range(k, len(work)) if work[r][k]), None)
+        if sel is None:
+            return 0
+        if sel != k:
+            work[k], work[sel], sign = work[sel], work[k], -sign
+        prow, p = work[k], work[k][k]
+        for row in work[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(a * p - f * b) // prev for a, b in zip(row[k + 1:], prow[k + 1:])]
+        prev = p
+    return sign * work[-1][-1] if work else 1
 
 
 def _pivots(rows: Sequence[Sequence]) -> list[int]:

@@ -27,10 +27,12 @@ MAX_GRID_HEIGHT = 1_000_000
 MAX_SAMPLE_COUNT = 1000
 
 # Largest dimension of a patch: an ambient space, a parameter space, or the
-# total space of an embedding.  Fields are n x n grids and the memoized
-# determinant of an embedding touches n * 2^n minors, so an unbounded
-# dimension would be a resource bomb.  The bundled scenarios, the tests and
-# the benchmark generators use at most 8 base and 10 total dimensions.
+# total space of an embedding.  Fields are n x n grids, so an unbounded
+# dimension would be a resource bomb.  It bounds shape, not work: the
+# cofactor expansion behind a determinant, or behind an inverse with no
+# constant pivot left, is bounded by polynomials.MAX_MINOR_TERMS instead.
+# The bundled scenarios, the tests and the benchmark generators use at most
+# 8 base and 10 total dimensions.
 MAX_DIM = 12
 
 

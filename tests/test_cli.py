@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import poisdirac
-from poisdirac import submanifolds
+from poisdirac import polynomials, submanifolds
 from poisdirac.cli import BUNDLED_ANALYSES, build_parser, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
 from poisdirac.polynomials import MAX_EXPONENT, PolyMap
@@ -139,6 +140,21 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "classify", "--scenario", str(path))
         assert code == 2 and out == "" and f"the result at ({self.LONG}) has more than" in err
+
+    def test_embedding_past_the_work_cap_is_two(self, capsys, tmp_path, monkeypatch):
+        # the covector matrix of the dense 6 + 2 embedding leaves a 5 x 5 Schur complement
+        # with no constant entry, whose cofactor expansion holds 1,573 terms
+        script = Path(__file__).resolve().parents[1] / "scripts" / "dense_embed_scenario.py"
+        spec = importlib.util.spec_from_file_location("dense_embed_scenario", script)
+        dense = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(dense)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(dense.dense_scenario(6, 2, 1)))
+        assert run(capsys, "embed", "--scenario", str(path), "--porcelain")[0] == 0
+        monkeypatch.setattr(polynomials, "MAX_MINOR_TERMS", 1000)
+        code, out, err = run(capsys, "embed", "--scenario", str(path), "--porcelain")
+        assert code == 2 and out == ""
+        assert err == "precondition failed: the cofactor expansion of a 5 x 5 polynomial matrix needs more than 1000 terms\n"
 
     @pytest.mark.parametrize("where", ["scenario", "points flag", "polynomial"])
     def test_too_many_digits_is_one(self, capsys, tmp_path, where):

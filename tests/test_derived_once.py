@@ -3,8 +3,9 @@ built at most once per (PoissonVS, subspaces), whoever asks for it, a fresh
 classification runs four eliminations, each annihilator is built once per
 subspace, each linear system with many right-hand sides is solved in one
 elimination, a splitting solves each leaf-form vector once, each inverse
-once, each partial derivative is derived once per polynomial, and the
-linear constructions split no Fraction row into integers.
+once, each partial derivative is derived once per polynomial, the
+linear constructions split no Fraction row into integers, and a polynomial
+matrix with constant pivots is inverted without a cofactor expansion.
 
 Builds are counted, not calls: a profile hook counts every run of a
 build function's own body, which a cached call never reaches.
@@ -32,7 +33,7 @@ from poisdirac.poisson_linear import (
     leaf_form_gram,
     linear_uniqueness_iso,
 )
-from poisdirac.polynomials import Poly, PolyMap
+from poisdirac.polynomials import Poly, PolyMap, _minor_det, poly_matrix_inverse, sum_of_products
 from poisdirac.rational_linalg import MatrixQ, Subspace, _eliminate, _reduced, _scaled_row, annihilator, inverse, solve
 from poisdirac.submanifolds import LevelSet, Parametrized, PointData
 
@@ -330,3 +331,23 @@ def test_counting_sees_a_second_derivation():
             PolyMap(X4[:3], (p,)).jacobian_at((Fraction(1), Fraction(2), Fraction(3)))
         f.partial("x1")
     assert sorted(partials.values()) == [1, 1, 1, 1, 1, 2]
+
+
+def test_a_unimodular_matrix_with_constant_pivots_runs_no_cofactor_expansion():
+    # c L U with L and U unipotent, a random linear monomial in 3 variables next to
+    # each diagonal entry, and c a constant: the benchmark's 7 x 7 shape
+    rng, names, size = random.Random(59), ("x1", "x2", "x3"), 7
+    one, zero = Poly.constant(names, 1), Poly.zero(names)
+
+    def monomial():
+        return Poly.variable(names, rng.choice(names)).scale(Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2)))
+
+    lower = [[one if i == j else monomial() if i == j + 1 else zero for j in range(size)] for i in range(size)]
+    upper = [[one if i == j else monomial() if j == i + 1 else zero for j in range(size)] for i in range(size)]
+    m = [[sum_of_products(names, zip(row, column)) for column in zip(*upper)] for row in lower]
+    m[0] = [p.scale(-3) for p in m[0]]
+    with counted_runs(_minor_det) as runs:
+        inverse = poly_matrix_inverse(m)
+    assert runs == [0]
+    assert [[sum_of_products(names, zip(row, column)) for column in zip(*inverse)] for row in m] == [
+        [one if i == j else zero for j in range(size)] for i in range(size)]

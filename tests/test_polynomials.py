@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisdirac.errors import SpaceMismatchError
+from poisdirac import polynomials
+from poisdirac.errors import NotUnimodularError, PreconditionError, SpaceMismatchError
 from poisdirac.polynomials import (
     _VAR_RE, MAX_EXPONENT, Poly, PolyMap, _tokenize, compose, compose_map, poly_matrix_det, poly_matrix_inverse,
 )
@@ -349,28 +350,166 @@ def test_det_and_adjugate_match_cofactor_expansion(size, kind, seed):
             poly_matrix_inverse(m)
 
 
-@pytest.mark.parametrize("size,kind,seed", det_cases(range(1, 5), seeds=[0]))
-def test_det_and_adjugate_match_sympy(size, kind, seed):
-    sympy = pytest.importorskip("sympy")
+def sympy_matrix(sympy, m):
     symbols = sympy.symbols(X2)
 
     def to_sympy(p):
         return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s ** k for s, k in zip(symbols, e)))
                     for e, c in p.terms), sympy.Integer(0))
 
-    def from_sympy(expr):
-        terms = sympy.Poly(sympy.expand(expr), *symbols).terms()
-        return Poly.make(X2, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+    return sympy.Matrix([[to_sympy(p) for p in row] for row in m])
 
+
+def from_sympy(sympy, expr):
+    terms = sympy.Poly(sympy.expand(expr), *sympy.symbols(X2)).terms()
+    return Poly.make(X2, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+
+
+def assert_inverse_matches_sympy(sympy, m, det, inverse):
+    adjugate = sympy_matrix(sympy, m).adjugate(method="berkowitz")
+    assert all(inverse[i][j].scale(det.constant_value()) == from_sympy(sympy, adjugate[i, j])
+               for i in range(len(m)) for j in range(len(m)))
+
+
+@pytest.mark.parametrize("size,kind,seed", det_cases(range(1, 5), seeds=[0]))
+def test_det_and_adjugate_match_sympy(size, kind, seed):
+    sympy = pytest.importorskip("sympy")
     m = rand_poly_matrix(random.Random(f"sympy-{size}-{kind}-{seed}"), size, kind)
-    sm = sympy.Matrix([[to_sympy(p) for p in row] for row in m])
     det = poly_matrix_det(m)
-    assert det == from_sympy(sm.det(method="berkowitz"))
+    assert det == from_sympy(sympy, sympy_matrix(sympy, m).det(method="berkowitz"))
     if det.is_constant() and not det.is_zero():
-        adjugate = sm.adjugate(method="berkowitz")
-        inverse = poly_matrix_inverse(m)
-        assert all(inverse[i][j].scale(det.constant_value()) == from_sympy(adjugate[i, j])
-                   for i in range(size) for j in range(size))
+        assert_inverse_matches_sympy(sympy, m, det, poly_matrix_inverse(m))
+
+
+# Every route of poly_matrix_inverse: constant pivots anywhere in the matrix,
+# a Schur complement with no constant entry (alone or left part-way through
+# the elimination), and the three rejections (two-point test, Schur
+# complement, work cap).
+
+def grid(rows):
+    return [[Poly.parse(text, X2) for text in row] for row in rows]
+
+
+def permuted(m, rng):
+    """m with its rows and its columns shuffled: constant pivots off the diagonal."""
+    rows, cols = list(range(len(m))), list(range(len(m)))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[m[i][j] for j in cols] for i in rows]
+
+
+def with_unipotent_block(block, rng):
+    """[[U, X], [0, block]] with its rows and columns shuffled: U is unipotent upper
+    triangular and X has no constant entry, so elimination pivots on U's diagonal
+    and leaves `block` as the Schur complement."""
+    size, k = len(block) + 3, 3
+    x1 = Poly.variable(X2, "x1")
+    zero, one = Poly.zero(X2), Poly.constant(X2, 1)
+    m = [[one if i == j else (rand_entry(rng, 1.0, 2) * x1 if i < j else zero) for j in range(size)] for i in range(k)]
+    m += [[zero] * k + list(row) for row in block]
+    return permuted(m, rng)
+
+
+def counted_expansions(monkeypatch):
+    """Sizes of the matrices whose full cofactor expansion poly_matrix_inverse starts."""
+    sizes, minor_det = [], polynomials._minor_det
+
+    def counting(entries, rows, cols, table):
+        if len(rows) == len(entries):
+            sizes.append(len(entries))
+        return minor_det(entries, rows, cols, table)
+
+    monkeypatch.setattr(polynomials, "_minor_det", counting)
+    return sizes
+
+
+def check_inverse(m):
+    """poly_matrix_inverse agrees with the plain cofactor expansion and with sympy."""
+    det = cofactor_det(m)
+    if not det.is_constant() or det.is_zero():
+        with pytest.raises(NotUnimodularError, match="not a nonzero constant"):
+            poly_matrix_inverse(m)
+        return
+    inverse = [list(row) for row in poly_matrix_inverse(m)]
+    assert inverse == [[p.scale(1 / det.constant_value()) for p in row] for row in cofactor_adjugate(m)]
+    assert_inverse_matches_sympy(pytest.importorskip("sympy"), m, det, inverse)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_inverse_pivots_on_constants_off_the_diagonal(size, monkeypatch):
+    rng = random.Random(f"permuted-{size}")
+    m = permuted(rand_poly_matrix(rng, size, "unimodular"), rng)
+    assert not all(m[i][i].is_constant() for i in range(size))
+    sizes = counted_expansions(monkeypatch)
+    check_inverse(m)
+    assert sizes == []
+
+
+UNIMODULAR_NO_CONSTANT = [["1 + x1", "x1"], ["x1", "x1 - 1"]]  # det -1
+
+
+def test_inverse_of_a_unimodular_matrix_with_no_constant_entry(monkeypatch):
+    m = grid(UNIMODULAR_NO_CONSTANT)
+    assert cofactor_det(m) == Poly.constant(X2, -1)
+    sizes = counted_expansions(monkeypatch)
+    check_inverse(m)
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_inverse_finishes_with_a_schur_complement(seed, monkeypatch):
+    m = with_unipotent_block(grid(UNIMODULAR_NO_CONSTANT), random.Random(f"schur-{seed}"))
+    sizes = counted_expansions(monkeypatch)
+    check_inverse(m)
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("rows", [
+    [["1 - x1 + x1^2"]],
+    [["1", "x1"], ["1 - x1", "1"]],
+    [["1 + x1", "x1"], ["3*x1", "1 + x1"]],
+])
+def test_a_determinant_that_passes_the_two_point_test_is_rejected_from_the_schur_complement(rows, monkeypatch):
+    m = grid(rows)
+    det = cofactor_det(m)
+    assert not det.is_constant() and det.evaluate((0, 0)) == det.evaluate((1, 1)) != 0
+    sizes = counted_expansions(monkeypatch)
+    check_inverse(m)
+    assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_a_schur_complement_left_part_way_is_rejected_too(seed, monkeypatch):
+    m = with_unipotent_block(grid([["1 - x1 + x1^2"]]), random.Random(f"schur-reject-{seed}"))
+    sizes = counted_expansions(monkeypatch)
+    check_inverse(m)
+    assert sizes == [1]
+
+
+@pytest.mark.parametrize("rows", [
+    [["x1"]],
+    [["x1", "1"], ["0", "1 + x2"]],
+    [["1", "x1"], ["x2", "x1*x2 + x1"]],
+])
+def test_a_singular_value_at_zero_is_rejected_without_expansion(rows, monkeypatch):
+    m = grid(rows)
+    assert not cofactor_det(m).is_zero()
+    sizes = counted_expansions(monkeypatch)
+    check_inverse(m)
+    assert sizes == []
+
+
+def test_the_work_of_a_cofactor_expansion_is_capped(monkeypatch):
+    # no constant entry and det(0, 0) = det(1, 1) = 2: the inverse goes straight to the expansion
+    m = grid([["1 + x1", "x1 - 1", "x2"], ["x1 + x2", "x1", "1 + x2"], ["x1 - 1", "x1 - 1", "x1"]])
+    monkeypatch.setattr(polynomials, "MAX_MINOR_TERMS", 20)
+    for function in (poly_matrix_det, poly_matrix_inverse):
+        with pytest.raises(PreconditionError, match="cofactor expansion of a 3 x 3 polynomial matrix needs more than 20 terms"):
+            function(m)
+    monkeypatch.setattr(polynomials, "MAX_MINOR_TERMS", 200)
+    assert poly_matrix_det(m) == cofactor_det(m)
+    with pytest.raises(NotUnimodularError):
+        poly_matrix_inverse(m)
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 6, 7])

@@ -12,6 +12,7 @@ from poisdirac.errors import SpaceMismatchError
 from poisdirac.rational_linalg import (
     MAX_DIGITS,
     MatrixQ,
+    _integer_det,
     Subspace,
     add,
     annihilator,
@@ -161,6 +162,15 @@ def test_rref_rank_and_kernel_match_sympy(kind):
         assert tuple(next(j for j, a in enumerate(row) if a) for row in reduced.entries[:rk]) == tuple(expected_pivots)
         assert rank(m) == sm.rank()
         assert kernel(m) == Subspace.span(m.cols, [[_from_sympy(x) for x in v] for v in sm.nullspace()])
+
+
+@pytest.mark.parametrize("kind", ["dense", "repeats", "deficient", "negative", "huge"])
+def test_integer_det_matches_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"sympy-det-{kind}")
+    for size in [0, 1] + [rng.randint(2, 6) for _ in range(30)]:
+        m = _rand_matrix(rng, kind, (size, size))
+        assert _integer_det(m.ints) * sympy.Integer(1) == _to_sympy(sympy, m).det() * m.den ** size
 
 
 @pytest.mark.parametrize("kind", ["dense", "repeats", "deficient"])
