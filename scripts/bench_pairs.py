@@ -23,7 +23,9 @@ verdicts against the change's BENCHMARK.json: `claim_rule_met` (at least 10
 pairs, won at least 9 in 10 of them, and the medians differ in the change's
 favour by more than the parent's interquartile range) and `within_bound` (the
 change's median is not worse than the parent's by more than the metric's
-bound).  With
+bound), and a third, `resolved`: false when the parent's runs spread wider
+than the bound and the sides overlap, so that `within_bound` cannot tell
+"unchanged" from "unresolved".  With
 --trace-seed, one `--trace 1` run per side and workload adds the per-layer
 metrics.  The output goes to BENCH_<label>.json at the root of this
 repository.  The script exits 1 after writing it if any run reported
@@ -109,12 +111,15 @@ def _spread(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric of the contract (its name, `better` and `bound`): each
-    side's median and quartiles, the change's wins, and two verdicts.
+    side's median and quartiles, the change's wins, and three verdicts.
     `claim_rule_met`: there are at least 10 pairs, the change won at least 9 in 10 of
     them, and its median is better than the parent's by more than the parent's
     interquartile range.
     `within_bound`: the change's median is not worse than the parent's by more than
-    the bound, a fraction of the parent's median."""
+    the bound, a fraction of the parent's median.
+    `resolved`: the parent's interquartile range is at most the bound times its
+    median, or every change run is better than every parent run; otherwise the
+    runs spread too widely for `within_bound` to mean "unchanged"."""
     out = {}
     for metric in metrics:
         name, direction = metric["name"], metric["better"]
@@ -133,6 +138,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "claim_rule_met": (len(pairs) >= MIN_CLAIM_PAIRS and 10 * wins >= 9 * len(pairs)
                                and sign * difference > spreads["parent"]["iqr"]),
             "within_bound": -sign * difference <= metric["bound"] * abs(spreads["parent"]["median"]),
+            "resolved": (spreads["parent"]["iqr"] <= metric["bound"] * abs(spreads["parent"]["median"])
+                         or min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])),
         }
     return out
 

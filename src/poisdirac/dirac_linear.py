@@ -5,28 +5,22 @@ isotropic for the symmetric pairing <(X, xi), (Y, eta)> = xi(Y) + eta(X)
 (no 1/2 factor: isotropy is unaffected and the arithmetic stays
 integer-friendly).  Elements are stored as length-2n vectors ordered
 (X | xi).  Constructors validate dimension and isotropy; pullback,
-gauge transformations, characteristic subspaces, the range-with-form
-description, and bivector graph extraction are provided.
+gauge transformations, characteristic subspaces (these two each one
+`_tail` of L's rows), the range-with-form description, and bivector
+graph extraction are provided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
 
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import PoissonVS
 from .rational_linalg import (
-    MatrixQ, Subspace, _eliminate, _pivots, _reduced, annihilator, intersect, inverse, primitive, stack,
+    MatrixQ, Subspace, _eliminate, _pivots, _reduced, _tail, annihilator, inverse, primitive, stack,
 )
-
-
-def pairing(u: Sequence[Fraction], v: Sequence[Fraction], n: int) -> Fraction:
-    """<(X, xi), (Y, eta)> = xi(Y) + eta(X)."""
-    return sum(map(mul, u[n:], v[:n])) + sum(map(mul, v[n:], u[:n]))
 
 
 @dataclass(frozen=True)
@@ -42,12 +36,11 @@ class DiracVS:
             raise SpaceMismatchError("span must be a primal subspace of dimension-2n coordinates")
         if self.span.dim != n:
             raise PreconditionError(f"a Dirac structure on Q^{n} must have dimension {n}, got {self.span.dim}")
-        # the integer rows are positive multiples of the basis rows: same zero test
+        # rows i, j pair to (X xi^T)_ij + (X xi^T)_ji, zero alike on rows and basis rows
         rows = self.span.rows
-        for i in range(len(rows)):
-            for j in range(i, len(rows)):
-                if pairing(rows[i], rows[j], n) != 0:
-                    raise PreconditionError("span is not isotropic for the symmetric pairing")
+        vectors, covectors = MatrixQ._of(n, (r[:n] for r in rows)), MatrixQ._of(n, (r[n:] for r in rows))
+        if not (vectors @ covectors.transpose()).is_antisymmetric():
+            raise PreconditionError("span is not isotropic for the symmetric pairing")
 
 
 def _span_pairs(vectors: MatrixQ, covectors: MatrixQ) -> DiracVS:
@@ -86,22 +79,16 @@ def from_subspace_form(o: Subspace, omega: MatrixQ) -> DiracVS:
 def pullback(l: DiracVS, w: Subspace) -> DiracVS:
     """Induced Dirac structure on a subspace, in the canonical basis of w.
 
-    L_w = {(X, xi|_w) : X in w, (X, xi) in L}.
+    L_w = {(X, xi|_w) : X in w, (X, xi) in L}: the `_tail` of L's rows as
+    (A X | D X at w's pivot columns | xi(D w_j)), A the rows of ann w and D the
+    denominator of w's (reduced) basis, as X is in w iff A X = 0.
     """
     if w.dual or w.ambient_dim != l.ambient_dim:
         raise SpaceMismatchError("pullback target must be a primal subspace of the same ambient")
-    n = l.ambient_dim
-    # constrain the vector part to w, then map (X, xi) -> (coords_w(X), xi(w_j));
-    # the rows (w_i, 0) and (0, e_j) are already canonical
-    w_doubled = Subspace(
-        2 * n,
-        tuple(r + (0,) * n for r in w.rows) + tuple((0,) * n + e for e in Subspace.full(n).rows),
-    )
-    rows = intersect(l.span, w_doubled).basis
-    coords = w.coordinates_of_rows(rows[:, :n])
-    if coords is None:
-        raise PropertyViolationError("constrained vector part left the subspace")
-    return _span_pairs(coords, rows[:, n:] @ w.basis.transpose())
+    n, basis, ann, pivots = l.ambient_dim, w.basis, annihilator(w).rows, _pivots(w.rows)
+    work = [primitive([sum(map(mul, a, r[:n])) for a in ann] + [r[c] * basis.den for c in pivots]
+                      + [sum(map(mul, r[n:], b)) for b in basis.ints]) for r in l.span.rows]
+    return DiracVS(w.dim, Subspace(2 * w.dim, _tail(work, len(ann), 2 * w.dim)))
 
 
 def gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
@@ -132,10 +119,10 @@ def change_basis(l: DiracVS, c: MatrixQ) -> DiracVS:
 
 
 def characteristic(l: DiracVS) -> Subspace:
-    """L intersected with Q^n + 0: vectors paired with the zero covector."""
+    """L intersected with Q^n + 0, vectors paired with the zero covector: the
+    `_tail` of L's rows reordered to (xi | X), as in `as_bivector`."""
     n = l.ambient_dim
-    primal = Subspace(2 * n, tuple(e + (0,) * n for e in Subspace.full(n).rows))
-    return Subspace(n, tuple(r[:n] for r in intersect(l.span, primal).rows))
+    return Subspace(n, _tail([r[n:] + r[:n] for r in l.span.rows], n, n))
 
 
 def range_and_form(l: DiracVS) -> tuple[Subspace, MatrixQ]:

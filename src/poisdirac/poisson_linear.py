@@ -84,10 +84,11 @@ class ClassificationRecord:
 
     rho is the composite of sharp with the projection to the normal
     space, ann C -> Q^n / C (arXiv math/0611480; the constant rank
-    condition of Calvo and Falceto is on its rank).  The rows A of ann C
-    identify Q^n / C with Q^m, so rank rho = r = dim A(S), S = sharp ann C.
-    With k = dim C, m = n - k, s = dim S and l = dim O, every field
-    follows from l, s and r:
+    condition of Calvo and Falceto is on its rank).  With S = sharp ann C,
+    its image is (C + S) / C, so rank rho = r = s - dim(C cap S): the code
+    reads r off C cap S, the characteristic subspace, and checks it against
+    the second identity dim(C + S) = k + r.  With k = dim C, m = n - k,
+    s = dim S and l = dim O, every field follows from l, s and r:
         dim(C + S) = k + r          dim(C cap S) = s - r
         coisotropic <=> r = 0       cosymplectic <=> r = m
         pointwise Poisson-Dirac <=> s = r
@@ -111,10 +112,9 @@ class ClassificationRecord:
 def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
     if c.dual or c.ambient_dim != p.dim:
         raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
-    ann = annihilator(c)
     sharp_ann = p.sharp_annihilator(c)
-    k, m, s, leaf_dim = c.dim, ann.dim, sharp_ann.dim, p.leaf().dim
-    r = image(ann.basis, sharp_ann).dim
+    k, m, s, leaf_dim = c.dim, p.dim - c.dim, sharp_ann.dim, p.leaf().dim
+    r = s - characteristic_subspace(p, c).dim
     if add(c, sharp_ann).dim != k + r:
         raise PropertyViolationError("rank(rho) identities disagree; bivector data is inconsistent")
     return ClassificationRecord(
@@ -134,8 +134,8 @@ def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
 
 @_derived
 def characteristic_subspace(p: PoissonVS, c: Subspace) -> Subspace:
-    """C intersected with sharp(ann C): the kernel of the leaf form pulled back to C."""
-    return intersect(c, p.sharp_annihilator(c))
+    """C intersected with sharp(ann C), read off its cached ann C: the kernel of the leaf form pulled back to C."""
+    return intersect(p.sharp_annihilator(c), c)
 
 
 @_derived
@@ -313,7 +313,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     if v is None:
         v = _row_space(greedy_complement(e, m.basis))
     else:
-        if not contains(m, v) or intersect(v, e).dim != 0 or v.dim + e.dim != m.dim:
+        if not contains(m, v) or intersect(e, v).dim != 0 or v.dim + e.dim != m.dim:
             raise PreconditionError("supplied v is not a complement of e inside m")
     k = e.dim
     w0 = greedy_complement(e, p.sharp_annihilator(v).basis)
@@ -363,9 +363,9 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     if p1.sharp_annihilator(m) != p2.sharp_annihilator(m):
         raise PreconditionError("sharp images of the annihilator differ; structures do not match along m")
     # the pullback of graph(Pi) to m is fixed by its range (m intersect the leaf O) and its form -Omega there
-    reach = intersect(m, p1.leaf())
+    reach = intersect(p1.leaf(), m)
     rows = reach.basis
-    if reach != intersect(m, p2.leaf()) or leaf_form_gram(p1, rows, rows) != leaf_form_gram(p2, rows, rows):
+    if reach != intersect(p2.leaf(), m) or leaf_form_gram(p1, rows, rows) != leaf_form_gram(p2, rows, rows):
         raise PreconditionError("the two bivectors induce different pullback structures on m")
     s1 = coisotropic_splitting(p1, m, v)
     s2 = coisotropic_splitting(p2, m, v)

@@ -16,7 +16,8 @@ become integers, and floats are refused, in one place, `_scaled_row`, which
 runs only at the boundary: `MatrixQ(...)`, `from_rows`, `Subspace.span`, the
 vector of `matvec`, and in `polynomials` the coefficients of `Poly.make` and
 the point of `integer_rows_at`.  `solve` takes every right-hand side at once
-in one elimination; `inverse` is its identity case.
+in one elimination; `inverse` is its identity case.  Every intersection, here
+and in `dirac_linear`, is one `_tail` of rows (A x | x), A an annihilator's rows.
 
 Subspaces carry a primal/dual tag: annihilators land in the dual
 space and mixing the two ambients raises, which catches the classic
@@ -419,15 +420,20 @@ def add(a: Subspace, b: Subspace) -> Subspace:
     return _reduced(a.ambient_dim, list(a.rows + b.rows), a.dual)
 
 
+def _tail(work: list, k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows with pivot >= k, minus their first k entries, after eliminating primitive
+    integer rows of width k + n: the canonical rows of the row space's part where those k vanish."""
+    pivots = _eliminate(work, k + n)
+    return tuple(tuple(row[k:]) for row, c in zip(work, pivots) if c >= k)
+
+
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a intersected with b by the Zassenhaus sum-intersection algorithm
-    (Cohen, GTM 138, 2.3): in the reduced form of [[A, A], [B, 0]] the rows
-    whose pivot lies in the right half are (0, canonical rows of a & b)."""
+    """The x in a with A x = 0, A the rows of ann b (cached: pass as b the side whose
+    annihilator exists): the `_tail` of a's rows x as (A x | x), primitive as x is."""
     _require_same_space(a, b)
-    n = a.ambient_dim
-    work = [r + r for r in a.rows] + [r + (0,) * n for r in b.rows]
-    pivots = _eliminate(work, 2 * n)
-    return Subspace(n, tuple(tuple(row[n:]) for row, c in zip(work, pivots) if c >= n), a.dual)
+    ann = b._annihilator.rows
+    work = [[sum(map(mul, xi, x)) for xi in ann] + list(x) for x in a.rows]
+    return Subspace(a.ambient_dim, _tail(work, len(ann), a.ambient_dim), a.dual)
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -1,6 +1,6 @@
 """scripts/bench_pairs.py names every run that cannot back a claim, writes the runs so far
-when a run gives no result, judges each metric by the claim rule and by its bound, and
-leaves no export behind."""
+when a run gives no result, judges each metric by the claim rule and by its bound, tells
+whether the runs resolve the metric at all, and leaves no export behind."""
 
 import importlib.util
 import json
@@ -82,6 +82,33 @@ def test_verdicts_for_a_lower_is_better_metric(change, expected):
     assert verdicts(P90, PARENT, change) == expected
 
 
+def resolved(metric, parent, change):
+    return bench_pairs.summarize(runs(metric["name"], parent, change), [metric])[metric["name"]]["resolved"]
+
+
+WIDE = [70, 130, 80, 120, 90, 110, 100, 60, 140, 100]  # median 100, interquartile range 35
+
+
+def test_a_spread_wider_than_the_bound_leaves_an_overlapping_change_unresolved():
+    change = [p + 5 for p in WIDE]
+    assert verdicts(OPS, WIDE, change) == (False, True)
+    assert resolved(OPS, WIDE, change) is False
+    assert resolved(P90, WIDE, [p - 5 for p in WIDE]) is False
+
+
+def test_a_change_better_in_every_run_resolves_a_wide_spread():
+    assert resolved(OPS, WIDE, [141 + i for i in range(10)]) is True
+    assert resolved(P90, WIDE, [59 - i for i in range(10)]) is True
+    # one change run no better than the best parent run overlaps
+    assert resolved(OPS, WIDE, [140] + [141 + i for i in range(9)]) is False
+
+
+def test_a_spread_inside_the_bound_is_resolved():
+    assert resolved(OPS, PARENT, PARENT) is True
+    assert resolved(OPS, PARENT, [p - 11 for p in PARENT]) is True
+    assert resolved(P90, PARENT, [p + 1 for p in PARENT]) is True
+
+
 def test_summary_keeps_every_field_for_every_contract_metric():
     contract = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     names = [m["name"] for m in contract]
@@ -92,6 +119,8 @@ def test_summary_keeps_every_field_for_every_contract_metric():
         assert entry["pairs"] == 4 and entry["change_wins"] == entry["parent_wins"] == 0
         assert entry["median_difference"] == 0 and entry["parent"]["iqr"] == entry["change"]["iqr"]
         assert entry["claim_rule_met"] is False and entry["within_bound"] is True
+        # the runs 1..4 spread 60% of their median, wider than any bound, and the sides tie
+        assert entry["resolved"] is False
 
 
 @pytest.mark.parametrize("text, seeds", [("11-14", [11, 12, 13, 14]), ("11-11", [11]), ("1,3,5", [1, 3, 5]), ("7", [7])])

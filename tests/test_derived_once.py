@@ -1,7 +1,9 @@
 """Each classification, embedding-conditions record and induced bivector is
 built at most once per (PoissonVS, subspaces), whoever asks for it, a fresh
-classification runs four eliminations, each annihilator is built once per
-subspace, each linear system with many right-hand sides is solved in one
+classification runs four eliminations, with rank rho read off C cap S,
+which its characteristic subspace then reuses, a pullback or a
+characteristic subspace of a Dirac structure runs one elimination, each
+annihilator is built once per subspace, each linear system with many right-hand sides is solved in one
 elimination, a splitting solves each leaf-form vector once, each inverse
 once, each partial derivative is derived once per polynomial, the
 linear constructions split no Fraction row into integers, and a polynomial
@@ -22,9 +24,11 @@ import pytest
 from gen import rand_minimal_coisotropic_pair, rand_valid_iso_triple
 from poisdirac.bivector_fields import BivectorField
 from poisdirac.cli import main
+from poisdirac.dirac_linear import characteristic, from_bivector, pullback
 from poisdirac.poisson_linear import (
     PoissonVS,
     canonical_iso,
+    characteristic_subspace,
     classify_subspace,
     coisotropic_splitting,
     cosymplectic_extension,
@@ -193,8 +197,9 @@ def test_classification_annihilates_its_subspace_once():
 
 
 def test_classification_of_a_fresh_subspace_runs_four_eliminations():
-    # ann c, sharp(ann c), rank rho = dim A(sharp ann c) with A the rows of ann c,
-    # and c + sharp(ann c), the second route to that rank; the leaf is built beforehand
+    # ann c, sharp(ann c), c cap sharp(ann c), whose dimension gives rank rho =
+    # dim sharp(ann c) - dim(c cap sharp(ann c)), and c + sharp(ann c), the second
+    # route to that rank; the leaf is built beforehand
     rng = random.Random(47)
     for _ in range(10):
         p, c, _, _ = rand_valid_iso_triple(rng, max_dim=6)
@@ -203,6 +208,62 @@ def test_classification_of_a_fresh_subspace_runs_four_eliminations():
         with counted_runs(_eliminate) as runs:
             classify_subspace(p, c)
         assert runs == [4]
+
+
+@contextmanager
+def eliminated_widths():
+    """The column count of each run of `_eliminate`, in order."""
+    widths = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is _eliminate.__code__:
+            widths.append(frame.f_locals["n_cols"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield widths
+    finally:
+        sys.setprofile(previous)
+
+
+def test_the_characteristic_subspace_after_a_classification_runs_no_elimination():
+    # classification builds c cap sharp(ann c) for rank rho; the characteristic
+    # subspace is that object, so the two together run four eliminations (five when
+    # the rank had its own elimination of A(sharp ann c))
+    rng = random.Random(53)
+    for _ in range(10):
+        p, c, _, _ = rand_valid_iso_triple(rng, max_dim=6)
+        p, c = PoissonVS(p.dim, p.pi), Subspace(c.ambient_dim, c.rows)
+        p.leaf()
+        with eliminated_widths() as widths:
+            record = classify_subspace(p, c)
+            char = characteristic_subspace(p, c)
+        assert len(widths) == 4 and char.dim == record.dim_characteristic
+
+
+def test_a_pullback_with_its_annihilator_built_runs_one_elimination():
+    # the rows (A X | coordinates of X | xi on w's basis) are eliminated once; the
+    # route through a 2n-dimensional helper subspace eliminated twice
+    rng = random.Random(61)
+    for _ in range(10):
+        p, c, _, _ = rand_valid_iso_triple(rng, max_dim=6)
+        l, w = from_bivector(p), Subspace(c.ambient_dim, c.rows)
+        annihilator(w)
+        with eliminated_widths() as widths:
+            pullback(l, w)
+        assert len(widths) == 1
+
+
+def test_a_characteristic_runs_one_elimination_on_2n_columns():
+    # L's rows reordered to (xi | X); the Zassenhaus route eliminated on 4n columns
+    rng = random.Random(67)
+    for _ in range(10):
+        p, _, _, _ = rand_valid_iso_triple(rng, max_dim=6)
+        l = from_bivector(p)
+        with eliminated_widths() as widths:
+            characteristic(l)
+        assert widths == [2 * p.dim]
 
 
 def test_counting_sees_each_annihilation_of_its_object():

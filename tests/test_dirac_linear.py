@@ -12,13 +12,18 @@ from poisdirac.dirac_linear import (
     from_bivector,
     from_subspace_form,
     gauge,
-    pairing,
     pullback,
     range_and_form,
 )
-from poisdirac.errors import PreconditionError
+from poisdirac.errors import PreconditionError, SpaceMismatchError
 from poisdirac.poisson_linear import PoissonVS, characteristic_subspace
 from poisdirac.rational_linalg import MatrixQ, Subspace
+
+
+def pairing(u, v, n: int) -> Fraction:
+    """<(X, xi), (Y, eta)> = xi(Y) + eta(X): the reference for DiracVS's isotropy test."""
+    return sum(a * b for a, b in zip(u[n:], v[:n])) + sum(a * b for a, b in zip(v[n:], u[:n]))
+
 
 J4 = MatrixQ.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 P4 = PoissonVS(4, J4)
@@ -131,10 +136,14 @@ def test_isotropy_is_checked_on_scaled_integer_rows_randomized():
         # shifting one covector entry breaks isotropy unless it pairs with zero
         rows[rng.randrange(n)][n + rng.randrange(n)] += Fraction(1, 3)
         span = Subspace.span(2 * n, rows)
-        if span.dim == n and any(pairing(r, q, n) for r in rows for q in rows):
-            with pytest.raises(PreconditionError, match="not isotropic"):
+        if span.dim != n:
+            continue
+        if any(pairing(r, q, n) for r in rows for q in rows):
+            with pytest.raises(PreconditionError, match="span is not isotropic for the symmetric pairing"):
                 DiracVS(n, span)
             rejected += 1
+        else:
+            assert DiracVS(n, span).span == span
     assert rejected >= 20
 
 
@@ -229,3 +238,11 @@ def test_characteristic_consistency_with_poisson_randomized():
             for row in char_inside.basis.entries
         ]
         assert Subspace.span(n, ambient_rows) == characteristic_subspace(p, c)
+
+
+def test_pullback_refuses_a_wrong_ambient_or_a_dual_target():
+    l = from_bivector(P4)
+    with pytest.raises(SpaceMismatchError, match="pullback target"):
+        pullback(l, Subspace.full(3))
+    with pytest.raises(SpaceMismatchError, match="pullback target"):
+        pullback(l, Subspace.full(4, dual=True))
