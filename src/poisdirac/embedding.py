@@ -63,9 +63,8 @@ class DiracManifoldData:
             raise SpaceMismatchError(f"need {m} spanning sections, got {len(self.sections)}")
         if len(self.e_frame) + len(self.v_frame) != m:
             raise SpaceMismatchError("E and V frames together must have base_dim members")
-        for sec in self.sections:
-            if len(sec.vector) != m or len(sec.covector) != m:
-                raise SpaceMismatchError("section components must have base_dim entries")
+        if any(len(part) != m for sec in self.sections for part in (sec.vector, sec.covector)):
+            raise SpaceMismatchError("section components must have base_dim entries")
         if any(len(field) != m for field in self.e_frame + self.v_frame):
             raise SpaceMismatchError("E and V frame fields must have base_dim entries")
 
@@ -78,6 +77,10 @@ class DiracManifoldData:
         return self.sections[0].vector[0].variables
 
     def dirac_at(self, x: Sequence[Fraction]) -> DiracVS:
+        return self._structure_at(tuple(x))  # built once per point, under a hashable key
+
+    @_derived
+    def _structure_at(self, x: Vector) -> DiracVS:
         return _dirac_at(self.base_dim, self.sections, x)
 
 
@@ -87,49 +90,35 @@ def _dirac_at(n: int, sections: Sequence[Section], point: Sequence[Fraction]) ->
     return DiracVS(n, _reduced(2 * n, [primitive(r) for r, _ in rows], False))
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    sample_index: int
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> ValidationReport:
-    """Check every pointwise invariant of the data at each sample."""
-    return _validate(d, samples, {})
-
-
-def _validate(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]], bases: dict[Vector, DiracVS]) -> ValidationReport:
-    """validate_dirac_data, keeping the input structure at each sample in
-    `bases`; it depends only on the sections, so data that differ only in
-    their frames can share `bases`."""
-    issues: list[ValidationIssue] = []
+def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, str], ...]:
+    """Check every pointwise invariant of the data at each sample: the
+    (sample index, message) of each failure, none when the data are valid."""
+    issues: list[tuple[int, str]] = []
     m, k = d.base_dim, d.fiber_dim
-    for idx, x in enumerate(map(tuple, samples)):
+    for idx, x in enumerate(samples):
         try:
-            structure = bases[x] = bases.get(x) or d.dirac_at(x)
+            structure = d.dirac_at(x)
         except (PreconditionError, SpaceMismatchError) as exc:
-            issues.append(ValidationIssue(idx, f"sections: {exc}"))
+            issues.append((idx, f"sections: {exc}"))
             continue
         char = characteristic(structure)
         frame_rows = [primitive(r) for r, _ in integer_rows_at(d.e_frame + d.v_frame, x)]
         e_span = _reduced(m, frame_rows[:k], False)
         if e_span.dim != k:
-            issues.append(ValidationIssue(idx, "E frame vectors are dependent"))
+            issues.append((idx, "E frame vectors are dependent"))
             continue
         if char != e_span:
-            issues.append(ValidationIssue(idx, f"E frame spans a {e_span.dim}-dim space but L /\\ TM is {char.dim}-dim or differs"))
+            issues.append((idx, f"E frame spans a {e_span.dim}-dim space but L /\\ TM is {char.dim}-dim or differs"))
         if _reduced(m, frame_rows, False).dim != m:
-            issues.append(ValidationIssue(idx, "E and V frames do not span the tangent space"))
-    return ValidationReport(tuple(issues))
+            issues.append((idx, "E and V frames do not span the tangent space"))
+    return tuple(issues)
+
+
+def _require_valid(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]], name: str) -> None:
+    """Raise the first failure of validate_dirac_data at the base points of the samples."""
+    issues = validate_dirac_data(d, [s[: d.base_dim] for s in samples])
+    if issues:
+        raise PreconditionError("{} invalid at sample {}: {}".format(name, *issues[0]))
 
 
 def total_space_variables(d: DiracManifoldData) -> tuple[str, ...]:
@@ -148,18 +137,16 @@ def pullback_canonical_one_form(d: DiracManifoldData) -> tuple[Poly, ...]:
 
     e^I are the first k rows of the inverse frame matrix [E | V]; the
     inverse must be polynomial, so the frame determinant has to be a
-    nonzero constant.
+    nonzero constant, also when k = 0: the inverse proves [E | V] a frame.
     """
     m, k = d.base_dim, d.fiber_dim
     total_vars = total_space_variables(d)
-    if k == 0:
-        return tuple(Poly.zero(total_vars) for _ in range(m))
     frame_cols = d.e_frame + d.v_frame
     frame = [[frame_cols[j][i] for j in range(m)] for i in range(m)]
     try:
         inv = poly_matrix_inverse(frame)
     except NotUnimodularError:
-        raise PreconditionError(
+        raise NotUnimodularError(
             f"frame determinant {poly_matrix_det(frame)} is not a nonzero constant; the dual coframe is not polynomial"
         ) from None
     fibers = [Poly.variable(total_vars, p) for p in total_vars[m:]]
@@ -253,11 +240,7 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     coisotropic and the pullback to it must reproduce the input
     structure.  Failures raise, naming the offending point.
     """
-    bases: dict[Vector, DiracVS] = {}
-    report = _validate(d, [tuple(s[: d.base_dim]) for s in samples], bases)
-    if not report.ok:
-        first = report.issues[0]
-        raise PreconditionError(f"input data invalid at sample {first.sample_index}: {first.message}")
+    _require_valid(d, samples, "input data")
     m, k = d.base_dim, d.fiber_dim
     n = m + k
     _, b, sections = _gauged(d)
@@ -274,8 +257,7 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
         if zero_bivector is None:
             raise PropertyViolationError(f"structure is not a bivector graph at the zero-section point {fmt_point(base_point)}")
         coisotropic = classify_subspace(zero_bivector, zero_tangent).coisotropic
-        restored = pullback(at_zero, zero_tangent)
-        matches = restored == bases[point[:m]]
+        matches = pullback(at_zero, zero_tangent) == d.dirac_at(point[:m])
         checks.append(SampleCheck(point, True, coisotropic, matches))
     return EmbeddingResult(
         data=d,
@@ -325,26 +307,24 @@ def compare_splittings(
     B is the difference of the two gauge forms; it must be closed, the
     difference of the pairing one-forms must vanish identically on the
     zero section, and the gauge by B must carry the first structure to
-    the second at every sample.
+    the second at every sample.  Only v0 is checked at the samples; the
+    polynomial inverse of [E | V1] proves v1 a complement of E everywhere.
     """
     # a frame equal to d's own reuses what d has derived
     frames = [tuple(map(tuple, f)) for f in (v0_frame, v1_frame)]
     d0, d1 = (d if f == d.v_frame else replace(d, v_frame=f) for f in frames)
-    base_samples = [tuple(s[: d.base_dim]) for s in samples]
-    bases: dict[Vector, DiracVS] = {}  # d0 and d1 share their sections
-    for name, dd in (("v0", d0), ("v1", d1)):
-        report = _validate(dd, base_samples, bases)
-        if not report.ok:
-            issue = report.issues[0]
-            raise PreconditionError(f"{name} frame invalid at sample {issue.sample_index}: {issue.message}")
-    (theta0, b0, rows0), (theta1, b1, rows1) = _gauged(d0), _gauged(d1)
+    _require_valid(d0, samples, "v0 frame")
+    theta0, b0, rows0 = _gauged(d0)
+    try:
+        theta1, b1, rows1 = _gauged(d1)
+    except NotUnimodularError as exc:
+        raise PreconditionError(f"v1 frame invalid: {exc}") from None
     diff = b1 - b0
     closed = is_closed(diff)
     m, k = d.base_dim, d.fiber_dim
     total_vars = total_space_variables(d)
-    zero_fibers = {total_vars[m + i]: Poly.zero(total_vars) for i in range(k)}
-    keep = {v: Poly.variable(total_vars, v) for v in total_vars[:m]}
-    on_base = all((t1 - t0).substitute({**keep, **zero_fibers}).is_zero() for t0, t1 in zip(theta0, theta1))
+    on_zero_section = {v: Poly.variable(total_vars, v) if i < m else Poly.zero(total_vars) for i, v in enumerate(total_vars)}
+    on_base = all((t1 - t0).substitute(on_zero_section).is_zero() for t0, t1 in zip(theta0, theta1))
     intertwines = all(
         gauge(_dirac_at(m + k, rows0, point), diff.at(point)) == _dirac_at(m + k, rows1, point) for point in samples
     )

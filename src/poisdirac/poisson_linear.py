@@ -31,9 +31,9 @@ from .rational_linalg import (
 
 
 def _derived(build):
-    """build(p, *args) made once per object p (a PoissonVS, or any frozen
-    dataclass) and arguments: the result is cached on p, outside the fields
-    that equality and hashing read."""
+    """build(p, *args) made once per object p (a PoissonVS, any frozen
+    dataclass, a PointData) and hashable arguments: the result is cached on
+    p, outside the fields that equality and hashing read."""
     @wraps(build)
     def once(p, *args):
         cache = p.__dict__.setdefault("_cache", {})

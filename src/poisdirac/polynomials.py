@@ -59,6 +59,12 @@ _TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|[a-zA-Z]+[0-9]+|[0-9]+(?:/[0-9]+)?)")
 # scenarios, the tests and the benchmark generators use at most 3.
 MAX_EXPONENT = 32
 
+# Most terms that one sum_of_products may accumulate, and so the largest
+# polynomial any product, power, substitution or determinant step builds:
+# MAX_EXPONENT bounds one '^', not what products make of it.  A pushforward
+# of x1^32*...*x5^32 along x_i -> x_i + x6^2 expands 33^5 terms.
+MAX_PRODUCT_TERMS = 400_000
+
 
 def _ordered(variables: tuple[str, ...], nums: Iterable[tuple[tuple[int, ...], int]], den: int) -> Poly:
     """Poly of (exponent, nonzero int) pairs over den > 0, put in grlex order and divided by
@@ -275,6 +281,8 @@ def sum_of_products(
             for e2, n2 in tb:
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + n1 * n2
+            if len(out) > MAX_PRODUCT_TERMS:
+                raise PreconditionError(f"a polynomial product needs more than {MAX_PRODUCT_TERMS} terms")
     return _ordered(variables, [(e, n) for e, n in out.items() if n], big)
 
 
@@ -330,6 +338,8 @@ def _parse_term(tokens: list[str], pos: int, variables: tuple[str, ...]) -> tupl
         if tok == "*":
             if not saw_factor:
                 raise ValueError("term cannot start with '*'")
+            if pos + 1 == len(tokens) or tokens[pos + 1] in ("+", "-", "*"):
+                raise ValueError("'*' must be followed by a factor")
             pos += 1
             continue
         if saw_factor and tokens[pos - 1] != "*":
@@ -438,7 +448,8 @@ def fiber_variables(k: int) -> tuple[str, ...]:
 
 # Most terms that the memoized minors of one cofactor expansion may hold
 # together: the expansion touches up to n * 2^n minors, and their size, not
-# the matrix's dimension, is what grows.  The inverse in the dense 8 + 2
+# the matrix's dimension, is what grows.  MAX_PRODUCT_TERMS bounds each minor
+# alone, not the table that keeps them all.  The inverse in the dense 8 + 2
 # embedding scenario (scripts/dense_embed_scenario.py) expands a 7 x 7 Schur
 # complement into 103,410 terms in 568 minors; 10 + 2 passes 5,000,000
 # terms in its 10 x 10 one, and without a cap it runs out of memory.

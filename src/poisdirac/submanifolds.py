@@ -27,6 +27,7 @@ from .errors import PreconditionError, PropertyViolationError, RegularityError, 
 from .poisson_linear import (
     ClassificationRecord,
     PoissonVS,
+    _derived,
     characteristic_subspace,
     classify_subspace,
     cosymplectic_extension,
@@ -196,8 +197,6 @@ class PointData:
         # a level-set sample is its ambient point, and tangent_at checked it on the locus
         self.ambient = self.sample if isinstance(c, LevelSet) else ambient_point(c, self.sample)
         self.poisson: PoissonVS = pi.at(self.ambient)
-        self._differentials: dict[Poly, MatrixQ] = {}
-        self._directions: MatrixQ | None = None
 
     @property
     def classification(self) -> ClassificationRecord:
@@ -209,22 +208,23 @@ class PointData:
         """The characteristic subspace in the canonical-basis coordinates of the tangent."""
         return subspace_in_basis(characteristic_subspace(self.poisson, self.tangent), self.tangent)
 
+    @cached_property
+    def _directions(self) -> MatrixQ:
+        """Tangent basis row i = J m_i on a parametrization, whose rows m_i these are; df(row i) = grad . m_i."""
+        rows = self.tangent.basis
+        if isinstance(self.patch, Parametrized):
+            rows = solve(self.patch.map.jacobian_at(self.sample), rows)
+            if rows is None:
+                raise PropertyViolationError("tangent basis vector has no parameter preimage")
+        return rows
+
+    @_derived
     def differential(self, f: Poly) -> MatrixQ:
         """df at the point as a 1 x k row, a covector in the canonical-basis coordinates of the tangent."""
-        if f in self._differentials:
-            return self._differentials[f]
         if f.variables != self.patch.map.source_vars:
             raise SpaceMismatchError("function does not use the submanifold's coordinates")
-        if self._directions is None:  # tangent basis row i = J m_i on a parametrization; df(row i) = grad . m_i
-            rows = self.tangent.basis
-            if isinstance(self.patch, Parametrized):
-                rows = solve(self.patch.map.jacobian_at(self.sample), rows)
-                if rows is None:
-                    raise PropertyViolationError("tangent basis vector has no parameter preimage")
-            self._directions = rows
         grad = MatrixQ._over(len(f.variables), integer_rows_at((f.gradient,), self.sample))
-        df = self._differentials[f] = grad @ self._directions.transpose()
-        return df
+        return grad @ self._directions.transpose()
 
     def is_basic(self, f: Poly) -> bool:
         """Whether df annihilates the characteristic subspace at the point."""

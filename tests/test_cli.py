@@ -156,6 +156,28 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "precondition failed: the cofactor expansion of a 5 x 5 polynomial matrix needs more than 1000 terms\n"
 
+    def test_a_product_past_the_term_cap_is_two(self, capsys, tmp_path, monkeypatch):
+        # composing x1^32*...*x5^32 with x_i -> x_i + x6^2 expands 33^5 terms: inside every
+        # input bound, it would run until memory runs out without the cap
+        doc = {
+            "ambient": {"dim": 6, "bivector": [{"i": 1, "j": 2, "poly": "*".join(f"x{i}^32" for i in range(1, 6))}]},
+            "map": [f"x{i} + x6^2" for i in range(1, 6)] + ["x6"],
+            "map_inverse": [f"x{i} - x6^2" for i in range(1, 6)] + ["x6"],
+        }
+        path = tmp_path / "push.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(polynomials, "MAX_PRODUCT_TERMS", 2000)
+        code, out, err = run(capsys, "pushforward", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == "precondition failed: a polynomial product needs more than 2000 terms\n"
+
+    @pytest.mark.parametrize("poly", ["x1*", "x1*+x2", "x1**x2"])
+    def test_a_star_not_between_two_factors_is_one(self, capsys, tmp_path, poly):
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({"ambient": {"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": poly}]}}))
+        code, out, err = run(capsys, "jacobi", "--scenario", str(path))
+        assert (code, out) == (1, "") and "'*' must be followed by a factor" in err
+
     @pytest.mark.parametrize("where", ["scenario", "points flag", "polynomial"])
     def test_too_many_digits_is_one(self, capsys, tmp_path, where):
         path = tmp_path / "line.json"
@@ -529,6 +551,41 @@ class TestInputBounds:
             "submanifold": {"type": "parametrized", "map": [f"t{MAX_DIM}"] + ["0"] * (MAX_DIM - 1)},
         }))
         assert doc.ambient_dim == MAX_DIM and doc.submanifold.param_dim == MAX_DIM
+
+    # E = 0 on the symplectic plane, so V alone must be a frame
+    PLANE = {
+        "dirac_manifold": {
+            "dim": 2,
+            "sections": [{"X": ["1", "0"], "xi": ["0", "-1"]}, {"X": ["0", "1"], "xi": ["1", "0"]}],
+            "E_frame": [],
+            "V_frame": [["1", "0"], ["0", "1"]],
+        },
+        "samples": [["1", "2"], ["-1/2", "3"]],
+    }
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_a_v1_that_does_not_complement_e_is_two(self, capsys, tmp_path, k):
+        # v1 is checked by inverting [E | V1], never at the samples
+        doc = bundled("ex_r4_splittings.json") if k else {**self.PLANE, "compare_v_frames": {"v0": [["1", "0"], ["0", "1"]]}}
+        doc["compare_v_frames"]["v1"] = doc["compare_v_frames"]["v0"]
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "embed", "--scenario", str(path))[0] == 0
+        # (0, 0, 1) spans E; the two fields of the plane's v1 are equal
+        doc["compare_v_frames"]["v1"] = [["1", "0", "0"], ["0", "0", "1"]] if k else [["1", "x2"], ["1", "x2"]]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "embed", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("precondition failed: v1 frame invalid: frame determinant 0 ") and err.count("\n") == 1
+
+    def test_a_spanning_v_frame_with_a_nonconstant_determinant_is_two_when_k_is_zero(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(self.PLANE))
+        doc["dirac_manifold"]["V_frame"][1] = ["0", "1 + x1^2"]
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "embed", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == "precondition failed: frame determinant x1^2 + 1 is not a nonzero constant; the dual coframe is not polynomial\n"
 
     @pytest.mark.parametrize("key, keep", [("v1", 1), ("v0", 3)])
     def test_compare_frame_of_wrong_count_is_one(self, capsys, tmp_path, key, keep):

@@ -152,7 +152,7 @@ ONE_SOLVE_CASES = {
     "leaf_form_gram": lambda: leaf_form_gram(PoissonVS(4, J4), MatrixQ.from_rows([A, B, A]), MatrixQ.from_rows([B, A, A])),
     "induced_bivector": lambda: induced_bivector(PoissonVS(4, J4), E12),
     "canonical_iso": lambda: canonical_iso(PoissonVS(4, J4), E1, E12, TILTED),
-    "differential": lambda: _graph_point().differential(Poly.parse("t1*t2 + t2", ("t1", "t2"))),
+    "_directions": lambda: _graph_point().differential(Poly.parse("t1*t2 + t2", ("t1", "t2"))),
     "consistency": lambda: _hypersurface_point().consistency(Poly.parse("x1", X4), Poly.parse("x2", X4)),
 }
 

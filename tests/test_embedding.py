@@ -44,7 +44,7 @@ BASE_SAMPLES = [s[:3] for s in SAMPLES]
 class TestValidate:
     def test_r4_data_valid_including_degenerate_points(self):
         samples = list(BASE_SAMPLES) + [(Fraction(0), Fraction(1), Fraction(2))]
-        assert validate_dirac_data(r4_data(), samples).ok
+        assert validate_dirac_data(r4_data(), samples) == ()
 
     def test_symplectic_graph_valid_with_empty_e(self):
         x2 = ("x1", "x2")
@@ -59,7 +59,7 @@ class TestValidate:
             v_frame=((q("1"), q("0")), (q("0"), q("1"))),
         )
         assert data.fiber_dim == 0
-        assert validate_dirac_data(data, [(Fraction(1), Fraction(2))]).ok
+        assert validate_dirac_data(data, [(Fraction(1), Fraction(2))]) == ()
 
     def test_non_isotropic_sections_reported(self):
         x1 = ("x1",)
@@ -70,9 +70,8 @@ class TestValidate:
             e_frame=((q("1"),),),
             v_frame=(),
         )
-        report = validate_dirac_data(data, [(Fraction(0),)])
-        assert not report.ok
-        assert "isotropic" in report.issues[0].message
+        ((index, message),) = validate_dirac_data(data, [(Fraction(0),)])
+        assert index == 0 and "isotropic" in message
 
     def test_wrong_e_frame_reported(self):
         data = r4_data()
@@ -82,8 +81,7 @@ class TestValidate:
             e_frame=((p3("0"), p3("1"), p3("0")),),
             v_frame=((p3("1"), p3("0"), p3("0")), (p3("0"), p3("0"), p3("1"))),
         )
-        report = validate_dirac_data(bad, [(Fraction(1), Fraction(0), Fraction(0))])
-        assert not report.ok
+        assert validate_dirac_data(bad, [(Fraction(1), Fraction(0), Fraction(0))])
 
 
 class TestCanonicalForm:
@@ -293,8 +291,19 @@ class TestCompareSplittings:
     def test_invalid_complement_rejected(self):
         data = r4_data()
         v_bad = ((p3("0"), p3("0"), p3("1")), (p3("0"), p3("1"), p3("0")))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^v1 frame invalid: frame determinant 0 "):
             compare_splittings(data, data.v_frame, v_bad, SAMPLES)
+
+    def test_only_v0_is_validated_at_the_samples(self, monkeypatch):
+        # the coframe inverse of [E | V1] stands in for the pointwise checks of v1
+        data = r4_data()
+        v1 = ((p3("1"), p3("0"), p3("1")), (p3("0"), p3("1"), p3("0")))
+        grids = []
+        original = embedding.integer_rows_at
+        monkeypatch.setattr(embedding, "integer_rows_at", lambda grid, x: grids.append(grid) or original(grid, x))
+        assert compare_splittings(data, data.v_frame, v1, SAMPLES).intertwines_at_all_samples
+        assert sum(data.v_frame[0] in grid for grid in grids) == len(SAMPLES)
+        assert sum(v1[0] in grid for grid in grids) == 0
 
 
 class TestBaseStructuresBuiltOnce:
@@ -304,14 +313,16 @@ class TestBaseStructuresBuiltOnce:
     SAMPLES = list(SAMPLES[:6]) + [s[:3] + (Fraction(5),) for s in SAMPLES[:3]]
 
     def count_calls(self, monkeypatch) -> Counter:
+        """Evaluations of the input structure (_dirac_at at the base dimension 3) by point."""
         calls = Counter()
-        original = DiracManifoldData.dirac_at
+        original = embedding._dirac_at
 
-        def counting(data, x):
-            calls[tuple(x)] += 1
-            return original(data, x)
+        def counting(n, sections, point):
+            if n == 3:
+                calls[tuple(point)] += 1
+            return original(n, sections, point)
 
-        monkeypatch.setattr(DiracManifoldData, "dirac_at", counting)
+        monkeypatch.setattr(embedding, "_dirac_at", counting)
         return calls
 
     def test_build_embedding(self, monkeypatch):

@@ -145,6 +145,8 @@ def fraction_parse_term(tokens, pos, variables):
         if tok == "*":
             if not saw_factor:
                 raise ValueError("term cannot start with '*'")
+            if pos + 1 == len(tokens) or tokens[pos + 1] in ("+", "-", "*"):
+                raise ValueError("'*' must be followed by a factor")
             pos += 1
             continue
         if saw_factor and tokens[pos - 1] != "*":
@@ -188,12 +190,12 @@ BIG_NUM, BIG_DEN = "9" * 999 + "7", "1" + "0" * 998 + "3"
 VALID_PARSES = [
     "-x1", "+x2", "- 3/4*x1*x2^2 + 5/6", "6/4", "2*3/4*x1*5", "007*x1 + 0/05*x2 + 0012/0008", "x1^0", "x1^0*x2^00",
     "x1 + x1", "x1 - x1", "2*x1 - x1 - x1 + 3", "1/2*x1 + 1/3*x1 - 5/6*x1", "x2*x1 + x1*x2 - 1/4*x2*x1", "0", "-0",
-    "0*x1 + x2", "-0*x3 - 0", "x1 ** x2", f"x1^{MAX_EXPONENT // 2}*x1^{MAX_EXPONENT // 2}", f"x1^{MAX_EXPONENT - 1}*x2*x1",
+    "0*x1 + x2", "-0*x3 - 0", f"x1^{MAX_EXPONENT // 2}*x1^{MAX_EXPONENT // 2}", f"x1^{MAX_EXPONENT - 1}*x2*x1",
     f"{BIG_NUM}/{BIG_DEN}*x1 - {BIG_NUM}*x2 + 1/{BIG_DEN}", f"{BIG_NUM}/{BIG_DEN}*x3 - {BIG_NUM}/{BIG_DEN}*x3",
 ]
 MALFORMED_PARSES = [
     "", "  ", "+", "*x1", "x1 x2", "x1^", "x1^-1", "^2", "x1*^", "1/0", "0/0*x1", "x99", "x1 +", "x1 - - x2", "2x1",
-    "x1 $ x2", "1.5*x1", "1" * 1001, f"1/{'3' * 1001}*x1", "2*" + "1" * 5000, f"1/{'3' * 5000}", f"x1^{MAX_EXPONENT // 2 + 4}*x1^{MAX_EXPONENT // 2 + 4}",
+    "x1 $ x2", "1.5*x1", "x1 ** x2", "x1*", "x1*+x2", "1" * 1001, f"1/{'3' * 1001}*x1", "2*" + "1" * 5000, f"1/{'3' * 5000}", f"x1^{MAX_EXPONENT // 2 + 4}*x1^{MAX_EXPONENT // 2 + 4}",
 ]
 
 
