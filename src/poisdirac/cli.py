@@ -1,10 +1,11 @@
 """Command line front end.
 
-Subcommands wrap the library: classify, jacobi, pushforward, extend,
-phi, embed, bracket.  Reports are dual-emitted: aligned text for humans
-(with a version banner), and a sorted-key JSON document for tests;
---porcelain prints the JSON document only, --output writes it to a
-file as well.  Output is byte-identical for identical input.
+Subcommands wrap the library; `_COMMANDS` declares each one, with its
+runner, its help text and the sampling flags it reads.  Reports are
+dual-emitted: aligned text for humans (with a version banner), and a
+sorted-key JSON document for tests; --porcelain prints the JSON document
+only, --output writes it to a file as well.  Output is byte-identical for
+identical input.
 
 Exit codes: 0 success, 1 parse or validation error, 2 mathematical
 precondition failure, 3 property violation (e.g. graph extraction
@@ -34,16 +35,6 @@ from .scenario import Scenario, check_sample_bounds, load_scenario_text
 from .submanifolds import PointData, grid_points, grid_points_on, rank_profile
 
 BANNER = f"# poisdirac {__version__}"
-
-
-class ReportFailure(Exception):
-    """Carries a report that should still be printed, plus an exit code."""
-
-    def __init__(self, exit_code: int, document: dict, text: list[str]) -> None:
-        super().__init__(f"exit {exit_code}")
-        self.exit_code = exit_code
-        self.document = document
-        self.text = text
 
 
 def _point_doc(point: Sequence[Fraction]) -> list[str]:
@@ -164,10 +155,13 @@ def _require(value, what: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its document, its text lines and its exit code
 
 
-def _run_classify(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[str]]:
+Report = tuple[dict, list[str], int]
+
+
+def _run_classify(scenario: Scenario, args: argparse.Namespace) -> Report:
     pi = _require(scenario.bivector, "ambient bivector")
     sub = _require(scenario.submanifold, "submanifold")
     points = _gather_points(scenario, args)
@@ -202,14 +196,12 @@ def _run_classify(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, l
         "constant": constant_doc,
         "errors": [{"index": i, "message": msg} for i, msg in profile.errors],
     }
-    if profile.errors:
-        for i, msg in profile.errors:
-            text.append(f"point {i}: REGULARITY FAILURE: {msg}")
-        raise ReportFailure(2, doc, text)
-    return doc, text
+    for i, msg in profile.errors:
+        text.append(f"point {i}: REGULARITY FAILURE: {msg}")
+    return doc, text, 2 if profile.errors else 0
 
 
-def _run_jacobi(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _run_jacobi(scenario: Scenario, args: argparse.Namespace) -> Report:
     pi = _require(scenario.bivector, "ambient bivector")
     bad = nonzero_jacobiator_components(pi)
     poisson = not bad
@@ -223,10 +215,10 @@ def _run_jacobi(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, lis
             {"i": i + 1, "j": j + 1, "k": k + 1, "poly": str(p)} for (i, j, k), p in sorted(bad.items())
         ],
     }
-    return doc, text
+    return doc, text, 0
 
 
-def _run_pushforward(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _run_pushforward(scenario: Scenario, args: argparse.Namespace) -> Report:
     pi = _require(scenario.bivector, "ambient bivector")
     phi = _require(scenario.map, "map")
     phi_inv = _require(scenario.map_inverse, "map_inverse")
@@ -243,10 +235,10 @@ def _run_pushforward(scenario: Scenario, args: argparse.Namespace) -> tuple[dict
         matches = result.entries == scenario.expected_bivector.entries
         doc["matches_expected"] = matches
         text.append(f"matches expected: {'yes' if matches else 'no'}")
-    return doc, text
+    return doc, text, 0
 
 
-def _run_extend(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _run_extend(scenario: Scenario, args: argparse.Namespace) -> Report:
     pi = _require(scenario.bivector, "ambient bivector")
     point = _require(scenario.point, "evaluation point")
     c = _require(scenario.subspace_c, "subspace_c")
@@ -269,10 +261,10 @@ def _run_extend(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, lis
         f"conditions: leaf-cover={conditions.cond_leaf} intersection-exact={conditions.cond_int}",
         f"w cosymplectic: {record.cosymplectic}",
     ]
-    return doc, text
+    return doc, text, 0
 
 
-def _run_phi(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _run_phi(scenario: Scenario, args: argparse.Namespace) -> Report:
     pi = _require(scenario.bivector, "ambient bivector")
     point = _require(scenario.point, "evaluation point")
     c = _require(scenario.subspace_c, "subspace_c")
@@ -296,22 +288,14 @@ def _run_phi(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[s
         *(f"  {fmt_point(row)}" for row in phi.entries),
         f"poisson isomorphism: {poisson_iso}; identity on c: {identity_on_c}",
     ]
-    if not poisson_iso or not identity_on_c:
-        raise ReportFailure(3, doc, text)
-    return doc, text
+    return doc, text, 0 if poisson_iso and identity_on_c else 3
 
 
-def _run_embed(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _run_embed(scenario: Scenario, args: argparse.Namespace) -> Report:
     data = _require(scenario.dirac_manifold, "dirac_manifold block")
-    total = data.base_dim + data.fiber_dim
-    if args.grid is not None:
-        samples = grid_points(total, args.grid, args.seed, args.count)
-    elif scenario.samples is not None:
-        samples = scenario.samples
-    elif scenario.sample_grid is not None:
-        samples = grid_points(total, *scenario.sample_grid)
-    else:
-        samples = grid_points(total, 3, args.seed, args.count)
+    samples = scenario.samples
+    if args.grid is not None or samples is None:
+        samples = grid_points(data.base_dim + data.fiber_dim, args.grid or 3, args.seed, args.count)
     result = build_embedding(data, samples)
     doc = {
         "analysis": "embed",
@@ -355,14 +339,11 @@ def _run_embed(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list
             "intertwines_at_all_samples": comparison.intertwines_at_all_samples,
         }
         text.append("splitting comparison: closed=%s, primitive vanishes on base=%s, intertwines=%s" % flags)
-        if not all(flags):
-            raise ReportFailure(3, doc, text)
-    if not ok:
-        raise ReportFailure(3, doc, text)
-    return doc, text
+        ok = ok and all(flags)
+    return doc, text, 0 if ok else 3
 
 
-def _run_bracket(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _run_bracket(scenario: Scenario, args: argparse.Namespace) -> Report:
     pi = _require(scenario.bivector, "ambient bivector")
     sub = _require(scenario.submanifold, "submanifold")
     f = _require(scenario.f, "function f")
@@ -395,17 +376,21 @@ def _run_bracket(scenario: Scenario, args: argparse.Namespace) -> tuple[dict, li
             text.append(f"{fmt_point(q)}: not basic (f: {f_basic}, g: {g_basic})")
         per_point.append(entry)
     doc = {"analysis": "bracket", "f": str(f), "g": str(g), "per_point": per_point}
-    return doc, text
+    return doc, text, 0
 
 
+# name: (runner, help text, sampling flags read); "points" is --points,
+# "grid" is --grid, --seed and --count.  A command without a runner reads
+# no scenario.
 _COMMANDS = {
-    "classify": _run_classify,
-    "jacobi": _run_jacobi,
-    "pushforward": _run_pushforward,
-    "extend": _run_extend,
-    "phi": _run_phi,
-    "embed": _run_embed,
-    "bracket": _run_bracket,
+    "classify": (_run_classify, "rank profile of a submanifold over sample points", ("points", "grid")),
+    "jacobi": (_run_jacobi, "symbolic Jacobi identity check of a bivector field", ()),
+    "pushforward": (_run_pushforward, "push a bivector field along a polynomial diffeomorphism", ()),
+    "extend": (_run_extend, "cosymplectic extension of a subspace at a point", ()),
+    "phi": (_run_phi, "canonical isomorphism between two cosymplectic extensions", ()),
+    "embed": (_run_embed, "coisotropic embedding of a regular Dirac manifold", ("grid",)),
+    "bracket": (_run_bracket, "bracket of basic functions with a consistency cross-check", ("points", "grid")),
+    "scenarios": (None, "list bundled scenario files", ()),
 }
 
 
@@ -446,23 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "classify": "rank profile of a submanifold over sample points",
-        "jacobi": "symbolic Jacobi identity check of a bivector field",
-        "pushforward": "push a bivector field along a polynomial diffeomorphism",
-        "extend": "cosymplectic extension of a subspace at a point",
-        "phi": "canonical isomorphism between two cosymplectic extensions",
-        "embed": "coisotropic embedding of a regular Dirac manifold",
-        "bracket": "bracket of basic functions with a consistency cross-check",
-        "scenarios": "list bundled scenario files",
-    }
-    for name, descr in descriptions.items():
+    for name, (runner, descr, sampling) in _COMMANDS.items():
         p = sub.add_parser(name, help=descr)
-        if name != "scenarios":
+        if runner is not None:
             p.add_argument("--scenario", required=True, help="scenario file path or bundled scenario name")
-        if name in ("classify", "bracket"):
+        if "points" in sampling:
             p.add_argument("--points", help="extra points, 'p/q,p/q;p/q,p/q'")
-        if name in ("classify", "bracket", "embed"):
+        if "grid" in sampling:
             p.add_argument("--grid", type=int, help="height bound for generated sample points")
             p.add_argument("--seed", type=int, default=0, help="seed for generated sample points")
             p.add_argument("--count", type=int, default=25, help="number of generated sample points")
@@ -474,20 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "scenarios":
+        runner = _COMMANDS[args.command][0]
+        if runner is None:
             doc = {"analysis": "scenarios", "bundled": bundled_scenario_names()}
             _emit(doc, doc["bundled"], args)
             return 0
         check_sample_bounds(getattr(args, "grid", None), getattr(args, "count", 0), "--grid/--count")
         scenario = load_scenario_text(_resolve_scenario(args.scenario))
-        try:
-            with _printable_at(scenario.point):
-                doc, text = _COMMANDS[args.command](scenario, args)
-        except ReportFailure as failure:
-            _emit(failure.document, failure.text, args)
-            return failure.exit_code
+        with _printable_at(scenario.point):
+            doc, text, code = runner(scenario, args)
         _emit(doc, text, args)
-        return 0
+        return code
     except SchemaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

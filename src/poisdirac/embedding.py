@@ -91,10 +91,10 @@ def _dirac_at(n: int, sections: Sequence[Section], point: Sequence[Fraction]) ->
 
 
 def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, str], ...]:
-    """Check every pointwise invariant of the data at each sample: the
-    (sample index, message) of each failure, none when the data are valid."""
+    """Check at each sample what the polynomial inverse of [E | V] does not
+    prove: the sections span a Dirac structure L, and E spans L intersect TM.
+    The (sample index, message) of each failure, none when the data are valid."""
     issues: list[tuple[int, str]] = []
-    m, k = d.base_dim, d.fiber_dim
     for idx, x in enumerate(samples):
         try:
             structure = d.dirac_at(x)
@@ -102,15 +102,9 @@ def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fractio
             issues.append((idx, f"sections: {exc}"))
             continue
         char = characteristic(structure)
-        frame_rows = [primitive(r) for r, _ in integer_rows_at(d.e_frame + d.v_frame, x)]
-        e_span = _reduced(m, frame_rows[:k], False)
-        if e_span.dim != k:
-            issues.append((idx, "E frame vectors are dependent"))
-            continue
-        if char != e_span:
+        e_span = _reduced(d.base_dim, [primitive(r) for r, _ in integer_rows_at(d.e_frame, x)], False)
+        if e_span.dim != d.fiber_dim or char != e_span:
             issues.append((idx, f"E frame spans a {e_span.dim}-dim space but L /\\ TM is {char.dim}-dim or differs"))
-        if _reduced(m, frame_rows, False).dim != m:
-            issues.append((idx, "E and V frames do not span the tangent space"))
     return tuple(issues)
 
 
@@ -220,7 +214,6 @@ class EmbeddingResult:
     an exact polynomial Poisson structure.
     """
 
-    data: DiracManifoldData
     total_dim: int
     variables: tuple[str, ...]
     gauge_form: TwoFormField
@@ -235,10 +228,11 @@ class EmbeddingResult:
 def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> EmbeddingResult:
     """Assemble the total-space structure and check it at every sample.
 
-    Per sample (x, p): the structure there must be a bivector graph; at
-    the zero-section point (x, 0) the base tangent space must be
-    coisotropic and the pullback to it must reproduce the input
-    structure.  Failures raise, naming the offending point.
+    Per sample (x, p): whether the structure there is a bivector graph
+    (the construction is Poisson near the zero section only, so this is
+    recorded); at the zero-section point (x, 0) it must be one, the base
+    tangent space must be coisotropic and the pullback to it must
+    reproduce the input structure.  A non-graph at (x, 0) raises.
     """
     _require_valid(d, samples, "input data")
     m, k = d.base_dim, d.fiber_dim
@@ -249,8 +243,7 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     zero_tangent = Subspace(n, MatrixQ.identity(n).ints[:m])
     for point in samples:
         point = tuple(point)
-        if as_bivector(_dirac_at(n, sections, point)) is None:
-            raise PropertyViolationError(f"structure is not a bivector graph at {fmt_point(point)}")
+        graph = as_bivector(_dirac_at(n, sections, point)) is not None
         base_point = point[:m] + (Fraction(0),) * k
         at_zero = _dirac_at(n, sections, base_point)
         zero_bivector = as_bivector(at_zero)
@@ -258,9 +251,8 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
             raise PropertyViolationError(f"structure is not a bivector graph at the zero-section point {fmt_point(base_point)}")
         coisotropic = classify_subspace(zero_bivector, zero_tangent).coisotropic
         matches = pullback(at_zero, zero_tangent) == d.dirac_at(point[:m])
-        checks.append(SampleCheck(point, True, coisotropic, matches))
+        checks.append(SampleCheck(point, graph, coisotropic, matches))
     return EmbeddingResult(
-        data=d,
         total_dim=n,
         variables=total_space_variables(d),
         gauge_form=b,
@@ -307,18 +299,19 @@ def compare_splittings(
     B is the difference of the two gauge forms; it must be closed, the
     difference of the pairing one-forms must vanish identically on the
     zero section, and the gauge by B must carry the first structure to
-    the second at every sample.  Only v0 is checked at the samples; the
-    polynomial inverse of [E | V1] proves v1 a complement of E everywhere.
+    the second at every sample.  The sections and the E frame are checked
+    at the samples; the polynomial inverse of [E | V] proves each V frame a
+    complement of E everywhere.
     """
-    # a frame equal to d's own reuses what d has derived
-    frames = [tuple(map(tuple, f)) for f in (v0_frame, v1_frame)]
-    d0, d1 = (d if f == d.v_frame else replace(d, v_frame=f) for f in frames)
-    _require_valid(d0, samples, "v0 frame")
-    theta0, b0, rows0 = _gauged(d0)
-    try:
-        theta1, b1, rows1 = _gauged(d1)
-    except NotUnimodularError as exc:
-        raise PreconditionError(f"v1 frame invalid: {exc}") from None
+    _require_valid(d, samples, "input data")
+    derived = []
+    for name, frame in (("v0", v0_frame), ("v1", v1_frame)):
+        frame = tuple(map(tuple, frame))
+        try:  # a frame equal to d's own reuses what d has derived
+            derived.append(_gauged(d if frame == d.v_frame else replace(d, v_frame=frame)))
+        except NotUnimodularError as exc:
+            raise PreconditionError(f"{name} frame invalid: {exc}") from None
+    (theta0, b0, rows0), (theta1, b1, rows1) = derived
     diff = b1 - b0
     closed = is_closed(diff)
     m, k = d.base_dim, d.fiber_dim

@@ -19,7 +19,7 @@ from .embedding import DiracManifoldData, Section
 from .errors import SchemaError
 from .polynomials import Poly, PolyMap, ambient_variables, parameter_variables
 from .rational_linalg import Subspace, rat
-from .submanifolds import LevelSet, Parametrized, SubmanifoldPatch
+from .submanifolds import LevelSet, Parametrized, SubmanifoldPatch, grid_points
 
 
 # Largest grid height and sample count a scenario or the command line may ask for.
@@ -221,10 +221,9 @@ def _parse_subspace_rows(value: Any, path: str, dim: int) -> Subspace:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario document; unused fields stay None."""
+    """Parsed scenario document; unused fields stay None.  An embed
+    scenario's `sample_grid` arrives as its `samples`."""
 
-    name: str | None
-    description: str | None
     ambient_dim: int | None
     bivector: BivectorField | None
     submanifold: SubmanifoldPatch | None
@@ -240,7 +239,6 @@ class Scenario:
     g: Poly | None
     dirac_manifold: DiracManifoldData | None
     samples: tuple[tuple[Fraction, ...], ...] | None
-    sample_grid: tuple[int, int, int] | None
     compare_v0: tuple[tuple[Poly, ...], ...] | None
     compare_v1: tuple[tuple[Poly, ...], ...] | None
 
@@ -255,8 +253,9 @@ _TOP_LEVEL_FIELDS = {
 
 def parse_scenario(document: Any) -> Scenario:
     obj = _expect_object(document, "$", {}, _TOP_LEVEL_FIELDS)
-    name = _expect_str(obj["name"], "$.name") if "name" in obj else None
-    description = _expect_str(obj["description"], "$.description") if "description" in obj else None
+    for key in ("name", "description"):  # checked, not kept: no analysis reads them
+        if key in obj:
+            _expect_str(obj[key], f"$.{key}")
 
     ambient_dim = None
     bivector = None
@@ -321,20 +320,17 @@ def parse_scenario(document: Any) -> Scenario:
     dirac_manifold = _parse_dirac_manifold(obj["dirac_manifold"], "$.dirac_manifold") if "dirac_manifold" in obj else None
 
     samples = None
+    total = dirac_manifold.base_dim + dirac_manifold.fiber_dim if dirac_manifold else None
     if "samples" in obj:
-        total = dirac_manifold.base_dim + dirac_manifold.fiber_dim if dirac_manifold else None
         items = _expect_list(obj["samples"], "$.samples")
         samples = tuple(_parse_point(p, f"$.samples[{i}]", total) for i, p in enumerate(items))
 
-    sample_grid = None
     if "sample_grid" in obj:
         grid = _expect_object(obj["sample_grid"], "$.sample_grid", {"height": None, "seed": None, "count": None})
-        sample_grid = (
-            _expect_int(grid["height"], "$.sample_grid.height"),
-            _expect_int(grid["seed"], "$.sample_grid.seed"),
-            _expect_int(grid["count"], "$.sample_grid.count"),
-        )
-        check_sample_bounds(sample_grid[0], sample_grid[2], "$.sample_grid")
+        height, seed, count = (_expect_int(grid[key], f"$.sample_grid.{key}") for key in ("height", "seed", "count"))
+        check_sample_bounds(height, count, "$.sample_grid")
+        if samples is None and total is not None:  # explicit samples win
+            samples = grid_points(total, height, seed, count)
 
     compare_v0 = compare_v1 = None
     if "compare_v_frames" in obj:
@@ -347,8 +343,6 @@ def parse_scenario(document: Any) -> Scenario:
         compare_v1 = _parse_frame(cmp_obj["v1"], "$.compare_v_frames.v1", xvars, m, m - k)
 
     return Scenario(
-        name=name,
-        description=description,
         ambient_dim=ambient_dim,
         bivector=bivector,
         submanifold=submanifold,
@@ -364,7 +358,6 @@ def parse_scenario(document: Any) -> Scenario:
         g=g_poly,
         dirac_manifold=dirac_manifold,
         samples=samples,
-        sample_grid=sample_grid,
         compare_v0=compare_v0,
         compare_v1=compare_v1,
     )

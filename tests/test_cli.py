@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -8,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import poisdirac
-from poisdirac import polynomials, submanifolds
+from poisdirac import cli, polynomials, submanifolds
 from poisdirac.cli import BUNDLED_ANALYSES, build_parser, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
 from poisdirac.polynomials import MAX_EXPONENT, PolyMap
 from poisdirac.rational_linalg import MAX_DIGITS
 from poisdirac.scenario import MAX_DIM, MAX_GRID_HEIGHT, MAX_SAMPLE_COUNT, check_sample_bounds, load_scenario_text
+from poisdirac.submanifolds import grid_points
 
 
 def run(capsys, *argv):
@@ -255,7 +257,7 @@ class TestExitCodes:
 
     def test_property_violation_is_three(self, capsys, tmp_path):
         # graph extraction fails away from the zero section when the
-        # complement tilts into the kernel direction
+        # complement tilts into the kernel direction; the report records it
         doc = {
             "dirac_manifold": {
                 "dim": 3,
@@ -271,8 +273,9 @@ class TestExitCodes:
         }
         path = tmp_path / "far.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "embed", "--scenario", str(path))
-        assert code == 3 and "not a bivector graph" in err
+        code, out, err = run(capsys, "embed", "--scenario", str(path), "--porcelain")
+        assert (code, err) == (3, "")
+        assert [(s["point"], s["graph"]) for s in json.loads(out)["samples"]] == [(["1", "1", "0", "-1"], False)]
 
 
 class TestReports:
@@ -368,21 +371,44 @@ class TestReports:
         assert code == 0
         assert set(json.loads(out)["bundled"]) == set(BUNDLED_ANALYSES)
 
+    PHI = {
+        "ambient": {"dim": 4, "bivector": [{"i": 1, "j": 2, "poly": "1"}, {"i": 3, "j": 4, "poly": "1"}]},
+        "point": ["0", "0", "0", "0"],
+        "subspace_c": [["1", "0", "0", "0"]],
+        "subspace_v": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+        "subspace_w": [["1", "0", "0", "0"], ["0", "1", "1", "0"]],
+    }
+
     def test_phi_success(self, capsys, tmp_path):
-        doc = {
-            "ambient": {"dim": 4, "bivector": [{"i": 1, "j": 2, "poly": "1"}, {"i": 3, "j": 4, "poly": "1"}]},
-            "point": ["0", "0", "0", "0"],
-            "subspace_c": [["1", "0", "0", "0"]],
-            "subspace_v": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
-            "subspace_w": [["1", "0", "0", "0"], ["0", "1", "1", "0"]],
-        }
         path = tmp_path / "phi_ok.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(self.PHI))
         code, out, _ = run(capsys, "phi", "--scenario", str(path), "--porcelain")
         assert code == 0
         result = json.loads(out)
         assert result["poisson_isomorphism"] and result["identity_on_c"]
         assert result["matrix"] == [["1", "0"], ["0", "1"]]
+
+    def test_a_wrong_phi_is_three_and_still_reported(self, capsys, tmp_path, monkeypatch):
+        path, target = tmp_path / "phi.json", tmp_path / "doc.json"
+        path.write_text(json.dumps(self.PHI))
+        original = cli.canonical_iso
+        monkeypatch.setattr(cli, "canonical_iso", lambda *args: original(*args).scale(2))
+        code, out, err = run(capsys, "phi", "--scenario", str(path), "--output", str(target))
+        assert (code, err) == (3, "")
+        assert out.endswith("poisson isomorphism: False; identity on c: False\n")
+        result = json.loads(target.read_text())
+        assert result["matrix"] == [["2", "0"], ["0", "2"]]
+        assert not result["poisson_isomorphism"] and not result["identity_on_c"]
+
+    def test_a_failed_comparison_is_three_and_still_reported(self, capsys, monkeypatch):
+        original = cli.compare_splittings
+        failing = lambda *args: dataclasses.replace(original(*args), intertwines_at_all_samples=False)
+        monkeypatch.setattr(cli, "compare_splittings", failing)
+        code, out, err = run(capsys, "embed", "--scenario", "ex_r4_splittings.json", "--porcelain")
+        assert (code, err) == (3, "")
+        doc = json.loads(out)
+        assert doc["comparison"]["closed"] and not doc["comparison"]["intertwines_at_all_samples"]
+        assert all(sample["graph"] for sample in doc["samples"])
 
     def test_grid_flag_generates_points(self, capsys):
         code, out, _ = run(
@@ -497,6 +523,17 @@ class TestInputBounds:
         assert code == 0 and len(points) == 2
         assert all(x in ("-1", "0", "1") for point in points for x in point)
 
+    def test_explicit_samples_win_over_the_sample_grid_and_the_grid_flag_over_both(self, capsys, tmp_path):
+        doc = bundled("ex_r4_dirac.json")
+        assert load_scenario_text(json.dumps(doc)).samples == grid_points(4, 3, 7, 25)
+        doc["samples"] = [["1", "0", "0", "1/2"]]
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(doc))
+        for flags, expected in [((), [["1", "0", "0", "1/2"]]), (("--grid", "2", "--count", "3"), grid_points(4, 2, 0, 3))]:
+            code, out, _ = run(capsys, "embed", "--scenario", str(path), *flags, "--porcelain")
+            assert code == 0
+            assert [sample["point"] for sample in json.loads(out)["samples"]] == [list(map(str, p)) for p in expected]
+
     def test_embed_count_zero_checks_no_samples(self, capsys):
         code, out, _ = run(capsys, "embed", "--scenario", "ex_r4_dirac.json", "--grid", "1", "--count", "0", "--porcelain")
         assert code == 0 and json.loads(out)["samples"] == []
@@ -577,6 +614,15 @@ class TestInputBounds:
         code, out, err = run(capsys, "embed", "--scenario", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("precondition failed: v1 frame invalid: frame determinant 0 ") and err.count("\n") == 1
+
+    def test_a_v0_with_a_nonconstant_determinant_is_named(self, capsys, tmp_path):
+        doc = bundled("ex_r4_splittings.json")
+        doc["compare_v_frames"]["v0"] = [["1", "0", "0"], ["0", "1 + x1^2", "0"]]
+        path = tmp_path / "v0.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "embed", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("precondition failed: v0 frame invalid: frame determinant x1^2 + 1 ") and err.count("\n") == 1
 
     def test_a_spanning_v_frame_with_a_nonconstant_determinant_is_two_when_k_is_zero(self, capsys, tmp_path):
         doc = json.loads(json.dumps(self.PLANE))

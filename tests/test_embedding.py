@@ -246,7 +246,7 @@ class TestBuildEmbedding:
     def test_graph_extraction_fails_away_from_zero_section(self):
         # a tilted complement puts a p-dependent term into the gauge form;
         # the structure stays a graph near the zero section but stops being
-        # one on the fiber level p1 = -1
+        # one on the fiber level p1 = -1, which is recorded, not raised
         data = DiracManifoldData(
             base_dim=3,
             sections=(
@@ -257,11 +257,17 @@ class TestBuildEmbedding:
             e_frame=((p3("0"), p3("0"), p3("1")),),
             v_frame=((p3("1"), p3("0"), p3("0")), (p3("0"), p3("1"), p3("x1"))),
         )
-        near = build_embedding(data, [(Fraction(1), Fraction(1), Fraction(0), Fraction(0))])
-        assert near.bivector is None  # determinant is not constant
-        assert all(c.ok for c in near.sample_checks)
-        with pytest.raises(PropertyViolationError, match="not a bivector graph"):
-            build_embedding(data, [(Fraction(1), Fraction(1), Fraction(0), Fraction(-1))])
+        near, far = (Fraction(1), Fraction(1), Fraction(0), Fraction(0)), (Fraction(1), Fraction(1), Fraction(0), Fraction(-1))
+        result = build_embedding(data, [near, far])
+        assert result.bivector is None  # determinant is not constant
+        assert [(c.point, c.graph, c.ok) for c in result.sample_checks] == [(near, True, True), (far, False, False)]
+        assert result.sample_checks[1].zero_section_coisotropic and result.sample_checks[1].zero_section_pullback_matches
+
+    def test_a_v_frame_that_fails_to_span_is_refused_by_its_coframe(self):
+        data = r4_data()
+        data = DiracManifoldData(3, data.sections, data.e_frame, ((p3("1"), p3("0"), p3("0")), (p3("0"), p3("x1"), p3("0"))))
+        with pytest.raises(PreconditionError, match=r"^frame determinant x1 is not a nonzero constant; "):
+            build_embedding(data, [(Fraction(0),) * 4])
 
 
 class TestCompareSplittings:
@@ -288,22 +294,24 @@ class TestCompareSplittings:
         assert result.one_form_difference_vanishes_on_base
         assert result.intertwines_at_all_samples
 
-    def test_invalid_complement_rejected(self):
+    @pytest.mark.parametrize("bad", ["v0", "v1"])
+    def test_invalid_complement_rejected(self, bad):
         data = r4_data()
         v_bad = ((p3("0"), p3("0"), p3("1")), (p3("0"), p3("1"), p3("0")))
-        with pytest.raises(PreconditionError, match="^v1 frame invalid: frame determinant 0 "):
-            compare_splittings(data, data.v_frame, v_bad, SAMPLES)
+        frames = (v_bad, data.v_frame) if bad == "v0" else (data.v_frame, v_bad)
+        with pytest.raises(PreconditionError, match=f"^{bad} frame invalid: frame determinant 0 "):
+            compare_splittings(data, *frames, SAMPLES)
 
-    def test_only_v0_is_validated_at_the_samples(self, monkeypatch):
-        # the coframe inverse of [E | V1] stands in for the pointwise checks of v1
+    def test_no_v_frame_is_evaluated_at_the_samples(self, monkeypatch):
+        # the coframe inverse of [E | V] stands in for pointwise checks of every V frame
         data = r4_data()
         v1 = ((p3("1"), p3("0"), p3("1")), (p3("0"), p3("1"), p3("0")))
         grids = []
         original = embedding.integer_rows_at
         monkeypatch.setattr(embedding, "integer_rows_at", lambda grid, x: grids.append(grid) or original(grid, x))
         assert compare_splittings(data, data.v_frame, v1, SAMPLES).intertwines_at_all_samples
-        assert sum(data.v_frame[0] in grid for grid in grids) == len(SAMPLES)
-        assert sum(v1[0] in grid for grid in grids) == 0
+        assert sum(data.e_frame[0] in grid for grid in grids) == len(SAMPLES)
+        assert not any(field in grid for grid in grids for field in data.v_frame + v1)
 
 
 class TestBaseStructuresBuiltOnce:

@@ -94,8 +94,7 @@ def rand_dirac_manifold(rng: random.Random, r: int, k: int, extract: bool) -> Di
 
 def bundled_case(name: str):
     scenario = load_scenario_text(_resolve_scenario(name))
-    d = scenario.dirac_manifold
-    return d, grid_points(d.base_dim + d.fiber_dim, *scenario.sample_grid)
+    return scenario.dirac_manifold, scenario.samples
 
 
 def random_case(seed: int):
