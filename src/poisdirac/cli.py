@@ -169,7 +169,7 @@ def _run_classify(scenario: Scenario, args: argparse.Namespace) -> Report:
     rows_doc = []
     text = ["point | ambient | dim TC | dim #N*C | dim sum | dim char | rho rank | flags"]
     for row in profile.rows:
-        r = row.record
+        r = row.classification
         flags = ",".join(
             name for name, on in (
                 ("coisotropic", r.coisotropic),
@@ -185,8 +185,8 @@ def _run_classify(scenario: Scenario, args: argparse.Namespace) -> Report:
             rows_doc.append({
                 "point": _point_doc(row.sample),
                 "ambient": _point_doc(row.ambient),
-                **_record_doc(row.record),
-                "characteristic_basis": _matrix_doc(row.characteristic_basis),
+                **_record_doc(r),
+                "characteristic_basis": _matrix_doc(row.characteristic.basis),
             })
     constant_doc = _fields_doc(profile.constant)
     text.append("constant on samples: " + ", ".join(f"{k}={v}" for k, v in sorted(constant_doc.items())))
@@ -303,15 +303,7 @@ def _run_embed(scenario: Scenario, args: argparse.Namespace) -> Report:
         "variables": list(result.variables),
         "gauge_form": _bivector_doc(result.gauge_form),
         "bivector": _bivector_doc(result.bivector) if result.bivector is not None else None,
-        "samples": [
-            {
-                "point": _point_doc(c.point),
-                "graph": c.graph,
-                "zero_section_coisotropic": c.zero_section_coisotropic,
-                "zero_section_pullback_matches": c.zero_section_pullback_matches,
-            }
-            for c in result.sample_checks
-        ],
+        "samples": [{**_fields_doc(c), "point": _point_doc(c.point)} for c in result.sample_checks],
     }
     text = [f"total space dimension {result.total_dim}, coordinates {', '.join(result.variables)}"]
     def form_term(e: dict) -> str:
@@ -332,12 +324,7 @@ def _run_embed(scenario: Scenario, args: argparse.Namespace) -> Report:
         flags = (
             comparison.closed, comparison.one_form_difference_vanishes_on_base, comparison.intertwines_at_all_samples
         )
-        doc["comparison"] = {
-            "gauge_difference": _bivector_doc(comparison.gauge_difference),
-            "closed": comparison.closed,
-            "one_form_difference_vanishes_on_base": comparison.one_form_difference_vanishes_on_base,
-            "intertwines_at_all_samples": comparison.intertwines_at_all_samples,
-        }
+        doc["comparison"] = {**_fields_doc(comparison), "gauge_difference": _bivector_doc(comparison.gauge_difference)}
         text.append("splitting comparison: closed=%s, primitive vanishes on base=%s, intertwines=%s" % flags)
         ok = ok and all(flags)
     return doc, text, 0 if ok else 3

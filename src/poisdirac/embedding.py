@@ -104,13 +104,17 @@ def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fractio
         char = characteristic(structure)
         e_span = _reduced(d.base_dim, [primitive(r) for r, _ in integer_rows_at(d.e_frame, x)], False)
         if e_span.dim != d.fiber_dim or char != e_span:
-            issues.append((idx, f"E frame spans a {e_span.dim}-dim space but L /\\ TM is {char.dim}-dim or differs"))
+            basis = f"E frame of k = {d.fiber_dim} fields is not a basis of L /\\ TM"
+            issues.append((idx, f"{basis}: it spans a {e_span.dim}-dim space, and L /\\ TM is {char.dim}-dim"))
     return tuple(issues)
+
+
+_validated = _derived(validate_dirac_data)  # once per d and tuple of base points
 
 
 def _require_valid(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]], name: str) -> None:
     """Raise the first failure of validate_dirac_data at the base points of the samples."""
-    issues = validate_dirac_data(d, [s[: d.base_dim] for s in samples])
+    issues = _validated(d, tuple(tuple(s[: d.base_dim]) for s in samples))
     if issues:
         raise PreconditionError("{} invalid at sample {}: {}".format(name, *issues[0]))
 

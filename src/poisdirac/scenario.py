@@ -221,26 +221,25 @@ def _parse_subspace_rows(value: Any, path: str, dim: int) -> Subspace:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario document; unused fields stay None.  An embed
-    scenario's `sample_grid` arrives as its `samples`."""
+    """Parsed scenario document; a field the document does not give stays
+    None.  An embed scenario's `sample_grid` arrives as its `samples`."""
 
-    ambient_dim: int | None
-    bivector: BivectorField | None
-    submanifold: SubmanifoldPatch | None
-    points: tuple[tuple[Fraction, ...], ...] | None
-    point: tuple[Fraction, ...] | None
-    map: PolyMap | None
-    map_inverse: PolyMap | None
-    expected_bivector: BivectorField | None
-    subspace_c: Subspace | None
-    subspace_v: Subspace | None
-    subspace_w: Subspace | None
-    f: Poly | None
-    g: Poly | None
-    dirac_manifold: DiracManifoldData | None
-    samples: tuple[tuple[Fraction, ...], ...] | None
-    compare_v0: tuple[tuple[Poly, ...], ...] | None
-    compare_v1: tuple[tuple[Poly, ...], ...] | None
+    bivector: BivectorField | None = None
+    submanifold: SubmanifoldPatch | None = None
+    points: tuple[tuple[Fraction, ...], ...] | None = None
+    point: tuple[Fraction, ...] | None = None
+    map: PolyMap | None = None
+    map_inverse: PolyMap | None = None
+    expected_bivector: BivectorField | None = None
+    subspace_c: Subspace | None = None
+    subspace_v: Subspace | None = None
+    subspace_w: Subspace | None = None
+    f: Poly | None = None
+    g: Poly | None = None
+    dirac_manifold: DiracManifoldData | None = None
+    samples: tuple[tuple[Fraction, ...], ...] | None = None
+    compare_v0: tuple[tuple[Poly, ...], ...] | None = None
+    compare_v1: tuple[tuple[Poly, ...], ...] | None = None
 
 
 _TOP_LEVEL_FIELDS = {
@@ -256,111 +255,84 @@ def parse_scenario(document: Any) -> Scenario:
     for key in ("name", "description"):  # checked, not kept: no analysis reads them
         if key in obj:
             _expect_str(obj[key], f"$.{key}")
+    fields: dict[str, Any] = {}  # the Scenario fields the document gives
 
     ambient_dim = None
-    bivector = None
     if "ambient" in obj:
         amb = _expect_object(obj["ambient"], "$.ambient", {"dim": None, "bivector": None})
         ambient_dim = _expect_dim(amb["dim"], "$.ambient.dim")
-        bivector = _parse_bivector(amb["bivector"], "$.ambient.bivector", ambient_dim)
+        fields["bivector"] = _parse_bivector(amb["bivector"], "$.ambient.bivector", ambient_dim)
 
-    submanifold = None
     if "submanifold" in obj:
         if ambient_dim is None:
             raise _fail("$.submanifold", "a submanifold needs an ambient block")
-        submanifold = _parse_submanifold(obj["submanifold"], "$.submanifold", ambient_dim)
+        fields["submanifold"] = _parse_submanifold(obj["submanifold"], "$.submanifold", ambient_dim)
+    submanifold = fields.get("submanifold")
 
     point_length = submanifold.map.source_dim if submanifold is not None else ambient_dim
-
-    points = None
     if "points" in obj:
         items = _expect_list(obj["points"], "$.points")
-        points = tuple(_parse_point(p, f"$.points[{i}]", point_length) for i, p in enumerate(items))
+        fields["points"] = tuple(_parse_point(p, f"$.points[{i}]", point_length) for i, p in enumerate(items))
+    if "point" in obj:
+        fields["point"] = _parse_point(obj["point"], "$.point", point_length)
 
-    point = _parse_point(obj["point"], "$.point", point_length) if "point" in obj else None
-
-    poly_map = None
-    map_inverse = None
     if "map" in obj or "map_inverse" in obj:
         if ambient_dim is None:
             raise _fail("$.map", "maps need an ambient block")
         if "map" not in obj or "map_inverse" not in obj:
             raise _fail("$", "'map' and 'map_inverse' must be supplied together")
         xvars = ambient_variables(ambient_dim)
-        comps = _expect_list(obj["map"], "$.map")
-        inv_comps = _expect_list(obj["map_inverse"], "$.map_inverse")
-        if len(comps) != ambient_dim or len(inv_comps) != ambient_dim:
+        # both lists and their lengths are checked before either is parsed
+        comps = {key: _expect_list(obj[key], f"$.{key}") for key in ("map", "map_inverse")}
+        if any(len(c) != ambient_dim for c in comps.values()):
             raise _fail("$.map", f"maps must have {ambient_dim} components")
-        poly_map = PolyMap(xvars, tuple(_parse_poly(c, f"$.map[{i}]", xvars) for i, c in enumerate(comps)))
-        map_inverse = PolyMap(xvars, tuple(_parse_poly(c, f"$.map_inverse[{i}]", xvars) for i, c in enumerate(inv_comps)))
+        for key, c in comps.items():
+            fields[key] = PolyMap(xvars, tuple(_parse_poly(p, f"$.{key}[{i}]", xvars) for i, p in enumerate(c)))
 
-    expected_bivector = None
     if "expected_bivector" in obj:
         if ambient_dim is None:
             raise _fail("$.expected_bivector", "needs an ambient block")
-        expected_bivector = _parse_bivector(obj["expected_bivector"], "$.expected_bivector", ambient_dim)
+        fields["expected_bivector"] = _parse_bivector(obj["expected_bivector"], "$.expected_bivector", ambient_dim)
 
-    subspaces = {}
     for key in ("subspace_c", "subspace_v", "subspace_w"):
         if key in obj:
             if ambient_dim is None:
                 raise _fail(f"$.{key}", "subspaces need an ambient block")
-            subspaces[key] = _parse_subspace_rows(obj[key], f"$.{key}", ambient_dim)
+            fields[key] = _parse_subspace_rows(obj[key], f"$.{key}", ambient_dim)
 
-    f_poly = g_poly = None
     if "f" in obj or "g" in obj:
         if submanifold is None:
             raise _fail("$.f", "functions need a submanifold")
-        fvars = submanifold.map.source_vars
-        if "f" in obj:
-            f_poly = _parse_poly(obj["f"], "$.f", fvars)
-        if "g" in obj:
-            g_poly = _parse_poly(obj["g"], "$.g", fvars)
+        for key in ("f", "g"):
+            if key in obj:
+                fields[key] = _parse_poly(obj[key], f"$.{key}", submanifold.map.source_vars)
 
-    dirac_manifold = _parse_dirac_manifold(obj["dirac_manifold"], "$.dirac_manifold") if "dirac_manifold" in obj else None
+    if "dirac_manifold" in obj:
+        fields["dirac_manifold"] = _parse_dirac_manifold(obj["dirac_manifold"], "$.dirac_manifold")
+    dirac_manifold = fields.get("dirac_manifold")
 
-    samples = None
     total = dirac_manifold.base_dim + dirac_manifold.fiber_dim if dirac_manifold else None
     if "samples" in obj:
         items = _expect_list(obj["samples"], "$.samples")
-        samples = tuple(_parse_point(p, f"$.samples[{i}]", total) for i, p in enumerate(items))
+        fields["samples"] = tuple(_parse_point(p, f"$.samples[{i}]", total) for i, p in enumerate(items))
 
     if "sample_grid" in obj:
         grid = _expect_object(obj["sample_grid"], "$.sample_grid", {"height": None, "seed": None, "count": None})
         height, seed, count = (_expect_int(grid[key], f"$.sample_grid.{key}") for key in ("height", "seed", "count"))
         check_sample_bounds(height, count, "$.sample_grid")
-        if samples is None and total is not None:  # explicit samples win
-            samples = grid_points(total, height, seed, count)
+        if "samples" not in fields and total is not None:  # explicit samples win
+            fields["samples"] = grid_points(total, height, seed, count)
 
-    compare_v0 = compare_v1 = None
     if "compare_v_frames" in obj:
         if dirac_manifold is None:
             raise _fail("$.compare_v_frames", "needs a dirac_manifold block")
         cmp_obj = _expect_object(obj["compare_v_frames"], "$.compare_v_frames", {"v0": None, "v1": None})
         m, k = dirac_manifold.base_dim, dirac_manifold.fiber_dim
         xvars = ambient_variables(m)
-        compare_v0 = _parse_frame(cmp_obj["v0"], "$.compare_v_frames.v0", xvars, m, m - k)
-        compare_v1 = _parse_frame(cmp_obj["v1"], "$.compare_v_frames.v1", xvars, m, m - k)
+        for key in ("v0", "v1"):
+            fields[f"compare_{key}"] = _parse_frame(cmp_obj[key], f"$.compare_v_frames.{key}", xvars, m, m - k)
 
-    return Scenario(
-        ambient_dim=ambient_dim,
-        bivector=bivector,
-        submanifold=submanifold,
-        points=points,
-        point=point,
-        map=poly_map,
-        map_inverse=map_inverse,
-        expected_bivector=expected_bivector,
-        subspace_c=subspaces.get("subspace_c"),
-        subspace_v=subspaces.get("subspace_v"),
-        subspace_w=subspaces.get("subspace_w"),
-        f=f_poly,
-        g=g_poly,
-        dirac_manifold=dirac_manifold,
-        samples=samples,
-        compare_v0=compare_v0,
-        compare_v1=compare_v1,
-    )
+    return Scenario(**fields)
 
 
 def load_scenario_text(text: str) -> Scenario:

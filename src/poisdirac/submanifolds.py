@@ -105,14 +105,6 @@ def conormal_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
 
 
 @dataclass(frozen=True)
-class RankProfileRow:
-    sample: Vector
-    ambient: Vector
-    record: ClassificationRecord
-    characteristic_basis: MatrixQ
-
-
-@dataclass(frozen=True)
 class ConstancyFlags:
     """Whether each profiled quantity is constant on the given samples."""
 
@@ -125,31 +117,31 @@ class ConstancyFlags:
 
 @dataclass(frozen=True)
 class RankProfile:
-    rows: tuple[RankProfileRow, ...]
+    rows: tuple[PointData, ...]
     errors: tuple[tuple[int, str], ...]
     constant: ConstancyFlags
 
 
 def rank_profile(pi: BivectorField, c: SubmanifoldPatch, samples: Sequence[Sequence[Fraction]]) -> RankProfile:
-    """Per-point classification records plus constancy flags.
+    """Each regular sample's PointData, classified, plus constancy flags.
 
     Regularity failures are reported per point and do not abort the
-    remaining samples.  The characteristic basis is included per point
-    so that a constant characteristic dimension with a jumping
+    remaining samples.  Each row keeps its characteristic subspace, so
+    that a constant characteristic dimension with a jumping
     characteristic direction stays visible.
     """
-    rows: list[RankProfileRow] = []
+    rows: list[PointData] = []
     errors: list[tuple[int, str]] = []
     for idx, q in enumerate(samples):
         try:
             at = PointData(pi, c, q)
-            char = characteristic_subspace(at.poisson, at.tangent)
-            rows.append(RankProfileRow(at.sample, at.ambient, at.classification, char.basis))
+            at.classification  # classified here, so that a failure is this sample's error
+            rows.append(at)
         except (RegularityError, SpaceMismatchError) as exc:
             errors.append((idx, str(exc)))
     # the record fields behind ConstancyFlags, in its field order
     profiled = ("dim_subspace", "dim_sharp_annihilator", "dim_sum", "dim_characteristic", "rho_rank")
-    flags = ConstancyFlags(*(len({getattr(r.record, name) for r in rows}) <= 1 for name in profiled))
+    flags = ConstancyFlags(*(len({getattr(r.classification, name) for r in rows}) <= 1 for name in profiled))
     return RankProfile(tuple(rows), tuple(errors), flags)
 
 
@@ -198,15 +190,20 @@ class PointData:
         self.ambient = self.sample if isinstance(c, LevelSet) else ambient_point(c, self.sample)
         self.poisson: PoissonVS = pi.at(self.ambient)
 
-    @property
+    @cached_property
     def classification(self) -> ClassificationRecord:
         """The classification record of the tangent space."""
         return classify_subspace(self.poisson, self.tangent)
 
+    @property
+    def characteristic(self) -> Subspace:
+        """The characteristic subspace C intersected with sharp(ann C), in the ambient."""
+        return characteristic_subspace(self.poisson, self.tangent)
+
     @cached_property
     def characteristic_in_tangent(self) -> Subspace:
         """The characteristic subspace in the canonical-basis coordinates of the tangent."""
-        return subspace_in_basis(characteristic_subspace(self.poisson, self.tangent), self.tangent)
+        return subspace_in_basis(self.characteristic, self.tangent)
 
     @cached_property
     def _directions(self) -> MatrixQ:

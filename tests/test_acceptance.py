@@ -131,7 +131,7 @@ def test_criterion_1_worked_examples():
     d3 = MatrixQ.from_rows([[0, 0, 1, 0, 0, 0]])
     for row in profile.rows:
         expected_basis = d3 if row.ambient[0] == 0 else d2
-        ok &= row.record.dim_characteristic == 1 and row.characteristic_basis == expected_basis
+        ok &= row.classification.dim_characteristic == 1 and row.characteristic.basis == expected_basis
     # the bundled fixtures pin the same values through the CLI documents
     fz_doc = json.loads(load_and_run_porcelain("classify", "ex_fz.json"))
     ok &= [row["dims"]["sum"] for row in fz_doc["rows"]] == [1, 3, 3, 3]

@@ -57,6 +57,11 @@ class TestSchema:
         with pytest.raises(SchemaError, match="duplicate key 'dim'"):
             load_scenario_text('{"ambient": {"dim": 2, "dim": 3, "bivector": []}}')
 
+    def test_both_maps_are_checked_as_lists_before_either_is_parsed(self):
+        with pytest.raises(SchemaError) as exc:
+            load_scenario_text('{"ambient": {"dim": 2, "bivector": []}, "map": ["x1 +", "x2"], "map_inverse": 3}')
+        assert str(exc.value) == "$.map_inverse: expected an array, got int"
+
 
 class TestExitCodes:
     def test_parse_error_is_one(self, capsys, tmp_path):
@@ -64,6 +69,19 @@ class TestExitCodes:
         bad.write_text('{"nope": 1}')
         code, _, err = run(capsys, "jacobi", "--scenario", str(bad))
         assert code == 1 and "unknown fields" in err
+
+    @pytest.mark.parametrize("analysis, scenario, what", [
+        ("classify", "ex_r4_pi1.json", "submanifold"),
+        ("bracket", "ex_r4_pi1.json", "submanifold"),
+        ("pushforward", "ex_r4_pi1.json", "map"),
+        ("extend", "ex_r4_pi1.json", "evaluation point"),
+        ("phi", "ex_r4_pi1.json", "evaluation point"),
+        ("embed", "ex_r4_pi1.json", "dirac_manifold block"),
+        ("jacobi", "ex_r4_dirac.json", "ambient bivector"),
+    ])
+    def test_a_scenario_without_a_field_the_analysis_needs_is_one(self, capsys, analysis, scenario, what):
+        code, out, err = run(capsys, analysis, "--scenario", scenario)
+        assert (code, out) == (1, "") and err == f"error: scenario is missing the {what} this analysis needs\n"
 
     @staticmethod
     def jacobi_in_subprocess(tmp_path, poly: str) -> subprocess.CompletedProcess:
@@ -587,7 +605,7 @@ class TestInputBounds:
             "ambient": {"dim": MAX_DIM, "bivector": [{"i": 1, "j": MAX_DIM, "poly": last}]},
             "submanifold": {"type": "parametrized", "map": [f"t{MAX_DIM}"] + ["0"] * (MAX_DIM - 1)},
         }))
-        assert doc.ambient_dim == MAX_DIM and doc.submanifold.param_dim == MAX_DIM
+        assert doc.bivector.dim == MAX_DIM and doc.submanifold.param_dim == MAX_DIM
 
     # E = 0 on the symplectic plane, so V alone must be a frame
     PLANE = {
@@ -632,6 +650,21 @@ class TestInputBounds:
         code, out, err = run(capsys, "embed", "--scenario", str(path))
         assert (code, out) == (2, "")
         assert err == "precondition failed: frame determinant x1^2 + 1 is not a nonzero constant; the dual coframe is not polynomial\n"
+
+    def test_a_dependent_e_frame_names_its_field_count(self, capsys, tmp_path):
+        # both fields span L /\ TM, so only their count shows that they are no basis of it
+        doc = bundled("ex_r4_splittings.json")
+        del doc["compare_v_frames"], doc["sample_grid"]
+        doc["dirac_manifold"].update(E_frame=[["0", "0", "1"], ["0", "0", "1"]], V_frame=[["1", "0", "0"]])
+        doc["samples"] = [["1", "0", "0", "1", "1"]]
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "embed", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "precondition failed: input data invalid at sample 0: E frame of k = 2 fields is not a basis of "
+            "L /\\ TM: it spans a 1-dim space, and L /\\ TM is 1-dim\n"
+        )
 
     @pytest.mark.parametrize("key, keep", [("v1", 1), ("v0", 3)])
     def test_compare_frame_of_wrong_count_is_one(self, capsys, tmp_path, key, keep):

@@ -6,8 +6,9 @@ characteristic subspace of a Dirac structure runs one elimination, each
 annihilator is built once per subspace, each linear system with many right-hand sides is solved in one
 elimination, a splitting solves each leaf-form vector once, each inverse
 once, each partial derivative is derived once per polynomial, the
-linear constructions split no Fraction row into integers, and a polynomial
-matrix with constant pivots is inverted without a cofactor expansion.
+linear constructions split no Fraction row into integers, a polynomial
+matrix with constant pivots is inverted without a cofactor expansion, and
+an embedding compared with a second splitting validates each sample once.
 
 Builds are counted, not calls: a profile hook counts every run of a
 build function's own body, which a cached call never reaches.
@@ -18,6 +19,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
@@ -37,8 +39,9 @@ from poisdirac.poisson_linear import (
     leaf_form_gram,
     linear_uniqueness_iso,
 )
-from poisdirac.polynomials import Poly, PolyMap, _minor_det, poly_matrix_inverse, sum_of_products
+from poisdirac.polynomials import Poly, PolyMap, _minor_det, integer_rows_at, poly_matrix_inverse, sum_of_products
 from poisdirac.rational_linalg import MatrixQ, Subspace, _eliminate, _reduced, _scaled_row, annihilator, inverse, solve
+from poisdirac.scenario import load_scenario_text
 from poisdirac.submanifolds import LevelSet, Parametrized, PointData
 
 # the code of each build function's own body, under whatever cache wraps it
@@ -412,3 +415,27 @@ def test_a_unimodular_matrix_with_constant_pivots_runs_no_cofactor_expansion():
     assert runs == [0]
     assert [[sum_of_products(names, zip(row, column)) for column in zip(*inverse)] for row in m] == [
         [one if i == j else zero for j in range(size)] for i in range(size)]
+
+
+def test_an_embedding_and_its_splitting_comparison_validate_each_sample_once(capsys):
+    # build_embedding and compare_splittings both require valid input at the
+    # scenario's 25 samples; the second reads the issues of the first back
+    scenario = files("poisdirac").joinpath("scenarios", "ex_r4_splittings.json").read_text()
+    e_frame = load_scenario_text(scenario).dirac_manifold.e_frame
+    runs = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is characteristic.__code__:
+            runs["characteristic"] += 1
+        elif event == "call" and frame.f_code is integer_rows_at.__code__ and frame.f_locals["grid"] == e_frame:
+            runs["E frame rows"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = main(["embed", "--scenario", "ex_r4_splittings.json", "--porcelain"])
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert code == 0
+    assert runs == {"characteristic": 25, "E frame rows": 25}

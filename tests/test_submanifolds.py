@@ -102,22 +102,22 @@ class TestRankProfile:
         assert not profile.constant.dim_sum
         d3 = MatrixQ.from_rows([[0, 0, 1, 0, 0, 0]])
         d2 = MatrixQ.from_rows([[0, 1, 0, 0, 0, 0]])
-        assert profile.rows[0].characteristic_basis == d3
-        assert profile.rows[1].characteristic_basis == d2
-        assert profile.rows[2].characteristic_basis == d2
+        assert profile.rows[0].characteristic.basis == d3
+        assert profile.rows[1].characteristic.basis == d2
+        assert profile.rows[2].characteristic.basis == d2
 
     def test_coisotropic_hyperplane_rho_zero(self):
         samples = [frac(1, 2, 3, 0), frac(0, 0, 0, 0), frac(-1, 5, 2, 0)]
         profile = rank_profile(SYMPL4, C_HYPER, samples)
-        assert all(row.record.rho_rank == 0 for row in profile.rows)
-        assert all(row.record.coisotropic for row in profile.rows)
+        assert all(row.classification.rho_rank == 0 for row in profile.rows)
+        assert all(row.classification.coisotropic for row in profile.rows)
 
     def test_single_point_rho_equals_leaf_dim(self):
         point_patch = Parametrized(PolyMap.parse(["t1", "t1", "t1", "t1"], ("t1",)))
         # a one-dimensional patch is not a point; use a level set pinning all coordinates
         patch = LevelSet(tuple(Poly.parse(f"x{i}", X4) for i in range(1, 5)))
         profile = rank_profile(SYMPL4, patch, [frac(0, 0, 0, 0)])
-        assert profile.rows[0].record.rho_rank == profile.rows[0].record.dim_leaf == 4
+        assert profile.rows[0].classification.rho_rank == profile.rows[0].classification.dim_leaf == 4
 
     def test_errors_reported_not_fatal(self):
         samples = [frac(0, 0, 0, 1), frac(1, 2, 3, 0)]
@@ -134,7 +134,7 @@ class TestRankProfile:
         samples = [tuple(rand_fraction(rng) for _ in range(2)) for _ in range(12)]
         profile = rank_profile(GRAPH4, C_GRAPH4, samples)
         for row in profile.rows:
-            r = row.record
+            r = row.classification
             assert r.rho_rank == r.dim_sum - r.dim_subspace
             assert r.dim_characteristic == r.dim_subspace + r.dim_sharp_annihilator - r.dim_sum
 
