@@ -112,11 +112,11 @@ def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fractio
 _validated = _derived(validate_dirac_data)  # once per d and tuple of base points
 
 
-def _require_valid(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]], name: str) -> None:
+def _require_valid(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> None:
     """Raise the first failure of validate_dirac_data at the base points of the samples."""
     issues = _validated(d, tuple(tuple(s[: d.base_dim]) for s in samples))
     if issues:
-        raise PreconditionError("{} invalid at sample {}: {}".format(name, *issues[0]))
+        raise PreconditionError("input data invalid at sample {}: {}".format(*issues[0]))
 
 
 def total_space_variables(d: DiracManifoldData) -> tuple[str, ...]:
@@ -238,7 +238,7 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     tangent space must be coisotropic and the pullback to it must
     reproduce the input structure.  A non-graph at (x, 0) raises.
     """
-    _require_valid(d, samples, "input data")
+    _require_valid(d, samples)
     m, k = d.base_dim, d.fiber_dim
     n = m + k
     _, b, sections = _gauged(d)
@@ -307,7 +307,7 @@ def compare_splittings(
     at the samples; the polynomial inverse of [E | V] proves each V frame a
     complement of E everywhere.
     """
-    _require_valid(d, samples, "input data")
+    _require_valid(d, samples)
     derived = []
     for name, frame in (("v0", v0_frame), ("v1", v1_frame)):
         frame = tuple(map(tuple, frame))

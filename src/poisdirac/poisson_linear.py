@@ -30,17 +30,21 @@ from .rational_linalg import (
 )
 
 
+_MISSING = object()
+
+
 def _derived(build):
     """build(p, *args) made once per object p (a PoissonVS, any frozen
     dataclass, a PointData) and hashable arguments: the result is cached on
-    p, outside the fields that equality and hashing read."""
+    p, outside the fields that equality and hashing read.  One lookup
+    finds a result, so a hit hashes its key once."""
     @wraps(build)
     def once(p, *args):
         cache = p.__dict__.setdefault("_cache", {})
         key = (build, *args)
-        if key not in cache:
-            cache[key] = build(p, *args)
-        return cache[key]
+        if (value := cache.get(key, _MISSING)) is _MISSING:
+            value = cache[key] = build(p, *args)
+        return value
     return once
 
 
@@ -67,7 +71,9 @@ class PoissonVS:
 
     @_derived
     def sharp_annihilator(self, c: Subspace) -> Subspace:
-        """sharp(ann c) for a primal subspace c."""
+        """sharp(ann c) for a primal subspace c of Q^dim: the first step of every analysis of c."""
+        if c.dual or c.ambient_dim != self.dim:
+            raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
         return sharp_image(self, annihilator(c))
 
 
@@ -110,8 +116,6 @@ class ClassificationRecord:
 
 @_derived
 def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
-    if c.dual or c.ambient_dim != p.dim:
-        raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
     sharp_ann = p.sharp_annihilator(c)
     k, m, s, leaf_dim = c.dim, p.dim - c.dim, sharp_ann.dim, p.leaf().dim
     r = s - characteristic_subspace(p, c).dim
@@ -146,8 +150,6 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
     unique extension annihilating sharp(ann w).  Rejects subspaces with
     nonzero characteristic part, where the extension is not unique.
     """
-    if w.dual or w.ambient_dim != p.dim:
-        raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
     if characteristic_subspace(p, w).dim != 0:
         raise PreconditionError("subspace is not pointwise Poisson-Dirac: extension of covectors is not well defined")
     d = w.dim
@@ -227,8 +229,6 @@ def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
     w = c + R with R a complement of c + sharp(ann c) in Q^n completed
     greedily by standard basis vectors, so the output is deterministic.
     """
-    if c.dual or c.ambient_dim != p.dim:
-        raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
     reach = add(c, p.sharp_annihilator(c))
     w = add(c, _row_space(greedy_complement(reach, MatrixQ.identity(p.dim))))
     record = classify_subspace(p, w)

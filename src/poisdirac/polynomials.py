@@ -531,36 +531,23 @@ def _is_unit(p: Poly) -> bool:
     return len(p.nums) == 1 and not any(p.nums[0][0])
 
 
-def _reciprocal(c: Poly) -> Poly:
-    """1 / c for a nonzero constant c; its numerator and denominator are already coprime."""
-    ((e, n),) = c.nums
-    return Poly(c.variables, ((e, c.den if n > 0 else -c.den),), abs(n))
-
-
-def _pivot(aug: list[list[Poly]], prows: list[int], pcols: list[int], inv: list[list[Poly]], rest: list[int]) -> None:
-    """One Gauss-Jordan step on the block aug[prows][pcols], whose inverse is `inv`, over
-    the columns `rest`: the pivot rows become inv times themselves, and every other row
-    r loses aug[r][pcols] times the new pivot rows, each entry a - f b in one
-    `sum_of_products` call.  The block's own columns, I in the pivot rows and 0 in the
-    others, are not written: no later step reads them."""
-    variables = inv[0][0].variables
-    one = Poly.constant(variables, 1)
-    if inv == [[one]]:  # a pivot 1 leaves its row as it is
-        new = {j: [aug[prows[0]][j]] for j in rest}
-    else:
-        new = {j: [sum_of_products(variables, zip(inv_row, (aug[r][j] for r in prows))) for inv_row in inv] for j in rest}
-    signs = (1,) + (-1,) * len(prows)
-    for r, row in enumerate(aug):
-        if r in prows:
-            for j in rest:
-                row[j] = new[j][prows.index(r)]
-            continue
-        fs = [row[c] for c in pcols]
-        if not any(f.nums for f in fs):
+def _pivot(aug: list[list[Poly]], r: int, c: int, rest: list[int]) -> None:
+    """One Gauss-Jordan step on the unit entry aug[r][c] over the columns `rest`: row r is
+    divided by its constant pivot, and every other row loses f times row r, f its entry
+    in column c, each entry a - f b in one `sum_of_products` call.  Column c, 1 in row r
+    and 0 in the others, is not written: no later step reads it."""
+    pivot_row, pivot = aug[r], aug[r][c]
+    if (n := pivot.nums[0][1]) != pivot.den:  # a pivot 1 leaves its row as it is
+        for j in rest:
+            pivot_row[j] = pivot_row[j].scale(Fraction(pivot.den, n))
+    one = Poly.constant(pivot.variables, 1)
+    for row in aug:
+        f = row[c]
+        if row is pivot_row or not f.nums:
             continue
         for j in rest:
-            if any(b.nums for b in new[j]):
-                row[j] = sum_of_products(variables, ((row[j], one), *zip(fs, new[j])), signs)
+            if pivot_row[j].nums:
+                row[j] = sum_of_products(pivot.variables, ((row[j], one), (f, pivot_row[j])), (1, -1))
 
 
 def poly_matrix_inverse(entries: Sequence[Sequence[Poly]]) -> tuple[tuple[Poly, ...], ...]:
@@ -570,11 +557,12 @@ def poly_matrix_inverse(entries: Sequence[Sequence[Poly]]) -> tuple[tuple[Poly, 
     polynomial ring, and this package never approximates.  It is rejected at once,
     from two integer determinants, when det C(0) is 0 or differs from det C(1, ..., 1);
     both are exact disproofs.  Otherwise Gauss-Jordan elimination on [C | I] pivots on
-    any remaining entry that is a nonzero constant, so it divides only by constants.
-    When no such entry is left, the remaining block S (the Schur complement) has
-    det C = +-(product of the pivots) det S, so C is rejected unless det S is a nonzero
-    constant; S^-1 then comes from one memoized cofactor expansion, its determinant and
-    adjugate sharing their minors, and finishes the elimination as a block pivot.  That
+    one remaining entry that is a nonzero constant at a time, so it divides only by
+    constants.  When no such entry is left, the remaining block S (the Schur complement)
+    has det C = +-(product of the pivots) det S, so C is rejected unless det S is a
+    nonzero constant; S^-1 then comes from one memoized cofactor expansion, its
+    determinant and adjugate sharing their minors, and multiplying it into the rows of S
+    turns S into the identity, whose unit entries the same loop pivots on.  That
     expansion raises PreconditionError past MAX_MINOR_TERMS terms.
     """
     size = _square_size(entries)
@@ -592,25 +580,25 @@ def poly_matrix_inverse(entries: Sequence[Sequence[Poly]]) -> tuple[tuple[Poly, 
     one, zero = Poly.constant(variables, 1), Poly.zero(variables)
     aug = [list(row) + [one if j == i else zero for j in range(size)] for i, row in enumerate(entries)]
     rows, cols, pivot_rows = list(range(size)), list(range(size)), {}
-    while pivot := next(((r, c) for r in rows for c in cols if _is_unit(aug[r][c])), None):
-        r, c = pivot
-        rows.remove(r)
-        cols.remove(c)
-        _pivot(aug, [r], [c], [[_reciprocal(aug[r][c])]], cols + list(identity))
-        pivot_rows[c] = r
-    if rows:
+    while rows:
+        if pivot := next(((r, c) for r in rows for c in cols if _is_unit(aug[r][c])), None):
+            r, c = pivot
+            rows.remove(r)
+            cols.remove(c)
+            _pivot(aug, r, c, cols + list(identity))
+            pivot_rows[c] = r
+            continue
         schur = [[aug[r][c] for c in cols] for r in rows]
         full, table = tuple(range(len(rows))), _MinorTable()
         det = _minor_det(schur, full, full, table)
         if not _is_unit(det):
             raise NotUnimodularError(_NOT_UNIMODULAR)
-        inv_det = _reciprocal(det)
-
-        def cofactor(i: int, j: int) -> Poly:  # (-1)^(i + j) / det S times the minor without row i and column j
-            minor = _minor_det(schur, full[:i] + full[i + 1:], full[:j] + full[j + 1:], table)
-            return sum_of_products(variables, ((minor, inv_det),), ((-1) ** (i + j),))
-
-        inv = [[cofactor(j, i) for j in full] for i in full]
-        _pivot(aug, rows, cols, inv, list(identity))
-        pivot_rows.update(zip(cols, rows))
+        # entry (i, j) of S^-1: (-1)^(i + j) / det S times the minor without row j and column i
+        inv = [[_minor_det(schur, full[:j] + full[j + 1:], full[:i] + full[i + 1:], table).scale(
+            (-1) ** (i + j) / det.constant_value()) for j in full] for i in full]
+        rest = cols + list(identity)
+        new = [[sum_of_products(variables, zip(inv_row, (aug[r][j] for r in rows))) for j in rest] for inv_row in inv]
+        for r, new_row in zip(rows, new):
+            for j, p in zip(rest, new_row):
+                aug[r][j] = p
     return tuple(tuple(aug[pivot_rows[c]][size:]) for c in range(size))

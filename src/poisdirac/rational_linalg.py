@@ -362,10 +362,7 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, rows: Sequence[Sequence[int | str | Fraction]], dual: bool = False) -> Subspace:
-        m = MatrixQ.from_rows(rows, cols=ambient_dim)
-        if m.cols != ambient_dim:
-            raise ValueError("entry grid does not match declared shape")
-        return _row_space(m, dual)
+        return _row_space(MatrixQ(len(rows), ambient_dim, rows), dual)
 
     @staticmethod
     def zero(ambient_dim: int, dual: bool = False) -> Subspace:

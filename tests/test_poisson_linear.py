@@ -11,6 +11,7 @@ from poisdirac.poisson_linear import (
     EmbeddingConditions,
     PoissonVS,
     canonical_iso,
+    characteristic_subspace,
     classify_subspace,
     coisotropic_splitting,
     cosymplectic_extension,
@@ -73,6 +74,26 @@ class TestSharpImage:
     def test_primal_input_rejected(self):
         with pytest.raises(SpaceMismatchError):
             sharp_image(P4, E1)
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda p, s: p.sharp_annihilator(s),
+    characteristic_subspace,
+    classify_subspace,
+    induced_bivector,
+    cosymplectic_extension,
+    coisotropic_splitting,
+    lambda p, s: embedding_conditions(p, s, s),
+    lambda p, s: linear_uniqueness_iso(p, p, s, s),
+], ids=["sharp_annihilator", "characteristic_subspace", "classify_subspace", "induced_bivector",
+        "cosymplectic_extension", "coisotropic_splitting", "embedding_conditions", "linear_uniqueness_iso"])
+@pytest.mark.parametrize("p, s", [
+    (P4, dual_span(4, [[1, 0, 0, 0]])),
+    (P2, Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])),
+], ids=["dual", "other_ambient"])
+def test_every_analysis_refuses_a_subspace_it_cannot_hold_with_one_message(analysis, p, s):
+    with pytest.raises(SpaceMismatchError, match="^subspace must be primal and match the ambient dimension$"):
+        analysis(p, s)
 
 
 class TestClassification:
