@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Mapping, Sequence, TypeVar
 
 from .errors import PreconditionError, SpaceMismatchError
 from .poisson_linear import PoissonVS
-from .polynomials import Poly, PolyMap, compose, compose_map, integer_rows_at, sum_of_products
+from .polynomials import Poly, PolyMap, _accumulate, _check_term_cap, _ordered, compose, compose_map, integer_rows_at
+from .polynomials import sum_of_products
 from .rational_linalg import MatrixQ
 
 _Field = TypeVar("_Field", bound="AntisymmetricField")
@@ -33,6 +34,8 @@ class AntisymmetricField:
         n = len(self.variables)
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise SpaceMismatchError("entry grid shape does not match the variable count")
+        if any(p.variables != self.variables for row in self.entries for p in row):
+            raise SpaceMismatchError("entry polynomial has the wrong variable context")
         for i in range(n):
             for j in range(i, n):
                 if self.entries[i][j] != -self.entries[j][i]:
@@ -49,8 +52,6 @@ class AntisymmetricField:
                 raise ValueError(f"upper-triangular index out of range: {(i, j)}")
             if isinstance(poly, str):
                 poly = Poly.parse(poly, variables)
-            elif poly.variables != variables:
-                raise SpaceMismatchError("entry polynomial has the wrong variable context")
             grid[i][j] = poly
             grid[j][i] = -poly
         return cls(variables, tuple(tuple(r) for r in grid))
@@ -78,13 +79,6 @@ class BivectorField(AntisymmetricField):
 
     def at(self, point: Sequence[Fraction]) -> PoissonVS:
         return PoissonVS(self.dim, self.matrix_at(point))
-
-    @cached_property
-    def _partials(self) -> dict[tuple[int, int], tuple[Poly, ...]]:
-        """(b, c) -> (d_1 Pi^{bc}, ..., d_n Pi^{bc}) for the nonzero entries, derived
-        once per field: above the diagonal, and negated below it."""
-        upper = {bc: p.gradient for bc, p in self.upper_entries().items()}
-        return upper | {(c, b): tuple(-d for d in ds) for (b, c), ds in upper.items()}
 
     def permuted(self, order: Sequence[int], new_variables: Sequence[str] | None = None) -> BivectorField:
         """Relabel coordinates: new coordinate a is the old coordinate order[a]."""
@@ -119,18 +113,64 @@ class TwoFormField(AntisymmetricField):
 def jacobiator(pi: BivectorField) -> dict[tuple[int, int, int], Poly]:
     """Trilinear obstruction tensor, indexed by i < j < k.
 
-    J^{ijk} = sum_l (Pi^{il} d_l Pi^{jk} + Pi^{jl} d_l Pi^{ki} + Pi^{kl} d_l Pi^{ij}).
+    J^{ijk} = sum_l (Pi^{il} d_l Pi^{jk} + Pi^{jl} d_l Pi^{ki} + Pi^{kl} d_l Pi^{ij})
+            = {x_i, Pi^{jk}} + {x_j, Pi^{ki}} + {x_k, Pi^{ij}}.
     """
-    return {(i, j, k): jacobiator_component(pi, i, j, k) for i, j, k in combinations(range(pi.dim), 3)}
+    return _jacobi_rows(pi, list(combinations(range(pi.dim), 3)))
 
 
 def jacobiator_component(pi: BivectorField, i: int, j: int, k: int) -> Poly:
-    e, partials = pi.entries, pi._partials
-    return sum_of_products(pi.variables, (
-        (e[a][l], partials[b, c][l])
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) if (b, c) in partials
-        for l in range(pi.dim) if not e[a][l].is_zero()
-    ))
+    """J^{ijk} for any indices, off the sorted ones: zero when one repeats, negated when the
+    sort is an odd permutation."""
+    ijk = tuple(sorted((i, j, k)))
+    component = _jacobi_rows(pi, [ijk])[ijk]
+    return -component if (j - i) * (k - i) * (k - j) < 0 else component
+
+
+def _jacobi_rows(pi: BivectorField, components: list[tuple[int, int, int]]) -> dict[tuple[int, int, int], Poly]:
+    """The Jacobiator at the sorted index triples `components`, by rows: for each term c_m x^m
+    of an upper entry Pi^{bc}, row a adds c_m {x_a, x^m} = c_m sum_l m_l x^(m - u_l) Pi^{al} into
+    component sorted(a, b, c), negated when b < a < c.  A monomial that one component reads in
+    row a is multiplied straight into its accumulator; one that several read is bracketed once
+    and added, scaled, into each.  A component's denominator is fixed before the loop, and it is
+    built, and its accumulator dropped, once its largest index is done."""
+    n, e, variables = pi.dim, pi.entries, pi.variables
+    row_den = [lcm(*(p.den for p in row)) for row in e]
+    reads = {a: [] for a in range(n)}  # row a -> (Pi^{bc}, accumulator, scale) of each component reading it
+    finished = {a: [] for a in range(n)}  # row a -> (component, accumulator, denominator) whose largest index is a
+    done = dict.fromkeys(components)
+    for i, j, k in components:
+        entries = [(a, e[b][c], sign) for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)) if e[b][c].nums]
+        den, acc = lcm(*(p.den * row_den[a] for a, p, _ in entries)), {}
+        for a, p, sign in entries:
+            reads[a].append((p, acc, sign * (den // (p.den * row_den[a]))))
+        finished[k].append(((i, j, k), acc, den))
+    support: dict[tuple[int, ...], list] = {}  # x^m -> (l, m - u_l, m_l) for each m_l > 0
+    for a in range(n):
+        row = [(p.nums, row_den[a] // p.den) for p in e[a]]
+        readers: dict[tuple[int, ...], list] = {}  # x^m -> (accumulator, coefficient) of each reader in row a
+        for p, acc, scale in reads.pop(a):
+            for m, c in p.nums:
+                readers.setdefault(m, []).append((acc, c * scale))
+        for m, users in readers.items():
+            if (lowered := support.get(m)) is None:
+                lowered = support[m] = [
+                    (l, m[:l] + (power - 1,) + m[l + 1:], power) for l, power in enumerate(m) if power
+                ]
+            target, c = users[0] if len(users) == 1 else ({}, 1)
+            for l, low, power in lowered:
+                nums, f = row[l]
+                if nums:
+                    _accumulate(target, ((low, c * power),), nums, f)
+            if len(users) > 1:
+                for acc, c in users:
+                    get = acc.get
+                    for x, v in target.items():
+                        acc[x] = get(x, 0) + c * v
+                    _check_term_cap(acc)
+        for ijk, acc, den in finished.pop(a):
+            done[ijk] = _ordered(variables, [(x, v) for x, v in acc.items() if v], den)
+    return done
 
 
 def is_poisson(pi: BivectorField) -> bool:

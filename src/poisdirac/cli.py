@@ -382,7 +382,7 @@ _COMMANDS = {
 
 
 def _emit(doc: dict, text: list[str], args: argparse.Namespace) -> None:
-    rendered = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    rendered = json.dumps(doc, sort_keys=True, indent=2) + "\n" if args.output or args.porcelain else ""
     if args.output:
         try:
             Path(args.output).write_text(rendered, encoding="utf-8")

@@ -20,7 +20,8 @@ Every operation goes from integers to integers: sums, differences, scaling,
 partial derivatives, substitution and parsing make no Fraction per term, and
 there is one product kernel, `sum_of_products`, which multiplies numerators
 over one common denominator and takes a sign per product, so no caller
-negates a polynomial only to add it.  Caller coefficients (`make`,
+negates a polynomial only to add it; its term-map loop, `_accumulate`, is
+the one place that adds exponent vectors, and the Jacobiator calls it too.  Caller coefficients (`make`,
 `constant`) and points become integers, and floats are refused, only in
 `rational_linalg._scaled_row`.  Arithmetic results are well formed by
 construction and are built without re-validation; parsing and the public
@@ -261,10 +262,10 @@ def sum_of_products(
     variables: Sequence[str], pairs: Iterable[tuple[Poly, Poly]], signs: Iterable[int] | None = None
 ) -> Poly:
     """Sum of a * b over the pairs, all in the context `variables`, each product taken
-    with its sign +1 or -1 from `signs` (all +1 when None): the one routine that
-    multiplies term maps.  Fraction-free: with a = A / da and b = B / db on integer
-    numerators A, B, and L the lcm of da * db over the pairs, it accumulates the
-    integers sign * A * (L // (da * db)) * B into one map and divides by L once per term."""
+    with its sign +1 or -1 from `signs` (all +1 when None).  Fraction-free: with a = A / da
+    and b = B / db on integer numerators A, B, and L the lcm of da * db over the pairs,
+    `_accumulate` adds the integers sign * A * (L // (da * db)) * B into one map, divided by
+    L once per term."""
     variables = tuple(variables)
     nonzero = []
     for (a, b), sign in zip(pairs, repeat(1) if signs is None else signs):
@@ -275,15 +276,27 @@ def sum_of_products(
     big = lcm(*(a.den * b.den for a, b, _ in nonzero))
     out: dict[tuple[int, ...], int] = {}
     for a, b, sign in nonzero:
-        factor, tb = sign * (big // (a.den * b.den)), b.nums
-        for e1, n1 in a.nums:
-            n1 *= factor
-            for e2, n2 in tb:
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + n1 * n2
-            if len(out) > MAX_PRODUCT_TERMS:
-                raise PreconditionError(f"a polynomial product needs more than {MAX_PRODUCT_TERMS} terms")
+        _accumulate(out, a.nums, b.nums, sign * (big // (a.den * b.den)))
     return _ordered(variables, [(e, n) for e, n in out.items() if n], big)
+
+
+def _accumulate(out: dict[tuple[int, ...], int], nums_a: Sequence, nums_b: Sequence, factor: int) -> None:
+    """Add factor * A * B, A and B as (exponent, int) pairs, into the integer term map `out`:
+    the one loop that multiplies term maps, behind `sum_of_products` and the Jacobiator.
+    Raises PreconditionError once `out` holds more than MAX_PRODUCT_TERMS terms."""
+    for e1, n1 in nums_a:
+        n1 *= factor
+        for e2, n2 in nums_b:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + n1 * n2
+        if len(out) > MAX_PRODUCT_TERMS:  # tested here first: a call per term would cost time
+            _check_term_cap(out)
+
+
+def _check_term_cap(out: Mapping) -> None:
+    """Refuse a term map of more than MAX_PRODUCT_TERMS terms."""
+    if len(out) > MAX_PRODUCT_TERMS:
+        raise PreconditionError(f"a polynomial product needs more than {MAX_PRODUCT_TERMS} terms")
 
 
 def integer_rows_at(grid: Iterable[Sequence[Poly]], point: Sequence[Fraction]) -> list[tuple[list[int], int]]:

@@ -24,6 +24,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def script(name: str):
+    """A module of scripts/, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bundled_scenarios_present():
     assert set(bundled_scenario_names()) == set(BUNDLED_ANALYSES)
 
@@ -164,12 +173,8 @@ class TestExitCodes:
     def test_embedding_past_the_work_cap_is_two(self, capsys, tmp_path, monkeypatch):
         # the covector matrix of the dense 6 + 2 embedding leaves a 5 x 5 Schur complement
         # with no constant entry, whose cofactor expansion holds 1,573 terms
-        script = Path(__file__).resolve().parents[1] / "scripts" / "dense_embed_scenario.py"
-        spec = importlib.util.spec_from_file_location("dense_embed_scenario", script)
-        dense = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(dense)
         path = tmp_path / "dense.json"
-        path.write_text(json.dumps(dense.dense_scenario(6, 2, 1)))
+        path.write_text(json.dumps(script("dense_embed_scenario").dense_scenario(6, 2, 1)))
         assert run(capsys, "embed", "--scenario", str(path), "--porcelain")[0] == 0
         monkeypatch.setattr(polynomials, "MAX_MINOR_TERMS", 1000)
         code, out, err = run(capsys, "embed", "--scenario", str(path), "--porcelain")
@@ -190,6 +195,23 @@ class TestExitCodes:
         code, out, err = run(capsys, "pushforward", "--scenario", str(path))
         assert (code, out) == (2, "")
         assert err == "precondition failed: a polynomial product needs more than 2000 terms\n"
+
+    @pytest.mark.parametrize("field, cap", [
+        # R^3: each row reads one entry, multiplied straight into J^{123}
+        ({"ambient": {"dim": 3, "bivector": [
+            {"i": i, "j": j, "poly": "x1^2 + x2^2 + x3^2 + x1*x2*x3"} for i, j in ((1, 2), (1, 3), (2, 3))
+        ]}}, 10),
+        ((4, 1), 4),  # dense: one shared bracket {x_a, x^m} past the cap
+        ((4, 2), 30),  # dense: every bracket under the cap, a component summing them past it
+    ])
+    def test_a_jacobiator_past_the_term_cap_is_two(self, capsys, tmp_path, monkeypatch, field, cap):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(field if isinstance(field, dict) else script("dense_jacobi_scenario").dense_scenario(*field, 1)))
+        assert run(capsys, "jacobi", "--scenario", str(path))[0] == 0
+        monkeypatch.setattr(polynomials, "MAX_PRODUCT_TERMS", cap)
+        code, out, err = run(capsys, "jacobi", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"precondition failed: a polynomial product needs more than {cap} terms\n"
 
     @pytest.mark.parametrize("poly", ["x1*", "x1*+x2", "x1**x2"])
     def test_a_star_not_between_two_factors_is_one(self, capsys, tmp_path, poly):
@@ -315,6 +337,20 @@ class TestReports:
         _, first, _ = run(capsys, "classify", "--scenario", "ex_r6.json", "--porcelain")
         _, second, _ = run(capsys, "classify", "--scenario", "ex_r6.json", "--porcelain")
         assert first == second
+
+    def test_dense_jacobi_scenario(self, capsys, tmp_path):
+        # every upper entry holds all five monomials of degree <= 1 in x1..x4
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(script("dense_jacobi_scenario").dense_scenario(4, 1, 1)))
+        code, out, _ = run(capsys, "jacobi", "--scenario", str(path), "--porcelain")
+        doc = json.loads(out)
+        assert code == 0 and doc["poisson"] is False
+        assert [(c["i"], c["j"], c["k"]) for c in doc["nonzero_jacobiator"]] == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+
+    def test_text_output_renders_no_document(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.json, "dumps", lambda *args, **kwargs: pytest.fail("document rendered"))
+        code, out, _ = run(capsys, "jacobi", "--scenario", "broken.json")
+        assert code == 0 and "J^{1,2,3} = 1" in out
 
     def test_output_file_written(self, capsys, tmp_path):
         target = tmp_path / "report.json"

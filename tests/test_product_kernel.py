@@ -1,7 +1,8 @@
 """Oracles for the one product kernel, `polynomials.sum_of_products`.
 
 sympy's expansion checks `*`, `substitute`, every Jacobiator component
-(dims 3-5) and `pushforward` (dims 2-4) on seeded fields.  The loops that
+(dims 3-6; a Poisson field's against 0) and `pushforward` (dims 2-4) on
+seeded fields.  The loops that
 added one product at a time to a growing `Poly`, which the kernel
 replaced, are kept here as references and must agree exactly.
 """
@@ -9,12 +10,12 @@ replaced, are kept here as references and must agree exactly.
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from gen import rand_fraction, rand_shear_diffeo
-from poisdirac.bivector_fields import BivectorField, jacobiator, jacobiator_component, pushforward
+from poisdirac.bivector_fields import BivectorField, TwoFormField, jacobiator, jacobiator_component, pushforward
 from poisdirac.errors import SpaceMismatchError
 from poisdirac.polynomials import Poly, PolyMap, ambient_variables, compose, sum_of_products
 
@@ -110,19 +111,85 @@ def test_products_and_substitutions_match_sympy():
 # -- the Jacobiator and pushforward sums ------------------------------------------
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("seed", range(2))
-def test_jacobiator_matches_sympy_and_the_accumulating_loop(n, seed):
-    pi = rand_field(random.Random(f"jacobiator-{n}-{seed}"), n, terms=3)
+def shared_field(rng: random.Random, n: int) -> BivectorField:
+    """Entries drawn from a pool of six monomials, so that rows bracket monomials that one
+    entry holds and monomials that several hold."""
+    variables = ambient_variables(n)
+    pool = [tuple(rng.randint(0, 2) for _ in variables) for _ in range(6)]
+    return BivectorField.from_upper(variables, {
+        (i, j): Poly.make(variables, {m: rand_fraction(rng) for m in rng.sample(pool, rng.randint(1, 3))})
+        for i in range(n) for j in range(i + 1, n) if rng.random() < 0.8
+    })
+
+
+def row_denominator_field(rng: random.Random, n: int) -> BivectorField:
+    """Entry (i, j) over the denominator q_i q_j^2, q the odd primes, so that the rows' denominators differ."""
+    variables, q = ambient_variables(n), PRIMES[1:]
+    return BivectorField.from_upper(variables, {
+        (i, j): Poly.make(variables, {
+            tuple(rng.randint(0, 2) for _ in variables): Fraction(rng.choice((-1, 1)), q[i] * q[j] ** 2) for _ in range(3)
+        }) for i in range(n) for j in range(i + 1, n)
+    })
+
+
+def pushed_split_field(rng: random.Random, n: int, broken: bool) -> BivectorField:
+    """sum_{2 <= i < j} f_ij(x1, x2) d_i ^ d_j, Poisson as no f_ij depends on x3..xn, pushed
+    along x1 += c x3 xn, x2 += d xn, so that its entries fill in and share their monomials;
+    a broken field adds a constant d_1 ^ d_2, and J^{1jk} = c d_2 f_jk is nonzero."""
+    variables = ambient_variables(n)
+    split = BivectorField.from_upper(variables, {
+        (i, j): Poly.make(variables, {(1, 1) + (0,) * (n - 2): rand_fraction(rng), (0, 1) + (0,) * (n - 2): 1})
+        for i in range(2, n) for j in range(i + 1, n)
+    } | ({(0, 1): Poly.constant(variables, rng.choice((-2, 1, 3)))} if broken else {}))
+    x = [Poly.variable(variables, v) for v in variables]
+    shift = {0: (x[2] * x[-1]).scale(rand_fraction(rng)), 1: x[-1].scale(rand_fraction(rng))}
+    phi, phi_inv = (PolyMap(variables, tuple(v + shift[a].scale(sign) if a in shift else v for a, v in enumerate(x)))
+                    for sign in (1, -1))
+    return pushforward(split, phi, phi_inv)
+
+
+def reader_counts(pi: BivectorField) -> list[int]:
+    """For each row a and each monomial x^m that row a brackets (m_l > 0 for some nonzero
+    Pi^{al}), how many upper entries Pi^{bc} with a not in {b, c} hold it."""
+    counts = []
+    for a in range(pi.dim):
+        held = [m for (b, c), p in pi.upper_entries().items() if a not in (b, c) for m, _ in p.nums
+                if any(k and pi.entries[a][l].nums for l, k in enumerate(m))]
+        counts += [held.count(m) for m in set(held)]
+    return counts
+
+
+JACOBI_FIELDS = {
+    **{f"random-{n}-{seed}": lambda n=n, seed=seed: rand_field(random.Random(f"jacobiator-{n}-{seed}"), n, terms=3)
+       for n in (3, 4, 5) for seed in range(2)},
+    **{f"shared-{n}": lambda n=n: shared_field(random.Random(f"shared-{n}"), n) for n in (4, 5)},
+    "row-denominators-4": lambda: row_denominator_field(random.Random("row-denominators"), 4),
+    **{f"{kind}-{n}": lambda n=n, kind=kind: pushed_split_field(random.Random(f"{kind}-{n}"), n, kind == "broken")
+       for n in (5, 6) for kind in ("poisson", "broken")},
+}
+
+
+@pytest.mark.parametrize("name", JACOBI_FIELDS)
+def test_jacobiator_matches_sympy_and_the_accumulating_loop(name):
+    pi = JACOBI_FIELDS[name]()
     s = Sympy(pi.variables)
     e = [[s.expr(p) for p in row] for row in pi.entries]
     components = jacobiator(pi)
-    assert any(not p.is_zero() for p in components.values())
+    assert all(p.is_zero() for p in components.values()) == name.startswith("poisson")
+    counts = reader_counts(pi)
+    if name.startswith("shared"):  # a monomial that one component reads in a row, and one that several read
+        assert 1 in counts and max(counts) > 1
+    if name.startswith(("poisson", "broken")):
+        assert max(counts) > 1
+    if name.startswith("row-denominators"):
+        assert len({lcm(*(p.den for p in row)) for row in pi.entries}) > 1
     for (i, j, k), component in components.items():
+        assert component == reference_jacobiator_component(pi, i, j, k)
+        if name.startswith("poisson"):  # 0, as asserted above; sympy would take seconds to expand it
+            continue
         expected = sum((e[i][l] * s.sympy.diff(e[j][k], x) + e[j][l] * s.sympy.diff(e[k][i], x)
                         + e[k][l] * s.sympy.diff(e[i][j], x) for l, x in enumerate(s.symbols)), s.sympy.Integer(0))
         assert component == s.poly(expected)
-        assert component == reference_jacobiator_component(pi, i, j, k)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -155,15 +222,20 @@ def test_product_of_different_contexts_is_a_space_mismatch():
         sum_of_products(Y2, [(Poly.variable(X3, "x1"), Poly.variable(X3, "x2"))])
 
 
-def test_jacobiator_of_entries_in_another_context_is_a_space_mismatch():
-    # entries in a reordered context: every partial derivative exists, the products do not
+@pytest.mark.parametrize("field", [BivectorField, TwoFormField])
+def test_jacobiator_of_entries_in_another_context_is_a_space_mismatch(field):
+    # entries in a reordered context, whose exponent vectors would be read by position: the
+    # field refuses them when it is built, before any Jacobiator or form reads them
     other = ("x2", "x1", "x3")
     pi = BivectorField.from_upper(X3, {(0, 1): "x3", (1, 2): "x1"})
     entries = tuple(tuple(Poly.make(other, {(e[1], e[0], e[2]): c for e, c in p.terms}) for p in row) for row in pi.entries)
-    with pytest.raises(SpaceMismatchError):
-        jacobiator(BivectorField(X3, entries))
-    with pytest.raises(SpaceMismatchError):
-        jacobiator_component(BivectorField(X3, entries), 0, 1, 2)
+    message = "entry polynomial has the wrong variable context"
+    with pytest.raises(SpaceMismatchError, match=message):
+        jacobiator(field(X3, entries))
+    with pytest.raises(SpaceMismatchError, match=message):
+        jacobiator_component(field(X3, entries), 0, 1, 2)
+    with pytest.raises(SpaceMismatchError, match=message):
+        field.from_upper(X3, {(0, 1): entries[0][1]})
 
 
 def test_pushforward_along_maps_of_another_context_is_a_space_mismatch():
