@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, TypeVar
 
 from .errors import PreconditionError, SpaceMismatchError
 from .poisson_linear import PoissonVS
-from .polynomials import Poly, PolyMap, _accumulate, _check_term_cap, _ordered, compose, compose_map, integer_rows_at
+from .polynomials import Poly, PolyMap, _accumulate, _check_term_cap, _ordered, compose_map, integer_rows_at
 from .polynomials import sum_of_products
 from .rational_linalg import MatrixQ
 
@@ -36,9 +36,9 @@ class AntisymmetricField:
             raise SpaceMismatchError("entry grid shape does not match the variable count")
         if any(p.variables != self.variables for row in self.entries for p in row):
             raise SpaceMismatchError("entry polynomial has the wrong variable context")
-        for i in range(n):
-            for j in range(i, n):
-                if self.entries[i][j] != -self.entries[j][i]:
+        for i, row in enumerate(self.entries):  # entry (j, i) is minus entry (i, j), read off the numerators
+            for j, a in enumerate(row[i:], i):
+                if (b := self.entries[j][i]).den != a.den or [(e, -c) for e, c in b.nums] != list(a.nums):
                     raise PreconditionError(f"entries ({i},{j}) and ({j},{i}) are not antisymmetric")
 
     @classmethod
@@ -79,21 +79,6 @@ class BivectorField(AntisymmetricField):
 
     def at(self, point: Sequence[Fraction]) -> PoissonVS:
         return PoissonVS(self.dim, self.matrix_at(point))
-
-    def permuted(self, order: Sequence[int], new_variables: Sequence[str] | None = None) -> BivectorField:
-        """Relabel coordinates: new coordinate a is the old coordinate order[a]."""
-        n = self.dim
-        if sorted(order) != list(range(n)):
-            raise ValueError("order must be a permutation of the coordinate indices")
-        new_vars = tuple(new_variables) if new_variables is not None else tuple(self.variables[a] for a in order)
-        # old variable order[a] becomes the a-th new variable
-        substitution = {
-            self.variables[old]: Poly.variable(new_vars, new_vars[a]) for a, old in enumerate(order)
-        }
-        grid = tuple(
-            tuple(self.entries[order[a]][order[b]].substitute(substitution) for b in range(n)) for a in range(n)
-        )
-        return BivectorField(new_vars, grid)
 
 
 class TwoFormField(AntisymmetricField):
@@ -186,7 +171,9 @@ def pushforward(pi: BivectorField, phi: PolyMap, phi_inv: PolyMap) -> BivectorFi
 
     (phi_* pi)^{ab} = (sum_j (sum_i d_i phi^a pi^{ij}) d_j phi^b) composed
     with phi^{-1}.  Both composition identities are verified symbolically
-    before any transport happens.
+    before any transport happens, and the nonzero upper entries are composed
+    with phi^{-1} in one `compose_map` call, which builds each power of
+    phi^{-1}'s components once for all of them.
     """
     n = pi.dim
     if phi.source_dim != n or phi.target_dim != n or phi_inv.source_dim != n or phi_inv.target_dim != n:
@@ -201,8 +188,9 @@ def pushforward(pi: BivectorField, phi: PolyMap, phi_inv: PolyMap) -> BivectorFi
         for b in range(a + 1, n):
             entry = sum_of_products(pi.variables, zip(jac_pi, jac[b]))
             if not entry.is_zero():
-                upper[(a, b)] = compose(entry, phi_inv)
-    return BivectorField.from_upper(phi_inv.source_vars, upper)
+                upper[(a, b)] = entry
+    pushed = compose_map(PolyMap(pi.variables, tuple(upper.values())), phi_inv)
+    return BivectorField.from_upper(phi_inv.source_vars, dict(zip(upper, pushed.components)))
 
 
 def exterior_derivative(b: TwoFormField) -> dict[tuple[int, int, int], Poly]:
@@ -216,22 +204,3 @@ def exterior_derivative(b: TwoFormField) -> dict[tuple[int, int, int], Poly]:
 
 def is_closed(b: TwoFormField) -> bool:
     return all(p.is_zero() for p in exterior_derivative(b).values())
-
-
-def verify_split_form(pi: BivectorField, k: int) -> bool:
-    """Check for the split shape in coordinates ordered (q_1..q_k, p_1..p_k, y_*).
-
-    True iff the q-p block is the constant identity pairing, all other
-    blocks touching q or p vanish, and the y-y block only involves the
-    y variables.
-    """
-    n = pi.dim
-    if 2 * k > n:
-        raise PreconditionError(f"2k = {2 * k} exceeds the dimension {n}")
-    one, zero = Poly.constant(pi.variables, 1), Poly.zero(pi.variables)
-    # rows q and p above the diagonal (antisymmetry fixes the rest): only Pi^{q_i p_i} = 1
-    for i in range(2 * k):
-        if any(pi.entries[i][j] != (one if i < k and j == i + k else zero) for j in range(i + 1, n)):
-            return False
-    y_block = (pi.entries[i][j] for i in range(2 * k, n) for j in range(2 * k, n))
-    return all(e[t] == 0 for entry in y_block for e, _ in entry.nums for t in range(2 * k))

@@ -155,11 +155,6 @@ def pullback_canonical_one_form(d: DiracManifoldData) -> tuple[Poly, ...]:
     return theta + tuple(Poly.zero(total_vars) for _ in range(k))
 
 
-def pullback_canonical_form(d: DiracManifoldData) -> TwoFormField:
-    """Gauge two-form B = CANONICAL_FORM_SIGN * d(theta); closed by construction."""
-    return _gauged(d)[1]
-
-
 @_derived
 def _gauged(d: DiracManifoldData) -> tuple[tuple[Poly, ...], TwoFormField, tuple[Section, ...]]:
     """The pairing one-form theta of d, the gauge form B = CANONICAL_FORM_SIGN *

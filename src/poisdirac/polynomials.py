@@ -20,21 +20,27 @@ Every operation goes from integers to integers: sums, differences, scaling,
 partial derivatives, substitution and parsing make no Fraction per term, and
 there is one product kernel, `sum_of_products`, which multiplies numerators
 over one common denominator and takes a sign per product, so no caller
-negates a polynomial only to add it; its term-map loop, `_accumulate`, is
-the one place that adds exponent vectors, and the Jacobiator calls it too.  Caller coefficients (`make`,
-`constant`) and points become integers, and floats are refused, only in
-`rational_linalg._scaled_row`.  Arithmetic results are well formed by
-construction and are built without re-validation; parsing and the public
-constructors (`make`, `parse`, `constant`, `variable`) keep every check.
+negates a polynomial only to add it.  Its term-map loop, `_accumulate`, is
+the one place that multiplies term maps and adds exponent vectors, and the
+one place the term cap fires; the Jacobiator, composition and the
+Gauss-Jordan pivot call it too.  `compose_map` is the one composition
+routine (`compose` and `Poly.substitute` are its one-polynomial cases): it
+builds each power of the inner components once per call and adds each
+term's image straight into its polynomial's integer accumulator.  Caller
+coefficients (`make`, `constant`) and points become integers, and floats are
+refused, only in `rational_linalg._scaled_row`.  Arithmetic results are well
+formed by construction and are built without re-validation; parsing and the
+public constructors (`make`, `parse`, `constant`, `variable`) keep every check.
 `integer_rows_at`, the one point evaluator, gives each row of a grid as
 integers over one denominator.
 
 Determinants are memoized cofactor (Laplace) expansions, whose memo table
 is capped at MAX_MINOR_TERMS terms.  `poly_matrix_inverse` is Gauss-Jordan
 elimination that divides only by constant pivots, after an integer
-two-point test that rejects most matrices with a non-constant determinant;
-only a Schur complement with no constant entry left goes to the cofactor
-expansion.
+two-point test that rejects most matrices with a non-constant determinant,
+and updates each entry a - f b in one `_accumulate` of -f b into a's
+numerators; only a Schur complement with no constant entry left goes to the
+cofactor expansion.
 """
 
 from __future__ import annotations
@@ -185,21 +191,15 @@ class Poly:
         return values_at(((self,),), point)[0][0]
 
     def substitute(self, values: Mapping[str, "Poly"]) -> Poly:
-        """Replace every variable by a polynomial (all in one shared context)."""
+        """Replace every variable by a polynomial (all in one shared context): `compose`
+        with the map of the replacements."""
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise ValueError(f"no substitution given for {missing}")
         contexts = {p.variables for p in values.values()}
         if len(contexts) != 1:
-            raise SpaceMismatchError("substitution polynomials must share one variable context")
-        target_vars = next(iter(contexts))
-        one, factors = Poly.constant(target_vars, 1), [values[v] for v in self.variables]
-        constant = (0,) * len(target_vars)
-        return sum_of_products(target_vars, (
-            (_ordered(target_vars, ((constant, n),), self.den),
-             prod((f for f, k in zip(factors, e) for _ in range(k)), start=one))
-            for e, n in self.nums
-        ))
+            raise SpaceMismatchError(_NO_SHARED_CONTEXT)
+        return compose(self, PolyMap(next(iter(contexts)), tuple(values[v] for v in self.variables)))
 
     def __str__(self) -> str:
         """Each coefficient n / den printed in lowest terms, as a Fraction prints, without
@@ -231,7 +231,10 @@ class Poly:
     @staticmethod
     def parse(text: str, variables: Sequence[str]) -> Poly:
         """Parse the term grammar; rejects anything outside it.  Sums on integers over the
-        lcm of the term denominators."""
+        lcm of the term denominators.  The text "0", which most zero entries of a scenario
+        read, is the zero polynomial without the grammar."""
+        if text == "0":
+            return Poly.zero(variables)
         variables = tuple(variables)
         tokens = _tokenize(text)
         if not tokens:
@@ -432,19 +435,62 @@ class PolyMap:
 
 
 def compose(outer: Poly, inner: PolyMap) -> Poly:
-    """Substitute inner's components for outer's variables."""
+    """Substitute inner's components for outer's variables: the one-polynomial case of
+    `compose_map`."""
     if len(outer.variables) != inner.target_dim:
         raise SpaceMismatchError(
             f"outer has {len(outer.variables)} variables but inner targets dimension {inner.target_dim}"
         )
-    values = dict(zip(outer.variables, inner.components))
-    return outer.substitute(values)
+    return compose_map(PolyMap(outer.variables, (outer,)), inner).components[0]
+
+
+_NO_SHARED_CONTEXT = "substitution polynomials must share one variable context"
 
 
 def compose_map(outer: PolyMap, inner: PolyMap) -> PolyMap:
+    """Substitute inner's components for outer's variables in every component of outer: the
+    one composition routine, behind `compose` and `Poly.substitute`.
+
+    Each call builds one table of the powers of inner's components: power k of a component
+    is power k - 1 times the component, built once and only up to the highest power that
+    some term of outer reads.  The image of a term n x^e is the product of its variables'
+    powers, a transient term map, and each component of outer sums n times the images of
+    its terms in one integer accumulation over its denominator times the lcm of the
+    images' denominators (power k of a component over d_v is over d_v^k).  An inner map
+    with neither variables nor components leaves no context to compose into.
+    """
     if outer.source_dim != inner.target_dim:
         raise SpaceMismatchError("map composition arity mismatch")
-    return PolyMap(inner.source_vars, tuple(compose(comp, inner) for comp in outer.components))
+    if outer.components and not inner.components and not inner.source_vars:
+        raise SpaceMismatchError(_NO_SHARED_CONTEXT)
+    zero = (0,) * len(inner.source_vars)
+    one = ((zero, 1),)
+    top = [max(column) for column in zip(*(e for p in outer.components for e, _ in p.nums))]
+    powers = []  # powers[v][k]: the numerators of inner.components[v]^k, over its den^k
+    for component, k in zip(inner.components, top):
+        table = [one, component.nums]
+        while len(table) <= k:
+            _accumulate(step := {}, table[-1], component.nums, 1)
+            table.append([(e, n) for e, n in step.items() if n])
+        powers.append(table)
+    dens = [component.den for component in inner.components]
+    composed = []
+    for p in outer.components:
+        image_dens = [prod(map(pow, dens, e)) for e, _ in p.nums]
+        big, out = lcm(*image_dens), {}
+        for (e, n), image_den in zip(p.nums, image_dens):
+            factors = [powers[v][k] for v, k in enumerate(e) if k]
+            coefficient = n * (big // image_den)
+            if len(factors) < 2:  # a constant times at most one power
+                _accumulate(out, ((zero, coefficient),), factors[0] if factors else one, 1)
+                continue
+            image = factors[0]
+            for factor in factors[1:-1]:
+                _accumulate(step := {}, image, factor, 1)
+                image = step.items()
+            _accumulate(out, image, factors[-1], coefficient)
+        composed.append(_ordered(inner.source_vars, [(e, n) for e, n in out.items() if n], p.den * big))
+    return PolyMap(inner.source_vars, tuple(composed))
 
 
 def ambient_variables(n: int) -> tuple[str, ...]:
@@ -547,20 +593,24 @@ def _is_unit(p: Poly) -> bool:
 def _pivot(aug: list[list[Poly]], r: int, c: int, rest: list[int]) -> None:
     """One Gauss-Jordan step on the unit entry aug[r][c] over the columns `rest`: row r is
     divided by its constant pivot, and every other row loses f times row r, f its entry
-    in column c, each entry a - f b in one `sum_of_products` call.  Column c, 1 in row r
-    and 0 in the others, is not written: no later step reads it."""
+    in column c: each entry a - f b is a's numerators over lcm(a.den, f.den b.den) plus one
+    `_accumulate` of -f b.  Column c, 1 in row r and 0 in the others, is not written: no
+    later step reads it."""
     pivot_row, pivot = aug[r], aug[r][c]
     if (n := pivot.nums[0][1]) != pivot.den:  # a pivot 1 leaves its row as it is
         for j in rest:
             pivot_row[j] = pivot_row[j].scale(Fraction(pivot.den, n))
-    one = Poly.constant(pivot.variables, 1)
     for row in aug:
         f = row[c]
         if row is pivot_row or not f.nums:
             continue
         for j in rest:
-            if pivot_row[j].nums:
-                row[j] = sum_of_products(pivot.variables, ((row[j], one), (f, pivot_row[j])), (1, -1))
+            if (b := pivot_row[j]).nums:
+                a = row[j]
+                big = lcm(a.den, f.den * b.den)
+                out = {e: m * (big // a.den) for e, m in a.nums}
+                _accumulate(out, f.nums, b.nums, -(big // (f.den * b.den)))
+                row[j] = _ordered(pivot.variables, [(e, m) for e, m in out.items() if m], big)
 
 
 def poly_matrix_inverse(entries: Sequence[Sequence[Poly]]) -> tuple[tuple[Poly, ...], ...]:

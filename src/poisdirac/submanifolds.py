@@ -36,7 +36,7 @@ from .poisson_linear import (
     subspace_in_basis,
 )
 from .polynomials import Poly, PolyMap, integer_rows_at
-from .rational_linalg import MatrixQ, Subspace, Vector, annihilator, column_space, fmt_point, kernel, solve, stack
+from .rational_linalg import MatrixQ, Subspace, Vector, column_space, fmt_point, kernel, solve, stack
 
 # Draws made by grid_points_on on a level set before it gives up on filling `count`.
 LEVEL_SET_ATTEMPTS = 10000
@@ -98,10 +98,6 @@ def tangent_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
     if tangent.dim != c.map.source_dim - c.map.target_dim:
         raise RegularityError(f"constraint differentials are dependent at {fmt_point(point)}")
     return tangent
-
-
-def conormal_at(c: SubmanifoldPatch, q: Sequence[Fraction]) -> Subspace:
-    return annihilator(tangent_at(c, q))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Seeded random instance builders shared by unit and acceptance tests."""
+"""Seeded random instance builders shared by unit and acceptance tests, and
+`pullback_canonical_form`, the gauge form of the embedding read on its own."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from poisdirac.bivector_fields import TwoFormField
+from poisdirac.embedding import DiracManifoldData, _gauged
 from poisdirac.poisson_linear import PoissonVS, cosymplectic_extension, sharp_image
 from poisdirac.polynomials import Poly, PolyMap, compose_map
 from poisdirac.rational_linalg import MatrixQ, Subspace, annihilator, column_space, contains
@@ -142,3 +145,8 @@ def rand_minimal_coisotropic_pair(rng: random.Random, max_v: int = 2, max_k: int
     m_rows = [tuple(s.matvec([Fraction(1 if t == i else 0) for t in range(n)])) for i in range(vd + k)]
     m = Subspace.span(n, m_rows)
     return p, m
+
+
+def pullback_canonical_form(d: DiracManifoldData) -> TwoFormField:
+    """Gauge two-form B = CANONICAL_FORM_SIGN * d(theta) of the embedding; closed by construction."""
+    return _gauged(d)[1]

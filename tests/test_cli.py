@@ -196,6 +196,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "precondition failed: a polynomial product needs more than 2000 terms\n"
 
+    def test_a_dense_pushforward_stops_at_the_default_term_cap(self, capsys, tmp_path):
+        # the same composition at the real MAX_PRODUCT_TERMS: the power table builds each
+        # (x_i - x6^2)^k once, and the product of the first four powers passes the cap
+        path = tmp_path / "push.json"
+        path.write_text(json.dumps({
+            "ambient": {"dim": 6, "bivector": [{"i": 1, "j": 2, "poly": "*".join(f"x{i}^32" for i in range(1, 6))}]},
+            "map": [f"x{i} + x6^2" for i in range(1, 6)] + ["x6"],
+            "map_inverse": [f"x{i} - x6^2" for i in range(1, 6)] + ["x6"],
+        }))
+        code, out, err = run(capsys, "pushforward", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"precondition failed: a polynomial product needs more than {polynomials.MAX_PRODUCT_TERMS} terms\n"
+        assert polynomials.MAX_PRODUCT_TERMS == 400_000
+
     @pytest.mark.parametrize("field, cap", [
         # R^3: each row reads one entry, multiplied straight into J^{123}
         ({"ambient": {"dim": 3, "bivector": [
@@ -346,6 +360,17 @@ class TestReports:
         doc = json.loads(out)
         assert code == 0 and doc["poisson"] is False
         assert [(c["i"], c["j"], c["k"]) for c in doc["nonzero_jacobiator"]] == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+
+    def test_dense_push_scenario(self, capsys, tmp_path):
+        # f u ^ v on R^4, every entry a multiple of one f holding all 15 monomials of degree
+        # <= 2, pushed along shears of x1, x2 by x3 x4 and x4^2: Poisson before and after
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(script("dense_push_scenario").dense_scenario(4, 2, 1)))
+        code, out, _ = run(capsys, "pushforward", "--scenario", str(path), "--porcelain")
+        doc = json.loads(out)
+        assert code == 0 and doc["poisson_preserved"] is True
+        assert [(e["i"], e["j"]) for e in doc["result"]] == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        assert run(capsys, "jacobi", "--scenario", str(path), "--porcelain")[1].count('"poisson": true') == 1
 
     def test_text_output_renders_no_document(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.json, "dumps", lambda *args, **kwargs: pytest.fail("document rendered"))

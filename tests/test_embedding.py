@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gen import pullback_canonical_form
 from poisdirac import embedding, polynomials
 from poisdirac.bivector_fields import BivectorField, is_closed, is_poisson
 from poisdirac.embedding import (
@@ -10,7 +11,6 @@ from poisdirac.embedding import (
     Section,
     build_embedding,
     compare_splittings,
-    pullback_canonical_form,
     validate_dirac_data,
 )
 from poisdirac.errors import PreconditionError, PropertyViolationError, SpaceMismatchError

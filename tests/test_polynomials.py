@@ -105,6 +105,20 @@ def test_parse_rejects_exponent_above_maximum(text):
         Poly.parse(text, X3)
 
 
+@pytest.mark.parametrize("text", ["0", " 0", "+0", "-0", "00", "0*x1", "0/7"])
+def test_zero_texts_parse_to_the_zero_polynomial(text, monkeypatch):
+    tokenized, tokenize = [], polynomials._tokenize
+    monkeypatch.setattr(polynomials, "_tokenize", lambda t: tokenized.append(t) or tokenize(t))
+    p = Poly.parse(text, X3)
+    assert (p.variables, p.nums, p.den, str(p)) == (X3, (), 1, "0") and p == Poly.zero(X3)
+    assert tokenized == ([] if text == "0" else [text])  # only the text "0" skips the grammar
+
+
+def test_a_zero_term_of_an_unknown_variable_is_still_rejected():
+    with pytest.raises(ValueError, match="unknown variable 'x9'"):
+        Poly.parse("0*x9", X3)
+
+
 def test_parse_accepts_the_maximum_exponent():
     assert Poly.parse(f"x1^{MAX_EXPONENT}*x2^{MAX_EXPONENT}", X3).terms == (((MAX_EXPONENT, MAX_EXPONENT, 0), Fraction(1)),)
 
@@ -445,6 +459,31 @@ def test_inverse_pivots_on_constants_off_the_diagonal(size, monkeypatch):
     sizes = counted_expansions(monkeypatch)
     check_inverse(m)
     assert sizes == []
+
+
+def test_each_updated_pivot_entry_is_one_accumulation(monkeypatch):
+    # every other row loses f times the pivot row: one `_accumulate` of -f b per entry a
+    # whose pivot-row entry b is nonzero, and no generic `sum_of_products`
+    rng = random.Random("pivot-updates")
+    m = permuted(rand_poly_matrix(rng, 4, "unimodular"), rng)
+    accumulations, products, updates = [], [], []
+    accumulate, pivot, sum_of_products = polynomials._accumulate, polynomials._pivot, polynomials.sum_of_products
+
+    def counting_pivot(aug, r, c, rest):
+        expected = sum(1 for row in aug if row is not aug[r] and row[c].nums for j in rest if aug[r][j].nums)
+        before = len(accumulations), len(products)
+        pivot(aug, r, c, rest)
+        updates.append((len(accumulations) - before[0], len(products) - before[1], expected))
+
+    monkeypatch.setattr(polynomials, "_accumulate", lambda *args: accumulations.append(1) or accumulate(*args))
+    monkeypatch.setattr(polynomials, "sum_of_products", lambda *args: products.append(1) or sum_of_products(*args))
+    monkeypatch.setattr(polynomials, "_pivot", counting_pivot)
+    inverse = poly_matrix_inverse(m)
+    monkeypatch.undo()
+    assert len(updates) == 4 and sum(e for _, _, e in updates) > 4
+    assert all(calls == expected and not generic for calls, generic, expected in updates)
+    det = cofactor_det(m)
+    assert [list(row) for row in inverse] == [[p.scale(1 / det.constant_value()) for p in row] for row in cofactor_adjugate(m)]
 
 
 UNIMODULAR_NO_CONSTANT = [["1 + x1", "x1"], ["x1", "x1 - 1"]]  # det -1

@@ -18,12 +18,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from gen import rand_antisym, rand_dirac_form_data, rand_fraction, rand_point, rand_poisson, rand_subspace
+from gen import pullback_canonical_form, rand_antisym, rand_dirac_form_data, rand_fraction, rand_point, rand_poisson, rand_subspace
 from poisdirac import embedding
 from poisdirac.bivector_fields import BivectorField
 from poisdirac.cli import BUNDLED_ANALYSES, _resolve_scenario
 from poisdirac.dirac_linear import DiracVS, as_bivector, characteristic, from_bivector, from_subspace_form, gauge
-from poisdirac.embedding import DiracManifoldData, Section, build_embedding, pullback_canonical_form
+from poisdirac.embedding import DiracManifoldData, Section, build_embedding
 from poisdirac.errors import SpaceMismatchError
 from poisdirac.polynomials import Poly, PolyMap, ambient_variables, integer_rows_at, values_at
 from poisdirac.rational_linalg import MatrixQ, Subspace, _scaled_row, inverse, primitive
