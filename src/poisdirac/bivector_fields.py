@@ -16,6 +16,7 @@ from typing import Mapping, Sequence, TypeVar
 
 from .errors import PreconditionError, SpaceMismatchError
 from .poisson_linear import PoissonVS
+from . import polynomials
 from .polynomials import Poly, PolyMap, _accumulate, _check_term_cap, _ordered, compose_map, integer_rows_at
 from .polynomials import sum_of_products
 from .rational_linalg import MatrixQ
@@ -120,6 +121,7 @@ def _jacobi_rows(pi: BivectorField, components: list[tuple[int, int, int]]) -> d
     and added, scaled, into each.  A component's denominator is fixed before the loop, and it is
     built, and its accumulator dropped, once its largest index is done."""
     n, e, variables = pi.dim, pi.entries, pi.variables
+    cap = polynomials.MAX_PRODUCT_TERMS
     row_den = [lcm(*(p.den for p in row)) for row in e]
     reads = {a: [] for a in range(n)}  # row a -> (Pi^{bc}, accumulator, scale) of each component reading it
     finished = {a: [] for a in range(n)}  # row a -> (component, accumulator, denominator) whose largest index is a
@@ -152,7 +154,8 @@ def _jacobi_rows(pi: BivectorField, components: list[tuple[int, int, int]]) -> d
                     get = acc.get
                     for x, v in target.items():
                         acc[x] = get(x, 0) + c * v
-                    _check_term_cap(acc)
+                    if len(acc) > cap:  # tested here first, as in _accumulate
+                        _check_term_cap(acc)
         for ijk, acc, den in finished.pop(a):
             done[ijk] = _ordered(variables, [(x, v) for x, v in acc.items() if v], den)
     return done

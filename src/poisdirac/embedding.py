@@ -29,7 +29,7 @@ from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import NotUnimodularError, PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import _derived, classify_subspace
 from .polynomials import Poly, fiber_variables, integer_rows_at, poly_matrix_det, poly_matrix_inverse, sum_of_products
-from .rational_linalg import MatrixQ, Subspace, Vector, _reduced, fmt_point, primitive
+from .rational_linalg import MatrixQ, Subspace, Vector, _reduced, _scaled_row, fmt_point, primitive
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
 CANONICAL_FORM_SIGN = -1
@@ -88,6 +88,14 @@ def _dirac_at(n: int, sections: Sequence[Section], point: Sequence[Fraction]) ->
     """The Dirac structure on Q^n spanned by the sections evaluated at a point."""
     rows = integer_rows_at([sec.vector + sec.covector for sec in sections], point)
     return DiracVS(n, _reduced(2 * n, [primitive(r) for r, _ in rows], False))
+
+
+def _check_point(n: int, point: Sequence[Fraction]) -> None:
+    """Refuse a point that evaluating sections on Q^n at it would refuse: one with a float
+    coordinate, or with other than n coordinates."""
+    _scaled_row(point)
+    if len(point) != n:
+        raise SpaceMismatchError(f"point length {len(point)} != variable count {n}")
 
 
 def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, str], ...]:
@@ -232,17 +240,28 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     recorded); at the zero-section point (x, 0) it must be one, the base
     tangent space must be coisotropic and the pullback to it must
     reproduce the input structure.  A non-graph at (x, 0) raises.
+
+    The structure is evaluated at (x, p) only when some gauged section reads
+    a fiber coordinate, as when B depends on p because the coframe is not
+    closed.  Otherwise the sections take equal values at (x, p) and (x, 0),
+    so the structure at (x, p) is the one at (x, 0), built once, and (x, p)
+    is only checked to be a point of the total space.
     """
     _require_valid(d, samples)
     m, k = d.base_dim, d.fiber_dim
     n = m + k
     _, b, sections = _gauged(d)
+    reads_fiber = any(any(e[m:]) for sec in sections for p in sec.vector + sec.covector for e, _ in p.nums)
     bivector = _extract_symbolic_bivector(d, sections)
     checks = []
     zero_tangent = Subspace(n, MatrixQ.identity(n).ints[:m])
     for point in samples:
         point = tuple(point)
-        graph = as_bivector(_dirac_at(n, sections, point)) is not None
+        if reads_fiber:
+            graph = as_bivector(_dirac_at(n, sections, point)) is not None
+        else:  # the structure at (x, p) is the one at (x, 0): a graph, or refused below
+            _check_point(n, point)
+            graph = True
         base_point = point[:m] + (Fraction(0),) * k
         at_zero = _dirac_at(n, sections, base_point)
         zero_bivector = as_bivector(at_zero)

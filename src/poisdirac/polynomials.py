@@ -32,7 +32,9 @@ refused, only in `rational_linalg._scaled_row`.  Arithmetic results are well
 formed by construction and are built without re-validation; parsing and the
 public constructors (`make`, `parse`, `constant`, `variable`) keep every check.
 `integer_rows_at`, the one point evaluator, gives each row of a grid as
-integers over one denominator.
+integers over one denominator; each call evaluates each distinct monomial
+once, in a table from exponent vector to its value and degree, and each
+power of the point's denominator once.
 
 Determinants are memoized cofactor (Laplace) expansions, whose memo table
 is capped at MAX_MINOR_TERMS terms.  `poly_matrix_inverse` is Gauss-Jordan
@@ -149,8 +151,13 @@ class Poly:
         return self._plus(other, -1)
 
     def _plus(self, other: Poly, sign: int) -> Poly:
-        """self + sign * other, summed on integers over the lcm of the denominators."""
+        """self + sign * other, summed on integers over the lcm of the denominators; a zero
+        operand gives the other operand (negated for sign -1) as it is stored."""
         self._check_context(other)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if sign == 1 else -other
         big = lcm(self.den, other.den)
         fa, fb = big // self.den, sign * (big // other.den)
         out = {e: n * fa for e, n in self.nums}
@@ -307,8 +314,12 @@ def integer_rows_at(grid: Iterable[Sequence[Poly]], point: Sequence[Fraction]) -
     denominator): the one point evaluator.  The point becomes integers over one common
     denominator once, x = P / q, by `_scaled_row`.  For the polynomials N_j / d_j of a row
     of total degree at most D, entry j is (L // d_j) sum n_e P^e q^(D - |e|) over L q^D,
-    L = lcm d_j, the sum over the terms (e, n_e) of N_j."""
+    L = lcm d_j, the sum over the terms (e, n_e) of N_j.  Each call keeps one table from
+    exponent e to (P^e, |e|) and one list of the powers of q, so a monomial that several
+    entries or rows share is evaluated once, and a term costs one lookup and two products."""
     xs, q = _scaled_row(point)
+    monomials: dict[tuple[int, ...], tuple[int, int]] = {}
+    q_powers = [1]
     out = []
     for row in grid:
         for poly in row:
@@ -316,10 +327,18 @@ def integer_rows_at(grid: Iterable[Sequence[Poly]], point: Sequence[Fraction]) -
                 raise SpaceMismatchError(f"point length {len(xs)} != variable count {len(poly.variables)}")
         big = lcm(*(poly.den for poly in row))
         top = max((sum(poly.nums[0][0]) for poly in row if poly.nums), default=0)
-        out.append(([
-            big // poly.den * sum(n * q ** (top - sum(e)) * prod(map(pow, xs, e)) for e, n in poly.nums)
-            for poly in row
-        ], big * q ** top))
+        while len(q_powers) <= top:
+            q_powers.append(q_powers[-1] * q)
+        ints = []
+        for poly in row:
+            total = 0
+            for e, n in poly.nums:
+                if (monomial := monomials.get(e)) is None:
+                    monomial = monomials[e] = prod(map(pow, xs, e)), sum(e)
+                value, degree = monomial
+                total += n * value * q_powers[top - degree]
+            ints.append(big // poly.den * total)
+        out.append((ints, big * q_powers[top]))
     return out
 
 

@@ -1,5 +1,6 @@
-"""Seeded random instance builders shared by unit and acceptance tests, and
-`pullback_canonical_form`, the gauge form of the embedding read on its own."""
+"""Seeded random instance builders shared by unit and acceptance tests,
+`tilted_complement_data`, an embedding input whose gauge form reads the fiber,
+and `pullback_canonical_form`, the gauge form of the embedding read on its own."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import random
 from fractions import Fraction
 
 from poisdirac.bivector_fields import TwoFormField
-from poisdirac.embedding import DiracManifoldData, _gauged
+from poisdirac.embedding import DiracManifoldData, Section, _gauged
 from poisdirac.poisson_linear import PoissonVS, cosymplectic_extension, sharp_image
 from poisdirac.polynomials import Poly, PolyMap, compose_map
 from poisdirac.rational_linalg import MatrixQ, Subspace, annihilator, column_space, contains
@@ -150,3 +151,20 @@ def rand_minimal_coisotropic_pair(rng: random.Random, max_v: int = 2, max_k: int
 def pullback_canonical_form(d: DiracManifoldData) -> TwoFormField:
     """Gauge two-form B = CANONICAL_FORM_SIGN * d(theta) of the embedding; closed by construction."""
     return _gauged(d)[1]
+
+
+def tilted_complement_data() -> DiracManifoldData:
+    """A complement tilted by x1: B depends on p1, so the gauged sections read the fiber
+    coordinate, and at p1 = -1 the structure is not a bivector graph."""
+    x3 = ("x1", "x2", "x3")
+    q = lambda t: Poly.parse(t, x3)
+    return DiracManifoldData(
+        base_dim=3,
+        sections=(
+            Section((q("1"), q("0"), q("0")), (q("0"), q("1"), q("0"))),
+            Section((q("0"), q("1"), q("0")), (q("-1"), q("0"), q("0"))),
+            Section((q("0"), q("0"), q("1")), (q("0"), q("0"), q("0"))),
+        ),
+        e_frame=((q("0"), q("0"), q("1")),),
+        v_frame=((q("1"), q("0"), q("0")), (q("0"), q("1"), q("x1"))),
+    )

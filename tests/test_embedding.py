@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import pullback_canonical_form
+from gen import pullback_canonical_form, tilted_complement_data
 from poisdirac import embedding, polynomials
 from poisdirac.bivector_fields import BivectorField, is_closed, is_poisson
 from poisdirac.embedding import (
@@ -262,6 +262,16 @@ class TestBuildEmbedding:
         assert result.bivector is None  # determinant is not constant
         assert [(c.point, c.graph, c.ok) for c in result.sample_checks] == [(near, True, True), (far, False, False)]
         assert result.sample_checks[1].zero_section_coisotropic and result.sample_checks[1].zero_section_pullback_matches
+
+    @pytest.mark.parametrize("data", [r4_data, tilted_complement_data], ids=["closed coframe", "fiber-reading"])
+    def test_a_sample_off_the_total_space_is_refused(self, data):
+        # the closed coframe never evaluates the structure at (x, p); it still refuses
+        # what that evaluation would: a float fiber coordinate, a point of the wrong length
+        zero = (Fraction(0),) * 3
+        with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as a rational \(floats are not accepted\)$"):
+            build_embedding(data(), [zero + (0.5,)])
+        with pytest.raises(SpaceMismatchError, match=r"^point length 5 != variable count 4$"):
+            build_embedding(data(), [zero + (Fraction(0), Fraction(1))])
 
     def test_a_v_frame_that_fails_to_span_is_refused_by_its_coframe(self):
         data = r4_data()

@@ -251,6 +251,23 @@ def test_eval_after_compose(p, point):
 
 @settings(max_examples=150)
 @given(poly_st())
+def test_a_sum_with_a_zero_operand_is_the_other_operand_field_for_field(p):
+    zero = Poly.zero(X3)
+    negated = Poly.make(X3, {e: -c for e, c in p.terms})
+    for got, expected in ((p + zero, p), (p - zero, p), (zero + p, p), (zero - p, negated), (zero - zero, zero)):
+        assert (got.nums, got.den) == (expected.nums, expected.den)
+
+
+def test_a_sum_with_a_zero_operand_still_checks_the_contexts():
+    other = Poly.zero(("x1", "x2"))
+    for left, right in ((Poly.parse("x1", X3), other), (other, Poly.parse("x1", X3)), (Poly.zero(X3), other)):
+        for sum_or_difference in (left.__add__, left.__sub__):
+            with pytest.raises(SpaceMismatchError, match="^variable contexts differ"):
+                sum_or_difference(right)
+
+
+@settings(max_examples=150)
+@given(poly_st())
 def test_mixed_partials_commute(p):
     assert p.partial("x1").partial("x2") == p.partial("x2").partial("x1")
 

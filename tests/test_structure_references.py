@@ -9,21 +9,27 @@ embed scenarios and on seeded random data.  `values_at` (and
 `Poly.evaluate`, its 1 x 1 case), `as_bivector` and `gauge` are checked
 against the Fraction formulas they replaced, and `values_at` against sympy
 as well; the integer rows of `integer_rows_at` must be the primitive rows
-of those values.
+of those values, and on grids whose entries and rows share monomials each
+row must be its values over the lcm of its denominators times q^D, q the
+point's common denominator and D the row's top degree.  Where the gauged
+sections read no fiber coordinate, `build_embedding` evaluates the structure
+at the zero-section points only; where they do, at (x, p) as well.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 
 from gen import pullback_canonical_form, rand_antisym, rand_dirac_form_data, rand_fraction, rand_point, rand_poisson, rand_subspace
+from gen import tilted_complement_data
 from poisdirac import embedding
 from poisdirac.bivector_fields import BivectorField
 from poisdirac.cli import BUNDLED_ANALYSES, _resolve_scenario
 from poisdirac.dirac_linear import DiracVS, as_bivector, characteristic, from_bivector, from_subspace_form, gauge
-from poisdirac.embedding import DiracManifoldData, Section, build_embedding
+from poisdirac.embedding import DiracManifoldData, Section, build_embedding, total_space_variables
 from poisdirac.errors import SpaceMismatchError
 from poisdirac.polynomials import Poly, PolyMap, ambient_variables, integer_rows_at, values_at
 from poisdirac.rational_linalg import MatrixQ, Subspace, _scaled_row, inverse, primitive
@@ -108,7 +114,9 @@ EMBED_SCENARIOS = sorted(name for name, analysis in BUNDLED_ANALYSES.items() if 
 
 
 class TestEvaluatedSectionsMatchTheLift:
-    def check(self, monkeypatch, d: DiracManifoldData, samples) -> None:
+    def check(self, monkeypatch, d: DiracManifoldData, samples) -> set:
+        """Every sample and zero-section point carries the lifted structure, and so does
+        every structure build_embedding evaluated; returns the points it evaluated at."""
         n = d.base_dim + d.fiber_dim
         seen = {}
         original = embedding._dirac_at
@@ -121,39 +129,44 @@ class TestEvaluatedSectionsMatchTheLift:
 
         monkeypatch.setattr(embedding, "_dirac_at", recording)
         result = build_embedding(d, samples)
+        monkeypatch.setattr(embedding, "_dirac_at", original)
         samples = [tuple(s) for s in samples]
         zero_section = [s[: d.base_dim] + (Fraction(0),) * d.fiber_dim for s in samples]
-        assert set(samples) | set(zero_section) <= set(seen)
+        for point in samples + zero_section:
+            assert result.dirac_at(point) == lifted_structure(d, result.gauge_form, point), point
         for point, structure in seen.items():
-            reference = lifted_structure(d, result.gauge_form, point)
-            assert structure == reference, point
-            assert result.dirac_at(point) == reference, point
+            assert structure == lifted_structure(d, result.gauge_form, point), point
+        return set(seen)
+
+    def check_closed_coframe(self, monkeypatch, d: DiracManifoldData, samples) -> None:
+        # a closed coframe: no gauged section reads p, so (x, p) carries the structure at
+        # (x, 0), and the structure is evaluated at the zero-section points only
+        m = d.base_dim
+        fibers = total_space_variables(d)[m:]
+        sections = embedding._gauged(d)[2]
+        assert all(p.partial(v).is_zero() for sec in sections for p in sec.vector + sec.covector for v in fibers)
+        zero_section = {tuple(s[:m]) + (Fraction(0),) * d.fiber_dim for s in samples}
+        assert self.check(monkeypatch, d, samples) == zero_section
 
     @pytest.mark.parametrize("name", EMBED_SCENARIOS)
     def test_bundled_scenarios(self, monkeypatch, name):
         d, samples = bundled_case(name)
-        self.check(monkeypatch, d, samples[:6])
+        self.check_closed_coframe(monkeypatch, d, samples[:6])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_random_data(self, monkeypatch, seed):
         d, samples = random_case(seed)
-        self.check(monkeypatch, d, samples)
+        self.check_closed_coframe(monkeypatch, d, samples)
+
+    def test_sections_that_read_the_fiber_are_evaluated_at_both_points(self, monkeypatch):
+        d = tilted_complement_data()
+        near, far = (Fraction(1), Fraction(1), Fraction(0), Fraction(2)), (Fraction(1), Fraction(1), Fraction(0), Fraction(-1))
+        base = (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
+        assert self.check(monkeypatch, d, [near, far]) == {near, far, base}
 
     def test_points_where_the_structure_is_no_graph(self):
-        # a complement tilted by x1: B depends on p1, and at p1 = -1 the
-        # structure is not a bivector graph; both constructions still agree
-        x3 = ("x1", "x2", "x3")
-        q = lambda t: Poly.parse(t, x3)
-        d = DiracManifoldData(
-            base_dim=3,
-            sections=(
-                Section((q("1"), q("0"), q("0")), (q("0"), q("1"), q("0"))),
-                Section((q("0"), q("1"), q("0")), (q("-1"), q("0"), q("0"))),
-                Section((q("0"), q("0"), q("1")), (q("0"), q("0"), q("0"))),
-            ),
-            e_frame=((q("0"), q("0"), q("1")),),
-            v_frame=((q("1"), q("0"), q("0")), (q("0"), q("1"), q("x1"))),
-        )
+        # both constructions still agree where the tilted complement's structure is no graph
+        d = tilted_complement_data()
         b = pullback_canonical_form(d)
         sections = embedding._gauged_span_symbolic(d, b)
         points = list(grid_points(4, 2, 3, 12)) + [(Fraction(1), Fraction(1), Fraction(0), Fraction(-1))]
@@ -240,6 +253,45 @@ class TestEvaluate:
             assert den > 0 and len(ints) == len(grid_row) and all(type(n) is int for n in ints)
             assert [Fraction(n, den) for n in ints] == list(row) == [sympy_evaluate(p, point) for p in grid_row]
             assert list(primitive(ints)) == list(primitive(_scaled_row(row)[0]))
+
+    def shared_monomial_grid(self):
+        """Rows whose entries share monomials: an antisymmetric matrix, whose upper entries
+        reappear negated below the diagonal, then rows of other top degrees reading the same
+        terms, with zero and constant entries."""
+        rng = random.Random(9)
+        a, b, c = (rand_poly(rng, self.X3, range(3), terms=4, degree=3) for _ in range(3))
+        zero, constant = Poly.zero(self.X3), Poly.constant(self.X3, "5/6")
+        antisymmetric = [(zero, a, b), (-a, zero, c), (-b, -c, zero)]
+        return antisymmetric + [(a * a, a, constant), (constant, zero), (a.partial("x1"), b.partial("x2"), constant), (zero,)]
+
+    @pytest.mark.parametrize("point", EVALUATION_POINTS + MIXED_POINTS)
+    def test_rows_that_share_monomials_match_the_references(self, point):
+        # per row: the denominator is the lcm L of the entry denominators times q^D, D the
+        # row's top degree and q the point's common denominator, and entry j is its value
+        # times that denominator, integer for integer
+        _, q = _scaled_row(point)
+        grid = self.shared_monomial_grid()
+        assert len({e for row in grid for p in row for e, _ in p.nums}) < sum(len(p.nums) for row in grid for p in row)
+        tops = set()
+        for (ints, den), grid_row in zip(integer_rows_at(grid, point), grid, strict=True):
+            expected = [fraction_evaluate(p, point) for p in grid_row]
+            assert expected == [sympy_evaluate(p, point) for p in grid_row]
+            top = max((sum(e) for p in grid_row for e, _ in p.nums), default=0)
+            tops.add(top)
+            assert den == lcm(*(p.den for p in grid_row)) * q ** top
+            assert all(type(n) is int for n in ints) and ints == [v * den for v in expected]
+        assert len(tops) > 2
+        assert values_at(grid, point) == tuple(tuple(fraction_evaluate(p, point) for p in row) for row in grid)
+
+    def test_a_wrong_length_point_is_refused_in_any_row(self):
+        grid = self.shared_monomial_grid()
+        x2 = Poly.parse("x1*x2 - 1/2", ("x1", "x2"))
+        for rows, point, message in (
+            (grid, (Fraction(1, 2), Fraction(3)), "point length 2 != variable count 3"),
+            (grid + [(x2,)], (Fraction(1, 2), Fraction(3), Fraction(-1)), "point length 3 != variable count 2"),
+        ):
+            with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+                integer_rows_at(rows, point)
 
     def test_a_wrong_length_point_is_refused_even_by_zero_polynomials(self):
         zero = Poly.zero(self.X3)
