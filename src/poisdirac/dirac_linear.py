@@ -46,7 +46,7 @@ class DiracVS:
 def _span_pairs(vectors: MatrixQ, covectors: MatrixQ) -> DiracVS:
     """The Dirac structure spanned by the rows (X_i | xi_i) of two matrices with as many rows."""
     d, e = vectors.den, covectors.den
-    rows = [primitive([a * e for a in x] + [b * d for b in xi]) for x, xi in zip(vectors.ints, covectors.ints)]
+    rows = [[a * e for a in x] + [b * d for b in xi] for x, xi in zip(vectors.ints, covectors.ints)]
     return DiracVS(vectors.cols, _reduced(2 * vectors.cols, rows, False))
 
 
@@ -86,8 +86,8 @@ def pullback(l: DiracVS, w: Subspace) -> DiracVS:
     if w.dual or w.ambient_dim != l.ambient_dim:
         raise SpaceMismatchError("pullback target must be a primal subspace of the same ambient")
     n, basis, ann, pivots = l.ambient_dim, w.basis, annihilator(w).rows, _pivots(w.rows)
-    work = [primitive([sum(map(mul, a, r[:n])) for a in ann] + [r[c] * basis.den for c in pivots]
-                      + [sum(map(mul, r[n:], b)) for b in basis.ints]) for r in l.span.rows]
+    work = [[sum(map(mul, a, r[:n])) for a in ann] + [r[c] * basis.den for c in pivots]
+            + [sum(map(mul, r[n:], b)) for b in basis.ints] for r in l.span.rows]
     return DiracVS(w.dim, Subspace(2 * w.dim, _tail(work, len(ann), 2 * w.dim)))
 
 

@@ -29,7 +29,7 @@ from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import NotUnimodularError, PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import _derived, classify_subspace
 from .polynomials import Poly, fiber_variables, integer_rows_at, poly_matrix_det, poly_matrix_inverse, sum_of_products
-from .rational_linalg import MatrixQ, Subspace, Vector, _reduced, _scaled_row, fmt_point, primitive
+from .rational_linalg import MatrixQ, Subspace, Vector, _reduced, _scaled_row, fmt_point
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
 CANONICAL_FORM_SIGN = -1
@@ -87,7 +87,7 @@ class DiracManifoldData:
 def _dirac_at(n: int, sections: Sequence[Section], point: Sequence[Fraction]) -> DiracVS:
     """The Dirac structure on Q^n spanned by the sections evaluated at a point."""
     rows = integer_rows_at([sec.vector + sec.covector for sec in sections], point)
-    return DiracVS(n, _reduced(2 * n, [primitive(r) for r, _ in rows], False))
+    return DiracVS(n, _reduced(2 * n, [r for r, _ in rows], False))
 
 
 def _check_point(n: int, point: Sequence[Fraction]) -> None:
@@ -110,7 +110,7 @@ def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fractio
             issues.append((idx, f"sections: {exc}"))
             continue
         char = characteristic(structure)
-        e_span = _reduced(d.base_dim, [primitive(r) for r, _ in integer_rows_at(d.e_frame, x)], False)
+        e_span = _reduced(d.base_dim, [r for r, _ in integer_rows_at(d.e_frame, x)], False)
         if e_span.dim != d.fiber_dim or char != e_span:
             basis = f"E frame of k = {d.fiber_dim} fields is not a basis of L /\\ TM"
             issues.append((idx, f"{basis}: it spans a {e_span.dim}-dim space, and L /\\ TM is {char.dim}-dim"))

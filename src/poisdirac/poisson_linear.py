@@ -26,7 +26,7 @@ from typing import Sequence
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .rational_linalg import (
     MatrixQ, Subspace, Vector, _eliminate, _row_space, add, annihilator, column_space, contains,
-    image, intersect, inverse, linear_combination, primitive, solve, stack,
+    image, intersect, inverse, linear_combination, solve, stack,
 )
 
 
@@ -119,7 +119,7 @@ def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
     sharp_ann = p.sharp_annihilator(c)
     k, m, s, leaf_dim = c.dim, p.dim - c.dim, sharp_ann.dim, p.leaf().dim
     r = s - characteristic_subspace(p, c).dim
-    if add(c, sharp_ann).dim != k + r:
+    if sharp_sum(p, c).dim != k + r:
         raise PropertyViolationError("rank(rho) identities disagree; bivector data is inconsistent")
     return ClassificationRecord(
         dim_subspace=k,
@@ -134,6 +134,14 @@ def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
         pointwise_poisson_dirac=s == r,
         lagrangian_in_leaf=r == 0 and 2 * s == leaf_dim,
     )
+
+
+@_derived
+def sharp_sum(p: PoissonVS, c: Subspace) -> Subspace:
+    """c + sharp(ann c), of dimension dim c + rank rho: the classification's second
+    route to that rank, the space a cosymplectic extension completes, and the side of
+    the intersection condition of `embedding_conditions` that does not depend on w."""
+    return add(c, p.sharp_annihilator(c))
 
 
 @_derived
@@ -183,12 +191,11 @@ class EmbeddingConditions:
 def embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> EmbeddingConditions:
     if not contains(w, c):
         raise PreconditionError("c must be contained in w")
-    sharp_ann_c = p.sharp_annihilator(c)
-    reach = add(w, sharp_ann_c)
+    reach = add(w, p.sharp_annihilator(c))
     cond_leaf = contains(reach, p.leaf())
     # w meets c + sharp(ann c), which holds c as w does, exactly in c iff
     # adding sharp(ann c) raises dim w as much as dim c
-    cond_int = reach.dim - w.dim == add(c, sharp_ann_c).dim - c.dim
+    cond_int = reach.dim - w.dim == sharp_sum(p, c).dim - c.dim
     if not (cond_leaf and cond_int):
         return EmbeddingConditions(cond_leaf, cond_int)
     # both conditions holding forces these two facts; a failure here
@@ -218,7 +225,7 @@ def greedy_complement(base: Subspace, candidates: MatrixQ) -> MatrixQ:
     columns are base's rows and then the candidates.
     """
     k = base.dim
-    work = [primitive(col) for col in zip(*base.rows, *candidates.ints)]
+    work = list(zip(*base.rows, *candidates.ints))
     kept = [candidates.ints[c - k] for c in _eliminate(work, k + candidates.rows) if c >= k]
     return MatrixQ._of(candidates.cols, kept, candidates.den)
 
@@ -229,8 +236,7 @@ def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
     w = c + R with R a complement of c + sharp(ann c) in Q^n completed
     greedily by standard basis vectors, so the output is deterministic.
     """
-    reach = add(c, p.sharp_annihilator(c))
-    w = add(c, _row_space(greedy_complement(reach, MatrixQ.identity(p.dim))))
+    w = add(c, _row_space(greedy_complement(sharp_sum(p, c), MatrixQ.identity(p.dim))))
     record = classify_subspace(p, w)
     if not record.cosymplectic or not embedding_conditions(p, c, w).both():
         raise PropertyViolationError("constructed extension failed its defining conditions")

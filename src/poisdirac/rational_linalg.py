@@ -8,9 +8,10 @@ results can be compared bit-for-bit and shared freely.
 One integer form: a MatrixQ stores integer rows over one positive denominator,
 reduced so that equal matrices have equal fields, and a Subspace its reduced
 rows as primitive integer rows.  All elimination is one fraction-free
-Gauss-Jordan loop on such rows, plus Bareiss's fraction-free determinant
-(`_integer_det`), and products, sums, `solve` and coordinates in a
-subspace go from integer rows to integer rows.  Fractions are made only
+Gauss-Jordan loop, `_eliminate`: any integer rows in, primitive reduced rows
+out, so no caller divides its rows first.  Beside it there is Bareiss's
+fraction-free determinant (`_integer_det`), and products, sums, `solve` and
+coordinates in a subspace go from integer rows to integer rows.  Fractions are made only
 where a caller reads them (`entries`, `matvec`, indexing).  Caller numbers
 become integers, and floats are refused, in one place, `_scaled_row`, which
 runs only at the boundary: `MatrixQ(...)`, `from_rows`, `Subspace.span`, the
@@ -223,35 +224,50 @@ def stack(*ms: MatrixQ) -> MatrixQ:
 
 def _eliminate(work: list, n_cols: int) -> list[int]:
     """Gauss-Jordan elimination in place on integer rows; returns the pivot
-    columns.  Fraction-free, in the spirit of Bareiss 1968: row_r <- (p/g)
-    row_r - (f/g) row_p with g = gcd(p, f), then divided by its gcd.  The
-    first len(pivots) rows end reduced with a positive pivot, the others
-    zero; for primitive input rows they end primitive, so each is the
-    unique reduced echelon row times its pivot.
+    columns.  Fraction-free, in the spirit of Bareiss 1968: each pivot row is
+    divided by its gcd when it is chosen, and row_r <- row_r - (f/p) row_p when
+    p divides f, else (p/g) row_r - (f/g) row_p with g = gcd(p, f); an updated
+    row is divided by its gcd only under a pivot wider than 64 bits, which keeps
+    big entries from growing.  Any integer rows in, primitive reduced rows out:
+    the first len(pivots) rows end primitive with a positive pivot, each the
+    unique reduced echelon row times its pivot, and the others zero in the
+    first n_cols columns.
     """
     n_rows = len(work)
     pivots: list[int] = []
     for col in range(n_cols):
-        if len(pivots) == n_rows:
-            break
         top = len(pivots)
-        sel = next((r for r in range(top, n_rows) if work[r][col]), None)
-        if sel is None:
+        if top == n_rows:
+            break
+        for sel in range(top, n_rows):
+            if work[sel][col]:
+                break
+        else:
             continue
-        work[top], work[sel] = work[sel], work[top]
-        prow = work[top]
+        prow = primitive(work[sel])
+        work[sel] = work[top]
+        work[top] = prow
         p = prow[col]
-        for r in range(n_rows):
-            row = work[r]
+        wide = p.bit_length() > 64
+        for r, row in enumerate(work):
             f = row[col]
             if f and r != top:
-                g = gcd(p, f)
-                pg, fg = p // g, f // g
-                work[r] = primitive([pg * a - fg * b for a, b in zip(row, prow)])
+                if f % p:
+                    g = gcd(p, f)
+                    pg, fg = p // g, f // g
+                    row = [pg * a - fg * b for a, b in zip(row, prow)]
+                else:
+                    q = f // p
+                    row = [a - q * b for a, b in zip(row, prow)]
+                work[r] = primitive(row) if wide else row
         pivots.append(col)
     for r, c in enumerate(pivots):
-        if work[r][c] < 0:
-            work[r] = [-a for a in work[r]]
+        row = work[r]
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            work[r] = [a // g for a in row]
     return pivots
 
 
@@ -279,8 +295,12 @@ def _pivots(rows: Sequence[Sequence]) -> list[int]:
 
 
 def kernel(m: MatrixQ) -> Subspace:
-    """Null space {v : m v = 0}, in canonical form."""
-    return annihilator(_row_space(m, dual=True))
+    """Null space {v : m v = 0}, in canonical form.  It keeps m's row space as its
+    cached annihilator, whose own annihilator is built uncached: no reference cycle."""
+    rows = _row_space(m, dual=True)
+    null = _uncached_annihilator(rows)
+    null.__dict__["_annihilator"] = rows
+    return null
 
 
 def solve(m: MatrixQ, bs: MatrixQ) -> MatrixQ | None:
@@ -292,8 +312,7 @@ def solve(m: MatrixQ, bs: MatrixQ) -> MatrixQ | None:
         raise SpaceMismatchError("right-hand side length does not match row count")
     n, g = m.cols, gcd(m.den, bs.den)
     d, e = m.den // g, bs.den // g  # row r of m x = b, times m.den bs.den / g
-    work = [primitive([a * e for a in r] + [b * d for b in col])
-            for r, col in zip(m.ints, list(zip(*bs.ints)) or [()] * m.rows)]
+    work = [[a * e for a in r] + [b * d for b in col] for r, col in zip(m.ints, list(zip(*bs.ints)) or [()] * m.rows)]
     pivots = _eliminate(work, n)
     if any(any(row[n:]) for row in work[len(pivots):]):
         return None
@@ -345,20 +364,9 @@ class Subspace:
 
     @cached_property
     def _annihilator(self) -> Subspace:
-        """`annihilator(self)`.  With L the lcm of the pivot entries, each free column f
-        gives xi[f] = L and xi[p_r] = -row_r[f] L / row_r[p_r].  Not cached on the
-        result, which would make a reference cycle."""
-        n, rows = self.ambient_dim, self.rows
-        pivots = _pivots(rows)
-        big = lcm(*(row[c] for row, c in zip(rows, pivots)))
-        vectors = []
-        for free in sorted(set(range(n)) - set(pivots)):
-            xi = [0] * n
-            xi[free] = big
-            for row, c in zip(rows, pivots):
-                xi[c] = -row[free] * (big // row[c])
-            vectors.append(primitive(xi))
-        return _reduced(n, vectors, not self.dual)
+        """`annihilator(self)`, built once per object.  Not cached on the result,
+        which would make a reference cycle."""
+        return _uncached_annihilator(self)
 
     @staticmethod
     def span(ambient_dim: int, rows: Sequence[Sequence[int | str | Fraction]], dual: bool = False) -> Subspace:
@@ -393,15 +401,31 @@ class Subspace:
         return MatrixQ._of(self.dim, ([v[c] for c in pivots] for v in m.ints), m.den)
 
 
+def _uncached_annihilator(s: Subspace) -> Subspace:
+    """The annihilator of s, uncached.  With L the lcm of the pivot entries, each free
+    column f gives xi[f] = L and xi[p_r] = -row_r[f] L / row_r[p_r]."""
+    n, rows = s.ambient_dim, s.rows
+    pivots = _pivots(rows)
+    big = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    vectors = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        xi = [0] * n
+        xi[free] = big
+        for row, c in zip(rows, pivots):
+            xi[c] = -row[free] * (big // row[c])
+        vectors.append(xi)
+    return _reduced(n, vectors, not s.dual)
+
+
 def _reduced(n: int, work: list, dual: bool) -> Subspace:
-    """The subspace spanned by primitive integer rows of width n."""
+    """The subspace spanned by a list of integer rows of width n, any integers."""
     rk = len(_eliminate(work, n))
     return Subspace(n, tuple(map(tuple, work[:rk])), dual)
 
 
 def _row_space(m: MatrixQ, dual: bool = False) -> Subspace:
     """The span of the rows of m."""
-    return _reduced(m.cols, [primitive(r) for r in m.ints], dual)
+    return _reduced(m.cols, list(m.ints), dual)
 
 
 def _require_same_space(a: Subspace, b: Subspace) -> None:
@@ -418,15 +442,15 @@ def add(a: Subspace, b: Subspace) -> Subspace:
 
 
 def _tail(work: list, k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows with pivot >= k, minus their first k entries, after eliminating primitive
-    integer rows of width k + n: the canonical rows of the row space's part where those k vanish."""
+    """The rows with pivot >= k, minus their first k entries, after eliminating any integer
+    rows of width k + n: the canonical rows of the row space's part where those k vanish."""
     pivots = _eliminate(work, k + n)
     return tuple(tuple(row[k:]) for row, c in zip(work, pivots) if c >= k)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """The x in a with A x = 0, A the rows of ann b (cached: pass as b the side whose
-    annihilator exists): the `_tail` of a's rows x as (A x | x), primitive as x is."""
+    annihilator exists): the `_tail` of a's rows x as (A x | x)."""
     _require_same_space(a, b)
     ann = b._annihilator.rows
     work = [[sum(map(mul, xi, x)) for xi in ann] + list(x) for x in a.rows]
@@ -442,13 +466,13 @@ def image(m: MatrixQ, s: Subspace, dual: bool = False) -> Subspace:
     """Image m(s); `dual` tags the target space of the map."""
     if m.cols != s.ambient_dim:
         raise SpaceMismatchError("map source does not match subspace ambient")
-    return _reduced(m.rows, [primitive([sum(map(mul, r, b)) for r in m.ints]) for b in s.rows], dual)
+    return _reduced(m.rows, [[sum(map(mul, r, b)) for r in m.ints] for b in s.rows], dual)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """Whether b is contained in a."""
+    """Whether b is contained in a: b's rows tested against a's canonical rows, with no elimination."""
     _require_same_space(a, b)
-    return len(_eliminate(list(a.rows + b.rows), a.ambient_dim)) == a.dim
+    return a.coordinates_of_rows(MatrixQ._of(a.ambient_dim, b.rows)) is not None
 
 
 def column_space(m: MatrixQ, dual: bool = False) -> Subspace:

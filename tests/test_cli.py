@@ -361,6 +361,18 @@ class TestReports:
         assert code == 0 and doc["poisson"] is False
         assert [(c["i"], c["j"], c["k"]) for c in doc["nonzero_jacobiator"]] == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
+    def test_dense_linear_scenario(self, capsys, tmp_path):
+        # a constant bivector on R^6 and a 3-plane c, every entry a 25-digit integer: the
+        # eliminations run under pivots wider than 64 bits, and c grows by one vector
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(script("dense_linear_scenario").dense_scenario(6, 25, 1)))
+        code, out, _ = run(capsys, "extend", "--scenario", str(path), "--porcelain")
+        doc = json.loads(out)
+        assert code == 0 and doc["conditions"] == {"cond_int": True, "cond_leaf": True}
+        assert len(doc["c"]["basis"]) == 3 and len(doc["w"]["basis"]) == 4
+        assert doc["w_classification"]["flags"]["cosymplectic"] is True
+        assert max(abs(int(a.split("/")[-1])) for row in doc["w"]["basis"] for a in row).bit_length() > 64
+
     def test_dense_push_scenario(self, capsys, tmp_path):
         # f u ^ v on R^4, every entry a multiple of one f holding all 15 monomials of degree
         # <= 2, pushed along shears of x1, x2 by x3 x4 and x4^2: Poisson before and after
