@@ -1,11 +1,12 @@
 """Command line front end.
 
 Subcommands wrap the library; `_COMMANDS` declares each one, with its
-runner, its help text and the sampling flags it reads.  Reports are
-dual-emitted: aligned text for humans (with a version banner), and a
-sorted-key JSON document for tests; --porcelain prints the JSON document
-only, --output writes it to a file as well.  Output is byte-identical for
-identical input.
+runner, its help text and the sampling flags it reads.  A runner returns
+one report document and its exit code.  `_text` renders the document, and
+nothing else, as aligned text for humans (with a version banner); JSON
+renders it as sorted keys for tests.  --porcelain prints the JSON only,
+--output writes it to a file as well, and only what is printed or written
+is rendered.  Output is byte-identical for identical input.
 
 Exit codes: 0 success, 1 parse or validation error, 2 mathematical
 precondition failure, 3 property violation (e.g. graph extraction
@@ -155,10 +156,10 @@ def _require(value, what: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its document, its text lines and its exit code
+# subcommands: each returns its document and its exit code, and builds no text
 
 
-Report = tuple[dict, list[str], int]
+Report = tuple[dict, int]
 
 
 def _run_classify(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -167,55 +168,34 @@ def _run_classify(scenario: Scenario, args: argparse.Namespace) -> Report:
     points = _gather_points(scenario, args)
     profile = rank_profile(pi, sub, points)
     rows_doc = []
-    text = ["point | ambient | dim TC | dim #N*C | dim sum | dim char | rho rank | flags"]
     for row in profile.rows:
-        r = row.classification
-        flags = ",".join(
-            name for name, on in (
-                ("coisotropic", r.coisotropic),
-                ("cosymplectic", r.cosymplectic),
-                ("poisson-dirac", r.pointwise_poisson_dirac),
-            ) if on
-        ) or "-"
         with _printable_at(row.sample):
-            text.append(
-                f"{fmt_point(row.sample)} | {fmt_point(row.ambient)} | {r.dim_subspace} | "
-                f"{r.dim_sharp_annihilator} | {r.dim_sum} | {r.dim_characteristic} | {r.rho_rank} | {flags}"
-            )
             rows_doc.append({
                 "point": _point_doc(row.sample),
                 "ambient": _point_doc(row.ambient),
-                **_record_doc(r),
+                **_record_doc(row.classification),
                 "characteristic_basis": _matrix_doc(row.characteristic.basis),
             })
-    constant_doc = _fields_doc(profile.constant)
-    text.append("constant on samples: " + ", ".join(f"{k}={v}" for k, v in sorted(constant_doc.items())))
     doc = {
         "analysis": "classify",
         "rows": rows_doc,
-        "constant": constant_doc,
+        "constant": _fields_doc(profile.constant),
         "errors": [{"index": i, "message": msg} for i, msg in profile.errors],
     }
-    for i, msg in profile.errors:
-        text.append(f"point {i}: REGULARITY FAILURE: {msg}")
-    return doc, text, 2 if profile.errors else 0
+    return doc, 2 if profile.errors else 0
 
 
 def _run_jacobi(scenario: Scenario, args: argparse.Namespace) -> Report:
     pi = _require(scenario.bivector, "ambient bivector")
     bad = nonzero_jacobiator_components(pi)
-    poisson = not bad
-    text = [f"Poisson: {'yes' if poisson else 'no'}"]
-    for (i, j, k), poly in sorted(bad.items()):
-        text.append(f"J^{{{i + 1},{j + 1},{k + 1}}} = {poly}")
     doc = {
         "analysis": "jacobi",
-        "poisson": poisson,
+        "poisson": not bad,
         "nonzero_jacobiator": [
             {"i": i + 1, "j": j + 1, "k": k + 1, "poly": str(p)} for (i, j, k), p in sorted(bad.items())
         ],
     }
-    return doc, text, 0
+    return doc, 0
 
 
 def _run_pushforward(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -228,14 +208,9 @@ def _run_pushforward(scenario: Scenario, args: argparse.Namespace) -> Report:
         "result": _bivector_doc(result),
         "poisson_preserved": is_poisson(result) == is_poisson(pi),
     }
-    text = ["pushforward entries:"]
-    for entry in doc["result"]:
-        text.append(f"  Pi^{{{entry['i']},{entry['j']}}} = {entry['poly']}")
     if scenario.expected_bivector is not None:
-        matches = result.entries == scenario.expected_bivector.entries
-        doc["matches_expected"] = matches
-        text.append(f"matches expected: {'yes' if matches else 'no'}")
-    return doc, text, 0
+        doc["matches_expected"] = result.entries == scenario.expected_bivector.entries
+    return doc, 0
 
 
 def _run_extend(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -245,23 +220,16 @@ def _run_extend(scenario: Scenario, args: argparse.Namespace) -> Report:
     p = pi.at(point)
     w = cosymplectic_extension(p, c)
     conditions = embedding_conditions(p, c, w)
-    record = classify_subspace(p, w)
     doc = {
         "analysis": "extend",
         "point": _point_doc(point),
         "c": _subspace_doc(c),
         "w": _subspace_doc(w),
         "conditions": {"cond_leaf": conditions.cond_leaf, "cond_int": conditions.cond_int},
-        "w_classification": _record_doc(record),
+        "w_classification": _record_doc(classify_subspace(p, w)),
         "induced_bivector": _matrix_doc(conditions.induced.pi),
     }
-    text = [
-        f"extension at {fmt_point(point)}: dim c = {c.dim} -> dim w = {w.dim}",
-        "w basis rows: " + "; ".join(fmt_point(r) for r in w.basis.entries),
-        f"conditions: leaf-cover={conditions.cond_leaf} intersection-exact={conditions.cond_int}",
-        f"w cosymplectic: {record.cosymplectic}",
-    ]
-    return doc, text, 0
+    return doc, 0
 
 
 def _run_phi(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -283,12 +251,12 @@ def _run_phi(scenario: Scenario, args: argparse.Namespace) -> Report:
         "v_bivector": _matrix_doc(pv.pi),
         "w_bivector": _matrix_doc(pw.pi),
     }
-    text = [
-        "phi (v-coordinates -> w-coordinates):",
-        *(f"  {fmt_point(row)}" for row in phi.entries),
-        f"poisson isomorphism: {poisson_iso}; identity on c: {identity_on_c}",
-    ]
-    return doc, text, 0 if poisson_iso and identity_on_c else 3
+    return doc, 0 if poisson_iso and identity_on_c else 3
+
+
+def _passing(checks: list[dict]) -> bool:
+    """Every flag of every check holds: embed's one "all passing", for its text and its exit code."""
+    return all(v for check in checks for v in check.values() if isinstance(v, bool))
 
 
 def _run_embed(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -305,29 +273,10 @@ def _run_embed(scenario: Scenario, args: argparse.Namespace) -> Report:
         "bivector": _bivector_doc(result.bivector) if result.bivector is not None else None,
         "samples": [{**_fields_doc(c), "point": _point_doc(c.point)} for c in result.sample_checks],
     }
-    text = [f"total space dimension {result.total_dim}, coordinates {', '.join(result.variables)}"]
-    def form_term(e: dict) -> str:
-        wedge = f"d{result.variables[e['i'] - 1]}^d{result.variables[e['j'] - 1]}"
-        return wedge if e["poly"] == "1" else f"({e['poly']})*{wedge}"
-
-    text.append("gauge form: " + (", ".join(form_term(e) for e in doc["gauge_form"]) or "0"))
-    if result.bivector is not None:
-        text.append("extracted bivector:")
-        for e in doc["bivector"]:
-            text.append(f"  Pi^{{{e['i']},{e['j']}}} = {e['poly']}")
-    else:
-        text.append("no polynomial bivector extracted (pointwise evidence only)")
-    ok = all(c.ok for c in result.sample_checks)
-    text.append(f"samples checked: {len(result.sample_checks)}, all passing: {ok}")
     if scenario.compare_v0 is not None and scenario.compare_v1 is not None:
         comparison = compare_splittings(data, scenario.compare_v0, scenario.compare_v1, samples)
-        flags = (
-            comparison.closed, comparison.one_form_difference_vanishes_on_base, comparison.intertwines_at_all_samples
-        )
         doc["comparison"] = {**_fields_doc(comparison), "gauge_difference": _bivector_doc(comparison.gauge_difference)}
-        text.append("splitting comparison: closed=%s, primitive vanishes on base=%s, intertwines=%s" % flags)
-        ok = ok and all(flags)
-    return doc, text, 0 if ok else 3
+    return doc, 0 if _passing([*doc["samples"], doc.get("comparison", {})]) else 3
 
 
 def _run_bracket(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -336,34 +285,21 @@ def _run_bracket(scenario: Scenario, args: argparse.Namespace) -> Report:
     f = _require(scenario.f, "function f")
     g = _require(scenario.g, "function g")
     points = _gather_points(scenario, args)
-    if scenario.point is not None:
-        points = points + (scenario.point,)
     if not points:
         raise SchemaError("bracket analysis needs at least one point")
     per_point = []
-    text = []
     for q in points:
         at = PointData(pi, sub, q)
-        f_basic, g_basic = at.is_basic(f), at.is_basic(g)
-        entry: dict[str, Any] = {
-            "point": _point_doc(q),
-            "f_basic": f_basic,
-            "g_basic": g_basic,
-        }
-        if f_basic and g_basic:
+        entry: dict[str, Any] = {"point": _point_doc(q), "f_basic": at.is_basic(f), "g_basic": at.is_basic(g)}
+        if entry["f_basic"] and entry["g_basic"]:
             check = at.consistency(f, g)
             with _printable_at(q):
                 entry["bracket"] = str(check.intrinsic)
                 entry["via_extension"] = str(check.via_extension)
-                entry["consistent"] = check.agree
-                text.append(
-                    f"{fmt_point(q)}: {{f,g}} = {check.intrinsic} (extension route agrees: {check.agree})"
-                )
-        else:
-            text.append(f"{fmt_point(q)}: not basic (f: {f_basic}, g: {g_basic})")
+            entry["consistent"] = check.agree
         per_point.append(entry)
     doc = {"analysis": "bracket", "f": str(f), "g": str(g), "per_point": per_point}
-    return doc, text, 0
+    return doc, 0
 
 
 # name: (runner, help text, sampling flags read); "points" is --points,
@@ -381,7 +317,73 @@ _COMMANDS = {
 }
 
 
-def _emit(doc: dict, text: list[str], args: argparse.Namespace) -> None:
+def _pi_lines(entries: list[dict]) -> list[str]:
+    return [f"  Pi^{{{e['i']},{e['j']}}} = {e['poly']}" for e in entries]
+
+
+def _text(doc: dict) -> list[str]:
+    """The text report of any command's document, read off the document alone,
+    so a document read back from its JSON renders the same lines."""
+    analysis = doc["analysis"]
+    if analysis == "scenarios":
+        return doc["bundled"]
+    if analysis == "classify":
+        lines = ["point | ambient | dim TC | dim #N*C | dim sum | dim char | rho rank | flags"]
+        labels = dict(coisotropic="coisotropic", cosymplectic="cosymplectic", pointwise_poisson_dirac="poisson-dirac")
+        for row in doc["rows"]:
+            dims, flags = row["dims"], ",".join(label for f, label in labels.items() if row["flags"][f]) or "-"
+            lines.append(
+                f"{fmt_point(row['point'])} | {fmt_point(row['ambient'])} | {dims['subspace']} | "
+                f"{dims['sharp_annihilator']} | {dims['sum']} | {dims['characteristic']} | {row['rho_rank']} | {flags}"
+            )
+        lines.append("constant on samples: " + ", ".join(f"{k}={v}" for k, v in sorted(doc["constant"].items())))
+        return lines + [f"point {e['index']}: REGULARITY FAILURE: {e['message']}" for e in doc["errors"]]
+    if analysis == "jacobi":
+        bad = [f"J^{{{e['i']},{e['j']},{e['k']}}} = {e['poly']}" for e in doc["nonzero_jacobiator"]]
+        return [f"Poisson: {'yes' if doc['poisson'] else 'no'}", *bad]
+    if analysis == "pushforward":
+        lines = ["pushforward entries:", *_pi_lines(doc["result"])]
+        if "matches_expected" in doc:
+            lines.append(f"matches expected: {'yes' if doc['matches_expected'] else 'no'}")
+        return lines
+    if analysis == "extend":
+        conditions = doc["conditions"]
+        return [
+            f"extension at {fmt_point(doc['point'])}: dim c = {doc['c']['dim']} -> dim w = {doc['w']['dim']}",
+            "w basis rows: " + "; ".join(map(fmt_point, doc["w"]["basis"])),
+            f"conditions: leaf-cover={conditions['cond_leaf']} intersection-exact={conditions['cond_int']}",
+            f"w cosymplectic: {doc['w_classification']['flags']['cosymplectic']}",
+        ]
+    if analysis == "phi":
+        return [
+            "phi (v-coordinates -> w-coordinates):",
+            *(f"  {fmt_point(row)}" for row in doc["matrix"]),
+            f"poisson isomorphism: {doc['poisson_isomorphism']}; identity on c: {doc['identity_on_c']}",
+        ]
+    if analysis == "embed":
+        names = doc["variables"]
+        wedges = [(e["poly"], f"d{names[e['i'] - 1]}^d{names[e['j'] - 1]}") for e in doc["gauge_form"]]
+        lines = [
+            f"total space dimension {doc['total_dim']}, coordinates {', '.join(names)}",
+            "gauge form: " + (", ".join(w if f == "1" else f"({f})*{w}" for f, w in wedges) or "0"),
+        ]
+        if doc["bivector"] is not None:
+            lines += ["extracted bivector:", *_pi_lines(doc["bivector"])]
+        else:
+            lines.append("no polynomial bivector extracted (pointwise evidence only)")
+        lines.append(f"samples checked: {len(doc['samples'])}, all passing: {_passing(doc['samples'])}")
+        if cmp := doc.get("comparison"):
+            flags = cmp["closed"], cmp["one_form_difference_vanishes_on_base"], cmp["intertwines_at_all_samples"]
+            lines.append("splitting comparison: closed=%s, primitive vanishes on base=%s, intertwines=%s" % flags)
+        return lines
+    return [  # bracket
+        f"{fmt_point(e['point'])}: {{f,g}} = {e['bracket']} (extension route agrees: {e['consistent']})"
+        if "bracket" in e else f"{fmt_point(e['point'])}: not basic (f: {e['f_basic']}, g: {e['g_basic']})"
+        for e in doc["per_point"]
+    ]
+
+
+def _emit(doc: dict, args: argparse.Namespace) -> None:
     rendered = json.dumps(doc, sort_keys=True, indent=2) + "\n" if args.output or args.porcelain else ""
     if args.output:
         try:
@@ -391,9 +393,7 @@ def _emit(doc: dict, text: list[str], args: argparse.Namespace) -> None:
     if args.porcelain:
         sys.stdout.write(rendered)
     else:
-        sys.stdout.write(BANNER + "\n")
-        for line in text:
-            sys.stdout.write(line + "\n")
+        sys.stdout.write("".join(line + "\n" for line in (BANNER, *_text(doc))))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -438,14 +438,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         runner = _COMMANDS[args.command][0]
         if runner is None:
-            doc = {"analysis": "scenarios", "bundled": bundled_scenario_names()}
-            _emit(doc, doc["bundled"], args)
+            _emit({"analysis": "scenarios", "bundled": bundled_scenario_names()}, args)
             return 0
         check_sample_bounds(getattr(args, "grid", None), getattr(args, "count", 0), "--grid/--count")
         scenario = load_scenario_text(_resolve_scenario(args.scenario))
         with _printable_at(scenario.point):
-            doc, text, code = runner(scenario, args)
-        _emit(doc, text, args)
+            doc, code = runner(scenario, args)
+        _emit(doc, args)
         return code
     except SchemaError as exc:
         sys.stderr.write(f"error: {exc}\n")

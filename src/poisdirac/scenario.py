@@ -269,12 +269,12 @@ def parse_scenario(document: Any) -> Scenario:
         fields["submanifold"] = _parse_submanifold(obj["submanifold"], "$.submanifold", ambient_dim)
     submanifold = fields.get("submanifold")
 
-    point_length = submanifold.map.source_dim if submanifold is not None else ambient_dim
     if "points" in obj:
+        point_length = submanifold.map.source_dim if submanifold is not None else ambient_dim
         items = _expect_list(obj["points"], "$.points")
         fields["points"] = tuple(_parse_point(p, f"$.points[{i}]", point_length) for i, p in enumerate(items))
-    if "point" in obj:
-        fields["point"] = _parse_point(obj["point"], "$.point", point_length)
+    if "point" in obj:  # the evaluation point of extend and phi: a point of the ambient space
+        fields["point"] = _parse_point(obj["point"], "$.point", ambient_dim)
 
     if "map" in obj or "map_inverse" in obj:
         if ambient_dim is None:

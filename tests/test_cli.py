@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -145,6 +146,34 @@ class TestExitCodes:
         code, out, err = run(capsys, analysis, "--scenario", name, "--points", "1,2")
         assert code == 1 and out == ""
         assert "point 0 has 2 coordinates" in err
+
+    POINT_OF_PARAMETERS = {
+        "ambient": {"dim": 4, "bivector": [{"i": 1, "j": 2, "poly": "1"}, {"i": 3, "j": 4, "poly": "1"}]},
+        "submanifold": {"type": "parametrized", "map": ["t1", "t2", "0", "0"]},
+        "point": ["1", "2"],
+        "subspace_c": [["1", "0", "0", "0"]],
+    }
+
+    @pytest.mark.parametrize("analysis, extra", [
+        ("extend", {}),
+        ("phi", {"subspace_v": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+                 "subspace_w": [["1", "0", "0", "0"], ["0", "1", "1", "0"]]}),
+    ])
+    def test_a_point_of_the_parameter_space_is_one(self, capsys, tmp_path, analysis, extra):
+        # `point` is the ambient evaluation point of extend and phi, whatever the submanifold;
+        # a point of the parameter space used to pass the parser and end in a traceback
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({**self.POINT_OF_PARAMETERS, **extra}))
+        code, out, err = run(capsys, analysis, "--scenario", str(path))
+        assert (code, out, err) == (1, "", "error: $.point: expected 4 coordinates, got 2\n")
+
+    def test_a_bracket_scenario_point_is_not_a_sample(self, capsys, tmp_path):
+        doc = json.loads((Path(poisdirac.__file__).parent / "scenarios" / "bracket_sympl4.json").read_text())
+        path = tmp_path / "with_point.json"
+        path.write_text(json.dumps({**doc, "point": ["7", "7", "7", "0"]}))
+        code, out, _ = run(capsys, "bracket", "--scenario", str(path), "--porcelain")
+        assert code == 0
+        assert [e["point"] for e in json.loads(out)["per_point"]] == doc["points"]
 
     # a coordinate of MAX_DIGITS digits is accepted, but {x1^6, x2} = 6*x1^5
     # has about five times as many: more than Python prints
@@ -330,6 +359,9 @@ class TestExitCodes:
         code, out, err = run(capsys, "embed", "--scenario", str(path), "--porcelain")
         assert (code, err) == (3, "")
         assert [(s["point"], s["graph"]) for s in json.loads(out)["samples"]] == [(["1", "1", "0", "-1"], False)]
+        # the text report reads the exit code's flags
+        code, out, err = run(capsys, "embed", "--scenario", str(path))
+        assert (code, err) == (3, "") and "samples checked: 1, all passing: False\n" in out
 
 
 class TestReports:
@@ -372,6 +404,16 @@ class TestReports:
         assert len(doc["c"]["basis"]) == 3 and len(doc["w"]["basis"]) == 4
         assert doc["w_classification"]["flags"]["cosymplectic"] is True
         assert max(abs(int(a.split("/")[-1])) for row in doc["w"]["basis"] for a in row).bit_length() > 64
+
+    def test_output_digests_script(self, tmp_path):
+        digests = script("output_digests")
+        labels = [label for _, label, _ in digests.runs(tmp_path)]
+        assert labels == [*sorted(BUNDLED_ANALYSES), "dense_embed_scenario.py 6 4", "dense_jacobi_scenario.py 8 2",
+                          "dense_push_scenario.py 6 3", "dense_linear_scenario.py 12 50"]
+        golden = Path(__file__).parent / "golden" / "ex_r4_pi1"
+        for suffix, extra in (("txt", []), ("json", ["--porcelain"])):
+            expected = hashlib.sha256(golden.with_suffix(f".{suffix}").read_bytes()).hexdigest()
+            assert digests.digest(["jacobi", "--scenario", "ex_r4_pi1.json", *extra]) == (expected, 0)
 
     def test_dense_push_scenario(self, capsys, tmp_path):
         # f u ^ v on R^4, every entry a multiple of one f holding all 15 monomials of degree

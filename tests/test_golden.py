@@ -1,4 +1,5 @@
-"""Every bundled scenario's text and --porcelain output, byte for byte.
+"""Every bundled scenario's text and --porcelain output, byte for byte, and
+the text report rendered from the JSON document alone.
 
 The files under tests/golden/ are the expected outputs; regenerate them
 with `PYTHONPATH=src python3 tests/test_golden.py` only when an output
@@ -7,11 +8,13 @@ change is intended.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
-from poisdirac.cli import BUNDLED_ANALYSES, main
+from poisdirac import cli
+from poisdirac.cli import BANNER, BUNDLED_ANALYSES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 MODES = {"txt": [], "json": ["--porcelain"]}
@@ -30,6 +33,24 @@ def render(name: str, mode: str) -> str:
 def test_bundled_output_matches_golden(name, mode):
     expected = (GOLDEN / f"{Path(name).stem}.{mode}").read_text(encoding="utf-8")
     assert render(name, mode) == expected
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_ANALYSES))
+def test_text_report_is_rendered_from_the_json_document(name):
+    stem = Path(name).stem
+    doc = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
+    banner, text = (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8").split("\n", 1)
+    assert banner == BANNER
+    assert "".join(line + "\n" for line in cli._text(doc)) == text
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_ANALYSES))
+def test_porcelain_renders_no_text(name, monkeypatch):
+    def text(doc):
+        raise AssertionError("text rendered")
+
+    monkeypatch.setattr(cli, "_text", text)
+    render(name, "json")
 
 
 if __name__ == "__main__":
