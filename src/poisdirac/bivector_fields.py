@@ -68,9 +68,6 @@ class AntisymmetricField:
     def matrix_at(self, point: Sequence[Fraction]) -> MatrixQ:
         return MatrixQ._over(self.dim, integer_rows_at(self.entries, point))
 
-    def is_constant(self) -> bool:
-        return all(e.is_constant() for row in self.entries for e in row)
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 

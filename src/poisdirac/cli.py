@@ -92,6 +92,7 @@ BUNDLED_ANALYSES = {
     "ex_fz.json": "classify",
     "ex_graph4.json": "classify",
     "ex_r10_dirac.json": "embed",
+    "ex_r3_tilted.json": "embed",
     "ex_r4_dirac.json": "embed",
     "ex_r4_pi1.json": "jacobi",
     "ex_r4_pi2.json": "jacobi",

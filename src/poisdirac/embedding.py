@@ -29,7 +29,7 @@ from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import NotUnimodularError, PreconditionError, PropertyViolationError, SpaceMismatchError
 from .poisson_linear import _derived, classify_subspace
 from .polynomials import Poly, fiber_variables, integer_rows_at, poly_matrix_det, poly_matrix_inverse, sum_of_products
-from .rational_linalg import MatrixQ, Subspace, Vector, _reduced, _scaled_row, fmt_point
+from .rational_linalg import MatrixQ, Subspace, Vector, _reduced, fmt_point
 
 # Orientation of the canonical two-form on the total space: B = CANONICAL_FORM_SIGN * d(theta).
 CANONICAL_FORM_SIGN = -1
@@ -88,14 +88,6 @@ def _dirac_at(n: int, sections: Sequence[Section], point: Sequence[Fraction]) ->
     """The Dirac structure on Q^n spanned by the sections evaluated at a point."""
     rows = integer_rows_at([sec.vector + sec.covector for sec in sections], point)
     return DiracVS(n, _reduced(2 * n, [r for r, _ in rows], False))
-
-
-def _check_point(n: int, point: Sequence[Fraction]) -> None:
-    """Refuse a point that evaluating sections on Q^n at it would refuse: one with a float
-    coordinate, or with other than n coordinates."""
-    _scaled_row(point)
-    if len(point) != n:
-        raise SpaceMismatchError(f"point length {len(point)} != variable count {n}")
 
 
 def validate_dirac_data(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, str], ...]:
@@ -207,10 +199,6 @@ class SampleCheck:
     zero_section_coisotropic: bool
     zero_section_pullback_matches: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.graph and self.zero_section_coisotropic and self.zero_section_pullback_matches
-
 
 @dataclass(frozen=True)
 class EmbeddingResult:
@@ -228,9 +216,6 @@ class EmbeddingResult:
     sample_checks: tuple[SampleCheck, ...]
     sections: tuple[Section, ...]  # polynomial spanning sections of the total-space structure
 
-    def dirac_at(self, point: Sequence[Fraction]) -> DiracVS:
-        return _dirac_at(self.total_dim, self.sections, point)
-
 
 def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]]) -> EmbeddingResult:
     """Assemble the total-space structure and check it at every sample.
@@ -241,11 +226,11 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     tangent space must be coisotropic and the pullback to it must
     reproduce the input structure.  A non-graph at (x, 0) raises.
 
-    The structure is evaluated at (x, p) only when some gauged section reads
-    a fiber coordinate, as when B depends on p because the coframe is not
+    The structure is evaluated once at (x, p), which refuses a point off the
+    total space, and again at (x, 0) only when some gauged section reads a
+    fiber coordinate, as when B depends on p because the coframe is not
     closed.  Otherwise the sections take equal values at (x, p) and (x, 0),
-    so the structure at (x, p) is the one at (x, 0), built once, and (x, p)
-    is only checked to be a point of the total space.
+    so the structure at (x, p) is the one at (x, 0).
     """
     _require_valid(d, samples)
     m, k = d.base_dim, d.fiber_dim
@@ -257,16 +242,13 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
     zero_tangent = Subspace(n, MatrixQ.identity(n).ints[:m])
     for point in samples:
         point = tuple(point)
-        if reads_fiber:
-            graph = as_bivector(_dirac_at(n, sections, point)) is not None
-        else:  # the structure at (x, p) is the one at (x, 0): a graph, or refused below
-            _check_point(n, point)
-            graph = True
+        at_point = _dirac_at(n, sections, point)
         base_point = point[:m] + (Fraction(0),) * k
-        at_zero = _dirac_at(n, sections, base_point)
+        at_zero = _dirac_at(n, sections, base_point) if reads_fiber else at_point
         zero_bivector = as_bivector(at_zero)
         if zero_bivector is None:
             raise PropertyViolationError(f"structure is not a bivector graph at the zero-section point {fmt_point(base_point)}")
+        graph = at_zero is at_point or as_bivector(at_point) is not None
         coisotropic = classify_subspace(zero_bivector, zero_tangent).coisotropic
         matches = pullback(at_zero, zero_tangent) == d.dirac_at(point[:m])
         checks.append(SampleCheck(point, graph, coisotropic, matches))
@@ -333,9 +315,8 @@ def compare_splittings(
     diff = b1 - b0
     closed = is_closed(diff)
     m, k = d.base_dim, d.fiber_dim
-    total_vars = total_space_variables(d)
-    on_zero_section = {v: Poly.variable(total_vars, v) if i < m else Poly.zero(total_vars) for i, v in enumerate(total_vars)}
-    on_base = all((t1 - t0).substitute(on_zero_section).is_zero() for t0, t1 in zip(theta0, theta1))
+    # a polynomial vanishes on p = 0 exactly when each of its terms reads a fiber coordinate
+    on_base = all(any(e[m:]) for t0, t1 in zip(theta0, theta1) for e, _ in (t1 - t0).nums)
     intertwines = all(
         gauge(_dirac_at(m + k, rows0, point), diff.at(point)) == _dirac_at(m + k, rows1, point) for point in samples
     )

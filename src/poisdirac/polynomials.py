@@ -17,18 +17,18 @@ print identically, and printing formats each coefficient from `nums` and
 `constant_value` and outside readers.
 
 Every operation goes from integers to integers: sums, differences, scaling,
-partial derivatives, substitution and parsing make no Fraction per term, and
+partial derivatives, composition and parsing make no Fraction per term, and
 there is one product kernel, `sum_of_products`, which multiplies numerators
 over one common denominator and takes a sign per product, so no caller
 negates a polynomial only to add it.  Its term-map loop, `_accumulate`, is
 the one place that multiplies term maps and adds exponent vectors, and the
 one place the term cap fires; the Jacobiator, composition and the
 Gauss-Jordan pivot call it too.  `compose_map` is the one composition
-routine (`compose` and `Poly.substitute` are its one-polynomial cases): it
-builds each power of the inner components once per call and adds each
-term's image straight into its polynomial's integer accumulator.  Caller
-coefficients (`make`, `constant`) and points become integers, and floats are
-refused, only in `rational_linalg._scaled_row`.  Arithmetic results are well
+entry, for a map of one polynomial as of many: it builds each power of
+the inner components once per call and adds each term's image straight
+into its polynomial's integer accumulator.  Caller coefficients (`make`,
+`constant`) and points become integers, and floats are refused, only in
+`rational_linalg._scaled_row`.  Arithmetic results are well
 formed by construction and are built without re-validation; parsing and the
 public constructors (`make`, `parse`, `constant`, `variable`) keep every check.
 `integer_rows_at`, the one point evaluator, gives each row of a grid as
@@ -193,21 +193,6 @@ class Poly:
         """The partial derivatives in the order of the variables, derived once per polynomial."""
         return tuple(self.partial(v) for v in self.variables)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """The value at a point: the 1 x 1 case of `values_at`."""
-        return values_at(((self,),), point)[0][0]
-
-    def substitute(self, values: Mapping[str, "Poly"]) -> Poly:
-        """Replace every variable by a polynomial (all in one shared context): `compose`
-        with the map of the replacements."""
-        missing = [v for v in self.variables if v not in values]
-        if missing:
-            raise ValueError(f"no substitution given for {missing}")
-        contexts = {p.variables for p in values.values()}
-        if len(contexts) != 1:
-            raise SpaceMismatchError(_NO_SHARED_CONTEXT)
-        return compose(self, PolyMap(next(iter(contexts)), tuple(values[v] for v in self.variables)))
-
     def __str__(self) -> str:
         """Each coefficient n / den printed in lowest terms, as a Fraction prints, without
         building one."""
@@ -257,8 +242,6 @@ class Poly:
             terms.append((e, sign * num, den))
             if pos == len(tokens):
                 break
-            if tokens[pos] not in ("+", "-"):
-                raise ValueError(f"expected '+' or '-' at token {pos} of {text!r}")
             sign = -1 if tokens[pos] == "-" else 1
             pos += 1
         big = lcm(*(d for _, _, d in terms))
@@ -453,22 +436,9 @@ class PolyMap:
         return self == PolyMap.identity(self.source_vars)
 
 
-def compose(outer: Poly, inner: PolyMap) -> Poly:
-    """Substitute inner's components for outer's variables: the one-polynomial case of
-    `compose_map`."""
-    if len(outer.variables) != inner.target_dim:
-        raise SpaceMismatchError(
-            f"outer has {len(outer.variables)} variables but inner targets dimension {inner.target_dim}"
-        )
-    return compose_map(PolyMap(outer.variables, (outer,)), inner).components[0]
-
-
-_NO_SHARED_CONTEXT = "substitution polynomials must share one variable context"
-
-
 def compose_map(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """Substitute inner's components for outer's variables in every component of outer: the
-    one composition routine, behind `compose` and `Poly.substitute`.
+    one composition entry, which composes one polynomial p as the map (p,) of p's variables.
 
     Each call builds one table of the powers of inner's components: power k of a component
     is power k - 1 times the component, built once and only up to the highest power that
@@ -481,7 +451,7 @@ def compose_map(outer: PolyMap, inner: PolyMap) -> PolyMap:
     if outer.source_dim != inner.target_dim:
         raise SpaceMismatchError("map composition arity mismatch")
     if outer.components and not inner.components and not inner.source_vars:
-        raise SpaceMismatchError(_NO_SHARED_CONTEXT)
+        raise SpaceMismatchError("substitution polynomials must share one variable context")
     zero = (0,) * len(inner.source_vars)
     one = ((zero, 1),)
     top = [max(column) for column in zip(*(e for p in outer.components for e, _ in p.nums))]
@@ -570,9 +540,7 @@ def _minor_det(
     if det is not None:
         return det
     variables = entries[0][0].variables
-    if not rows:
-        det = Poly.constant(variables, 1)
-    elif len(rows) == 1:
+    if len(rows) == 1:
         det = entries[rows[0]][cols[0]]
     else:
         first, rest = entries[rows[0]], rows[1:]

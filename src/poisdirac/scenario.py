@@ -1,9 +1,10 @@
 """Strict scenario documents for the command line front end.
 
 Scenarios are JSON objects; every mathematical number is an exact
-rational written as a string ("3", "-1/2"), and any float literal or
-unknown field is rejected with a path-annotated diagnostic.  Structural
-counts (dimensions, indices) are JSON integers.
+rational written as a string ("3", "-1/2"), and any float literal,
+unknown field, or field without the block that reads it is rejected with
+a path-annotated diagnostic.  Structural counts (dimensions, indices) are
+JSON integers.
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ def _parse_rational(value: Any, path: str) -> Fraction:
         raise _fail(path, str(exc))
 
 
-def _parse_point(value: Any, path: str, length: int | None = None) -> tuple[Fraction, ...]:
+def _parse_point(value: Any, path: str, length: int) -> tuple[Fraction, ...]:
     items = _expect_list(value, path)
     point = tuple(_parse_rational(v, f"{path}[{i}]") for i, v in enumerate(items))
-    if length is not None and len(point) != length:
+    if len(point) != length:
         raise _fail(path, f"expected {length} coordinates, got {len(point)}")
     return point
 
@@ -270,10 +271,13 @@ def parse_scenario(document: Any) -> Scenario:
     submanifold = fields.get("submanifold")
 
     if "points" in obj:
-        point_length = submanifold.map.source_dim if submanifold is not None else ambient_dim
+        if submanifold is None:
+            raise _fail("$.points", "points need a submanifold")
         items = _expect_list(obj["points"], "$.points")
-        fields["points"] = tuple(_parse_point(p, f"$.points[{i}]", point_length) for i, p in enumerate(items))
+        fields["points"] = tuple(_parse_point(p, f"$.points[{i}]", submanifold.map.source_dim) for i, p in enumerate(items))
     if "point" in obj:  # the evaluation point of extend and phi: a point of the ambient space
+        if ambient_dim is None:
+            raise _fail("$.point", "needs an ambient block")
         fields["point"] = _parse_point(obj["point"], "$.point", ambient_dim)
 
     if "map" in obj or "map_inverse" in obj:
@@ -310,6 +314,9 @@ def parse_scenario(document: Any) -> Scenario:
     if "dirac_manifold" in obj:
         fields["dirac_manifold"] = _parse_dirac_manifold(obj["dirac_manifold"], "$.dirac_manifold")
     dirac_manifold = fields.get("dirac_manifold")
+    for key in ("samples", "sample_grid", "compare_v_frames"):
+        if key in obj and dirac_manifold is None:
+            raise _fail(f"$.{key}", "needs a dirac_manifold block")
 
     total = dirac_manifold.base_dim + dirac_manifold.fiber_dim if dirac_manifold else None
     if "samples" in obj:
@@ -320,12 +327,10 @@ def parse_scenario(document: Any) -> Scenario:
         grid = _expect_object(obj["sample_grid"], "$.sample_grid", {"height": None, "seed": None, "count": None})
         height, seed, count = (_expect_int(grid[key], f"$.sample_grid.{key}") for key in ("height", "seed", "count"))
         check_sample_bounds(height, count, "$.sample_grid")
-        if "samples" not in fields and total is not None:  # explicit samples win
+        if "samples" not in fields:  # explicit samples win
             fields["samples"] = grid_points(total, height, seed, count)
 
     if "compare_v_frames" in obj:
-        if dirac_manifold is None:
-            raise _fail("$.compare_v_frames", "needs a dirac_manifold block")
         cmp_obj = _expect_object(obj["compare_v_frames"], "$.compare_v_frames", {"v0": None, "v1": None})
         m, k = dirac_manifold.base_dim, dirac_manifold.fiber_dim
         xvars = ambient_variables(m)

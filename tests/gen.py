@@ -1,6 +1,7 @@
 """Seeded random instance builders shared by unit and acceptance tests,
 `tilted_complement_data`, an embedding input whose gauge form reads the fiber,
-and `pullback_canonical_form`, the gauge form of the embedding read on its own."""
+`pullback_canonical_form`, the gauge form of the embedding read on its own,
+and `compose`, one polynomial composed through `compose_map`."""
 
 from __future__ import annotations
 
@@ -109,6 +110,12 @@ def rand_shear_diffeo(rng: random.Random, variables: tuple[str, ...], shears: in
         forward = compose_map(plus, forward)
         backward = compose_map(backward, minus)
     return forward, backward
+
+
+def compose(outer: Poly, inner: PolyMap) -> Poly:
+    """Substitute inner's components for outer's variables: the one-component map of outer
+    composed by `compose_map`."""
+    return compose_map(PolyMap(outer.variables, (outer,)), inner).components[0]
 
 
 def rand_dirac_form_data(rng: random.Random, n: int) -> tuple[Subspace, MatrixQ]:

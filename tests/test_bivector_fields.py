@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import rand_antisym, rand_fraction, rand_point, rand_shear_diffeo
+from gen import compose, rand_antisym, rand_fraction, rand_point, rand_shear_diffeo
 from poisdirac.bivector_fields import (
     BivectorField,
     TwoFormField,
@@ -171,9 +171,9 @@ def permuted(pi: BivectorField, order, new_variables=None) -> BivectorField:
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the coordinate indices")
     new_vars = tuple(new_variables) if new_variables is not None else tuple(pi.variables[a] for a in order)
-    substitution = {pi.variables[old]: Poly.variable(new_vars, new_vars[a]) for a, old in enumerate(order)}
+    relabel = PolyMap(new_vars, tuple(Poly.variable(new_vars, new_vars[order.index(old)]) for old in range(n)))
     return BivectorField(new_vars, tuple(
-        tuple(pi.entries[order[a]][order[b]].substitute(substitution) for b in range(n)) for a in range(n)
+        tuple(compose(pi.entries[order[a]][order[b]], relabel) for b in range(n)) for a in range(n)
     ))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import poisdirac
-from poisdirac import cli, polynomials, submanifolds
+from poisdirac import cli, embedding, polynomials, submanifolds
 from poisdirac.cli import BUNDLED_ANALYSES, build_parser, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
 from poisdirac.polynomials import MAX_EXPONENT, PolyMap
@@ -364,6 +364,88 @@ class TestExitCodes:
         assert (code, err) == (3, "") and "samples checked: 1, all passing: False\n" in out
 
 
+AMBIENT_2 = {"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "1"}]}
+LINE_2 = {"type": "level_set", "constraints": ["x2"]}
+R4_DIRAC = json.loads((Path(poisdirac.__file__).parent / "scenarios" / "ex_r4_dirac.json").read_text())["dirac_manifold"]
+
+# id: (command, scenario document or None for no --scenario, further arguments, exit code,
+# the stderr line, or with an empty stderr a line stdout must hold)
+REFUSALS = {
+    "duplicate bivector entry": ("jacobi", {"ambient": {"dim": 2, "bivector": [
+        {"i": 1, "j": 2, "poly": "1"}, {"i": 1, "j": 2, "poly": "x1"}]}}, [], 1,
+        "error: $.ambient.bivector[1]: duplicate entry (1,2)"),
+    "level set without constraints": ("classify", {"ambient": AMBIENT_2, "submanifold": {"type": "level_set"}}, [], 1,
+                                      "error: $.submanifold: level_set submanifolds need 'constraints'"),
+    "level set with no constraint": ("classify", {"ambient": AMBIENT_2, "submanifold": {**LINE_2, "constraints": []}},
+                                     [], 1, "error: $.submanifold.constraints: need at least one constraint"),
+    "map with no parameter": ("classify", {"ambient": AMBIENT_2, "submanifold": {"type": "parametrized", "map": ["1", "0"]}},
+                              [], 1, "error: $.submanifold.map: no parameter variables found; give an explicit 'params' count"),
+    "unknown submanifold type": ("classify", {"ambient": AMBIENT_2, "submanifold": {"type": "curve"}}, [], 1,
+                                 "error: $.submanifold.type: unknown submanifold type 'curve'"),
+    "parametrized without map": ("classify", {"ambient": AMBIENT_2, "submanifold": {"type": "parametrized"}}, [], 1,
+                                 "error: $.submanifold: parametrized submanifolds need 'map'"),
+    "submanifold without ambient": ("classify", {"submanifold": LINE_2}, [], 1,
+                                    "error: $.submanifold: a submanifold needs an ambient block"),
+    "maps without ambient": ("pushforward", {"map": ["x1"], "map_inverse": ["x1"]}, [], 1,
+                             "error: $.map: maps need an ambient block"),
+    "expected bivector without ambient": ("pushforward", {"expected_bivector": []}, [], 1,
+                                          "error: $.expected_bivector: needs an ambient block"),
+    "subspace without ambient": ("extend", {"subspace_c": [["1"]]}, [], 1,
+                                 "error: $.subspace_c: subspaces need an ambient block"),
+    "map without its inverse": ("pushforward", {"ambient": AMBIENT_2, "map": ["x1", "x2"]}, [], 1,
+                                "error: $: 'map' and 'map_inverse' must be supplied together"),
+    "function without submanifold": ("bracket", {"ambient": AMBIENT_2, "f": "x1"}, [], 1,
+                                     "error: $.f: functions need a submanifold"),
+    "comparison without dirac manifold": ("embed", {"compare_v_frames": {"v0": [], "v1": []}}, [], 1,
+                                          "error: $.compare_v_frames: needs a dirac_manifold block"),
+    "points without submanifold": ("classify", {"ambient": AMBIENT_2, "points": [["1", "2", "3"]]}, [], 1,
+                                   "error: $.points: points need a submanifold"),
+    "point without ambient": ("extend", {"point": ["1", "2", "3"]}, [], 1, "error: $.point: needs an ambient block"),
+    "samples without dirac manifold": ("classify", {
+        "ambient": AMBIENT_2, "submanifold": LINE_2, "samples": [["1", "2", "3", "4", "5"]],
+        "sample_grid": {"height": 2, "seed": 0, "count": 2}}, [], 1, "error: $.samples: needs a dirac_manifold block"),
+    "sample grid without dirac manifold": ("classify", {
+        "ambient": AMBIENT_2, "submanifold": LINE_2, "sample_grid": {"height": 2, "seed": 0, "count": 2}}, [], 1,
+        "error: $.sample_grid: needs a dirac_manifold block"),
+    "too few sections": ("embed", {"dirac_manifold": {**R4_DIRAC, "sections": R4_DIRAC["sections"][:2]}}, [], 1,
+                         "error: $.dirac_manifold: need 3 spanning sections, got 2"),
+    "E and V frames of the wrong count": ("embed", {"dirac_manifold": {**R4_DIRAC, "V_frame": R4_DIRAC["V_frame"][:1]}},
+                                          [], 1, "error: $.dirac_manifold: E and V frames together must have base_dim members"),
+    "bracket without points": ("bracket", {"ambient": AMBIENT_2, "submanifold": LINE_2, "f": "x1", "g": "x1"}, [], 1,
+                               "error: bracket analysis needs at least one point"),
+    "empty points chunk": ("classify", {"ambient": AMBIENT_2, "submanifold": LINE_2}, ["--points", "1,0;"], 0,
+                           "(1, 0) | (1, 0) | 1 | 1 | 1 | 1 | 0 | coisotropic"),
+    "scenarios as text": ("scenarios", None, [], 0, "ex_r4_dirac.json"),
+    "dependent constraint differentials": ("classify", {
+        "ambient": AMBIENT_2, "submanifold": {**LINE_2, "constraints": ["x2", "2*x2"]}, "points": [["1", "0"]]}, [], 2,
+        "point 0: REGULARITY FAILURE: constraint differentials are dependent at (1, 0)"),
+}
+
+
+class TestRefusals:
+    """Every refusal a scenario or a flag can reach ends in its exit code and one diagnostic."""
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_each_input_ends_in_its_exit_code_and_diagnostic(self, capsys, tmp_path, case):
+        command, doc, extra, code, line = REFUSALS[case]
+        argv = [command, *extra]
+        if doc is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(doc))
+            argv += ["--scenario", str(path)]
+        got, out, err = run(capsys, *argv)
+        if code == 1:
+            assert (got, out, err) == (code, "", f"{line}\n")
+        else:
+            assert (got, err) == (code, "") and line in out.splitlines()
+
+    def test_a_zero_section_point_that_is_no_graph_is_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(embedding, "as_bivector", lambda structure: None)
+        code, out, err = run(capsys, "embed", "--scenario", "ex_r4_dirac.json")
+        assert (code, out) == (3, "")
+        assert err == "property violation: structure is not a bivector graph at the zero-section point (-1, 0, -3, 0)\n"
+
+
 class TestReports:
     def test_jacobi_broken_prints_component(self, capsys):
         code, out, _ = run(capsys, "jacobi", "--scenario", "broken.json")
@@ -414,6 +496,39 @@ class TestReports:
         for suffix, extra in (("txt", []), ("json", ["--porcelain"])):
             expected = hashlib.sha256(golden.with_suffix(f".{suffix}").read_bytes()).hexdigest()
             assert digests.digest(["jacobi", "--scenario", "ex_r4_pi1.json", *extra]) == (expected, 0)
+
+    def test_line_coverage_lists_the_statements_that_never_ran(self, tmp_path):
+        coverage = script("line_coverage")
+        path = tmp_path / "two.py"
+        path.write_text(
+            '"""Two functions, one of them called."""\n'
+            "import functools\n"
+            "\n"
+            "\n"
+            "def called(x):\n"
+            "    if x:\n"
+            "        return 1\n"
+            "    return 2\n"
+            "\n"
+            "\n"
+            "@functools.cache\n"
+            "def uncalled(x):\n"
+            '    """Never run."""\n'
+            "    global y\n"
+            "    y = (x +\n"
+            "         1)\n"
+            "    return y\n"
+        )
+
+        def load_and_call():
+            spec = importlib.util.spec_from_file_location("two", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.called(True)
+
+        result, executed = coverage.collect(tmp_path, load_and_call)
+        assert result == 1 and set(executed) == {str(path.resolve())}
+        assert coverage.unrun(path, executed[str(path.resolve())]) == [(8, "return 2"), (15, "y = (x +"), (17, "return y")]
 
     def test_dense_push_scenario(self, capsys, tmp_path):
         # f u ^ v on R^4, every entry a multiple of one f holding all 15 monomials of degree

@@ -3,8 +3,8 @@
 `compose_map(outer, inner)` composes every component of outer through one table
 of powers of inner's components, each power built once per call as the power
 below it times the component, and sums each component's term images in one
-integer accumulation; `compose` and `Poly.substitute` are its one-polynomial
-cases, and `pushforward` composes all its nonzero entries in one call.  The route
+integer accumulation, for a map of one polynomial as of many (`gen.compose`), and
+`pushforward` composes all its nonzero entries in one call.  The route
 it replaced, which rebuilt every term's image as a product of its factors from 1,
 is kept here as a reference and must agree exactly, as must sympy's expansion, on
 inputs whose terms and components share powers up to exponent 4.
@@ -16,11 +16,11 @@ from math import prod
 
 import pytest
 
-from gen import rand_fraction, rand_shear_diffeo
+from gen import compose, rand_fraction, rand_shear_diffeo
 from poisdirac import bivector_fields, polynomials
 from poisdirac.bivector_fields import BivectorField, pushforward
 from poisdirac.errors import SpaceMismatchError
-from poisdirac.polynomials import Poly, PolyMap, ambient_variables, compose, compose_map, sum_of_products
+from poisdirac.polynomials import Poly, PolyMap, ambient_variables, compose_map, sum_of_products
 from test_product_kernel import Sympy
 
 X3 = ambient_variables(3)
@@ -78,7 +78,7 @@ def inner_map(rng: random.Random, kind: str) -> PolyMap:
 
 @pytest.mark.parametrize("kind", ["dense", "degenerate"])
 @pytest.mark.parametrize("seed", range(3))
-def test_compose_map_and_substitute_match_the_product_route_and_sympy(kind, seed):
+def test_compose_map_matches_the_product_route_and_sympy(kind, seed):
     rng = random.Random(f"compose-{kind}-{seed}")
     pool = power_pool(rng, 3)
     outer = PolyMap(X3, tuple(shared_power_poly(rng, X3, pool) for _ in range(3)) + (Poly.zero(X3),))
@@ -88,7 +88,7 @@ def test_compose_map_and_substitute_match_the_product_route_and_sympy(kind, seed
     assert composed == prod_compose_map(outer, inner)
     x, y = Sympy(X3), Sympy(Y2)
     for p, q in zip(outer.components, composed.components):
-        assert p.substitute(values) == compose(p, inner) == q
+        assert compose(p, inner) == q
         expected = x.expr(p).subs({s: y.expr(values[v]) for s, v in zip(x.symbols, X3)}, simultaneous=True)
         assert q == y.poly(expected)
 
@@ -158,13 +158,7 @@ def test_pushforward_composes_its_entries_in_one_call(monkeypatch):
 def test_an_empty_context_is_a_space_mismatch():
     constant = Poly.constant((), 3)
     with pytest.raises(SpaceMismatchError, match="must share one variable context"):
-        constant.substitute({})
-    with pytest.raises(SpaceMismatchError, match="must share one variable context"):
-        compose(constant, PolyMap((), ()))
-    with pytest.raises(SpaceMismatchError, match="must share one variable context"):
         compose_map(PolyMap((), (constant,)), PolyMap((), ()))
-    with pytest.raises(SpaceMismatchError, match="must share one variable context"):
-        Poly.variable(X3, "x1").substitute({"x1": Poly.variable(Y2, "y1"), "x2": Poly.zero(X3), "x3": Poly.zero(Y2)})
-    # a map with variables and no components gives the constant its context, as substitute does
-    assert compose(constant, PolyMap(Y2, ())) == constant.substitute({"y1": Poly.zero(Y2)}) == Poly.constant(Y2, 3)
+    # a map with variables and no components gives the constant its context
+    assert compose(constant, PolyMap(Y2, ())) == Poly.constant(Y2, 3)
     assert compose_map(PolyMap((), ()), PolyMap((), ())) == PolyMap((), ())

@@ -5,15 +5,14 @@ evaluated there.  The construction that came before it lifts the input
 structure at the base point, pads it, appends the fiber directions and
 gauges the result by B at the point; it is kept here as a reference, with
 a gauge in Fraction arithmetic, and must agree exactly on the bundled
-embed scenarios and on seeded random data.  `values_at` (and
-`Poly.evaluate`, its 1 x 1 case), `as_bivector` and `gauge` are checked
-against the Fraction formulas they replaced, and `values_at` against sympy
+embed scenarios and on seeded random data.  `values_at`, `as_bivector`
+and `gauge` are checked against the Fraction formulas they replaced, and `values_at` against sympy
 as well; the integer rows of `integer_rows_at` must be the primitive rows
 of those values, and on grids whose entries and rows share monomials each
 row must be its values over the lcm of its denominators times q^D, q the
-point's common denominator and D the row's top degree.  Where the gauged
-sections read no fiber coordinate, `build_embedding` evaluates the structure
-at the zero-section points only; where they do, at (x, p) as well.
+point's common denominator and D the row's top degree.  `build_embedding`
+evaluates the structure at each sample (x, p), and where the gauged sections
+read a fiber coordinate at (x, 0) as well.
 """
 
 import random
@@ -133,25 +132,35 @@ class TestEvaluatedSectionsMatchTheLift:
         samples = [tuple(s) for s in samples]
         zero_section = [s[: d.base_dim] + (Fraction(0),) * d.fiber_dim for s in samples]
         for point in samples + zero_section:
-            assert result.dirac_at(point) == lifted_structure(d, result.gauge_form, point), point
+            structure = embedding._dirac_at(result.total_dim, result.sections, point)
+            assert structure == lifted_structure(d, result.gauge_form, point), point
         for point, structure in seen.items():
             assert structure == lifted_structure(d, result.gauge_form, point), point
         return set(seen)
 
     def check_closed_coframe(self, monkeypatch, d: DiracManifoldData, samples) -> None:
         # a closed coframe: no gauged section reads p, so (x, p) carries the structure at
-        # (x, 0), and the structure is evaluated at the zero-section points only
-        m = d.base_dim
-        fibers = total_space_variables(d)[m:]
+        # (x, 0), and the structure is evaluated at the samples only
+        fibers = total_space_variables(d)[d.base_dim:]
         sections = embedding._gauged(d)[2]
         assert all(p.partial(v).is_zero() for sec in sections for p in sec.vector + sec.covector for v in fibers)
-        zero_section = {tuple(s[:m]) + (Fraction(0),) * d.fiber_dim for s in samples}
-        assert self.check(monkeypatch, d, samples) == zero_section
+        assert self.check(monkeypatch, d, samples) == {tuple(s) for s in samples}
+
+    def check_fiber_reading(self, monkeypatch, d: DiracManifoldData, samples) -> None:
+        # sections that read p: each sample and its zero-section point are evaluated
+        zero_section = {tuple(s[: d.base_dim]) + (Fraction(0),) * d.fiber_dim for s in samples}
+        assert self.check(monkeypatch, d, samples) == {tuple(s) for s in samples} | zero_section
 
     @pytest.mark.parametrize("name", EMBED_SCENARIOS)
     def test_bundled_scenarios(self, monkeypatch, name):
         d, samples = bundled_case(name)
-        self.check_closed_coframe(monkeypatch, d, samples[:6])
+        if d == tilted_complement_data():
+            self.check_fiber_reading(monkeypatch, d, samples)
+        else:
+            self.check_closed_coframe(monkeypatch, d, samples[:6])
+
+    def test_the_tilted_scenario_takes_the_fiber_reading_path(self):
+        assert bundled_case("ex_r3_tilted.json")[0] == tilted_complement_data()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_random_data(self, monkeypatch, seed):
@@ -161,8 +170,7 @@ class TestEvaluatedSectionsMatchTheLift:
     def test_sections_that_read_the_fiber_are_evaluated_at_both_points(self, monkeypatch):
         d = tilted_complement_data()
         near, far = (Fraction(1), Fraction(1), Fraction(0), Fraction(2)), (Fraction(1), Fraction(1), Fraction(0), Fraction(-1))
-        base = (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
-        assert self.check(monkeypatch, d, [near, far]) == {near, far, base}
+        self.check_fiber_reading(monkeypatch, d, [near, far])
 
     def test_points_where_the_structure_is_no_graph(self):
         # both constructions still agree where the tilted complement's structure is no graph
@@ -234,7 +242,7 @@ class TestEvaluate:
             assert value == sympy_evaluate(poly, point), str(poly)
             expected.append(value)
         # one polynomial at a time, the whole list as one row, and a 3 x 5 grid
-        values = [poly.evaluate(point) for poly in polys]
+        values = [values_at(((poly,),), point)[0][0] for poly in polys]
         (row,) = values_at((polys,), point)
         grid = values_at([polys[i:i + 5] for i in range(0, 15, 5)], point)
         assert [len(r) for r in grid] == [5, 5, 5]
@@ -301,7 +309,7 @@ class TestEvaluate:
             with pytest.raises(SpaceMismatchError):
                 integer_rows_at(((zero,), (zero, zero)), point)
             with pytest.raises(SpaceMismatchError):
-                zero.evaluate(point)
+                values_at(((zero,),), point)
 
     def test_an_empty_grid_has_no_rows(self):
         assert values_at((), (Fraction(1), Fraction(2), Fraction(3))) == ()
@@ -314,7 +322,7 @@ class TestEvaluate:
         pi = BivectorField.from_upper(["x1", "x2"], {(0, 1): "x1"})
         curve = PolyMap.parse(["t1", "t1^2"], ["t1"])
         for evaluation in (
-            lambda: poly.evaluate((0.1, 2)),
+            lambda: values_at(((poly,),), (0.1, 2)),
             lambda: values_at(((Poly.zero(["x1", "x2"]),),), (0.5, 1)),
             lambda: values_at((), (0.5,)),
             lambda: integer_rows_at((), (0.5,)),
