@@ -3,8 +3,10 @@
 
 Usage:
 
-    PYTHONPATH=src python3 scripts/line_coverage.py [pytest arguments]
+    python3 scripts/line_coverage.py [pytest arguments]
 
+It imports poisdirac from this checkout's src/, put first on sys.path, and
+refuses, naming the path, a poisdirac already imported from anywhere else.
 Runs pytest in this process (by default `-q -p no:cacheprovider tests`)
 under a `sys.settrace` tracer that follows only frames whose code lives in
 src/poisdirac/, then prints `path:line: source` for each statement none of
@@ -29,7 +31,8 @@ from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "poisdirac"
+SRC = ROOT / "src"
+PACKAGE = SRC / "poisdirac"
 
 
 def statement_spans(source: str) -> list[tuple[int, int]]:
@@ -80,10 +83,23 @@ def unrun(path: Path, executed: set[int]) -> list[tuple[int, str]]:
             if not executed.intersection(range(first, last + 1))]
 
 
+def import_program() -> None:
+    """Import poisdirac from this checkout's src/ and nowhere else."""
+    sys.path.insert(0, str(SRC))
+    import poisdirac
+
+    if Path(poisdirac.__file__).resolve().parent != PACKAGE.resolve():
+        raise SystemExit(f"error: imported poisdirac from {poisdirac.__file__}, not from {SRC}")
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
-    code, executed = collect(PACKAGE, lambda: pytest.main(argv or ["-q", "-p", "no:cacheprovider", "tests"]))
+    def run():
+        import_program()  # under the tracer, so that the modules' top-level statements count
+        return pytest.main(argv or ["-q", "-p", "no:cacheprovider", "tests"])
+
+    code, executed = collect(PACKAGE, run)
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         for line, text in unrun(path, executed.get(str(path.resolve()), set())):

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, TypeVar
 from .errors import PreconditionError, SpaceMismatchError
 from .poisson_linear import PoissonVS
 from . import polynomials
-from .polynomials import Poly, PolyMap, _accumulate, _check_term_cap, _ordered, compose_map, integer_rows_at
+from .polynomials import Poly, PolyMap, _check_term_cap, _ordered, compose_map, integer_rows_at
 from .polynomials import sum_of_products
 from .rational_linalg import MatrixQ
 
@@ -116,36 +116,54 @@ def _jacobi_rows(pi: BivectorField, components: list[tuple[int, int, int]]) -> d
     component sorted(a, b, c), negated when b < a < c.  A monomial that one component reads in
     row a is multiplied straight into its accumulator; one that several read is bracketed once
     and added, scaled, into each.  A component's denominator is fixed before the loop, and it is
-    built, and its accumulator dropped, once its largest index is done."""
+    built, and its accumulator dropped, once its largest index is done.
+
+    Each upper entry's exponent vectors are packed into ints once per call, variable 0 in the
+    highest slot and every slot (2 top).bit_length() bits wide, top the largest total degree of
+    any entry.  A bracket exponent (m - u_l) + e is at most 2 top - 1 in each slot, so it never
+    carries into the next one: x^(m - u_l) is the key m - (1 << shift_l), and its product with
+    x^e one int add.  A lower entry reads its upper one, negated.  Nonzero results are unpacked
+    through one memo per call, so components share exponent tuples."""
     n, e, variables = pi.dim, pi.entries, pi.variables
     cap = polynomials.MAX_PRODUCT_TERMS
+    top = max((sum(p.nums[0][0]) for row in e for p in row if p.nums), default=0)  # grlex: first term is of top degree
+    width = (2 * top + 1).bit_length()
+    mask, shift = (1 << width) - 1, [width * (n - 1 - l) for l in range(n)]
+    packed = [[None] * n for _ in range(n)]  # (packed exponent, int) pairs of Pi^{bc}, filed at (b, c) and (c, b)
+    for b, c in combinations(range(n), 2):
+        packed[b][c] = packed[c][b] = [(sum(x << s for x, s in zip(m, shift)), v) for m, v in e[b][c].nums]
     row_den = [lcm(*(p.den for p in row)) for row in e]
-    reads = {a: [] for a in range(n)}  # row a -> (Pi^{bc}, accumulator, scale) of each component reading it
+    reads = {a: [] for a in range(n)}  # row a -> (packed Pi^{bc}, accumulator, scale) of each component reading it
     finished = {a: [] for a in range(n)}  # row a -> (component, accumulator, denominator) whose largest index is a
     done = dict.fromkeys(components)
     for i, j, k in components:
-        entries = [(a, e[b][c], sign) for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)) if e[b][c].nums]
-        den, acc = lcm(*(p.den * row_den[a] for a, p, _ in entries)), {}
-        for a, p, sign in entries:
-            reads[a].append((p, acc, sign * (den // (p.den * row_den[a]))))
+        entries = [(a, b, c, sign) for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)) if e[b][c].nums]
+        den, acc = lcm(*(e[b][c].den * row_den[a] for a, b, c, _ in entries)), {}
+        for a, b, c, sign in entries:
+            reads[a].append((packed[b][c], acc, sign * (den // (e[b][c].den * row_den[a]))))
         finished[k].append(((i, j, k), acc, den))
-    support: dict[tuple[int, ...], list] = {}  # x^m -> (l, m - u_l, m_l) for each m_l > 0
+    support: dict[int, list] = {}  # x^m -> (m - u_l, l, m_l) for each m_l > 0
+    unpacked: dict[int, tuple[int, ...]] = {}  # packed key -> its exponent tuple
     for a in range(n):
-        row = [(p.nums, row_den[a] // p.den) for p in e[a]]
-        readers: dict[tuple[int, ...], list] = {}  # x^m -> (accumulator, coefficient) of each reader in row a
-        for p, acc, scale in reads.pop(a):
-            for m, c in p.nums:
+        row = [(packed[a][l], row_den[a] // p.den if a < l else -(row_den[a] // p.den)) for l, p in enumerate(e[a])]
+        readers: dict[int, list] = {}  # x^m -> (accumulator, coefficient) of each reader in row a
+        for nums, acc, scale in reads.pop(a):
+            for m, c in nums:
                 readers.setdefault(m, []).append((acc, c * scale))
         for m, users in readers.items():
             if (lowered := support.get(m)) is None:
-                lowered = support[m] = [
-                    (l, m[:l] + (power - 1,) + m[l + 1:], power) for l, power in enumerate(m) if power
-                ]
+                lowered = support[m] = [(m - (1 << s), l, power) for l, s in enumerate(shift) if (power := (m >> s) & mask)]
             target, c = users[0] if len(users) == 1 else ({}, 1)
-            for l, low, power in lowered:
+            get = target.get
+            for low, l, power in lowered:
                 nums, f = row[l]
                 if nums:
-                    _accumulate(target, ((low, c * power),), nums, f)
+                    f *= c * power
+                    for x, v in nums:
+                        x += low
+                        target[x] = get(x, 0) + f * v
+                    if len(target) > cap:  # tested after each row entry, as in _accumulate
+                        _check_term_cap(target)
             if len(users) > 1:
                 for acc, c in users:
                     get = acc.get
@@ -154,7 +172,9 @@ def _jacobi_rows(pi: BivectorField, components: list[tuple[int, int, int]]) -> d
                     if len(acc) > cap:  # tested here first, as in _accumulate
                         _check_term_cap(acc)
         for ijk, acc, den in finished.pop(a):
-            done[ijk] = _ordered(variables, [(x, v) for x, v in acc.items() if v], den)
+            done[ijk] = _ordered(variables, [
+                (unpacked.get(x) or unpacked.setdefault(x, tuple((x >> s) & mask for s in shift)), v) for x, v in acc.items() if v
+            ], den)
     return done
 
 

@@ -21,20 +21,23 @@ partial derivatives, composition and parsing make no Fraction per term, and
 there is one product kernel, `sum_of_products`, which multiplies numerators
 over one common denominator and takes a sign per product, so no caller
 negates a polynomial only to add it.  Its term-map loop, `_accumulate`, is
-the one place that multiplies term maps and adds exponent vectors, and the
-one place the term cap fires; the Jacobiator, composition and the
-Gauss-Jordan pivot call it too.  `compose_map` is the one composition
-entry, for a map of one polynomial as of many: it builds each power of
-the inner components once per call and adds each term's image straight
-into its polynomial's integer accumulator.  Caller coefficients (`make`,
-`constant`) and points become integers, and floats are refused, only in
-`rational_linalg._scaled_row`.  Arithmetic results are well
-formed by construction and are built without re-validation; parsing and the
-public constructors (`make`, `parse`, `constant`, `variable`) keep every check.
-`integer_rows_at`, the one point evaluator, gives each row of a grid as
-integers over one denominator; each call evaluates each distinct monomial
-once, in a table from exponent vector to its value and degree, and each
-power of the point's denominator once.
+the one loop that multiplies tuple-keyed term maps; composition and the
+Gauss-Jordan pivot call it too.  The Jacobiator packs each entry's exponent
+vectors into ints once per call, in slots (2 top).bit_length() bits wide,
+top the largest entry degree, so that no bracket exponent (at most
+2 top - 1) carries, and unpacks its results through one memo per call
+(`bivector_fields._jacobi_rows`); both loops test the one term cap.
+`compose_map` is the one composition entry, for a map of one polynomial as
+of many: it builds each power of the inner components once per call and
+adds each term's image straight into its polynomial's integer accumulator.
+Caller coefficients (`make`, `constant`) and points become integers, and
+floats are refused, only in `rational_linalg._scaled_row`.  Arithmetic
+results are well formed by construction and are built without
+re-validation; parsing and the public constructors (`make`, `parse`,
+`constant`, `variable`) keep every check.  `integer_rows_at`, the one point
+evaluator, gives each row of a grid as integers over one denominator; each
+call evaluates each distinct monomial once, in a table from exponent vector
+to its value and degree, and each power of the point's denominator once.
 
 Determinants are memoized cofactor (Laplace) expansions, whose memo table
 is capped at MAX_MINOR_TERMS terms.  `poly_matrix_inverse` is Gauss-Jordan
@@ -275,7 +278,8 @@ def sum_of_products(
 
 def _accumulate(out: dict[tuple[int, ...], int], nums_a: Sequence, nums_b: Sequence, factor: int) -> None:
     """Add factor * A * B, A and B as (exponent, int) pairs, into the integer term map `out`:
-    the one loop that multiplies term maps, behind `sum_of_products` and the Jacobiator.
+    the one loop that multiplies tuple-keyed term maps, behind `sum_of_products`, `compose_map`
+    and `_pivot`.
     Raises PreconditionError once `out` holds more than MAX_PRODUCT_TERMS terms."""
     for e1, n1 in nums_a:
         n1 *= factor

@@ -15,7 +15,7 @@ from poisdirac.bivector_fields import (
     nonzero_jacobiator_components,
     pushforward,
 )
-from poisdirac.errors import PreconditionError
+from poisdirac.errors import PreconditionError, SpaceMismatchError
 from poisdirac.polynomials import Poly, PolyMap
 
 X3 = ("x1", "x2", "x3")
@@ -146,6 +146,35 @@ class TestAntisymmetricFields:
         for cls in (BivectorField, TwoFormField):
             with pytest.raises(PreconditionError, match="not antisymmetric"):
                 cls(X3, grid)
+
+
+# Refusals that only the Python API reaches: the scenario parser refuses these inputs first.
+# No earlier check refuses them: a 0 x 0 two-form minus a 3 x 3 one would zip no rows, and
+# mutually inverse maps of another dimension pass the composition checks.
+API_REFUSALS = {
+    "grid rows": (lambda: BivectorField(X3, ((Poly.zero(X3),) * 3,) * 2), SpaceMismatchError,
+                  "entry grid shape does not match the variable count"),
+    "grid columns": (lambda: BivectorField(X3, ((Poly.zero(X3),) * 2,) * 3), SpaceMismatchError,
+                     "entry grid shape does not match the variable count"),
+    "index below the diagonal": (lambda: BivectorField.from_upper(X3, {(1, 0): "1"}), ValueError,
+                                 "upper-triangular index out of range: (1, 0)"),
+    "index past the dimension": (lambda: TwoFormField.from_upper(X3, {(0, 3): "1"}), ValueError,
+                                 "upper-triangular index out of range: (0, 3)"),
+    "two-forms on other variables": (lambda: TwoFormField.from_upper(X3, {}) - TwoFormField.from_upper(("y1", "y2", "y3"), {}),
+                                     SpaceMismatchError, "two-forms live on different patches"),
+    "a two-form on no variables": (lambda: TwoFormField((), ()) - TwoFormField.from_upper(X3, {}), SpaceMismatchError,
+                                   "two-forms live on different patches"),
+    "a diffeomorphism of another dimension": (lambda: pushforward(BROKEN, PolyMap.identity(X4), PolyMap.identity(X4)),
+                                              SpaceMismatchError, "diffeomorphism dimensions do not match the field"),
+}
+
+
+@pytest.mark.parametrize("case", API_REFUSALS)
+def test_api_refusals(case):
+    build, error, message = API_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestExteriorDerivative:

@@ -5,15 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import poisdirac
 from poisdirac import cli, embedding, polynomials, submanifolds
+from poisdirac.bivector_fields import BivectorField
 from poisdirac.cli import BUNDLED_ANALYSES, build_parser, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
-from poisdirac.polynomials import MAX_EXPONENT, PolyMap
+from poisdirac.polynomials import MAX_EXPONENT, Poly, PolyMap
 from poisdirac.rational_linalg import MAX_DIGITS
 from poisdirac.scenario import MAX_DIM, MAX_GRID_HEIGHT, MAX_SAMPLE_COUNT, check_sample_bounds, load_scenario_text
 from poisdirac.submanifolds import grid_points
@@ -394,6 +396,10 @@ REFUSALS = {
                                  "error: $.subspace_c: subspaces need an ambient block"),
     "map without its inverse": ("pushforward", {"ambient": AMBIENT_2, "map": ["x1", "x2"]}, [], 1,
                                 "error: $: 'map' and 'map_inverse' must be supplied together"),
+    "map of the wrong length": ("pushforward", {"ambient": AMBIENT_2, "map": ["x1"], "map_inverse": ["x1", "x2"]}, [], 1,
+                                "error: $.map: maps must have 2 components"),
+    "dimension zero": ("jacobi", {"ambient": {"dim": 0, "bivector": []}}, [], 1,
+                       "error: $.ambient.dim: dimension must be positive"),
     "function without submanifold": ("bracket", {"ambient": AMBIENT_2, "f": "x1"}, [], 1,
                                      "error: $.f: functions need a submanifold"),
     "comparison without dirac manifold": ("embed", {"compare_v_frames": {"v0": [], "v1": []}}, [], 1,
@@ -444,6 +450,22 @@ class TestRefusals:
         code, out, err = run(capsys, "embed", "--scenario", "ex_r4_dirac.json")
         assert (code, out) == (3, "")
         assert err == "property violation: structure is not a bivector graph at the zero-section point (-1, 0, -3, 0)\n"
+
+    def test_an_extracted_bivector_that_fails_jacobi_is_three(self, capsys, monkeypatch):
+        # a fault in the graph extraction: the first total-space variable added to upper entry
+        # (1,3) and taken from (3,1), which the symbolic Jacobi check of embed catches
+        assert run(capsys, "embed", "--scenario", "ex_r4_dirac.json")[0] == 0
+
+        def faulty(variables, entries):
+            x1 = Poly.variable(variables, variables[0])
+            rows = [list(row) for row in entries]
+            rows[0][2], rows[2][0] = rows[0][2] + x1, rows[2][0] - x1
+            return BivectorField(variables, tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(embedding, "BivectorField", faulty)
+        code, out, err = run(capsys, "embed", "--scenario", "ex_r4_dirac.json")
+        assert (code, out) == (3, "")
+        assert err == "property violation: extracted polynomial bivector fails the Jacobi identity\n"
 
 
 class TestReports:
@@ -529,6 +551,31 @@ class TestReports:
         result, executed = coverage.collect(tmp_path, load_and_call)
         assert result == 1 and set(executed) == {str(path.resolve())}
         assert coverage.unrun(path, executed[str(path.resolve())]) == [(8, "return 2"), (15, "y = (x +"), (17, "return y")]
+
+    def test_line_coverage_measures_its_own_checkout(self):
+        # without PYTHONPATH the script still imports this checkout's src/ and traces it
+        coverage = script("line_coverage")
+        statements = sum(len(coverage.statement_spans(p.read_text())) for p in coverage.PACKAGE.glob("*.py"))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(coverage.ROOT / "scripts" / "line_coverage.py"), "-q", "-p", "no:cacheprovider",
+             "tests/test_cli.py::test_bundled_scenarios_present"],
+            capture_output=True, text=True, env=env, cwd=coverage.ROOT, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        count, tail = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert tail == "statements never ran" and 0 < int(count) < statements
+
+    def test_line_coverage_refuses_a_poisdirac_from_elsewhere(self, tmp_path, monkeypatch):
+        coverage = script("line_coverage")
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        coverage.import_program()  # this checkout's own package passes
+        elsewhere = types.ModuleType("poisdirac")
+        elsewhere.__file__ = str(tmp_path / "poisdirac" / "__init__.py")
+        monkeypatch.setitem(sys.modules, "poisdirac", elsewhere)
+        with pytest.raises(SystemExit) as exc:
+            coverage.import_program()
+        assert str(exc.value) == f"error: imported poisdirac from {elsewhere.__file__}, not from {coverage.SRC}"
 
     def test_dense_push_scenario(self, capsys, tmp_path):
         # f u ^ v on R^4, every entry a multiple of one f holding all 15 monomials of degree

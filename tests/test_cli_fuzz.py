@@ -6,7 +6,9 @@ Each example takes one bundled scenario, applies one to three mutations
 (dropped or renamed keys, 1,200-digit numbers, exponents at or above
 MAX_EXPONENT, ragged, emptied or wrong-typed values, dimensions and grid
 heights at or above their bounds, sample counts above theirs, frames of
-the wrong length) and runs the scenario's analysis, or another one.
+the wrong length) and runs the scenario's analysis, or another one.  The
+test is parametrized by scenario, 20 examples each, so adding a scenario
+adds its own examples and leaves the others' as they were.
 Sample counts are only pushed above their bound: a valid embedding
 checked at MAX_SAMPLE_COUNT samples takes seconds, and the bound itself
 is admitted by tests/test_cli.py.  The examples are derandomized, so a
@@ -21,6 +23,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -143,10 +146,10 @@ def run_quietly(argv):
         return main(argv)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.data())
-def test_mutated_scenarios_end_in_a_documented_exit_code(data):
-    name = data.draw(st.sampled_from(sorted(SCENARIOS)), label="scenario")
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@settings(max_examples=20, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_scenarios_end_in_a_documented_exit_code(name, data):
     doc = copy.deepcopy(SCENARIOS[name])
     for mutation in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3), label="mutations"):
         mutation(doc, data.draw)
