@@ -33,7 +33,7 @@ from .errors import PreconditionError, PropertyViolationError, SchemaError
 from .poisson_linear import canonical_iso, classify_subspace, cosymplectic_extension, embedding_conditions
 from .rational_linalg import MatrixQ, Subspace, fmt_point, rat
 from .scenario import Scenario, check_sample_bounds, load_scenario_text
-from .submanifolds import PointData, grid_points, grid_points_on, rank_profile
+from .submanifolds import LEVEL_SET_ATTEMPTS, PointData, grid_points, grid_points_on, rank_profile
 
 BANNER = f"# poisdirac {__version__}"
 
@@ -127,14 +127,20 @@ def _parse_points_flag(text: str, dim: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _gather_points(scenario: Scenario, args: argparse.Namespace) -> tuple[tuple[Fraction, ...], ...]:
+    """The samples of classify and bracket: --points, else --grid, else the scenario's;
+    an empty set is refused, naming where its points were to come from."""
     sub = scenario.submanifold
     if args.points is not None:
-        return _parse_points_flag(args.points, sub.map.source_dim)
-    if args.grid is not None:
-        return grid_points_on(sub, args.grid, args.seed, args.count)
-    if scenario.points is not None:
-        return scenario.points
-    return ()
+        points, why = _parse_points_flag(args.points, sub.map.source_dim), "--points gives none"
+    elif args.grid is not None:
+        points = grid_points_on(sub, args.grid, args.seed, args.count)
+        why = (f"none of the {LEVEL_SET_ATTEMPTS} draws of --grid {args.grid} landed on the locus" if args.count
+               else "--count is 0")
+    else:
+        points, why = scenario.points or (), "the scenario lists none, and neither --points nor --grid was given"
+    if not points:
+        raise PreconditionError(f"no sample point: {why}")
+    return points
 
 
 @contextmanager
@@ -285,11 +291,8 @@ def _run_bracket(scenario: Scenario, args: argparse.Namespace) -> Report:
     sub = _require(scenario.submanifold, "submanifold")
     f = _require(scenario.f, "function f")
     g = _require(scenario.g, "function g")
-    points = _gather_points(scenario, args)
-    if not points:
-        raise SchemaError("bracket analysis needs at least one point")
     per_point = []
-    for q in points:
+    for q in _gather_points(scenario, args):
         at = PointData(pi, sub, q)
         entry: dict[str, Any] = {"point": _point_doc(q), "f_basic": at.is_basic(f), "g_basic": at.is_basic(g)}
         if entry["f_basic"] and entry["g_basic"]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
+from .errors import PreconditionError, SpaceMismatchError
 from .poisson_linear import PoissonVS
 from .rational_linalg import (
     MatrixQ, Subspace, _eliminate, _pivots, _reduced, _tail, annihilator, inverse, primitive, stack,
@@ -133,13 +133,11 @@ def range_and_form(l: DiracVS) -> tuple[Subspace, MatrixQ]:
     """
     n = l.ambient_dim
     # L's canonical rows with a pivot among the vector columns come first; L is
-    # reduced, so their vector parts, made primitive, are O's canonical rows,
-    # and the matching basis rows of L lift O's basis
+    # reduced, so their vector parts, made primitive, are O's canonical rows, and
+    # the matching basis rows of L lift O's basis: L's isotropy makes omega antisymmetric
     d = sum(1 for r in l.span.rows if any(r[:n]))
     o = Subspace(n, tuple(tuple(primitive(r[:n])) for r in l.span.rows[:d]))
     omega = l.span.basis[:d, n:] @ o.basis.transpose()
-    if not omega.is_antisymmetric():
-        raise PropertyViolationError("induced form failed antisymmetry")
     return o, omega
 
 

@@ -198,10 +198,8 @@ def embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> EmbeddingCon
     cond_int = reach.dim - w.dim == sharp_sum(p, c).dim - c.dim
     if not (cond_leaf and cond_int):
         return EmbeddingConditions(cond_leaf, cond_int)
-    # both conditions holding forces these two facts; a failure here
-    # means the input data is inconsistent
-    if characteristic_subspace(p, w).dim != 0:
-        raise PropertyViolationError("conditions hold but w is not pointwise Poisson-Dirac")
+    # both conditions holding forces w to be pointwise Poisson-Dirac, which
+    # induced_bivector checks, and c to be coisotropic in the induced bivector
     pw = induced_bivector(p, w)
     if not classify_subspace(pw, subspace_in_basis(c, w)).coisotropic:
         raise PropertyViolationError("conditions hold but c is not coisotropic in the induced bivector")
@@ -278,10 +276,9 @@ def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> Matrix
         if not embedding_conditions(p, c, sub).both():
             raise PreconditionError(f"c does not sit coisotropically inside {name}")
     sharp_ann_v = p.sharp_annihilator(v)
-    # decompose each v-basis vector along w + sharp(ann v); A is minus the second part
+    # decompose each v-basis vector along w + sharp(ann v), all of Q^n as v and w are
+    # cosymplectic and w meets c + sharp(ann c) in c; A is minus the second part
     coeffs = solve(stack(w.basis, sharp_ann_v.basis).transpose(), v.basis)
-    if coeffs is None:
-        raise PropertyViolationError("sharp(ann v) is not a complement of w")
     minus_a = coeffs[:, w.dim:] @ sharp_ann_v.basis
     # rows of B: 1/2 sharp_V(Omega(A v_i, A .)) in ambient coordinates (Omega(A., A.) is even in A)
     omega_a = leaf_form_gram(p, minus_a, minus_a)
@@ -311,6 +308,11 @@ class CoisotropicSplitting:
 
 
 def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) -> CoisotropicSplitting:
+    """P = V + E + E* along a coisotropic m: e = sharp(ann m), v a complement of e in m
+    (greedy unless given), and f the partners of e that the leaf form pairs with it.
+    The one check is the model check: pushed through (v, e, f), Pi must be the V + E + E*
+    model.  In that basis the leaf form inverts the model's pairing block, so the check
+    implies Omega(f_i, f_j) = 0 and Omega(f_i, e_j) = delta_ij."""
     if not classify_subspace(p, m).coisotropic:
         raise PreconditionError("subspace is not coisotropic")
     e = p.sharp_annihilator(m)
@@ -328,15 +330,6 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     # normalize the pairing Omega(f_J, e_I) = delta_IJ, then flatten to a Lagrangian
     w = inverse(leaf_form_gram(p, w0, e.basis)) @ w0
     f = linear_combination((1, w), (Fraction(1, 2), leaf_form_gram(p, w, w) @ e.basis))
-    # Omega(f_i, f_j) must vanish and Omega(f_i, e_j) must be delta_ij: the first k rows of
-    # the Gram of (f, e) with itself, so that each row is solved once
-    fe = stack(f, e.basis)
-    checks = leaf_form_gram(p, fe, fe)[:k, :]
-    for i, row in enumerate(checks.ints):
-        if any(row[:k]):
-            raise PropertyViolationError("Lagrangian correction failed")
-        if any(a != (checks.den if i == j else 0) for j, a in enumerate(row[k:])):
-            raise PropertyViolationError("pairing normalization failed")
     t = stack(v.basis, e.basis, f).transpose()
     t_inv = inverse(t)
     pushed = t_inv @ p.pi @ t_inv.transpose()
@@ -377,9 +370,8 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     s2 = coisotropic_splitting(p2, m, v)
     if s1.model.pi != s2.model.pi:
         raise PropertyViolationError("splitting models disagree despite equal pullback data")
+    # the two model checks make phi Pi_1 phi^T = t_2 M t_2^T = Pi_2, M the common model
     phi = s2.change_of_basis @ s1.inverse_change_of_basis
-    if phi @ p1.pi @ phi.transpose() != p2.pi:
-        raise PropertyViolationError("matching isomorphism failed to intertwine the bivectors")
     if m.basis @ phi.transpose() != m.basis:
         raise PropertyViolationError("matching isomorphism moved a point of m")
     return phi

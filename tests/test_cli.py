@@ -11,11 +11,10 @@ from pathlib import Path
 import pytest
 
 import poisdirac
-from poisdirac import cli, embedding, polynomials, submanifolds
-from poisdirac.bivector_fields import BivectorField
+from poisdirac import cli, polynomials, submanifolds
 from poisdirac.cli import BUNDLED_ANALYSES, build_parser, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
-from poisdirac.polynomials import MAX_EXPONENT, Poly, PolyMap
+from poisdirac.polynomials import MAX_EXPONENT, PolyMap
 from poisdirac.rational_linalg import MAX_DIGITS
 from poisdirac.scenario import MAX_DIM, MAX_GRID_HEIGHT, MAX_SAMPLE_COUNT, check_sample_bounds, load_scenario_text
 from poisdirac.submanifolds import grid_points
@@ -370,8 +369,11 @@ AMBIENT_2 = {"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "1"}]}
 LINE_2 = {"type": "level_set", "constraints": ["x2"]}
 R4_DIRAC = json.loads((Path(poisdirac.__file__).parent / "scenarios" / "ex_r4_dirac.json").read_text())["dirac_manifold"]
 
+NO_SCENARIO_POINTS = "the scenario lists none, and neither --points nor --grid was given"
+
 # id: (command, scenario document or None for no --scenario, further arguments, exit code,
-# the stderr line, or with an empty stderr a line stdout must hold)
+# the stderr line of an input refused before any document, or with an empty stderr a line
+# stdout must hold)
 REFUSALS = {
     "duplicate bivector entry": ("jacobi", {"ambient": {"dim": 2, "bivector": [
         {"i": 1, "j": 2, "poly": "1"}, {"i": 1, "j": 2, "poly": "x1"}]}}, [], 1,
@@ -417,8 +419,20 @@ REFUSALS = {
                          "error: $.dirac_manifold: need 3 spanning sections, got 2"),
     "E and V frames of the wrong count": ("embed", {"dirac_manifold": {**R4_DIRAC, "V_frame": R4_DIRAC["V_frame"][:1]}},
                                           [], 1, "error: $.dirac_manifold: E and V frames together must have base_dim members"),
-    "bracket without points": ("bracket", {"ambient": AMBIENT_2, "submanifold": LINE_2, "f": "x1", "g": "x1"}, [], 1,
-                               "error: bracket analysis needs at least one point"),
+    "bracket without points": ("bracket", {"ambient": AMBIENT_2, "submanifold": LINE_2, "f": "x1", "g": "x1"}, [], 2,
+                               f"precondition failed: no sample point: {NO_SCENARIO_POINTS}"),
+    "empty scenario points": ("classify", {"ambient": AMBIENT_2, "submanifold": LINE_2, "points": []}, [], 2,
+                              f"precondition failed: no sample point: {NO_SCENARIO_POINTS}"),
+    "empty points flag": ("classify", None, ["--scenario", "ex_r6.json", "--points", ""], 2,
+                          "precondition failed: no sample point: --points gives none"),
+    "grid with no draw on the locus": ("classify", None, ["--scenario", "ex_r6.json", "--grid", "20", "--count", "25"], 2,
+                                       "precondition failed: no sample point: none of the 10000 draws of --grid 20 "
+                                       "landed on the locus"),
+    "bracket grid with no draw on the locus": ("bracket", None, [
+        "--scenario", "bracket_sympl4.json", "--grid", "1000000", "--count", "1000"], 2,
+        "precondition failed: no sample point: none of the 10000 draws of --grid 1000000 landed on the locus"),
+    "grid of no point": ("bracket", None, ["--scenario", "bracket_sympl4.json", "--grid", "3", "--count", "0"], 2,
+                         "precondition failed: no sample point: --count is 0"),
     "empty points chunk": ("classify", {"ambient": AMBIENT_2, "submanifold": LINE_2}, ["--points", "1,0;"], 0,
                            "(1, 0) | (1, 0) | 1 | 1 | 1 | 1 | 0 | coisotropic"),
     "scenarios as text": ("scenarios", None, [], 0, "ex_r4_dirac.json"),
@@ -440,32 +454,10 @@ class TestRefusals:
             path.write_text(json.dumps(doc))
             argv += ["--scenario", str(path)]
         got, out, err = run(capsys, *argv)
-        if code == 1:
+        if line.startswith(("error: ", "precondition failed: ")):
             assert (got, out, err) == (code, "", f"{line}\n")
         else:
             assert (got, err) == (code, "") and line in out.splitlines()
-
-    def test_a_zero_section_point_that_is_no_graph_is_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(embedding, "as_bivector", lambda structure: None)
-        code, out, err = run(capsys, "embed", "--scenario", "ex_r4_dirac.json")
-        assert (code, out) == (3, "")
-        assert err == "property violation: structure is not a bivector graph at the zero-section point (-1, 0, -3, 0)\n"
-
-    def test_an_extracted_bivector_that_fails_jacobi_is_three(self, capsys, monkeypatch):
-        # a fault in the graph extraction: the first total-space variable added to upper entry
-        # (1,3) and taken from (3,1), which the symbolic Jacobi check of embed catches
-        assert run(capsys, "embed", "--scenario", "ex_r4_dirac.json")[0] == 0
-
-        def faulty(variables, entries):
-            x1 = Poly.variable(variables, variables[0])
-            rows = [list(row) for row in entries]
-            rows[0][2], rows[2][0] = rows[0][2] + x1, rows[2][0] - x1
-            return BivectorField(variables, tuple(map(tuple, rows)))
-
-        monkeypatch.setattr(embedding, "BivectorField", faulty)
-        code, out, err = run(capsys, "embed", "--scenario", "ex_r4_dirac.json")
-        assert (code, out) == (3, "")
-        assert err == "property violation: extracted polynomial bivector fails the Jacobi identity\n"
 
 
 class TestReports:
@@ -607,18 +599,6 @@ class TestReports:
         sums = [row["dims"]["sum"] for row in doc["rows"]]
         assert sums == [1, 3, 3, 3]
         assert all("characteristic_basis" in row for row in doc["rows"])
-
-    def test_empty_points_list_gives_empty_profile(self, capsys, tmp_path):
-        doc = {
-            "ambient": {"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "1"}]},
-            "submanifold": {"type": "level_set", "constraints": ["x2"]},
-            "points": [],
-        }
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "classify", "--scenario", str(path), "--porcelain")
-        assert code == 0
-        assert json.loads(out)["rows"] == []
 
     def test_points_flag_overrides(self, capsys):
         code, out, _ = run(

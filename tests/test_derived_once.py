@@ -368,12 +368,12 @@ def test_linear_constructions_split_no_fraction_rows(construction):
 
 
 def test_a_splitting_solves_each_leaf_form_vector_once():
-    # with k = dim e = 2, the right-hand sides leaf_form_gram solves are 2k to pair w0 with e,
-    # k for the Lagrangian correction of w, and 2k to check f against (f, e) with itself;
-    # the check that paired f with the stack (f, e) solved f twice, 12 in all
+    # with k = dim e = 2, the right-hand sides leaf_form_gram solves are 2k to pair w0 with e
+    # and k for the Lagrangian correction of w, 2k + k = 6 in all: the V + E + E* model check
+    # solves no leaf form vector
     with counted_solves(lambda frame: frame.f_locals["bs"].rows) as right_hand_sides:
         splitting = coisotropic_splitting(PoissonVS(P5.dim, P5.pi), _fresh(M3))
-    assert splitting.e.dim == 2 and right_hand_sides["leaf_form_gram"] == 10
+    assert splitting.e.dim == 2 and right_hand_sides["leaf_form_gram"] == 6
 
 
 def test_counting_sees_a_fraction_row_split():

@@ -246,3 +246,36 @@ def test_pullback_refuses_a_wrong_ambient_or_a_dual_target():
         pullback(l, Subspace.full(3))
     with pytest.raises(SpaceMismatchError, match="pullback target"):
         pullback(l, Subspace.full(4, dual=True))
+
+
+SPAN_MESSAGE = "span must be a primal subspace of dimension-2n coordinates"
+FORM_SIZE = "form matrix must match the subspace dimension"
+
+# id: (build, exception type, message) for each refusal that only a caller of the Python
+# API reaches: no command builds these from unchecked input
+API_REFUSALS = {
+    "span in another ambient": (lambda: DiracVS(2, Subspace.full(3)), SpaceMismatchError, SPAN_MESSAGE),
+    "span of the dual": (lambda: DiracVS(1, Subspace.full(2, dual=True)), SpaceMismatchError, SPAN_MESSAGE),
+    "span of another dimension": (lambda: DiracVS(2, Subspace.full(4)), PreconditionError,
+                                  "a Dirac structure on Q^2 must have dimension 2, got 4"),
+    "carrier in the dual": (lambda: from_subspace_form(Subspace.full(2, dual=True), MatrixQ.zeros(2, 2)),
+                            SpaceMismatchError, "the carrier subspace must be primal"),
+    "form of another size": (lambda: from_subspace_form(Subspace.full(2), MatrixQ.zeros(3, 3)), SpaceMismatchError,
+                             FORM_SIZE),
+    "form not square": (lambda: from_subspace_form(Subspace.full(2), MatrixQ.zeros(2, 3)), SpaceMismatchError,
+                        FORM_SIZE),
+    "symmetric form": (lambda: from_subspace_form(Subspace.full(2), MatrixQ.identity(2)), PreconditionError,
+                       "form matrix must be antisymmetric"),
+    "gauge form of another size": (lambda: gauge(from_bivector(P4), MatrixQ.zeros(3, 3)), SpaceMismatchError,
+                                   "gauge form must be n x n"),
+    "change of basis of another size": (lambda: change_basis(from_bivector(P4), MatrixQ.identity(3)),
+                                        SpaceMismatchError, "change-of-basis matrix must be n x n"),
+}
+
+
+@pytest.mark.parametrize("case", API_REFUSALS)
+def test_api_refusals(case):
+    build, error, message = API_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
