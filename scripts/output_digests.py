@@ -5,8 +5,8 @@ Usage:
 
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 
-Runs every bundled scenario through its analysis, and the first row of each
-dense-scenario table in README (each written with seed 1), through
+Runs every bundled scenario through its analysis, and the first dense case
+of each command in `worst_cases.CASES` (written at seed 1), through
 `poisdirac.cli.main` in this process, once in text mode and once with
 --porcelain.  Each run prints one line: the sha256 of what it wrote to
 stdout, its exit code, the command, the scenario and the mode.  Byte
@@ -17,30 +17,16 @@ digested.  The dense runs take a few seconds each.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
-import json
 import tempfile
 from pathlib import Path
 
 from poisdirac.cli import BUNDLED_ANALYSES, main
+from worst_cases import CASES, WRITERS, scenario_text
 
-SCRIPTS = Path(__file__).resolve().parent
-# (script, command, its arguments): the first row of each README table
-DENSE = (
-    ("dense_embed_scenario", "embed", (6, 4)),
-    ("dense_jacobi_scenario", "jacobi", (8, 2)),
-    ("dense_push_scenario", "pushforward", (6, 3)),
-    ("dense_linear_scenario", "extend", (12, 50)),
-)
+# the first case of each writer's command: the first row of its table in README
+DENSE = [next(case for case in CASES if case[0] == command) for command in WRITERS]
 MODES = {"text": [], "porcelain": ["--porcelain"]}
-
-
-def _dense_scenario(name: str, args: tuple[int, ...]) -> dict:
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.dense_scenario(*args, 1)
 
 
 def digest(argv: list[str]) -> tuple[str, int]:
@@ -55,10 +41,10 @@ def runs(workdir: Path):
     """(command, scenario label, scenario argument) of every run, bundled first."""
     for name in sorted(BUNDLED_ANALYSES):
         yield BUNDLED_ANALYSES[name], name, name
-    for name, command, args in DENSE:
-        path = workdir / f"{name}.json"
-        path.write_text(json.dumps(_dense_scenario(name, args)), encoding="utf-8")
-        yield command, f"{name}.py {' '.join(map(str, args))}", str(path)
+    for command, a, b in DENSE:
+        path = workdir / f"{command}.json"
+        path.write_text(scenario_text(command, a, b), encoding="utf-8")
+        yield command, f"worst_cases.py {command} {a} {b}", str(path)
 
 
 def run() -> None:

@@ -357,8 +357,6 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     m); the map is splitting_2 composed with the inverse of splitting_1
     and fixes m pointwise.
     """
-    if p1.dim != p2.dim:
-        raise PreconditionError("ambient dimensions differ")
     if p1.sharp_annihilator(m) != p2.sharp_annihilator(m):
         raise PreconditionError("sharp images of the annihilator differ; structures do not match along m")
     # the pullback of graph(Pi) to m is fixed by its range (m intersect the leaf O) and its form -Omega there

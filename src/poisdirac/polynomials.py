@@ -502,7 +502,7 @@ def fiber_variables(k: int) -> tuple[str, ...]:
 # together: the expansion touches up to n * 2^n minors, and their size, not
 # the matrix's dimension, is what grows.  MAX_PRODUCT_TERMS bounds each minor
 # alone, not the table that keeps them all.  The inverse in the dense 8 + 2
-# embedding scenario (scripts/dense_embed_scenario.py) expands a 7 x 7 Schur
+# embedding scenario (`scripts/worst_cases.py embed 8 2`) expands a 7 x 7 Schur
 # complement into 103,410 terms in 568 minors; 10 + 2 passes 5,000,000
 # terms in its 10 x 10 one, and without a cap it runs out of memory.
 MAX_MINOR_TERMS = 400_000

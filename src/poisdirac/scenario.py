@@ -251,11 +251,23 @@ _TOP_LEVEL_FIELDS = {
 }
 
 
+# The block each field is read against: a field without it is refused before any block is parsed.
+_NEEDS = {
+    "submanifold": "ambient", "point": "ambient", "map": "ambient", "map_inverse": "ambient",
+    "expected_bivector": "ambient", "subspace_c": "ambient", "subspace_v": "ambient", "subspace_w": "ambient",
+    "points": "submanifold", "f": "submanifold", "g": "submanifold",
+    "samples": "dirac_manifold", "sample_grid": "dirac_manifold", "compare_v_frames": "dirac_manifold",
+}
+
+
 def parse_scenario(document: Any) -> Scenario:
     obj = _expect_object(document, "$", {}, _TOP_LEVEL_FIELDS)
     for key in ("name", "description"):  # checked, not kept: no analysis reads them
         if key in obj:
             _expect_str(obj[key], f"$.{key}")
+    for key, block in _NEEDS.items():
+        if key in obj and block not in obj:
+            raise _fail(f"$.{key}", f"needs {'an' if block[0] in 'aeiou' else 'a'} {block} block")
     fields: dict[str, Any] = {}  # the Scenario fields the document gives
 
     ambient_dim = None
@@ -265,24 +277,16 @@ def parse_scenario(document: Any) -> Scenario:
         fields["bivector"] = _parse_bivector(amb["bivector"], "$.ambient.bivector", ambient_dim)
 
     if "submanifold" in obj:
-        if ambient_dim is None:
-            raise _fail("$.submanifold", "a submanifold needs an ambient block")
         fields["submanifold"] = _parse_submanifold(obj["submanifold"], "$.submanifold", ambient_dim)
     submanifold = fields.get("submanifold")
 
     if "points" in obj:
-        if submanifold is None:
-            raise _fail("$.points", "points need a submanifold")
         items = _expect_list(obj["points"], "$.points")
         fields["points"] = tuple(_parse_point(p, f"$.points[{i}]", submanifold.map.source_dim) for i, p in enumerate(items))
     if "point" in obj:  # the evaluation point of extend and phi: a point of the ambient space
-        if ambient_dim is None:
-            raise _fail("$.point", "needs an ambient block")
         fields["point"] = _parse_point(obj["point"], "$.point", ambient_dim)
 
     if "map" in obj or "map_inverse" in obj:
-        if ambient_dim is None:
-            raise _fail("$.map", "maps need an ambient block")
         if "map" not in obj or "map_inverse" not in obj:
             raise _fail("$", "'map' and 'map_inverse' must be supplied together")
         xvars = ambient_variables(ambient_dim)
@@ -294,29 +298,19 @@ def parse_scenario(document: Any) -> Scenario:
             fields[key] = PolyMap(xvars, tuple(_parse_poly(p, f"$.{key}[{i}]", xvars) for i, p in enumerate(c)))
 
     if "expected_bivector" in obj:
-        if ambient_dim is None:
-            raise _fail("$.expected_bivector", "needs an ambient block")
         fields["expected_bivector"] = _parse_bivector(obj["expected_bivector"], "$.expected_bivector", ambient_dim)
 
     for key in ("subspace_c", "subspace_v", "subspace_w"):
         if key in obj:
-            if ambient_dim is None:
-                raise _fail(f"$.{key}", "subspaces need an ambient block")
             fields[key] = _parse_subspace_rows(obj[key], f"$.{key}", ambient_dim)
 
-    if "f" in obj or "g" in obj:
-        if submanifold is None:
-            raise _fail("$.f", "functions need a submanifold")
-        for key in ("f", "g"):
-            if key in obj:
-                fields[key] = _parse_poly(obj[key], f"$.{key}", submanifold.map.source_vars)
+    for key in ("f", "g"):
+        if key in obj:
+            fields[key] = _parse_poly(obj[key], f"$.{key}", submanifold.map.source_vars)
 
     if "dirac_manifold" in obj:
         fields["dirac_manifold"] = _parse_dirac_manifold(obj["dirac_manifold"], "$.dirac_manifold")
     dirac_manifold = fields.get("dirac_manifold")
-    for key in ("samples", "sample_grid", "compare_v_frames"):
-        if key in obj and dirac_manifold is None:
-            raise _fail(f"$.{key}", "needs a dirac_manifold block")
 
     total = dirac_manifold.base_dim + dirac_manifold.fiber_dim if dirac_manifold else None
     if "samples" in obj:

@@ -235,12 +235,11 @@ class PointData:
         for h in (f, g):
             if not self.is_basic(h):
                 raise PreconditionError(f"function {h} is not basic at {fmt_point(self.sample)}")
-        # solve for lambda with span-combination covector part equal to df
+        # solve for lambda with span-combination covector part equal to df; one exists, as the
+        # covector parts of the Lagrangian pullback span the annihilator of the characteristic
         basis = structure.span.basis
         vectors, cov = basis[:, :d], basis[:, d:].transpose()
         lam = solve(cov, df)
-        if lam is None:
-            raise PreconditionError(f"no tangent solution for df at {fmt_point(self.sample)}; function is not admissible there")
         dg_column = dg.transpose()
         # degeneracy directions: combinations with zero covector part; dg must kill them
         if not (kernel(cov).basis @ vectors @ dg_column).is_zero():

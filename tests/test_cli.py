@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import line_coverage as coverage  # scripts/, on pytest's pythonpath
+import output_digests as digests
 import poisdirac
+import worst_cases
 from poisdirac import cli, polynomials, submanifolds
 from poisdirac.cli import BUNDLED_ANALYSES, build_parser, bundled_scenario_names, main
 from poisdirac.errors import SchemaError
@@ -24,15 +27,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def script(name: str):
-    """A module of scripts/, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_bundled_scenarios_present():
@@ -204,7 +198,7 @@ class TestExitCodes:
         # the covector matrix of the dense 6 + 2 embedding leaves a 5 x 5 Schur complement
         # with no constant entry, whose cofactor expansion holds 1,573 terms
         path = tmp_path / "dense.json"
-        path.write_text(json.dumps(script("dense_embed_scenario").dense_scenario(6, 2, 1)))
+        path.write_text(json.dumps(worst_cases.embed(6, 2)))
         assert run(capsys, "embed", "--scenario", str(path), "--porcelain")[0] == 0
         monkeypatch.setattr(polynomials, "MAX_MINOR_TERMS", 1000)
         code, out, err = run(capsys, "embed", "--scenario", str(path), "--porcelain")
@@ -250,7 +244,7 @@ class TestExitCodes:
     ])
     def test_a_jacobiator_past_the_term_cap_is_two(self, capsys, tmp_path, monkeypatch, field, cap):
         path = tmp_path / "field.json"
-        path.write_text(json.dumps(field if isinstance(field, dict) else script("dense_jacobi_scenario").dense_scenario(*field, 1)))
+        path.write_text(json.dumps(field if isinstance(field, dict) else worst_cases.jacobi(*field)))
         assert run(capsys, "jacobi", "--scenario", str(path))[0] == 0
         monkeypatch.setattr(polynomials, "MAX_PRODUCT_TERMS", cap)
         code, out, err = run(capsys, "jacobi", "--scenario", str(path))
@@ -389,13 +383,15 @@ REFUSALS = {
     "parametrized without map": ("classify", {"ambient": AMBIENT_2, "submanifold": {"type": "parametrized"}}, [], 1,
                                  "error: $.submanifold: parametrized submanifolds need 'map'"),
     "submanifold without ambient": ("classify", {"submanifold": LINE_2}, [], 1,
-                                    "error: $.submanifold: a submanifold needs an ambient block"),
+                                    "error: $.submanifold: needs an ambient block"),
     "maps without ambient": ("pushforward", {"map": ["x1"], "map_inverse": ["x1"]}, [], 1,
-                             "error: $.map: maps need an ambient block"),
+                             "error: $.map: needs an ambient block"),
     "expected bivector without ambient": ("pushforward", {"expected_bivector": []}, [], 1,
                                           "error: $.expected_bivector: needs an ambient block"),
     "subspace without ambient": ("extend", {"subspace_c": [["1"]]}, [], 1,
-                                 "error: $.subspace_c: subspaces need an ambient block"),
+                                 "error: $.subspace_c: needs an ambient block"),
+    "inverse map without ambient": ("pushforward", {"map_inverse": ["x1"]}, [], 1,
+                                    "error: $.map_inverse: needs an ambient block"),
     "map without its inverse": ("pushforward", {"ambient": AMBIENT_2, "map": ["x1", "x2"]}, [], 1,
                                 "error: $: 'map' and 'map_inverse' must be supplied together"),
     "map of the wrong length": ("pushforward", {"ambient": AMBIENT_2, "map": ["x1"], "map_inverse": ["x1", "x2"]}, [], 1,
@@ -403,11 +399,12 @@ REFUSALS = {
     "dimension zero": ("jacobi", {"ambient": {"dim": 0, "bivector": []}}, [], 1,
                        "error: $.ambient.dim: dimension must be positive"),
     "function without submanifold": ("bracket", {"ambient": AMBIENT_2, "f": "x1"}, [], 1,
-                                     "error: $.f: functions need a submanifold"),
+                                     "error: $.f: needs a submanifold block"),
+    "second function without submanifold": ("bracket", {"g": "x1"}, [], 1, "error: $.g: needs a submanifold block"),
     "comparison without dirac manifold": ("embed", {"compare_v_frames": {"v0": [], "v1": []}}, [], 1,
                                           "error: $.compare_v_frames: needs a dirac_manifold block"),
     "points without submanifold": ("classify", {"ambient": AMBIENT_2, "points": [["1", "2", "3"]]}, [], 1,
-                                   "error: $.points: points need a submanifold"),
+                                   "error: $.points: needs a submanifold block"),
     "point without ambient": ("extend", {"point": ["1", "2", "3"]}, [], 1, "error: $.point: needs an ambient block"),
     "samples without dirac manifold": ("classify", {
         "ambient": AMBIENT_2, "submanifold": LINE_2, "samples": [["1", "2", "3", "4", "5"]],
@@ -436,6 +433,9 @@ REFUSALS = {
     "empty points chunk": ("classify", {"ambient": AMBIENT_2, "submanifold": LINE_2}, ["--points", "1,0;"], 0,
                            "(1, 0) | (1, 0) | 1 | 1 | 1 | 1 | 0 | coisotropic"),
     "scenarios as text": ("scenarios", None, [], 0, "ex_r4_dirac.json"),
+    "c not coisotropic in v": ("phi", {"ambient": AMBIENT_2, "point": ["0", "0"], "subspace_c": [],
+                                       "subspace_v": [["1", "0"], ["0", "1"]], "subspace_w": [["1", "0"], ["0", "1"]]},
+                               [], 2, "precondition failed: c does not sit coisotropically inside v"),
     "dependent constraint differentials": ("classify", {
         "ambient": AMBIENT_2, "submanifold": {**LINE_2, "constraints": ["x2", "2*x2"]}, "points": [["1", "0"]]}, [], 2,
         "point 0: REGULARITY FAILURE: constraint differentials are dependent at (1, 0)"),
@@ -483,7 +483,7 @@ class TestReports:
     def test_dense_jacobi_scenario(self, capsys, tmp_path):
         # every upper entry holds all five monomials of degree <= 1 in x1..x4
         path = tmp_path / "dense.json"
-        path.write_text(json.dumps(script("dense_jacobi_scenario").dense_scenario(4, 1, 1)))
+        path.write_text(json.dumps(worst_cases.jacobi(4, 1)))
         code, out, _ = run(capsys, "jacobi", "--scenario", str(path), "--porcelain")
         doc = json.loads(out)
         assert code == 0 and doc["poisson"] is False
@@ -493,7 +493,7 @@ class TestReports:
         # a constant bivector on R^6 and a 3-plane c, every entry a 25-digit integer: the
         # eliminations run under pivots wider than 64 bits, and c grows by one vector
         path = tmp_path / "dense.json"
-        path.write_text(json.dumps(script("dense_linear_scenario").dense_scenario(6, 25, 1)))
+        path.write_text(json.dumps(worst_cases.extend(6, 25)))
         code, out, _ = run(capsys, "extend", "--scenario", str(path), "--porcelain")
         doc = json.loads(out)
         assert code == 0 and doc["conditions"] == {"cond_int": True, "cond_leaf": True}
@@ -501,18 +501,45 @@ class TestReports:
         assert doc["w_classification"]["flags"]["cosymplectic"] is True
         assert max(abs(int(a.split("/")[-1])) for row in doc["w"]["basis"] for a in row).bit_length() > 64
 
+    # the sha256 prefix of what `worst_cases.py COMMAND A B` prints for each writer case
+    WRITER_DIGESTS = {
+        ("embed", 6, 4): "272fa8d49eb65031", ("embed", 8, 2): "c53db5800212b21f",
+        ("embed", 8, 4): "46d66c131cbedb56", ("embed", 10, 2): "cb156b54840f734a",
+        ("jacobi", 8, 2): "fbc957502e076819", ("jacobi", 12, 2): "491baa05cdf6d6ae",
+        ("jacobi", 12, 3): "facd70af31ccc3d7",
+        ("pushforward", 6, 3): "385af6769b608873", ("pushforward", 8, 2): "07b4a69f29391ca2",
+        ("pushforward", 6, 4): "e3c996f00800bc20", ("pushforward", 12, 2): "5cf244bbcbe309ff",
+        ("extend", 12, 50): "986a0677cf14ea1d", ("extend", 12, 300): "2a573c9e3d945835",
+        ("extend", 12, 990): "9b5ad60a9c7bb33d",
+    }
+
+    def test_worst_case_writers_print_their_scenarios(self, capsys):
+        assert list(self.WRITER_DIGESTS) == [case for case in worst_cases.CASES if case[0] in worst_cases.WRITERS]
+        for (command, a, b), prefix in self.WRITER_DIGESTS.items():
+            assert worst_cases.main([command, str(a), str(b)]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()[:16] == prefix
+
+    def test_worst_case_child_reports_its_run(self, tmp_path):
+        # one timed child: exit code, time and peak RSS, and the output digest or the diagnostic
+        golden = (Path(__file__).parent / "golden" / "ex_r4_pi1.json").read_bytes()
+        code, seconds, mb, shown = worst_cases.run_child(["jacobi", "--scenario", "ex_r4_pi1.json", "--porcelain"], tmp_path)
+        assert (code, shown) == (0, hashlib.sha256(golden).hexdigest()[:16]) and seconds > 0 and mb > 0
+        argv = ["bracket", "--scenario", "bracket_sympl4.json", "--grid", "3", "--count", "0", "--porcelain"]
+        assert worst_cases.run_child(argv, tmp_path)[::3] == (2, "precondition failed: no sample point: --count is 0")
+
     def test_output_digests_script(self, tmp_path):
-        digests = script("output_digests")
+        # its dense runs are the first case of each writer's command
+        firsts = [case for i, case in enumerate(worst_cases.CASES) if case[0] not in (c[0] for c in worst_cases.CASES[:i])]
+        assert digests.DENSE == [case for case in firsts if case[0] in worst_cases.WRITERS]
         labels = [label for _, label, _ in digests.runs(tmp_path)]
-        assert labels == [*sorted(BUNDLED_ANALYSES), "dense_embed_scenario.py 6 4", "dense_jacobi_scenario.py 8 2",
-                          "dense_push_scenario.py 6 3", "dense_linear_scenario.py 12 50"]
+        assert labels == [*sorted(BUNDLED_ANALYSES), "worst_cases.py embed 6 4", "worst_cases.py jacobi 8 2",
+                          "worst_cases.py pushforward 6 3", "worst_cases.py extend 12 50"]
         golden = Path(__file__).parent / "golden" / "ex_r4_pi1"
         for suffix, extra in (("txt", []), ("json", ["--porcelain"])):
             expected = hashlib.sha256(golden.with_suffix(f".{suffix}").read_bytes()).hexdigest()
             assert digests.digest(["jacobi", "--scenario", "ex_r4_pi1.json", *extra]) == (expected, 0)
 
     def test_line_coverage_lists_the_statements_that_never_ran(self, tmp_path):
-        coverage = script("line_coverage")
         path = tmp_path / "two.py"
         path.write_text(
             '"""Two functions, one of them called."""\n'
@@ -546,7 +573,6 @@ class TestReports:
 
     def test_line_coverage_measures_its_own_checkout(self):
         # without PYTHONPATH the script still imports this checkout's src/ and traces it
-        coverage = script("line_coverage")
         statements = sum(len(coverage.statement_spans(p.read_text())) for p in coverage.PACKAGE.glob("*.py"))
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         proc = subprocess.run(
@@ -559,7 +585,6 @@ class TestReports:
         assert tail == "statements never ran" and 0 < int(count) < statements
 
     def test_line_coverage_refuses_a_poisdirac_from_elsewhere(self, tmp_path, monkeypatch):
-        coverage = script("line_coverage")
         monkeypatch.setattr(sys, "path", list(sys.path))
         coverage.import_program()  # this checkout's own package passes
         elsewhere = types.ModuleType("poisdirac")
@@ -573,7 +598,7 @@ class TestReports:
         # f u ^ v on R^4, every entry a multiple of one f holding all 15 monomials of degree
         # <= 2, pushed along shears of x1, x2 by x3 x4 and x4^2: Poisson before and after
         path = tmp_path / "dense.json"
-        path.write_text(json.dumps(script("dense_push_scenario").dense_scenario(4, 2, 1)))
+        path.write_text(json.dumps(worst_cases.pushforward(4, 2)))
         code, out, _ = run(capsys, "pushforward", "--scenario", str(path), "--porcelain")
         doc = json.loads(out)
         assert code == 0 and doc["poisson_preserved"] is True

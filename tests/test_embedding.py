@@ -397,3 +397,13 @@ class TestOneFormDerivedOncePerFrame:
         build_embedding(data, SAMPLES)
         assert compare_splittings(data, data.v_frame, self.V1, SAMPLES).intertwines_at_all_samples
         assert counts == self.expected((data.v_frame, self.V1), inverses=3)
+
+
+def test_section_components_of_the_wrong_length_are_refused_at_construction():
+    # only a caller of the Python API reaches this: the scenario parser checks each section's length
+    x2 = ("x1", "x2")
+    one, zero = Poly.constant(x2, 1), Poly.zero(x2)
+    sections = (Section((zero, zero), (one, zero)), Section((zero,), (zero, zero)))
+    with pytest.raises(SpaceMismatchError) as exc:
+        DiracManifoldData(base_dim=2, sections=sections, e_frame=((zero, one),), v_frame=((one, zero),))
+    assert str(exc.value) == "section components must have base_dim entries"

@@ -21,6 +21,7 @@ from poisdirac.poisson_linear import (
     leaf_form_value,
     linear_uniqueness_iso,
     sharp_image,
+    subspace_in_basis,
 )
 from poisdirac.rational_linalg import MatrixQ, Subspace, add, annihilator, intersect, solve
 
@@ -524,3 +525,28 @@ def test_direct_sum_identity_randomized():
             left = add(c, sharp_ann_c)
             assert left == add(c, sharp_ann_w)
             assert intersect(c, sharp_ann_w).dim == 0
+
+
+# id: (build, exception type, message) for each refusal that only a caller of the Python
+# API reaches: the commands build bivectors, subspaces and complements from checked input
+API_REFUSALS = {
+    "bivector of another size": (lambda: PoissonVS(3, J2), SpaceMismatchError,
+                                 "bivector matrix shape does not match dimension"),
+    "symmetric bivector": (lambda: PoissonVS(2, MatrixQ.identity(2)), PreconditionError,
+                           "bivector matrix must be antisymmetric"),
+    "subspace outside the coordinate subspace": (lambda: subspace_in_basis(E12, E1), PreconditionError,
+                                                 "subspace is not contained in the coordinate subspace"),
+    "v that is no complement": (lambda: coisotropic_splitting(P4, Subspace.full(4), E1), PreconditionError,
+                                "supplied v is not a complement of e inside m"),
+    # sharp_annihilator refuses a subspace of another ambient first
+    "structures of different dimensions": (lambda: linear_uniqueness_iso(P2, P4, Subspace.full(4), Subspace.full(4)),
+                                           SpaceMismatchError, "subspace must be primal and match the ambient dimension"),
+}
+
+
+@pytest.mark.parametrize("case", API_REFUSALS)
+def test_api_refusals(case):
+    build, error, message = API_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -593,3 +593,27 @@ def test_det_and_inverse_reject_non_square(function, rows):
 def test_det_and_inverse_reject_empty_matrix(function):
     with pytest.raises(ValueError, match="empty matrix"):
         function([])
+
+
+# id: (build, exception type, message) for each refusal that only a caller of the Python
+# API reaches: the scenario parser builds only well-formed terms, maps and variables
+API_REFUSALS = {
+    "exponent vector of another length": (lambda: Poly.make(("x1",), {(1, 0): 1}), ValueError,
+                                          "bad exponent vector (1, 0) for variables ('x1',)"),
+    "negative exponent": (lambda: Poly.make(("x1",), {(-1,): 1}), ValueError,
+                          "bad exponent vector (-1,) for variables ('x1',)"),
+    "unknown variable": (lambda: Poly.variable(("x1",), "x2"), ValueError, "unknown variable 'x2' (context: ('x1',))"),
+    "value of a non-constant": (lambda: Poly.variable(("x1",), "x1").constant_value(), ValueError,
+                                "polynomial is not constant"),
+    "negative power": (lambda: Poly.variable(("x1",), "x1") ** -1, ValueError, "negative powers are not polynomials"),
+    "component on other variables": (lambda: PolyMap(("x1",), (Poly.variable(("x2",), "x2"),)), SpaceMismatchError,
+                                     "component variables do not match the source context"),
+}
+
+
+@pytest.mark.parametrize("case", API_REFUSALS)
+def test_api_refusals(case):
+    build, error, message = API_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -688,3 +688,29 @@ def test_rat_caps_digits():
     for text in ("9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1)):
         with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
             rat(text)
+
+
+# id: (build, exception type, message) for each refusal that only a caller of the Python
+# API reaches: the scenario parser and the constructions pass only matching shapes
+API_REFUSALS = {
+    "grid of another shape": (lambda: MatrixQ(2, 2, [[1, 2]]), ValueError, "entry grid does not match declared shape"),
+    "no rows and no width": (lambda: MatrixQ.from_rows([]), ValueError, "cannot infer column count of an empty matrix"),
+    "product of unmatched shapes": (lambda: MatrixQ.zeros(2, 3) @ MatrixQ.zeros(2, 3), SpaceMismatchError,
+                                    "cannot multiply 2x3 by 2x3"),
+    "vector of another length": (lambda: MatrixQ.identity(2).matvec((1, 2, 3)), SpaceMismatchError,
+                                 "matrix has 2 columns, vector has length 3"),
+    "stack of other widths": (lambda: stack(MatrixQ.zeros(1, 2), MatrixQ.zeros(1, 3)), SpaceMismatchError,
+                              "stacked matrices differ in column count"),
+    "inverse of a non-square matrix": (lambda: inverse(MatrixQ.zeros(2, 3)), SpaceMismatchError,
+                                       "only square matrices can be inverted"),
+    "image of a subspace of another ambient": (lambda: image(MatrixQ.identity(2), Subspace.full(3)), SpaceMismatchError,
+                                               "map source does not match subspace ambient"),
+}
+
+
+@pytest.mark.parametrize("case", API_REFUSALS)
+def test_api_refusals(case):
+    build, error, message = API_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -5,7 +5,7 @@ import pytest
 
 from gen import rand_fraction
 from poisdirac.bivector_fields import BivectorField
-from poisdirac.errors import PreconditionError, RegularityError
+from poisdirac.errors import PreconditionError, RegularityError, SpaceMismatchError
 from poisdirac.polynomials import Poly, PolyMap
 from poisdirac.rational_linalg import MatrixQ, Subspace, annihilator
 from poisdirac.submanifolds import (
@@ -240,3 +240,23 @@ class TestBracketConsistency:
         f, g = Poly.parse("t1^2 - 2*t1", ("t1",)), Poly.parse("3*t1^2 - 6*t1 + 1", ("t1",))
         PointData(SYMPL4, line, (Fraction(1),)).consistency(f, g)
         assert calls == [(1,), (1,)]
+
+
+# id: (build, exception type, message) for each refusal that only a caller of the Python
+# API reaches: the scenario parser refuses an empty constraint list, and parses every
+# constraint and function in the patch's own variables
+API_REFUSALS = {
+    "level set of no constraint": (lambda: LevelSet(()), PreconditionError, "a level set needs at least one constraint"),
+    "constraints on other variables": (lambda: LevelSet((Poly.parse("x1", X3), Poly.parse("x1", X4))), SpaceMismatchError,
+                                       "constraints must share one variable context"),
+    "function on other variables": (lambda: PointData(SYMPL4, C_HYPER, (Fraction(0),) * 4).differential(Poly.parse("x1", X3)),
+                                    SpaceMismatchError, "function does not use the submanifold's coordinates"),
+}
+
+
+@pytest.mark.parametrize("case", API_REFUSALS)
+def test_api_refusals(case):
+    build, error, message = API_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
