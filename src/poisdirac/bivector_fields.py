@@ -76,7 +76,7 @@ class BivectorField(AntisymmetricField):
     """Polynomial bivector field Pi = sum_{i<j} Pi^ij d/dx_i ^ d/dx_j."""
 
     def at(self, point: Sequence[Fraction]) -> PoissonVS:
-        return PoissonVS(self.dim, self.matrix_at(point))
+        return PoissonVS._of(self.dim, self.matrix_at(point))
 
 
 class TwoFormField(AntisymmetricField):

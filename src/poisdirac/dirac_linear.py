@@ -4,7 +4,8 @@ A Dirac structure is an n-dimensional subspace of Q^n + (Q^n)* that is
 isotropic for the symmetric pairing <(X, xi), (Y, eta)> = xi(Y) + eta(X)
 (no 1/2 factor: isotropy is unaffected and the arithmetic stays
 integer-friendly).  Elements are stored as length-2n vectors ordered
-(X | xi).  Constructors validate dimension and isotropy; pullback,
+(X | xi).  The public constructor validates dimension and isotropy, and
+the constructions build without re-validation; pullback,
 gauge transformations, characteristic subspaces (these two each one
 `_tail` of L's rows), the range-with-form description, and bivector
 graph extraction are provided.
@@ -42,12 +43,20 @@ class DiracVS:
         if not (vectors @ covectors.transpose()).is_antisymmetric():
             raise PreconditionError("span is not isotropic for the symmetric pairing")
 
+    @staticmethod
+    def _of(ambient_dim: int, span: Subspace) -> DiracVS:
+        """The structure of a span that its construction makes Dirac, not re-validated."""
+        l = object.__new__(DiracVS)
+        l.__dict__.update(ambient_dim=ambient_dim, span=span)
+        return l
+
 
 def _span_pairs(vectors: MatrixQ, covectors: MatrixQ) -> DiracVS:
-    """The Dirac structure spanned by the rows (X_i | xi_i) of two matrices with as many rows."""
+    """The Dirac structure spanned by the rows (X_i | xi_i) of two matrices with as many rows, which the
+    caller makes Dirac: by an antisymmetric Pi, omega or gauge form B, or an invertible change of basis."""
     d, e = vectors.den, covectors.den
     rows = [[a * e for a in x] + [b * d for b in xi] for x, xi in zip(vectors.ints, covectors.ints)]
-    return DiracVS(vectors.cols, _reduced(2 * vectors.cols, rows, False))
+    return DiracVS._of(vectors.cols, _reduced(2 * vectors.cols, rows, False))
 
 
 def from_bivector(p: PoissonVS) -> DiracVS:
@@ -88,7 +97,7 @@ def pullback(l: DiracVS, w: Subspace) -> DiracVS:
     n, basis, ann, pivots = l.ambient_dim, w.basis, annihilator(w).rows, _pivots(w.rows)
     work = [[sum(map(mul, a, r[:n])) for a in ann] + [r[c] * basis.den for c in pivots]
             + [sum(map(mul, r[n:], b)) for b in basis.ints] for r in l.span.rows]
-    return DiracVS(w.dim, Subspace(2 * w.dim, _tail(work, len(ann), 2 * w.dim)))
+    return DiracVS._of(w.dim, Subspace(2 * w.dim, _tail(work, len(ann), 2 * w.dim)))
 
 
 def gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
@@ -154,4 +163,4 @@ def as_bivector(l: DiracVS) -> PoissonVS | None:
     if _eliminate(work, 2 * n) != list(range(n)):
         return None
     big = lcm(*(r[j] for j, r in enumerate(work)))
-    return PoissonVS(n, MatrixQ._of(n, ([r[n + i] * (big // r[j]) for j, r in enumerate(work)] for i in range(n)), big))
+    return PoissonVS._of(n, MatrixQ._of(n, ([r[n + i] * (big // r[j]) for j, r in enumerate(work)] for i in range(n)), big))

@@ -27,7 +27,7 @@ from typing import Sequence
 from .bivector_fields import BivectorField, TwoFormField, is_closed, is_poisson
 from .dirac_linear import DiracVS, as_bivector, characteristic, gauge, pullback
 from .errors import NotUnimodularError, PreconditionError, PropertyViolationError, SpaceMismatchError
-from .poisson_linear import _derived, classify_subspace
+from .poisson_linear import _derived, is_coisotropic
 from .polynomials import Poly, fiber_variables, integer_rows_at, poly_matrix_det, poly_matrix_inverse, sum_of_products
 from .rational_linalg import MatrixQ, Subspace, Vector, _reduced, fmt_point
 
@@ -249,7 +249,7 @@ def build_embedding(d: DiracManifoldData, samples: Sequence[Sequence[Fraction]])
         if zero_bivector is None:
             raise PropertyViolationError(f"structure is not a bivector graph at the zero-section point {fmt_point(base_point)}")
         graph = at_zero is at_point or as_bivector(at_point) is not None
-        coisotropic = classify_subspace(zero_bivector, zero_tangent).coisotropic
+        coisotropic = is_coisotropic(zero_bivector, zero_tangent)
         matches = pullback(at_zero, zero_tangent) == d.dirac_at(point[:m])
         checks.append(SampleCheck(point, graph, coisotropic, matches))
     return EmbeddingResult(

@@ -4,12 +4,14 @@ A Poisson vector space is Q^n with an antisymmetric bivector matrix
 Pi; sharp is the contraction xi -> Pi xi, the leaf O is the image of
 sharp, and the leaf form Omega is fixed by Omega(sharp xi, .) = -xi|_O.
 This module classifies subspaces (coisotropic / cosymplectic /
-pointwise Poisson-Dirac / rank of the normal sharp map rho), builds
+pointwise Poisson-Dirac / rank of the normal sharp map rho), tests the
+coisotropic or cosymplectic flag alone where only that is read, builds
 induced bivectors on Poisson-Dirac subspaces, constructs cosymplectic
 extensions with a deterministic complement rule, produces the
 canonical isomorphism between two cosymplectic extensions of the same
 coisotropic subspace, and splits the ambient space along a coisotropic
-subspace of minimal transverse rank into a V + E + E* model.
+subspace of minimal transverse rank into a V + E + E* model.  Only the
+public constructor validates a bivector; constructions build unchecked.
 
 Sign conventions (used consistently package-wide):
     (sharp xi)^i = sum_j Pi^{ij} xi_j
@@ -61,6 +63,13 @@ class PoissonVS:
         if not self.pi.is_antisymmetric():
             raise PreconditionError("bivector matrix must be antisymmetric")
 
+    @staticmethod
+    def _of(dim: int, pi: MatrixQ) -> PoissonVS:
+        """Q^dim with a bivector matrix that its construction makes antisymmetric, not re-validated."""
+        p = object.__new__(PoissonVS)
+        p.__dict__.update(dim=dim, pi=pi)
+        return p
+
     def sharp(self, xi: Sequence[Fraction]) -> Vector:
         return self.pi.matvec(xi)
 
@@ -69,11 +78,14 @@ class PoissonVS:
         """O = image(sharp), the tangent space of the symplectic leaf."""
         return column_space(self.pi)
 
+    def _require_primal(self, c: Subspace) -> None:  # the one subspace check of every analysis of c
+        if c.dual or c.ambient_dim != self.dim:
+            raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
+
     @_derived
     def sharp_annihilator(self, c: Subspace) -> Subspace:
         """sharp(ann c) for a primal subspace c of Q^dim: the first step of every analysis of c."""
-        if c.dual or c.ambient_dim != self.dim:
-            raise SpaceMismatchError("subspace must be primal and match the ambient dimension")
+        self._require_primal(c)
         return sharp_image(self, annihilator(c))
 
 
@@ -136,6 +148,17 @@ def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
     )
 
 
+def is_coisotropic(p: PoissonVS, c: Subspace) -> bool:
+    """The classification's coisotropic flag: sharp of ann c's basis rows has coordinates in c."""
+    p._require_primal(c)
+    return c.coordinates_of_rows(annihilator(c).basis @ p.pi.transpose()) is not None
+
+
+def is_cosymplectic(p: PoissonVS, w: Subspace) -> bool:
+    """The classification's cosymplectic flag: sharp(ann w) is a complement of w."""
+    return w.dim + p.sharp_annihilator(w).dim == p.dim and characteristic_subspace(p, w).dim == 0
+
+
 @_derived
 def sharp_sum(p: PoissonVS, c: Subspace) -> Subspace:
     """c + sharp(ann c), of dimension dim c + rank rho: the classification's second
@@ -169,7 +192,8 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
     columns = w.coordinates_of_rows(xis @ p.pi.transpose())
     if columns is None:
         raise PropertyViolationError("sharp of the extension left the subspace")
-    return PoissonVS(d, columns.transpose())
+    # entry (j, i) is xi_j(sharp xi_i), antisymmetric as Pi is
+    return PoissonVS._of(d, columns.transpose())
 
 
 @dataclass(frozen=True)
@@ -201,11 +225,12 @@ def embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> EmbeddingCon
     # both conditions holding forces w to be pointwise Poisson-Dirac, which
     # induced_bivector checks, and c to be coisotropic in the induced bivector
     pw = induced_bivector(p, w)
-    if not classify_subspace(pw, subspace_in_basis(c, w)).coisotropic:
+    if not is_coisotropic(pw, subspace_in_basis(c, w)):
         raise PropertyViolationError("conditions hold but c is not coisotropic in the induced bivector")
     return EmbeddingConditions(cond_leaf, cond_int, pw)
 
 
+@_derived
 def subspace_in_basis(s: Subspace, w: Subspace) -> Subspace:
     """Express a subspace s of w in the canonical basis coordinates of w."""
     rows = w.coordinates_of_rows(s.basis)
@@ -234,9 +259,9 @@ def cosymplectic_extension(p: PoissonVS, c: Subspace) -> Subspace:
     w = c + R with R a complement of c + sharp(ann c) in Q^n completed
     greedily by standard basis vectors, so the output is deterministic.
     """
-    w = add(c, _row_space(greedy_complement(sharp_sum(p, c), MatrixQ.identity(p.dim))))
-    record = classify_subspace(p, w)
-    if not record.cosymplectic or not embedding_conditions(p, c, w).both():
+    # the kept unit rows, in the identity's order, are already in canonical form
+    w = add(c, Subspace(p.dim, greedy_complement(sharp_sum(p, c), MatrixQ.identity(p.dim)).ints))
+    if not is_cosymplectic(p, w) or not embedding_conditions(p, c, w).both():
         raise PropertyViolationError("constructed extension failed its defining conditions")
     return w
 
@@ -270,7 +295,7 @@ def canonical_iso(p: PoissonVS, c: Subspace, v: Subspace, w: Subspace) -> Matrix
     """
     named = (("v", v),) if v == w else (("v", v), ("w", w))
     for name, sub in named:
-        if not classify_subspace(p, sub).cosymplectic:
+        if not is_cosymplectic(p, sub):
             raise PreconditionError(f"{name} is not cosymplectic")
     for name, sub in named:
         if not embedding_conditions(p, c, sub).both():
@@ -313,7 +338,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     The one check is the model check: pushed through (v, e, f), Pi must be the V + E + E*
     model.  In that basis the leaf form inverts the model's pairing block, so the check
     implies Omega(f_i, f_j) = 0 and Omega(f_i, e_j) = delta_ij."""
-    if not classify_subspace(p, m).coisotropic:
+    if not is_coisotropic(p, m):
         raise PreconditionError("subspace is not coisotropic")
     e = p.sharp_annihilator(m)
     if e.dim != p.dim - m.dim:
@@ -333,7 +358,7 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     t = stack(v.basis, e.basis, f).transpose()
     t_inv = inverse(t)
     pushed = t_inv @ p.pi @ t_inv.transpose()
-    model = PoissonVS(p.dim, pushed)
+    model = PoissonVS._of(p.dim, pushed)
     if pushed != _block_model(induced_bivector(p, v), k).pi:
         raise PropertyViolationError("pushed bivector does not match the V + E + E* model")
     return CoisotropicSplitting(e=e, v=v, pairing_basis=f, change_of_basis=t, model=model,
@@ -346,7 +371,7 @@ def _block_model(pv: PoissonVS, k: int) -> PoissonVS:
     ints = [list(r) + [0] * (2 * k) for r in pv.pi.ints] + [[0] * n for _ in range(2 * k)]
     for i in range(d, d + k):
         ints[i][i + k], ints[i + k][i] = one, -one
-    return PoissonVS(n, MatrixQ._of(n, ints, one))
+    return PoissonVS._of(n, MatrixQ._of(n, ints, one))
 
 
 def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace) -> MatrixQ:

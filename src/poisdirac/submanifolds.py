@@ -197,9 +197,9 @@ class PointData:
         return characteristic_subspace(self.poisson, self.tangent)
 
     @cached_property
-    def characteristic_in_tangent(self) -> Subspace:
-        """The characteristic subspace in the canonical-basis coordinates of the tangent."""
-        return subspace_in_basis(self.characteristic, self.tangent)
+    def characteristic_in_tangent(self) -> MatrixQ:
+        """The characteristic subspace's basis rows in the canonical-basis coordinates of the tangent."""
+        return self.tangent.coordinates_of_rows(self.characteristic.basis)
 
     @cached_property
     def _directions(self) -> MatrixQ:
@@ -221,7 +221,7 @@ class PointData:
 
     def is_basic(self, f: Poly) -> bool:
         """Whether df annihilates the characteristic subspace at the point."""
-        return (self.differential(f) @ self.characteristic_in_tangent.basis.transpose()).is_zero()
+        return (self.differential(f) @ self.characteristic_in_tangent.transpose()).is_zero()
 
     def bracket(self, f: Poly, g: Poly) -> Fraction:
         """{f, g}(q) = Y(g) for a tangent solution (Y, df_q) of graph(Pi) pulled back

@@ -1,5 +1,6 @@
 """Each classification, embedding-conditions record and induced bivector is
-built at most once per (PoissonVS, subspaces), whoever asks for it, a fresh
+built at most once per (PoissonVS, subspaces), whoever asks for it, a
+command builds a classification only where its document prints one, a fresh
 classification runs four eliminations, with rank rho read off C cap S,
 which its characteristic subspace then reuses, a pullback or a
 characteristic subspace of a Dirac structure runs one elimination, each
@@ -73,8 +74,12 @@ def counted_builds():
         sys.setprofile(previous)
 
 
-def assert_built_once(builds: Counter) -> None:
-    assert {key[0] for key in builds} == set(BUILD_FUNCTIONS.values())
+# the builds of a run that reads only the coisotropic and cosymplectic flags
+FLAG_READERS = {"embedding_conditions", "induced_bivector"}
+
+
+def assert_built_once(builds: Counter, built: set[str]) -> None:
+    assert {key[0] for key in builds} == built
     assert max(builds.values()) == 1, sorted(key[0] for key, n in builds.items() if n > 1)
 
 
@@ -86,7 +91,26 @@ def test_cli_analysis_builds_each_derived_object_once(capsys, analysis, scenario
         code = main([analysis, "--scenario", scenario, "--porcelain"])
     capsys.readouterr()
     assert code == 0
-    assert_built_once(builds)
+    # only extend prints a classification
+    assert_built_once(builds, FLAG_READERS | ({"classify_subspace"} if analysis == "extend" else set()))
+
+
+@pytest.mark.parametrize("analysis, scenario", [
+    ("bracket", "bracket_sympl4.json"), ("embed", "ex_r4_dirac.json"), ("extend", "ex_r6_extend.json"),
+])
+def test_a_command_classifies_only_what_its_document_prints(capsys, analysis, scenario):
+    # bracket and embed read the coisotropic and cosymplectic flags alone; extend
+    # prints the classification of w, and the extension's own check reads a flag
+    with counted_builds() as builds:
+        code = main([analysis, "--scenario", scenario, "--porcelain"])
+    capsys.readouterr()
+    assert code == 0
+    classified = [subspaces for name, _, *subspaces in builds if name == "classify_subspace"]
+    if analysis != "extend":
+        assert classified == []
+        return
+    s = load_scenario_text(files("poisdirac").joinpath("scenarios", scenario).read_text())
+    assert classified == [[cosymplectic_extension(s.bivector.at(s.point), s.subspace_c)]]
 
 
 def test_extension_then_iso_builds_each_derived_object_once():
@@ -97,7 +121,7 @@ def test_extension_then_iso_builds_each_derived_object_once():
         with counted_builds() as builds:
             v = cosymplectic_extension(p, c)
             canonical_iso(p, c, v, w)
-        assert_built_once(builds)
+        assert_built_once(builds, FLAG_READERS)
 
 
 def test_counting_sees_a_second_build():

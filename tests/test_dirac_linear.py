@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import rand_antisym, rand_dirac_form_data, rand_poisson, rand_subspace
+from gen import rand_antisym, rand_dirac_form_data, rand_invertible, rand_poisson, rand_subspace
 from poisdirac.dirac_linear import (
     DiracVS,
     as_bivector,
@@ -246,6 +246,24 @@ def test_pullback_refuses_a_wrong_ambient_or_a_dual_target():
         pullback(l, Subspace.full(3))
     with pytest.raises(SpaceMismatchError, match="pullback target"):
         pullback(l, Subspace.full(4, dual=True))
+
+
+def test_structures_built_without_a_check_pass_it():
+    # DiracVS._of skips the dimension and isotropy checks; each construction that uses it
+    # must yield what the public constructor accepts
+    rng = random.Random(107)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        l = from_bivector(rand_poisson(rng, n))
+        built = [
+            l,
+            gauge(l, rand_antisym(rng, n)),
+            change_basis(l, rand_invertible(rng, n)),
+            from_subspace_form(*rand_dirac_form_data(rng, n)),
+            pullback(l, rand_subspace(rng, n)),
+        ]
+        for m in built:
+            assert DiracVS(m.ambient_dim, m.span) == m
 
 
 SPAN_MESSAGE = "span must be a primal subspace of dimension-2n coordinates"

@@ -4,12 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from gen import rand_antisym, rand_matrix, rand_point, rand_poisson, rand_subspace, rand_valid_iso_triple
+from gen import (
+    rand_antisym, rand_fraction, rand_low_rank_poisson, rand_matrix, rand_minimal_coisotropic_pair, rand_point,
+    rand_poisson, rand_subspace, rand_valid_iso_triple,
+)
 from poisdirac import poisson_linear
+from poisdirac.bivector_fields import BivectorField
+from poisdirac.dirac_linear import as_bivector, from_bivector, gauge
 from poisdirac.errors import PreconditionError, SpaceMismatchError
+from poisdirac.polynomials import Poly
 from poisdirac.poisson_linear import (
     EmbeddingConditions,
     PoissonVS,
+    _block_model,
     canonical_iso,
     characteristic_subspace,
     classify_subspace,
@@ -17,6 +24,8 @@ from poisdirac.poisson_linear import (
     cosymplectic_extension,
     embedding_conditions,
     induced_bivector,
+    is_coisotropic,
+    is_cosymplectic,
     leaf_form_gram,
     leaf_form_value,
     linear_uniqueness_iso,
@@ -340,7 +349,8 @@ class TestCanonicalIso:
                 assert phi.matvec(x) == y
             done += 1
 
-    def test_each_classification_and_induced_bivector_is_computed_once(self, monkeypatch):
+    def test_no_classification_and_each_induced_bivector_is_computed_once(self, monkeypatch):
+        # the preconditions read the cosymplectic flag alone, and no classification
         seen = Counter()
         for name in ("classify_subspace", "induced_bivector"):
             original = getattr(poisson_linear, name)
@@ -355,7 +365,8 @@ class TestCanonicalIso:
             p, c, v, w = rand_valid_iso_triple(rng, max_dim=5)
             seen.clear()
             canonical_iso(p, c, v, w)
-            assert seen and max(seen.values()) == 1, [key[0] for key, n in seen.items() if n > 1]
+            assert {key[0] for key in seen} <= {"induced_bivector"}
+            assert max(seen.values(), default=1) == 1, [key[0] for key, n in seen.items() if n > 1]
 
     def test_rejects_non_cosymplectic(self):
         with pytest.raises(PreconditionError):
@@ -527,6 +538,44 @@ def test_direct_sum_identity_randomized():
             assert intersect(c, sharp_ann_w).dim == 0
 
 
+def test_the_predicates_are_the_classification_flags():
+    rng = random.Random(101)
+    verdicts = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        p = (rand_poisson if rng.random() < 0.5 else rand_low_rank_poisson)(rng, n)
+        c = rand_subspace(rng, n)
+        record = classify_subspace(p, c)
+        flags = is_coisotropic(p, c), is_cosymplectic(p, c)
+        assert flags == (record.coisotropic, record.cosymplectic)
+        verdicts.update(zip(("coisotropic", "cosymplectic"), flags))
+    assert min(verdicts[name, flag] for name in ("coisotropic", "cosymplectic") for flag in (True, False)) >= 30
+
+
+def test_structures_built_without_a_check_pass_it():
+    # PoissonVS._of skips the antisymmetry check; each construction that uses it must
+    # yield what the public constructor accepts
+    rng = random.Random(103)
+    names = ("x1", "x2", "x3")
+    for _ in range(30):
+        upper = {(i, j): Poly.variable(names, rng.choice(names)).scale(rand_fraction(rng))
+                 + Poly.constant(names, rand_fraction(rng)) for i in range(3) for j in range(i + 1, 3)}
+        p, _, _, w = rand_valid_iso_triple(rng, max_dim=6)
+        pm, m = rand_minimal_coisotropic_pair(rng)
+        built = [
+            BivectorField.from_upper(names, upper).at(rand_point(rng, 3)),
+            as_bivector(from_bivector(p)),
+            as_bivector(gauge(from_bivector(p), rand_antisym(rng, p.dim))),
+            induced_bivector(p, w),
+            coisotropic_splitting(pm, m).model,
+            _block_model(p, rng.randint(0, 2)),
+        ]
+        for q in filter(None, built):
+            assert PoissonVS(q.dim, q.pi) == q
+
+
+PRIMAL_MESSAGE = "subspace must be primal and match the ambient dimension"
+
 # id: (build, exception type, message) for each refusal that only a caller of the Python
 # API reaches: the commands build bivectors, subspaces and complements from checked input
 API_REFUSALS = {
@@ -540,7 +589,15 @@ API_REFUSALS = {
                                 "supplied v is not a complement of e inside m"),
     # sharp_annihilator refuses a subspace of another ambient first
     "structures of different dimensions": (lambda: linear_uniqueness_iso(P2, P4, Subspace.full(4), Subspace.full(4)),
-                                           SpaceMismatchError, "subspace must be primal and match the ambient dimension"),
+                                           SpaceMismatchError, PRIMAL_MESSAGE),
+    "coisotropic flag of a dual subspace": (lambda: is_coisotropic(P4, dual_span(4, [[1, 0, 0, 0]])),
+                                            SpaceMismatchError, PRIMAL_MESSAGE),
+    "coisotropic flag in another ambient": (lambda: is_coisotropic(P4, Subspace.full(2)), SpaceMismatchError,
+                                            PRIMAL_MESSAGE),
+    "cosymplectic flag of a dual subspace": (lambda: is_cosymplectic(P4, dual_span(4, [[1, 0, 0, 0]])),
+                                             SpaceMismatchError, PRIMAL_MESSAGE),
+    "cosymplectic flag in another ambient": (lambda: is_cosymplectic(P4, Subspace.full(2)), SpaceMismatchError,
+                                             PRIMAL_MESSAGE),
 }
 
 
