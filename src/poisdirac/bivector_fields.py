@@ -102,14 +102,6 @@ def jacobiator(pi: BivectorField) -> dict[tuple[int, int, int], Poly]:
     return _jacobi_rows(pi, list(combinations(range(pi.dim), 3)))
 
 
-def jacobiator_component(pi: BivectorField, i: int, j: int, k: int) -> Poly:
-    """J^{ijk} for any indices, off the sorted ones: zero when one repeats, negated when the
-    sort is an odd permutation."""
-    ijk = tuple(sorted((i, j, k)))
-    component = _jacobi_rows(pi, [ijk])[ijk]
-    return -component if (j - i) * (k - i) * (k - j) < 0 else component
-
-
 def _jacobi_rows(pi: BivectorField, components: list[tuple[int, int, int]]) -> dict[tuple[int, int, int], Poly]:
     """The Jacobiator at the sorted index triples `components`, by rows: for each term c_m x^m
     of an upper entry Pi^{bc}, row a adds c_m {x_a, x^m} = c_m sum_l m_l x^(m - u_l) Pi^{al} into

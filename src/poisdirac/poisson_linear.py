@@ -335,9 +335,9 @@ class CoisotropicSplitting:
 def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) -> CoisotropicSplitting:
     """P = V + E + E* along a coisotropic m: e = sharp(ann m), v a complement of e in m
     (greedy unless given), and f the partners of e that the leaf form pairs with it.
-    The one check is the model check: pushed through (v, e, f), Pi must be the V + E + E*
-    model.  In that basis the leaf form inverts the model's pairing block, so the check
-    implies Omega(f_i, f_j) = 0 and Omega(f_i, e_j) = delta_ij."""
+    Checked: the inverse of t = (v, e, f) inverts t, and pushed through t, Pi is the
+    V + E + E* model.  In that basis the leaf form inverts the model's pairing block, so the
+    model check implies Omega(f_i, f_j) = 0 and Omega(f_i, e_j) = delta_ij."""
     if not is_coisotropic(p, m):
         raise PreconditionError("subspace is not coisotropic")
     e = p.sharp_annihilator(m)
@@ -357,6 +357,8 @@ def coisotropic_splitting(p: PoissonVS, m: Subspace, v: Subspace | None = None) 
     f = linear_combination((1, w), (Fraction(1, 2), leaf_form_gram(p, w, w) @ e.basis))
     t = stack(v.basis, e.basis, f).transpose()
     t_inv = inverse(t)
+    if t_inv @ t != MatrixQ.identity(p.dim):
+        raise PropertyViolationError("inverse change of basis does not invert the change of basis")
     pushed = t_inv @ p.pi @ t_inv.transpose()
     model = PoissonVS._of(p.dim, pushed)
     if pushed != _block_model(induced_bivector(p, v), k).pi:
@@ -393,8 +395,6 @@ def linear_uniqueness_iso(p1: PoissonVS, p2: PoissonVS, m: Subspace, v: Subspace
     s2 = coisotropic_splitting(p2, m, v)
     if s1.model.pi != s2.model.pi:
         raise PropertyViolationError("splitting models disagree despite equal pullback data")
-    # the two model checks make phi Pi_1 phi^T = t_2 M t_2^T = Pi_2, M the common model
-    phi = s2.change_of_basis @ s1.inverse_change_of_basis
-    if m.basis @ phi.transpose() != m.basis:
-        raise PropertyViolationError("matching isomorphism moved a point of m")
-    return phi
+    # the model checks make phi Pi_1 phi^T = t_2 M t_2^T = Pi_2; phi t_1 = t_2 by t_1's inverse check, and t_1, t_2
+    # start with the same rows of v and of e = sharp(ann m), equal by the first check: phi fixes m = v + e pointwise
+    return s2.change_of_basis @ s1.inverse_change_of_basis

@@ -93,8 +93,9 @@ def _expect_list(value: Any, path: str) -> list:
 
 
 def _parse_rational(value: Any, path: str) -> Fraction:
+    text = _expect_str(value, path)
     try:
-        return rat(_expect_str(value, path))
+        return rat(text)
     except ValueError as exc:
         raise _fail(path, str(exc))
 

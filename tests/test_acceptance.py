@@ -8,6 +8,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 
 from conftest import record_acceptance
 from gen import (
@@ -52,6 +53,7 @@ from poisdirac.poisson_linear import (
 )
 from poisdirac.polynomials import Poly, PolyMap
 from poisdirac.rational_linalg import MatrixQ, Subspace, add, annihilator, contains, intersect
+from poisdirac.scenario import load_scenario_text
 from poisdirac.submanifolds import (
     LevelSet,
     Parametrized,
@@ -188,6 +190,9 @@ def test_criterion_3_equivalence_variants():
     # exactly one sign works per direction, and the two successes are the
     # same diffeomorphism presented in the two directions
     ok = passing == {("-", "pi1->pi2"), ("+", "pi2->pi1")}
+    # the pi1 -> pi2 match, with its inverse, is the map that ex_r4_push.json freezes
+    push = load_scenario_text(resources.files("poisdirac").joinpath("scenarios", "ex_r4_push.json").read_text())
+    ok &= (push.map, push.map_inverse) == (minus, plus)
     doc = json.loads(load_and_run_porcelain("pushforward", "ex_r4_push.json"))
     ok &= doc["matches_expected"] is True
     _report("criterion 3: exactly one sign variant per direction carries one structure to the other", ok)

@@ -3,19 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from gen import compose, rand_antisym, rand_fraction, rand_point, rand_shear_diffeo
+from gen import compose, rand_antisym, rand_point, rand_shear_diffeo
 from poisdirac.bivector_fields import (
     BivectorField,
     TwoFormField,
     exterior_derivative,
     is_closed,
     is_poisson,
-    jacobiator,
-    jacobiator_component,
     nonzero_jacobiator_components,
     pushforward,
 )
-from poisdirac.errors import PreconditionError, SpaceMismatchError
+from poisdirac.errors import PreconditionError
 from poisdirac.polynomials import Poly, PolyMap
 
 X3 = ("x1", "x2", "x3")
@@ -52,20 +50,6 @@ class TestJacobi:
         for _ in range(20):
             assert is_poisson(constant_field(rng, X4))
 
-    def test_jacobiator_totally_antisymmetric(self):
-        rng = random.Random(4)
-        for _ in range(10):
-            upper = {
-                (i, j): Poly.make(X4, {tuple(rng.randint(0, 1) for _ in X4): rand_fraction(rng)})
-                for i in range(4) for j in range(i + 1, 4)
-            }
-            field = BivectorField.from_upper(X4, upper)
-            for (i, j, k) in jacobiator(field):
-                base = jacobiator_component(field, i, j, k)
-                assert jacobiator_component(field, j, i, k) == -base
-                assert jacobiator_component(field, j, k, i) == base
-                assert jacobiator_component(field, i, i, k).is_zero()
-
 
 class TestEvaluate:
     def test_vanishing_coefficient(self):
@@ -82,11 +66,6 @@ class TestEvaluate:
         a = field.at(rand_point(rng, 3))
         b = field.at(rand_point(rng, 3))
         assert a.pi == b.pi
-
-    def test_point_length_checked(self):
-        field = BivectorField.from_upper(X3, {(0, 1): "x3"})
-        with pytest.raises(Exception):
-            field.at((Fraction(0),))
 
 
 class TestPushforward:
@@ -107,11 +86,6 @@ class TestPushforward:
         assert pushforward(PI2, plus, minus).entries == PI1.entries
         assert pushforward(PI1, plus, minus).entries != PI2.entries
         assert pushforward(PI2, minus, plus).entries != PI1.entries
-
-    def test_rejects_non_inverse(self):
-        phi = PolyMap.parse(["x1 + x2", "x2"], ("x1", "x2"))
-        with pytest.raises(PreconditionError):
-            pushforward(BivectorField.from_upper(("x1", "x2"), {(0, 1): "1"}), phi, phi)
 
     def test_poisson_preserved_randomized(self):
         rng = random.Random(8)
@@ -138,43 +112,6 @@ class TestAntisymmetricFields:
         assert type(b) is TwoFormField and type(PI1) is BivectorField
         assert b.entries[2][0] == -Poly.parse("x2", X3)
         assert b.at((Fraction(1), Fraction(5), Fraction(0))).entries[0][2] == 5
-
-    def test_two_forms_share_the_antisymmetry_check(self):
-        one = Poly.constant(X3, 1)
-        zero = Poly.zero(X3)
-        grid = ((zero, one, zero), (one, zero, zero), (zero, zero, zero))
-        for cls in (BivectorField, TwoFormField):
-            with pytest.raises(PreconditionError, match="not antisymmetric"):
-                cls(X3, grid)
-
-
-# Refusals that only the Python API reaches: the scenario parser refuses these inputs first.
-# No earlier check refuses them: a 0 x 0 two-form minus a 3 x 3 one would zip no rows, and
-# mutually inverse maps of another dimension pass the composition checks.
-API_REFUSALS = {
-    "grid rows": (lambda: BivectorField(X3, ((Poly.zero(X3),) * 3,) * 2), SpaceMismatchError,
-                  "entry grid shape does not match the variable count"),
-    "grid columns": (lambda: BivectorField(X3, ((Poly.zero(X3),) * 2,) * 3), SpaceMismatchError,
-                     "entry grid shape does not match the variable count"),
-    "index below the diagonal": (lambda: BivectorField.from_upper(X3, {(1, 0): "1"}), ValueError,
-                                 "upper-triangular index out of range: (1, 0)"),
-    "index past the dimension": (lambda: TwoFormField.from_upper(X3, {(0, 3): "1"}), ValueError,
-                                 "upper-triangular index out of range: (0, 3)"),
-    "two-forms on other variables": (lambda: TwoFormField.from_upper(X3, {}) - TwoFormField.from_upper(("y1", "y2", "y3"), {}),
-                                     SpaceMismatchError, "two-forms live on different patches"),
-    "a two-form on no variables": (lambda: TwoFormField((), ()) - TwoFormField.from_upper(X3, {}), SpaceMismatchError,
-                                   "two-forms live on different patches"),
-    "a diffeomorphism of another dimension": (lambda: pushforward(BROKEN, PolyMap.identity(X4), PolyMap.identity(X4)),
-                                              SpaceMismatchError, "diffeomorphism dimensions do not match the field"),
-}
-
-
-@pytest.mark.parametrize("case", API_REFUSALS)
-def test_api_refusals(case):
-    build, error, message = API_REFUSALS[case]
-    with pytest.raises(error) as exc:
-        build()
-    assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestExteriorDerivative:
@@ -238,5 +175,5 @@ class TestSplitForm:
             assert not verify_split_form(permuted(PI2, list(order)), 1)
 
     def test_k_too_large_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^2k = 6 exceeds the dimension 4$"):
             verify_split_form(PI1, 3)

@@ -19,7 +19,6 @@ import pytest
 from gen import compose, rand_fraction, rand_shear_diffeo
 from poisdirac import bivector_fields, polynomials
 from poisdirac.bivector_fields import BivectorField, pushforward
-from poisdirac.errors import SpaceMismatchError
 from poisdirac.polynomials import Poly, PolyMap, ambient_variables, compose_map, sum_of_products
 from test_product_kernel import Sympy
 
@@ -155,10 +154,9 @@ def test_pushforward_composes_its_entries_in_one_call(monkeypatch):
     assert [outer.target_dim for outer in outers] == [4, 4, len(pushed.upper_entries())]
 
 
-def test_an_empty_context_is_a_space_mismatch():
+def test_a_constant_of_the_empty_context_takes_the_context_of_the_map():
+    # composed with a map of no variables it is refused: tests/test_refusals.py
     constant = Poly.constant((), 3)
-    with pytest.raises(SpaceMismatchError, match="must share one variable context"):
-        compose_map(PolyMap((), (constant,)), PolyMap((), ()))
     # a map with variables and no components gives the constant its context
     assert compose(constant, PolyMap(Y2, ())) == Poly.constant(Y2, 3)
     assert compose_map(PolyMap((), ()), PolyMap((), ())) == PolyMap((), ())

@@ -117,7 +117,7 @@ def inherited(name: str) -> bool:
 
 def test_every_public_definition_is_read_outside_the_unit_tests():
     # the acceptance run reads the paper's constructions (from_subspace_form, change_basis,
-    # range_and_form, leaf_form_value), and the benchmark traces jacobiator_component by name
+    # range_and_form, leaf_form_value)
     scripts, bench = sorted((ROOT / "scripts").glob("*.py")), sorted((ROOT / "perfbench").glob("*.py"))
     readers = [path.read_text(encoding="utf-8") for path in scripts + bench + [ROOT / "tests" / "test_acceptance.py"]]
     named_by = [path.read_text(encoding="utf-8") for path in bench]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gen import compose
 from poisdirac import polynomials
-from poisdirac.errors import NotUnimodularError, PreconditionError, SpaceMismatchError
+from poisdirac.errors import NotUnimodularError, SpaceMismatchError
 from poisdirac.polynomials import (
     _VAR_RE, MAX_EXPONENT, Poly, PolyMap, _tokenize, compose_map, poly_matrix_det, poly_matrix_inverse, values_at,
 )
@@ -32,11 +32,6 @@ def test_partial_derivative_product():
 
 def test_partial_derivative_absent_variable():
     assert Poly.parse("x1^2", X3).partial("x3").is_zero()
-
-
-def test_partial_unknown_variable_rejected():
-    with pytest.raises(ValueError):
-        Poly.parse("x1", X3).partial("z9")
 
 
 def test_product_difference_of_squares():
@@ -78,32 +73,6 @@ def test_compose_constant():
     assert compose(p, m) == Poly.parse("5", ("t1",))
 
 
-def test_compose_arity_mismatch_rejected():
-    with pytest.raises(SpaceMismatchError, match="^map composition arity mismatch$"):
-        compose_map(PolyMap.parse(["x1"], ("x1",)), PolyMap.parse(["t1", "t1"], ("t1",)))
-
-
-def test_parse_rejects_unknown_variable():
-    with pytest.raises(ValueError):
-        Poly.parse("x9", X3)
-
-
-def test_parse_rejects_missing_star():
-    with pytest.raises(ValueError):
-        Poly.parse("2x1", X3)
-
-
-def test_parse_rejects_zero_denominator():
-    with pytest.raises(ValueError, match="zero denominator"):
-        Poly.parse("1/0*x1", X3)
-
-
-@pytest.mark.parametrize("text", [f"x1^{MAX_EXPONENT + 1}", f"x2*x1^{MAX_EXPONENT}*x1", "3*x3^100000000000000000000"])
-def test_parse_rejects_exponent_above_maximum(text):
-    with pytest.raises(ValueError, match="exceeds the maximum"):
-        Poly.parse(text, X3)
-
-
 @pytest.mark.parametrize("text", ["0", " 0", "+0", "-0", "00", "0*x1", "0/7"])
 def test_zero_texts_parse_to_the_zero_polynomial(text, monkeypatch):
     tokenized, tokenize = [], polynomials._tokenize
@@ -111,11 +80,6 @@ def test_zero_texts_parse_to_the_zero_polynomial(text, monkeypatch):
     p = Poly.parse(text, X3)
     assert (p.variables, p.nums, p.den, str(p)) == (X3, (), 1, "0") and p == Poly.zero(X3)
     assert tokenized == ([] if text == "0" else [text])  # only the text "0" skips the grammar
-
-
-def test_a_zero_term_of_an_unknown_variable_is_still_rejected():
-    with pytest.raises(ValueError, match="unknown variable 'x9'"):
-        Poly.parse("0*x9", X3)
 
 
 def test_parse_accepts_the_maximum_exponent():
@@ -556,16 +520,13 @@ def test_a_singular_value_at_zero_is_rejected_without_expansion(rows, monkeypatc
     assert sizes == []
 
 
-def test_the_work_of_a_cofactor_expansion_is_capped(monkeypatch):
-    # no constant entry and det(0, 0) = det(1, 1) = 2: the inverse goes straight to the expansion
+def test_a_cofactor_expansion_under_the_work_cap_runs(monkeypatch):
+    # tests/test_refusals.py::NO_CONSTANT_PIVOT, which a cap of 20 terms refuses: no constant
+    # entry and det(0, 0) = det(1, 1) = 2, so the inverse goes straight to the expansion
     m = grid([["1 + x1", "x1 - 1", "x2"], ["x1 + x2", "x1", "1 + x2"], ["x1 - 1", "x1 - 1", "x1"]])
-    monkeypatch.setattr(polynomials, "MAX_MINOR_TERMS", 20)
-    for function in (poly_matrix_det, poly_matrix_inverse):
-        with pytest.raises(PreconditionError, match="cofactor expansion of a 3 x 3 polynomial matrix needs more than 20 terms"):
-            function(m)
     monkeypatch.setattr(polynomials, "MAX_MINOR_TERMS", 200)
     assert poly_matrix_det(m) == cofactor_det(m)
-    with pytest.raises(NotUnimodularError):
+    with pytest.raises(NotUnimodularError, match="^matrix determinant is not a nonzero constant; inverse is not polynomial$"):
         poly_matrix_inverse(m)
 
 
@@ -576,44 +537,3 @@ def test_inverse_of_unimodular_matrix(size):
     identity = [[Poly.constant(X2, 1 if i == j else 0) for j in range(size)] for i in range(size)]
     assert poly_matmul(m, inverse) == identity
     assert poly_matmul(inverse, m) == identity
-
-
-@pytest.mark.parametrize("function", [poly_matrix_det, poly_matrix_inverse])
-@pytest.mark.parametrize("rows", [
-    [["x1", "1", "1"], ["1", "x1", "1"]],
-    [["x1", "1"], ["1"]],
-])
-def test_det_and_inverse_reject_non_square(function, rows):
-    m = [[Poly.parse(text, X2) for text in row] for row in rows]
-    with pytest.raises(SpaceMismatchError, match="must be square"):
-        function(m)
-
-
-@pytest.mark.parametrize("function", [poly_matrix_det, poly_matrix_inverse])
-def test_det_and_inverse_reject_empty_matrix(function):
-    with pytest.raises(ValueError, match="empty matrix"):
-        function([])
-
-
-# id: (build, exception type, message) for each refusal that only a caller of the Python
-# API reaches: the scenario parser builds only well-formed terms, maps and variables
-API_REFUSALS = {
-    "exponent vector of another length": (lambda: Poly.make(("x1",), {(1, 0): 1}), ValueError,
-                                          "bad exponent vector (1, 0) for variables ('x1',)"),
-    "negative exponent": (lambda: Poly.make(("x1",), {(-1,): 1}), ValueError,
-                          "bad exponent vector (-1,) for variables ('x1',)"),
-    "unknown variable": (lambda: Poly.variable(("x1",), "x2"), ValueError, "unknown variable 'x2' (context: ('x1',))"),
-    "value of a non-constant": (lambda: Poly.variable(("x1",), "x1").constant_value(), ValueError,
-                                "polynomial is not constant"),
-    "negative power": (lambda: Poly.variable(("x1",), "x1") ** -1, ValueError, "negative powers are not polynomials"),
-    "component on other variables": (lambda: PolyMap(("x1",), (Poly.variable(("x2",), "x2"),)), SpaceMismatchError,
-                                     "component variables do not match the source context"),
-}
-
-
-@pytest.mark.parametrize("case", API_REFUSALS)
-def test_api_refusals(case):
-    build, error, message = API_REFUSALS[case]
-    with pytest.raises(error) as exc:
-        build()
-    assert type(exc.value) is error and str(exc.value) == message

@@ -15,8 +15,7 @@ from math import gcd, lcm
 import pytest
 
 from gen import compose, rand_fraction, rand_shear_diffeo
-from poisdirac.bivector_fields import BivectorField, TwoFormField, jacobiator, jacobiator_component, pushforward
-from poisdirac.errors import SpaceMismatchError
+from poisdirac.bivector_fields import BivectorField, jacobiator, pushforward
 from poisdirac.polynomials import Poly, PolyMap, ambient_variables, sum_of_products
 
 X3 = ambient_variables(3)
@@ -210,41 +209,6 @@ def test_pushforward_matches_sympy_and_the_accumulating_loop(n, seed):
             assert pushed.entries[a][b] == s.poly(transported[a, b].subs(back, simultaneous=True))
 
 
-# -- mismatched variable contexts ---------------------------------------------------
-
-
-def test_product_of_different_contexts_is_a_space_mismatch():
-    with pytest.raises(SpaceMismatchError, match=r"variable contexts differ: \('x1', 'x2', 'x3'\) vs \('y1', 'y2'\)"):
-        Poly.variable(X3, "x1") * Poly.variable(Y2, "y1")
-    with pytest.raises(SpaceMismatchError):
-        sum_of_products(X3, [(Poly.variable(X3, "x1"), Poly.variable(Y2, "y1"))])
-    with pytest.raises(SpaceMismatchError):
-        sum_of_products(Y2, [(Poly.variable(X3, "x1"), Poly.variable(X3, "x2"))])
-
-
-@pytest.mark.parametrize("field", [BivectorField, TwoFormField])
-def test_jacobiator_of_entries_in_another_context_is_a_space_mismatch(field):
-    # entries in a reordered context, whose exponent vectors would be read by position: the
-    # field refuses them when it is built, before any Jacobiator or form reads them
-    other = ("x2", "x1", "x3")
-    pi = BivectorField.from_upper(X3, {(0, 1): "x3", (1, 2): "x1"})
-    entries = tuple(tuple(Poly.make(other, {(e[1], e[0], e[2]): c for e, c in p.terms}) for p in row) for row in pi.entries)
-    message = "entry polynomial has the wrong variable context"
-    with pytest.raises(SpaceMismatchError, match=message):
-        jacobiator(field(X3, entries))
-    with pytest.raises(SpaceMismatchError, match=message):
-        jacobiator_component(field(X3, entries), 0, 1, 2)
-    with pytest.raises(SpaceMismatchError, match=message):
-        field.from_upper(X3, {(0, 1): entries[0][1]})
-
-
-def test_pushforward_along_maps_of_another_context_is_a_space_mismatch():
-    pi = BivectorField.from_upper(X3, {(0, 1): "x3"})
-    identity = PolyMap.identity(("y1", "y2", "y3"))
-    with pytest.raises(SpaceMismatchError):
-        pushforward(pi, identity, identity)
-
-
 # -- the fraction-free kernel: mixed denominators, cancellation, canonical form ------
 
 PRIMES = (2, 3, 5, 7, 11, 13, 101, 7919)
@@ -400,17 +364,12 @@ def test_the_zero_polynomial_has_denominator_one():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_jacobiator_component_alone_on_a_fresh_field_equals_the_jacobiator(n):
+def test_jacobiator_of_mixed_denominators_is_canonical_and_equals_the_accumulating_loop(n):
     rng = random.Random(f"fresh-component-{n}")
     variables = ambient_variables(n)
     pi = BivectorField.from_upper(variables, {
         (i, j): mixed_poly(rng, variables, terms=2) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.8
     })
-    components = jacobiator(pi)
-    for (i, j, k), component in components.items():
+    for (i, j, k), component in jacobiator(pi).items():
         assert_canonical(component)
-        assert jacobiator_component(BivectorField(pi.variables, pi.entries), i, j, k) == component
-        # every index order, on a fresh field each, against the one-product-at-a-time loop
-        for ijk in ((j, k, i), (k, i, j), (j, i, k), (i, k, j), (k, j, i)):
-            fresh = BivectorField(pi.variables, pi.entries)
-            assert jacobiator_component(fresh, *ijk) == reference_jacobiator_component(pi, *ijk)
+        assert component == reference_jacobiator_component(pi, i, j, k)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisdirac.errors import SpaceMismatchError
 from poisdirac.rational_linalg import (
     MAX_DIGITS,
     MatrixQ,
@@ -41,12 +40,6 @@ def subspace_st(n: int):
 @pytest.mark.parametrize("text, value", [("3", Fraction(3)), ("-1/2", Fraction(-1, 2)), ("+4/6", Fraction(2, 3)), ("0/7", Fraction(0))])
 def test_rat_accepts_p_over_q(text, value):
     assert rat(text) == value
-
-
-@pytest.mark.parametrize("text", ["0.5", "1e3", "1/0", "2/00", " 1", "1_000", "1/-2", "inf", ""])
-def test_rat_rejects_other_strings(text):
-    with pytest.raises(ValueError, match="not a rational"):
-        rat(text)
 
 
 def test_identity_is_built_once_per_n():
@@ -394,13 +387,6 @@ def test_equal_matrices_built_by_different_routes_are_equal_and_hash_equal():
     assert MatrixQ.zeros(0, 3) != MatrixQ.zeros(0, 2) and MatrixQ.zeros(3, 0) != MatrixQ.zeros(2, 0)
 
 
-def test_sums_refuse_mismatched_shapes():
-    a, b = MatrixQ.zeros(2, 2), MatrixQ.zeros(2, 3)
-    for combine in (lambda: a + b, lambda: b - a, lambda: linear_combination((1, a), (2, a), (1, b))):
-        with pytest.raises(SpaceMismatchError, match="shape mismatch"):
-            combine()
-
-
 @pytest.mark.parametrize("kind", ["dense", "huge"])
 def test_is_antisymmetric_equals_the_entrywise_test(kind):
     rng = random.Random(f"antisymmetric-{kind}")
@@ -508,24 +494,12 @@ def test_intersection_of_planes():
     assert intersect(a, b) == Subspace.span(3, [[0, 1, 0]])
 
 
-def test_dimension_mismatch_rejected():
-    with pytest.raises(SpaceMismatchError):
-        add(Subspace.full(2), Subspace.full(3))
-
-
-def test_primal_dual_mix_rejected():
-    with pytest.raises(SpaceMismatchError):
-        add(Subspace.full(2), Subspace.full(2, dual=True))
-
-
 def test_solve_consistent_and_inconsistent():
     m = MatrixQ.from_rows([[1, 1], [2, 2]])
     assert solve(m, MatrixQ.from_rows([(1, 2)])) == MatrixQ.from_rows([(1, 0)])
     assert solve(m, MatrixQ.from_rows([(1, 3)])) is None
     assert solve(m, MatrixQ.from_rows([(1, 2), (1, 3)])) is None
     assert solve(m, MatrixQ.zeros(0, 2)) == MatrixQ.zeros(0, 2)
-    with pytest.raises(SpaceMismatchError, match="right-hand side length"):
-        solve(m, MatrixQ.zeros(1, 3))
 
 
 @settings(max_examples=150)
@@ -649,18 +623,6 @@ def test_subspace_calculus_equals_fraction_formulas(kind, pairs):
         assert image(m, a, dual).basis.entries == _ref_span(t, [_ref_matvec(m, r) for r in ref_a])
 
 
-def test_subspace_operations_reject_mixed_ambients():
-    for op in (add, intersect, contains):
-        with pytest.raises(SpaceMismatchError, match="ambient dimensions differ"):
-            op(Subspace.full(2), Subspace.zero(3))
-        with pytest.raises(SpaceMismatchError, match="primal and dual"):
-            op(Subspace.full(2), Subspace.zero(2, dual=True))
-    with pytest.raises(SpaceMismatchError):
-        Subspace.full(3).coordinates_of_rows(MatrixQ.from_rows([(Fraction(1), Fraction(0))]))
-    with pytest.raises(SpaceMismatchError):
-        Subspace(3, ((1, 0),))
-
-
 def test_subspace_rows_are_the_primitive_reduced_rows():
     s = Subspace.span(3, [["-1/2", "1/3", "0"], ["2", "0", "4/5"]])
     assert s.rows == ((5, 0, 2), (0, 5, 3))
@@ -685,32 +647,3 @@ def test_intersection_dimension_matches_sympy():
 def test_rat_caps_digits():
     assert rat("-" + "9" * MAX_DIGITS) == -(10 ** MAX_DIGITS - 1)
     assert rat("1/" + "9" * MAX_DIGITS).denominator == 10 ** MAX_DIGITS - 1
-    for text in ("9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1)):
-        with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
-            rat(text)
-
-
-# id: (build, exception type, message) for each refusal that only a caller of the Python
-# API reaches: the scenario parser and the constructions pass only matching shapes
-API_REFUSALS = {
-    "grid of another shape": (lambda: MatrixQ(2, 2, [[1, 2]]), ValueError, "entry grid does not match declared shape"),
-    "no rows and no width": (lambda: MatrixQ.from_rows([]), ValueError, "cannot infer column count of an empty matrix"),
-    "product of unmatched shapes": (lambda: MatrixQ.zeros(2, 3) @ MatrixQ.zeros(2, 3), SpaceMismatchError,
-                                    "cannot multiply 2x3 by 2x3"),
-    "vector of another length": (lambda: MatrixQ.identity(2).matvec((1, 2, 3)), SpaceMismatchError,
-                                 "matrix has 2 columns, vector has length 3"),
-    "stack of other widths": (lambda: stack(MatrixQ.zeros(1, 2), MatrixQ.zeros(1, 3)), SpaceMismatchError,
-                              "stacked matrices differ in column count"),
-    "inverse of a non-square matrix": (lambda: inverse(MatrixQ.zeros(2, 3)), SpaceMismatchError,
-                                       "only square matrices can be inverted"),
-    "image of a subspace of another ambient": (lambda: image(MatrixQ.identity(2), Subspace.full(3)), SpaceMismatchError,
-                                               "map source does not match subspace ambient"),
-}
-
-
-@pytest.mark.parametrize("case", API_REFUSALS)
-def test_api_refusals(case):
-    build, error, message = API_REFUSALS[case]
-    with pytest.raises(error) as exc:
-        build()
-    assert type(exc.value) is error and str(exc.value) == message

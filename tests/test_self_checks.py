@@ -11,12 +11,10 @@ last row is the document field that reads as a self-check, pushforward's
 
 `test_every_self_check_has_a_row` reads each `raise PropertyViolationError(...)` under
 src/poisdirac/ and fails on one whose message no row expects, so a new self-check comes
-with its fault.
+with its fault.  It walks the sources with tests/test_refusals.py's refusal guard.
 """
 
-import ast
 import json
-from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -32,6 +30,7 @@ from poisdirac.poisson_linear import (
 )
 from poisdirac.polynomials import Poly, PolyMap
 from poisdirac.rational_linalg import MatrixQ, Subspace, inverse, linear_combination, stack
+from test_refusals import unpinned_raises
 
 PACKAGE = sorted(Path(poisdirac.__file__).parent.glob("*.py"))
 SCENARIOS = Path(poisdirac.__file__).parent / "scenarios"
@@ -126,10 +125,11 @@ FAULTS = {
         "poisson_linear.linear_uniqueness_iso",
         lambda mp: mp.setattr(PoissonVS, "leaf", lambda p: Subspace.zero(p.dim)),
         lambda: linear_uniqueness_iso(P4, P4_TWICE, M3, V2), "splitting models disagree despite equal pullback data"),
-    "uniqueness: the inverse change of basis is sheared by a model automorphism": (
-        "poisson_linear.linear_uniqueness_iso",
+    # the sheared inverse passes the model check; linear_uniqueness_iso's map would move e
+    "splitting: the inverse change of basis is sheared by a model automorphism": (
+        "poisson_linear.coisotropic_splitting",
         lambda mp: mp.setattr(poisson_linear, "inverse", lambda m: SHEAR @ inverse(m) if m.rows == 4 else inverse(m)),
-        lambda: linear_uniqueness_iso(P4, P4, M3, V2), "matching isomorphism moved a point of m"),
+        lambda: linear_uniqueness_iso(P4, P4, M3, V2), "inverse change of basis does not invert the change of basis"),
     "tangent preimage: the tangent is taken at the next parameter": (
         "submanifolds.PointData._directions",
         lambda mp: mp.setattr(submanifolds, "tangent_at", lambda c, q: _TANGENT_AT(c, (q[0] + 1, *q[1:]))),
@@ -204,36 +204,15 @@ def test_a_fault_in_the_route_fires_its_check(capsys, monkeypatch, tmp_path, cas
         assert (code, out, err) == (3, "", f"property violation: {expected}\n")
 
 
-def message_prefix(node: ast.expr | None) -> str:
-    """The constant start of a message: a string, or an f-string up to its first value."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        return "".join(part.value for part in takewhile(lambda part: isinstance(part, ast.Constant), node.values))
-    return ""
-
-
-def unpinned_self_checks(sources: dict[str, str], messages: list[str]) -> list[str]:
-    """"file:line: prefix" of each `raise PropertyViolationError(...)` in the sources whose
-    message has no constant start or starts none of the messages."""
-    found = []
-    for name, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            exc = node.exc if isinstance(node, ast.Raise) else None
-            call = exc.func if isinstance(exc, ast.Call) else exc
-            if getattr(call, "id", getattr(call, "attr", None)) != "PropertyViolationError":
-                continue
-            prefix = message_prefix(exc.args[0] if isinstance(exc, ast.Call) and exc.args else None)
-            if not prefix or not any(m.startswith(prefix) for m in messages):
-                found.append((name, node.lineno, prefix))
-    return [f"{name}:{line}: {prefix!r}" for name, line, prefix in sorted(found)]
+def _self_check(kind: str) -> bool:
+    return kind == "PropertyViolationError"
 
 
 def test_every_self_check_has_a_row():
     messages = [expected for *_, expected in FAULTS.values() if isinstance(expected, str)]
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
-    assert unpinned_self_checks(sources, messages) == []
-    assert unpinned_self_checks(sources, []), "no self-check was read"
+    assert unpinned_raises(sources, messages, _self_check) == []
+    assert unpinned_raises(sources, [], _self_check), "no self-check was read"
 
 
 def test_a_stray_self_check_is_found():
@@ -249,5 +228,5 @@ def test_a_stray_self_check_is_found():
         "        raise PropertyViolationError\n"
         "    raise PropertyViolationError('a new check')\n"
     )
-    assert unpinned_self_checks({"m.py": source}, ["pinned check", "pinned at 3: more"]) == [
-        "m.py:7: ''", "m.py:9: ''", "m.py:10: 'a new check'"]
+    assert unpinned_raises({"m.py": source}, ["pinned check", "pinned at 3: more"], _self_check) == [
+        "m.py:7: '{} starts with a value'", "m.py:9: ''", "m.py:10: 'a new check'"]

@@ -304,11 +304,12 @@ class TestEvaluate:
     def test_a_wrong_length_point_is_refused_even_by_zero_polynomials(self):
         zero = Poly.zero(self.X3)
         for point in ((Fraction(1), Fraction(2)), (0, 0, 0, 0), ()):
-            with pytest.raises(SpaceMismatchError):
+            message = f"^point length {len(point)} != variable count 3$"
+            with pytest.raises(SpaceMismatchError, match=message):
                 values_at(((zero, zero), (zero,)), point)
-            with pytest.raises(SpaceMismatchError):
+            with pytest.raises(SpaceMismatchError, match=message):
                 integer_rows_at(((zero,), (zero, zero)), point)
-            with pytest.raises(SpaceMismatchError):
+            with pytest.raises(SpaceMismatchError, match=message):
                 values_at(((zero,),), point)
 
     def test_an_empty_grid_has_no_rows(self):
