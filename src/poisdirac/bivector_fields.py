@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence, TypeVar
@@ -32,19 +33,23 @@ class AntisymmetricField:
     entries: tuple[tuple[Poly, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.variables)
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise SpaceMismatchError("entry grid shape does not match the variable count")
-        if any(p.variables != self.variables for row in self.entries for p in row):
-            raise SpaceMismatchError("entry polynomial has the wrong variable context")
+        self._check_grid()
         for i, row in enumerate(self.entries):  # entry (j, i) is minus entry (i, j), read off the numerators
             for j, a in enumerate(row[i:], i):
                 if (b := self.entries[j][i]).den != a.den or [(e, -c) for e, c in b.nums] != list(a.nums):
                     raise PreconditionError(f"entries ({i},{j}) and ({j},{i}) are not antisymmetric")
 
+    def _check_grid(self) -> None:
+        n = len(self.variables)
+        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+            raise SpaceMismatchError("entry grid shape does not match the variable count")
+        if any(p.variables != self.variables for row in self.entries for p in row):
+            raise SpaceMismatchError("entry polynomial has the wrong variable context")
+
     @classmethod
     def from_upper(cls: type[_Field], variables: Sequence[str], upper: Mapping[tuple[int, int], Poly | str]) -> _Field:
-        """Build from entries above the diagonal (0-based indices i < j); strings are parsed."""
+        """Build from entries above the diagonal (0-based indices i < j); strings are parsed.
+        The grid is antisymmetric as built, so only its shape and variable context are checked."""
         variables = tuple(variables)
         n = len(variables)
         grid = [[Poly.zero(variables)] * n for _ in range(n)]
@@ -55,21 +60,37 @@ class AntisymmetricField:
                 poly = Poly.parse(poly, variables)
             grid[i][j] = poly
             grid[j][i] = -poly
-        return cls(variables, tuple(tuple(r) for r in grid))
+        built = object.__new__(cls)
+        built.__dict__.update(variables=variables, entries=tuple(map(tuple, grid)))
+        built._check_grid()
+        return built
 
     @property
     def dim(self) -> int:
         return len(self.variables)
 
+    @cached_property
+    def _upper(self) -> dict[tuple[int, int], Poly]:
+        """The nonzero entries above the diagonal, by row, found once per field."""
+        n, e = self.dim, self.entries
+        return {(i, j): e[i][j] for i in range(n) for j in range(i + 1, n) if e[i][j].nums}
+
     def upper_entries(self) -> dict[tuple[int, int], Poly]:
-        n = self.dim
-        return {(i, j): self.entries[i][j] for i in range(n) for j in range(i + 1, n) if not self.entries[i][j].is_zero()}
+        return dict(self._upper)
 
     def matrix_at(self, point: Sequence[Fraction]) -> MatrixQ:
-        return MatrixQ._over(self.dim, integer_rows_at(self.entries, point))
+        """The nonzero upper entries as one `integer_rows_at` row, written at (i, j) and negated at (j, i)."""
+        n = self.dim
+        if len(point) != n:
+            raise SpaceMismatchError(f"point length {len(point)} != variable count {n}")
+        ((values, den),) = integer_rows_at((tuple(self._upper.values()),), point)
+        ints = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(self._upper, values):
+            ints[i][j], ints[j][i] = v, -v
+        return MatrixQ._of(n, ints, den)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not self._upper
 
 
 class BivectorField(AntisymmetricField):

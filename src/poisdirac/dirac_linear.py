@@ -97,7 +97,7 @@ def pullback(l: DiracVS, w: Subspace) -> DiracVS:
     n, basis, ann, pivots = l.ambient_dim, w.basis, annihilator(w).rows, _pivots(w.rows)
     work = [[sum(map(mul, a, r[:n])) for a in ann] + [r[c] * basis.den for c in pivots]
             + [sum(map(mul, r[n:], b)) for b in basis.ints] for r in l.span.rows]
-    return DiracVS._of(w.dim, Subspace(2 * w.dim, _tail(work, len(ann), 2 * w.dim)))
+    return DiracVS._of(w.dim, Subspace(2 * w.dim, _tail(work, len(ann), 2 * w.dim)[1]))
 
 
 def gauge(l: DiracVS, b: MatrixQ) -> DiracVS:
@@ -131,7 +131,7 @@ def characteristic(l: DiracVS) -> Subspace:
     """L intersected with Q^n + 0, vectors paired with the zero covector: the
     `_tail` of L's rows reordered to (xi | X), as in `as_bivector`."""
     n = l.ambient_dim
-    return Subspace(n, _tail([r[n:] + r[:n] for r in l.span.rows], n, n))
+    return Subspace(n, _tail([r[n:] + r[:n] for r in l.span.rows], n, n)[1])
 
 
 def range_and_form(l: DiracVS) -> tuple[Subspace, MatrixQ]:

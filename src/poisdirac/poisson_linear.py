@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
+from operator import mul
 from typing import Sequence
 
 from .errors import PreconditionError, PropertyViolationError, SpaceMismatchError
 from .rational_linalg import (
-    MatrixQ, Subspace, Vector, _eliminate, _row_space, add, annihilator, column_space, contains,
+    MatrixQ, Subspace, Vector, _eliminate, _reduced, _row_space, _tail, add, annihilator, column_space, contains,
     image, intersect, inverse, linear_combination, solve, stack,
 )
 
@@ -84,7 +85,8 @@ class PoissonVS:
 
     @_derived
     def sharp_annihilator(self, c: Subspace) -> Subspace:
-        """sharp(ann c) for a primal subspace c of Q^dim: the first step of every analysis of c."""
+        """sharp(ann c) in canonical form for a primal subspace c of Q^dim: the splitting's e,
+        the uniqueness precondition and the canonical isomorphism; analyses read `_sharp_rows`."""
         self._require_primal(c)
         return sharp_image(self, annihilator(c))
 
@@ -104,8 +106,8 @@ class ClassificationRecord:
     space, ann C -> Q^n / C (arXiv math/0611480; the constant rank
     condition of Calvo and Falceto is on its rank).  With S = sharp ann C,
     its image is (C + S) / C, so rank rho = r = s - dim(C cap S): the code
-    reads r off C cap S, the characteristic subspace, and checks it against
-    the second identity dim(C + S) = k + r.  With k = dim C, m = n - k,
+    reads s and C cap S, the characteristic subspace, off one elimination and checks
+    r against the second identity dim(C + S) = k + r.  With k = dim C, m = n - k,
     s = dim S and l = dim O, every field follows from l, s and r:
         dim(C + S) = k + r          dim(C cap S) = s - r
         coisotropic <=> r = 0       cosymplectic <=> r = m
@@ -127,10 +129,21 @@ class ClassificationRecord:
 
 
 @_derived
+def _sharp_rows(p: PoissonVS, c: Subspace) -> tuple[int, Subspace, tuple[tuple[int, ...], ...]]:
+    """(s, c cap S, the x_i) for S = sharp(ann c), x_i = sharp xi_i and xi_i the rows of ann c,
+    from one `_tail` of the rows (A x_i | x_i), A the matrix of the xi_i: their rank is s = dim S,
+    and the rows with A x = 0 are the canonical rows of c cap S.  No canonical S is built."""
+    p._require_primal(c)
+    ann = annihilator(c).rows
+    xs = tuple(tuple(sum(map(mul, row, xi)) for row in p.pi.ints) for xi in ann)
+    s, tail = _tail([[sum(map(mul, a, x)) for a in ann] + list(x) for x in xs], len(ann), p.dim)
+    return s, Subspace(p.dim, tail), xs
+
+
+@_derived
 def classify_subspace(p: PoissonVS, c: Subspace) -> ClassificationRecord:
-    sharp_ann = p.sharp_annihilator(c)
-    k, m, s, leaf_dim = c.dim, p.dim - c.dim, sharp_ann.dim, p.leaf().dim
-    r = s - characteristic_subspace(p, c).dim
+    s, characteristic, _ = _sharp_rows(p, c)
+    k, m, r, leaf_dim = c.dim, p.dim - c.dim, s - characteristic.dim, p.leaf().dim
     if sharp_sum(p, c).dim != k + r:
         raise PropertyViolationError("rank(rho) identities disagree; bivector data is inconsistent")
     return ClassificationRecord(
@@ -156,7 +169,7 @@ def is_coisotropic(p: PoissonVS, c: Subspace) -> bool:
 
 def is_cosymplectic(p: PoissonVS, w: Subspace) -> bool:
     """The classification's cosymplectic flag: sharp(ann w) is a complement of w."""
-    return w.dim + p.sharp_annihilator(w).dim == p.dim and characteristic_subspace(p, w).dim == 0
+    return w.dim + _sharp_rows(p, w)[0] == p.dim and characteristic_subspace(p, w).dim == 0
 
 
 @_derived
@@ -164,13 +177,12 @@ def sharp_sum(p: PoissonVS, c: Subspace) -> Subspace:
     """c + sharp(ann c), of dimension dim c + rank rho: the classification's second
     route to that rank, the space a cosymplectic extension completes, and the side of
     the intersection condition of `embedding_conditions` that does not depend on w."""
-    return add(c, p.sharp_annihilator(c))
+    return _reduced(p.dim, [*c.rows, *_sharp_rows(p, c)[2]], False)
 
 
-@_derived
 def characteristic_subspace(p: PoissonVS, c: Subspace) -> Subspace:
-    """C intersected with sharp(ann C), read off its cached ann C: the kernel of the leaf form pulled back to C."""
-    return intersect(p.sharp_annihilator(c), c)
+    """C intersected with sharp(ann C), from `_sharp_rows`: the kernel of the leaf form pulled back to C."""
+    return _sharp_rows(p, c)[1]
 
 
 @_derived
@@ -184,7 +196,8 @@ def induced_bivector(p: PoissonVS, w: Subspace) -> PoissonVS:
     if characteristic_subspace(p, w).dim != 0:
         raise PreconditionError("subspace is not pointwise Poisson-Dirac: extension of covectors is not well defined")
     d = w.dim
-    constraints = stack(w.basis, p.sharp_annihilator(w).basis)
+    # the rows sharp xi_i span sharp(ann w), so the solution is that of its canonical basis
+    constraints = stack(w.basis, MatrixQ._of(p.dim, _sharp_rows(p, w)[2]))
     xis = solve(constraints, MatrixQ.identity(constraints.rows)[:d, :])
     if xis is None:
         raise PropertyViolationError("covector extension system is inconsistent")
@@ -215,8 +228,9 @@ class EmbeddingConditions:
 def embedding_conditions(p: PoissonVS, c: Subspace, w: Subspace) -> EmbeddingConditions:
     if not contains(w, c):
         raise PreconditionError("c must be contained in w")
-    reach = add(w, p.sharp_annihilator(c))
-    cond_leaf = contains(reach, p.leaf())
+    reach = _reduced(p.dim, [*w.rows, *_sharp_rows(p, c)[2]], False)
+    # every cosymplectic extension makes w + sharp(ann c) all of Q^n, which holds the leaf
+    cond_leaf = reach.dim == p.dim or contains(reach, p.leaf())
     # w meets c + sharp(ann c), which holds c as w does, exactly in c iff
     # adding sharp(ann c) raises dim w as much as dim c
     cond_int = reach.dim - w.dim == sharp_sum(p, c).dim - c.dim

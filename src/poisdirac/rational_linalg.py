@@ -17,8 +17,8 @@ become integers, and floats are refused, in one place, `_scaled_row`, which
 runs only at the boundary: `MatrixQ(...)`, `from_rows`, `Subspace.span`, the
 vector of `matvec`, and in `polynomials` the coefficients of `Poly.make` and
 the point of `integer_rows_at`.  `solve` takes every right-hand side at once
-in one elimination; `inverse` is its identity case.  Every intersection, here
-and in `dirac_linear`, is one `_tail` of rows (A x | x), A an annihilator's rows.
+in one elimination; `inverse` is its identity case.  Every intersection, in any
+module, is one `_tail` of rows (A x | x), A an annihilator's rows.
 
 Subspaces carry a primal/dual tag: annihilators land in the dual
 space and mixing the two ambients raises, which catches the classic
@@ -441,11 +441,11 @@ def add(a: Subspace, b: Subspace) -> Subspace:
     return _reduced(a.ambient_dim, list(a.rows + b.rows), a.dual)
 
 
-def _tail(work: list, k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows with pivot >= k, minus their first k entries, after eliminating any integer
-    rows of width k + n: the canonical rows of the row space's part where those k vanish."""
+def _tail(work: list, k: int, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The rank of any integer rows of width k + n and, after their elimination, the rows with
+    pivot >= k minus their first k entries: the canonical rows of the part where those k vanish."""
     pivots = _eliminate(work, k + n)
-    return tuple(tuple(row[k:]) for row, c in zip(work, pivots) if c >= k)
+    return len(pivots), tuple(tuple(row[k:]) for row, c in zip(work, pivots) if c >= k)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -454,7 +454,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     _require_same_space(a, b)
     ann = b._annihilator.rows
     work = [[sum(map(mul, xi, x)) for xi in ann] + list(x) for x in a.rows]
-    return Subspace(a.ambient_dim, _tail(work, len(ann), a.ambient_dim), a.dual)
+    return Subspace(a.ambient_dim, _tail(work, len(ann), a.ambient_dim)[1], a.dual)
 
 
 def annihilator(s: Subspace) -> Subspace:

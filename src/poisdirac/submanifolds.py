@@ -219,8 +219,9 @@ class PointData:
         grad = MatrixQ._over(len(f.variables), integer_rows_at((f.gradient,), self.sample))
         return grad @ self._directions.transpose()
 
+    @_derived
     def is_basic(self, f: Poly) -> bool:
-        """Whether df annihilates the characteristic subspace at the point."""
+        """Whether df annihilates the characteristic subspace at the point, tested once per function."""
         return (self.differential(f) @ self.characteristic_in_tangent.transpose()).is_zero()
 
     def bracket(self, f: Poly, g: Poly) -> Fraction:

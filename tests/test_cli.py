@@ -383,18 +383,26 @@ REFUSALS = {
 }
 
 
+def refusal_argv(case: str, tmp_path: Path) -> tuple[list[str], str, list[Path]]:
+    """A REFUSALS row's command line and line, {tmp} read as tmp_path, and the files written
+    for it: its scenario document, if it has one, as tmp_path/scenario.json."""
+    command, doc, extra, _, line = REFUSALS[case]
+    argv, line = [command, *(arg.replace("{tmp}", str(tmp_path)) for arg in extra)], line.replace("{tmp}", str(tmp_path))
+    written = []
+    if doc is not None:
+        written.append(tmp_path / "scenario.json")
+        written[0].write_text(json.dumps(doc))
+        argv += ["--scenario", str(written[0])]
+    return argv, line, written
+
+
 class TestRefusals:
     """Every refusal a scenario or a flag can reach ends in its exit code and one diagnostic."""
 
     @pytest.mark.parametrize("case", REFUSALS)
     def test_each_input_ends_in_its_exit_code_and_diagnostic(self, capsys, tmp_path, case):
-        command, doc, extra, code, line = REFUSALS[case]
-        argv, line = [command, *(arg.replace("{tmp}", str(tmp_path)) for arg in extra)], line.replace("{tmp}", str(tmp_path))
-        written = []
-        if doc is not None:
-            written.append(tmp_path / "scenario.json")
-            written[0].write_text(json.dumps(doc))
-            argv += ["--scenario", str(written[0])]
+        code = REFUSALS[case][3]
+        argv, line, written = refusal_argv(case, tmp_path)
         got, out, err = run(capsys, *argv)
         if line.startswith(("error: ", "precondition failed: ")):
             assert (got, out, err) == (code, "", f"{line}\n")

@@ -1,9 +1,10 @@
 """Each classification, embedding-conditions record and induced bivector is
 built at most once per (PoissonVS, subspaces), whoever asks for it, a
 command builds a classification only where its document prints one, a fresh
-classification runs four eliminations, with rank rho read off C cap S,
-which its characteristic subspace then reuses, a pullback or a
-characteristic subspace of a Dirac structure runs one elimination, each
+classification runs three eliminations, with dim S and C cap S, so rank rho,
+read off one of them, which its characteristic subspace then reuses, a
+characteristic subspace C cap S runs one elimination and builds no canonical
+S, a pullback or a characteristic subspace of a Dirac structure runs one elimination, each
 annihilator is built once per subspace and a kernel's never, each linear system with many right-hand sides is solved in one
 elimination, a splitting solves each leaf-form vector once, each inverse
 once, each partial derivative is derived once per polynomial, the
@@ -225,10 +226,11 @@ def test_classification_annihilates_its_subspace_once():
         assert runs == [1]
 
 
-def test_classification_of_a_fresh_subspace_runs_four_eliminations():
-    # ann c, sharp(ann c), c cap sharp(ann c), whose dimension gives rank rho =
-    # dim sharp(ann c) - dim(c cap sharp(ann c)), and c + sharp(ann c), the second
-    # route to that rank; the leaf is built beforehand
+def test_classification_of_a_fresh_subspace_runs_three_eliminations():
+    # ann c; the rows (A x_i | x_i), x_i = sharp xi_i for the rows xi_i of ann c, whose rank is
+    # s = dim sharp(ann c) and whose rows with A x = 0 are c cap sharp(ann c), so that rank rho =
+    # s - dim(c cap sharp(ann c)); and c + sharp(ann c), the second route to that rank.  The
+    # leaf is built beforehand; a canonical sharp(ann c) and its intersection with c took four
     rng = random.Random(47)
     for _ in range(10):
         p, c, _, _ = rand_valid_iso_triple(rng, max_dim=6)
@@ -236,7 +238,20 @@ def test_classification_of_a_fresh_subspace_runs_four_eliminations():
         p.leaf()
         with counted_runs(_eliminate) as runs:
             classify_subspace(p, c)
-        assert runs == [4]
+        assert runs == [3]
+
+
+def test_a_characteristic_subspace_runs_one_elimination_and_no_sharp_annihilator():
+    # with ann c built, c cap sharp(ann c) is one elimination of the rows (A x_i | x_i); the route
+    # through the canonical sharp(ann c) eliminated twice, for the image and the intersection
+    rng = random.Random(73)
+    for _ in range(10):
+        p, c, _, _ = rand_valid_iso_triple(rng, max_dim=6)
+        p, c = PoissonVS(p.dim, p.pi), Subspace(c.ambient_dim, c.rows)
+        annihilator(c)
+        with counted_runs(_eliminate, PoissonVS.sharp_annihilator.__wrapped__) as runs:
+            characteristic_subspace(p, c)
+        assert runs == [1, 0]
 
 
 @contextmanager
@@ -258,8 +273,8 @@ def eliminated_widths():
 
 def test_the_characteristic_subspace_after_a_classification_runs_no_elimination():
     # classification builds c cap sharp(ann c) for rank rho; the characteristic
-    # subspace is that object, so the two together run four eliminations (five when
-    # the rank had its own elimination of A(sharp ann c))
+    # subspace is that object, so the two together run three eliminations (four when
+    # c cap sharp(ann c) was intersected from a canonical sharp(ann c))
     rng = random.Random(53)
     for _ in range(10):
         p, c, _, _ = rand_valid_iso_triple(rng, max_dim=6)
@@ -268,7 +283,7 @@ def test_the_characteristic_subspace_after_a_classification_runs_no_elimination(
         with eliminated_widths() as widths:
             record = classify_subspace(p, c)
             char = characteristic_subspace(p, c)
-        assert len(widths) == 4 and char.dim == record.dim_characteristic
+        assert len(widths) == 3 and char.dim == record.dim_characteristic
 
 
 def test_a_pullback_with_its_annihilator_built_runs_one_elimination():
@@ -297,7 +312,7 @@ def test_a_characteristic_runs_one_elimination_on_2n_columns():
 
 def test_a_kernel_keeps_its_annihilator():
     # kernel(m) stores m's row space as its cached annihilator, so classifying the kernel
-    # eliminates ann C no more: three eliminations where a fresh subspace takes four; the
+    # eliminates ann C no more: two eliminations where a fresh subspace takes three; the
     # row space keeps no annihilator of its own, which would make a reference cycle
     rng = random.Random(71)
     for _ in range(10):
@@ -310,17 +325,18 @@ def test_a_kernel_keeps_its_annihilator():
             classify_subspace(p, null)
         with counted_runs(_eliminate) as runs:
             classify_subspace(twin, twin_null)
-        assert annihilations == [0] and runs == [3]
+        assert annihilations == [0] and runs == [2]
 
 
 def test_a_level_set_sample_is_classified_without_annihilating_its_tangent(capsys):
     # the tangent is the kernel of the constraint differentials, whose row space is its
-    # annihilator: each of ex_fz's 4 samples runs 6 eliminations, 7 when sharp(ann T)
-    # eliminated ann T again
+    # annihilator: each of ex_fz's 4 samples runs 5 eliminations (the kernel's 2, the
+    # leaf, the rows (A x_i | x_i) and T + sharp(ann T)), 6 when a canonical sharp(ann T)
+    # was intersected with T, and 7 when sharp(ann T) eliminated ann T again
     with counted_runs(_eliminate) as runs:
         code = main(["classify", "--scenario", "ex_fz.json", "--porcelain"])
     capsys.readouterr()
-    assert code == 0 and runs == [24]
+    assert code == 0 and runs == [20]
 
 
 def test_counting_sees_each_annihilation_of_its_object():
@@ -333,13 +349,14 @@ def test_counting_sees_each_annihilation_of_its_object():
 
 
 @contextmanager
-def counted_runs(function):
-    """Number of runs of the function's body, in a one-element list."""
-    runs = [0]
+def counted_runs(*functions):
+    """Number of runs of each function's body, in a list in the order given."""
+    codes = [f.__code__ for f in functions]
+    runs = [0] * len(codes)
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is function.__code__:
-            runs[0] += 1
+        if event == "call" and frame.f_code in codes:
+            runs[codes.index(frame.f_code)] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)

@@ -1,13 +1,15 @@
 """References for the one intersection routine.
 
 `intersect(a, b)`, `dirac_linear.pullback`, `dirac_linear.characteristic`
-and the rank of rho in `classify_subspace` all read an intersection off one
-elimination of rows (A x | x), with A the rows of an annihilator.  The routes
-they replaced are kept here as references and must agree exactly on seeded
-inputs: the Zassenhaus sum-intersection, which reduces [[A, A], [B, 0]] on 2n
-columns; a pullback and a characteristic subspace that intersect L with a
-2n-dimensional helper subspace; and rank rho = dim A(sharp ann C), A the rows
-of ann C.  A sympy rank oracle checks the intersection's dimension as well.
+and `poisson_linear._sharp_rows`, which gives the classification its rank of
+rho and C cap sharp(ann C), all read an intersection off one elimination of
+rows (A x | x), with A the rows of an annihilator.  The routes they replaced
+are kept here as references and must agree exactly on seeded inputs: the
+Zassenhaus sum-intersection, which reduces [[A, A], [B, 0]] on 2n columns; a
+pullback and a characteristic subspace that intersect L with a 2n-dimensional
+helper subspace; rank rho = dim A(sharp ann C), A the rows of ann C; and the
+canonical sharp(ann C), its intersection with C and its sum with C.  A sympy
+rank oracle checks the intersection's dimension as well.
 """
 
 import random
@@ -18,8 +20,8 @@ import sympy
 
 from gen import rand_antisym, rand_dirac_form_data, rand_invertible, rand_low_rank_poisson, rand_poisson, rand_subspace
 from poisdirac.dirac_linear import DiracVS, _span_pairs, characteristic, from_bivector, from_subspace_form, gauge, pullback
-from poisdirac.poisson_linear import PoissonVS, characteristic_subspace, classify_subspace
-from poisdirac.rational_linalg import MatrixQ, Subspace, _eliminate, annihilator, image, intersect
+from poisdirac.poisson_linear import PoissonVS, _sharp_rows, characteristic_subspace, classify_subspace, sharp_sum
+from poisdirac.rational_linalg import MatrixQ, Subspace, _eliminate, add, annihilator, image, intersect
 
 
 def zassenhaus_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -162,6 +164,10 @@ def test_rank_rho_equals_the_image_rank_reference():
             for c in (Subspace.zero(n), Subspace.full(n), _coordinate(rng, n), rand_subspace(rng, n)):
                 p, c = PoissonVS(p.dim, p.pi), _fresh(c)  # nothing derived from either yet
                 record = classify_subspace(p, c)
-                assert record.rho_rank == image_rank(p, c)
-                assert characteristic_subspace(p, c) == zassenhaus_intersect(c, p.sharp_annihilator(c))
-                assert record.dim_characteristic == characteristic_subspace(p, c).dim
+                s, characteristic, _ = _sharp_rows(p, c)
+                sharp_ann = p.sharp_annihilator(c)
+                assert record.rho_rank == image_rank(p, c) and s == sharp_ann.dim
+                assert characteristic == characteristic_subspace(p, c) == intersect(sharp_ann, c)
+                assert characteristic == zassenhaus_intersect(c, sharp_ann)
+                assert record.dim_characteristic == characteristic.dim
+                assert sharp_sum(p, c) == add(c, sharp_ann)

@@ -8,14 +8,20 @@ API and pins the exact exception type and the whole message.  tests/test_cli.py:
 is the command-line table: an input, its exit code and its diagnostic.
 
 `test_every_refusal_has_a_row` reads every `raise` under src/poisdirac/ and fails on one
-whose message no row of the two tables matches, so a new refusal comes with its row.
-tests/test_self_checks.py reads the PropertyViolationError sites with the same walker,
-against its FAULTS table.
+whose message no row of the two tables matches, so a new refusal comes with its row.  It
+runs each row and pairs its message with the sites that raised during the run, and a site
+matches only the rows it is paired with: a message that starts with a formatted value
+cannot pass on another site's row.  tests/test_self_checks.py reads the
+PropertyViolationError sites with the same walker, against its FAULTS table.
 """
 
 import ast
+import os
 import re
 import string
+import sys
+import traceback
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +33,7 @@ import poisdirac
 from gen import pullback_canonical_form
 from poisdirac import polynomials
 from poisdirac.bivector_fields import BivectorField, TwoFormField, jacobiator, pushforward
+from poisdirac.cli import main
 from poisdirac.dirac_linear import DiracVS, change_basis, from_bivector, from_subspace_form, gauge, pullback
 from poisdirac.embedding import DiracManifoldData, Section, build_embedding, compare_splittings
 from poisdirac.errors import (
@@ -47,9 +54,11 @@ from poisdirac.rational_linalg import (
 from poisdirac.scenario import load_scenario_text
 from poisdirac.submanifolds import LevelSet, Parametrized, PointData, grid_points_on, tangent_at
 from test_cli import REFUSALS as CLI_REFUSALS
+from test_cli import refusal_argv
 from test_embedding import r4_data
 
 PACKAGE = sorted(Path(poisdirac.__file__).parent.glob("*.py"))
+PACKAGE_DIR = str(Path(poisdirac.__file__).parent) + os.sep
 
 X2, X3, X4 = ambient_variables(2), ambient_variables(3), ambient_variables(4)
 Y2 = ("y1", "y2")
@@ -227,6 +236,10 @@ API_REFUSALS = {
     "inverse of a non-unimodular matrix": (lambda: poly_matrix_inverse([[_q2("x1"), _q2("1")], [_q2("0"), _q2("1")]]),
                                            NotUnimodularError,
                                            "matrix determinant is not a nonzero constant; inverse is not polynomial"),
+    # passes the two-point test; refused when no constant pivot is left, by det S of the block S
+    "inverse of a matrix whose remaining block has a nonconstant determinant": (
+        lambda: poly_matrix_inverse(NO_CONSTANT_PIVOT), NotUnimodularError,
+        "matrix determinant is not a nonzero constant; inverse is not polynomial"),
     **{f"{f.__name__} of an empty matrix": (lambda f=f: f([]), ValueError, "empty matrix has no determinant")
        for f in (poly_matrix_det, poly_matrix_inverse)},
     **{f"{f.__name__} of a {kind} matrix": (lambda f=f, rows=rows: f([[_q2(t) for t in row] for row in rows]),
@@ -353,6 +366,8 @@ API_REFUSALS = {
                                    "two-forms live on different patches"),
     "field at a point of another length": (lambda: BivectorField.from_upper(X3, {(0, 1): "x3"}).at((Fraction(0),)),
                                            SpaceMismatchError, "point length 1 != variable count 3"),
+    "zero field at a point of another length": (lambda: BivectorField.from_upper(X3, {}).at((0, 0)),
+                                                SpaceMismatchError, "point length 2 != variable count 3"),
     "a diffeomorphism of another dimension": (lambda: pushforward(BROKEN, PolyMap.identity(X4), PolyMap.identity(X4)),
                                               SpaceMismatchError, "diffeomorphism dimensions do not match the field"),
     "pushforward along maps of another context": (
@@ -480,9 +495,11 @@ def message_parts(node: ast.expr | None, constants: dict[str, ast.expr]) -> tupl
     return tuple(template.split(VALUE))
 
 
-def unpinned_raises(sources: dict[str, str], messages: list[str], kinds) -> list[str]:
+def unpinned_raises(sources: dict[str, str], messages: list, kinds) -> list[str]:
     """"file:line: message" of each `raise` in the sources whose exception `kinds` selects
-    and whose message no text of `messages` matches, with {} for each formatted value.
+    and whose message no text of `messages` matches, with {} for each formatted value.  A
+    text is a str, which any site may match, or a (text, sites) pair, which only a site in
+    `sites`, a set of "file:line" strings, may match.
 
     A message matches when its constant parts match literally and each value matches any
     text, after any prefix ending in ": " (a scenario path, a command-line diagnostic, or the
@@ -506,18 +523,68 @@ def unpinned_raises(sources: dict[str, str], messages: list[str], kinds) -> list
             if parts is None:
                 found.append((name, node.lineno, ""))
             elif re.search(r"\w", "".join(parts)):  # else only values and punctuation: a re-wrap
-                pattern = "(?:.*: )?" + ".*".join(map(re.escape, parts))
-                if not any(re.fullmatch(pattern, m, re.DOTALL) for m in messages):
+                pattern, site = "(?:.*: )?" + ".*".join(map(re.escape, parts)), f"{name}:{node.lineno}"
+                texts = (m if isinstance(m, str) else m[0] for m in messages if isinstance(m, str) or site in m[1])
+                if not any(re.fullmatch(pattern, m, re.DOTALL) for m in texts):
                     found.append((name, node.lineno, "{}".join(parts)))
     return [f"{name}:{line}: {text!r}" for name, line, text in sorted(found)]
+
+
+def raise_sites(exc: BaseException | None) -> set[str]:
+    """"file:line" of the last frame under src/poisdirac/ in the traceback of exc and of each
+    exception it was raised from or while handling."""
+    sites = set()
+    while exc is not None:
+        frames = [f for f in traceback.extract_tb(exc.__traceback__) if f.filename.startswith(PACKAGE_DIR)]
+        if frames:
+            sites.add(f"{Path(frames[-1].filename).name}:{frames[-1].lineno}")
+        exc = exc.__cause__ or exc.__context__
+    return sites
+
+
+@contextmanager
+def recorded_raise_sites():
+    """The set, filled when the block ends, of the `raise_sites` of each exception that
+    passes through a frame under src/poisdirac/ while the block runs."""
+    raised, sites = [], set()
+
+    def local(frame, event, arg):
+        if event == "exception":
+            raised.append(arg[1])
+        return local
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename.startswith(PACKAGE_DIR):
+            frame.f_trace_lines = False
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield sites
+    finally:
+        sys.settrace(previous)
+        for exc in raised:
+            sites |= raise_sites(exc)
 
 
 def _refusal(kind: str) -> bool:
     return kind != "PropertyViolationError"
 
 
-def test_every_refusal_has_a_row():
-    messages = [message for *_, message in API_REFUSALS.values()] + [line for *_, line in CLI_REFUSALS.values()]
+def test_every_refusal_has_a_row(capsys, tmp_path):
+    # each row's message is paired with the sites that raised while the row ran
+    messages = []
+    for call, _, message in API_REFUSALS.values():
+        with recorded_raise_sites() as sites, suppress(Exception):
+            call()
+        messages.append((message, sites))
+    for case, (*_, line) in CLI_REFUSALS.items():
+        with recorded_raise_sites() as sites:
+            main(refusal_argv(case, tmp_path)[0])
+        capsys.readouterr()
+        messages.append((line, sites))
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unpinned_raises(sources, messages, _refusal) == []
     assert len(unpinned_raises(sources, [], _refusal)) > 100, "the refusals were not read"
@@ -557,3 +624,30 @@ def test_a_stray_refusal_is_found():
     assert unpinned_raises({"m.py": source}, ["pinned refusal, and more", "unpinned constant"], _refusal) == [
         "m.py:4: 'pinned refusal'", "m.py:6: '{} pinned after a value'", "m.py:8: 'pinned field {}'",
         "m.py:10: 'pinned constant'", "m.py:12: 'pinned at {}: {}'"]
+
+
+def test_a_refusal_that_starts_with_a_value_passes_only_on_its_own_row():
+    # the second message's pattern, '{} {} exceeds the maximum 32', matches the first site's
+    # row too; paired with the site that raised it, that row pins the first site alone
+    source = (
+        "def bound(x, name):\n"
+        "    if x > 32:\n"
+        "        raise ValueError(f'exponent {x} of {name} exceeds the maximum 32')\n"
+        "    raise SchemaError(f'{name} {x} exceeds the maximum 32')\n"
+    )
+    row = "exponent 33 of x1 exceeds the maximum 32"
+    assert unpinned_raises({"m.py": source}, [row], _refusal) == []
+    assert unpinned_raises({"m.py": source}, [(row, {"m.py:3"})], _refusal) == [
+        "m.py:4: '{} {} exceeds the maximum 32'"]
+    assert unpinned_raises({"m.py": source}, [(row, {"m.py:3"}), ("dimension 33 exceeds the maximum 32", {"m.py:4"})],
+                           _refusal) == []
+
+
+def test_a_row_is_paired_with_the_sites_that_raised_it():
+    # rat's refusal re-raised by the scenario parser: the parser's site and rat's
+    with recorded_raise_sites() as sites, suppress(SchemaError):
+        load_scenario_text('{"ambient": {"dim": 1, "bivector": []}, "point": ["0.5"]}')
+    assert {site.split(":")[0] for site in sites} == {"scenario.py", "rational_linalg.py"}
+    with recorded_raise_sites() as sites:
+        rat("1/2")
+    assert sites == set()

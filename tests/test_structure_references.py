@@ -10,9 +10,10 @@ and `gauge` are checked against the Fraction formulas they replaced, and `values
 as well; the integer rows of `integer_rows_at` must be the primitive rows
 of those values, and on grids whose entries and rows share monomials each
 row must be its values over the lcm of its denominators times q^D, q the
-point's common denominator and D the row's top degree.  `build_embedding`
-evaluates the structure at each sample (x, p), and where the gauged sections
-read a fiber coordinate at (x, 0) as well.
+point's common denominator and D the row's top degree; a field at a point, which
+evaluates only its nonzero upper entries, must be the matrix of its full grid of
+values.  `build_embedding` evaluates the structure at each sample (x, p), and
+where the gauged sections read a fiber coordinate at (x, 0) as well.
 """
 
 import random
@@ -291,6 +292,20 @@ class TestEvaluate:
         assert len(tops) > 2
         assert values_at(grid, point) == tuple(tuple(fraction_evaluate(p, point) for p in row) for row in grid)
 
+    @pytest.mark.parametrize("point", EVALUATION_POINTS + MIXED_POINTS)
+    def test_a_field_at_a_point_is_the_full_grid_of_values(self, point):
+        # `matrix_at` evaluates only the nonzero upper entries, as one row; the reference
+        # evaluates all n^2 entries, each row over its own denominator
+        rng = random.Random(13)
+        upper = [(0, 1), (0, 2), (1, 2)]
+        fields = [BivectorField(self.X3, tuple(map(tuple, self.shared_monomial_grid()[:3]))),
+                  BivectorField.from_upper(self.X3, {}), BivectorField(self.X3, (((Poly.zero(self.X3),) * 3,) * 3))]
+        for _ in range(8):
+            fields.append(BivectorField.from_upper(self.X3, {
+                ij: rand_poly(rng, self.X3, range(3), terms=3, degree=3) for ij in upper if rng.random() < 0.6}))
+        for field in fields:
+            assert field.at(point).pi == MatrixQ(3, 3, values_at(field.entries, point))
+
     def test_a_wrong_length_point_is_refused_in_any_row(self):
         grid = self.shared_monomial_grid()
         x2 = Poly.parse("x1*x2 - 1/2", ("x1", "x2"))
@@ -311,6 +326,8 @@ class TestEvaluate:
                 integer_rows_at(((zero,), (zero, zero)), point)
             with pytest.raises(SpaceMismatchError, match=message):
                 values_at(((zero,),), point)
+            with pytest.raises(SpaceMismatchError, match=message):
+                BivectorField.from_upper(self.X3, {}).at(point)
 
     def test_an_empty_grid_has_no_rows(self):
         assert values_at((), (Fraction(1), Fraction(2), Fraction(3))) == ()
